@@ -512,7 +512,7 @@ def cmd_fock(args) -> int:
         ops = [
             {
                 "generator": name,
-                "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
+                "matrix": np.stack((op.matrix.real, op.matrix.imag), -1).tolist(),
             }
             for name, op in _creations(space, c)
         ]

@@ -8,15 +8,34 @@ pair, subject to
 
 Values are Phase objects, exact whenever the construction permits, so that
 the identity checks in the rest of the package can demand equality rather
-than closeness.  check_cocycle enumerates (C1) over all composable triples up
-to a degree cap by walking each path's three-way factorizations, which visits
-every triple exactly once.
+than closeness.
+
+Cocycle.twist(m, n) tabulates c once on every composable pair of degrees
+(m, n), indexed by the composite path in Lambda^(m+n).  An exact table is
+integer-encoded: turn numerators mod a shared denominator L and radian
+numerators over a shared denominator, so exact equality of phases is
+equality of integers.  check_cocycle tests (C2) on the tables twist(n, 0)
+and twist(0, n), and (C1) on Lambda^(m+n+p) as the one array identity
+
+    T(m,n)[pre] + T(m+n,p)  =  T(m,n+p) + T(n,p)[suf]   (turns mod 1)
+
+per degree split, with pre and suf from KGraph.factor_arrays.  The values
+are compared in one of four encodings: int64 numerators when everything is
+exact and fits; Python-int object arrays when L or a numerator sum would
+overflow int64; arrays of Phase objects, compared with Phase.close, when a
+value is inexact in exact mode or in float mode with zero tolerance; and
+complex128 values with the tolerance (plus the modulus test) in float mode
+with a positive tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from . import degrees as dg
 from .constructions import CartesianProductGraph, CrossedProductGraph, SkewProductGraph
@@ -35,6 +54,9 @@ EXACT = "exact-angle"
 FLOAT = "float"
 
 _MEMO_TOTAL_CAP = 16
+# Bound on every scaled numerator in an int64 identity, so that a sum of four
+# of them cannot overflow; past it the identities run on Python ints.
+_INT64_SAFE = 2**60
 
 
 def as_phase(x) -> Phase:
@@ -49,8 +71,57 @@ def as_phase(x) -> Phase:
     return Phase.exact_radians(Fraction(x))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class Twist:
+    """The values of c on the composable pairs of degrees (m, n): entry i is
+    c(mu, nu) for the factorization paths(m+n)[i] = mu . nu.
+
+    `phases` holds the Phase values.  When all of them are exact (`exact`),
+    entry i is also encoded as turns[i] / turn_den (its turn part, reduced
+    mod 1) and rads[i] / rad_den (its radian part): integer numerators over
+    one denominator each, in int64 arrays unless a numerator exceeds the
+    int64-safe bound, in which case they are object arrays of Python ints.
+    """
+
+    def __init__(self, phases: list[Phase]):
+        arr = np.empty(len(phases), dtype=object)
+        arr[:] = phases
+        self.phases = _read_only(arr)
+        self.exact = all(p.is_exact for p in phases)
+        self.turn_den = self.rad_den = 1
+        self.rad_max = 0
+        self.turns = self.rads = None
+        if self.exact:
+            self.turn_den = math.lcm(*(p.turns.denominator for p in phases))
+            self.rad_den = math.lcm(*(p.rads.denominator for p in phases))
+            turns = [p.turns.numerator * (self.turn_den // p.turns.denominator) for p in phases]
+            rads = [p.rads.numerator * (self.rad_den // p.rads.denominator) for p in phases]
+            self.rad_max = max(map(abs, rads), default=0)
+            fits = self.turn_den <= _INT64_SAFE and self.rad_max <= _INT64_SAFE
+            dtype = np.int64 if fits else object
+            self.turns = _read_only(np.array(turns, dtype=dtype))
+            self.rads = _read_only(np.array(rads, dtype=dtype))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """complex(c) per entry."""
+        return _read_only(np.array([complex(p) for p in self.phases], dtype=np.complex128))
+
+    @cached_property
+    def modulus(self) -> np.ndarray:
+        """abs(complex(c)) per entry, computed as Python computes it."""
+        return _read_only(np.array([abs(z) for z in self.values.tolist()], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.phases)
+
+
 class Cocycle:
-    """Evaluator plus memo table; construct via the functions below."""
+    """Evaluator plus memo tables; construct via the functions below."""
 
     def __init__(self, graph: KGraph, evaluator, mode: str = EXACT, name: str = "cocycle"):
         self.graph = graph
@@ -58,6 +129,7 @@ class Cocycle:
         self.mode = mode
         self.name = name
         self._memo: dict[tuple[Path, Path], Phase] = {}
+        self._twists: dict[tuple[dg.Degree, dg.Degree], Twist] = {}
 
     def __call__(self, la: Path, mu: Path) -> Phase:
         if la.source != mu.range:
@@ -74,6 +146,18 @@ class Cocycle:
 
     def conj(self, la: Path, mu: Path) -> Phase:
         return self(la, mu).conj()
+
+    def twist(self, m, n) -> Twist:
+        """c on every composable pair of degrees (m, n), indexed by the
+        composite path in paths(m+n); built once and cached."""
+        g = self.graph
+        key = (dg.as_degree(m, g.k), dg.as_degree(n, g.k))
+        hit = self._twists.get(key)
+        if hit is None:
+            pm, pn = g.paths(key[0]), g.paths(key[1])
+            hit = Twist([self(pm[i], pn[j]) for i, j in g.factor_indices(*key)])
+            self._twists[key] = hit
+        return hit
 
     def __repr__(self) -> str:
         return f"Cocycle({self.name}, {self.mode})"
@@ -280,9 +364,9 @@ def tabulate(c: Cocycle, cap) -> dict:
         for m, n in dg.splits(total, 2):
             if not any(m) or not any(n):
                 continue
-            for la in g.paths(total):
-                mu, nu = g.split(la, m)
-                out[(mu.edges, nu.edges)] = c(mu, nu)
+            pm, pn = g.paths(m), g.paths(n)
+            for (i, j), val in zip(g.factor_indices(m, n), c.twist(m, n).phases):
+                out[(pm[i].edges, pn[j].edges)] = val
     return out
 
 
@@ -323,42 +407,107 @@ class CocycleReport:
     first_failure: tuple | None = None  # (kind, witness paths, values)
 
 
+def _take(arr: np.ndarray, idx):
+    return arr if idx is None else arr[idx]
+
+
+def _product(terms, field: str, unit):
+    """Elementwise product of the terms' `field` arrays; `unit` when empty."""
+    out = unit
+    for i, (t, idx) in enumerate(terms):
+        x = _take(getattr(t, field), idx)
+        out = x if i == 0 else out * x
+    return out
+
+
+def _agree(lhs: list, rhs: list, eps: float) -> np.ndarray:
+    """Elementwise: does the product of the `lhs` terms match that of the
+    `rhs` terms (an empty side is 1), as Phase.close(_, eps) would judge it?
+
+    A term is (Twist, index array or None); the index array maps the common
+    path set onto the table's paths.
+    """
+    tables = [t for t, _ in lhs + rhs]
+    if eps > 0:
+        return np.abs(_product(lhs, "values", 1 + 0j) - _product(rhs, "values", 1 + 0j)) <= eps
+    if all(t.exact for t in tables):
+        den_t = math.lcm(*(t.turn_den for t in tables))
+        den_r = math.lcm(*(t.rad_den for t in tables))
+        wide = den_t > _INT64_SAFE or any(
+            t.rad_max * (den_r // t.rad_den) > _INT64_SAFE for t in tables
+        )
+
+        def sums(terms):
+            turns = rads = 0
+            for t, idx in terms:
+                a, b = (t.turns.astype(object), t.rads.astype(object)) if wide else (t.turns, t.rads)
+                turns = turns + _take(a, idx) * (den_t // t.turn_den)
+                rads = rads + _take(b, idx) * (den_r // t.rad_den)
+            return turns, rads
+
+        (lt, lr), (rt, rr) = sums(lhs), sums(rhs)
+        return np.asarray(((lt - rt) % den_t == 0) & (lr == rr), dtype=bool)
+
+    close = np.frompyfunc(lambda a, b: a.close(b, eps), 2, 1)
+    return np.asarray(close(_product(lhs, "phases", ONE), _product(rhs, "phases", ONE)), dtype=bool)
+
+
 def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     """Exhaustively verify (C1) on composable triples with total degree <= cap
-    and (C2) on all paths <= cap.  Exact mode uses zero tolerance."""
+    and (C2) on all paths <= cap.  Exact mode uses zero tolerance.
+
+    Triples are visited, and counted up to the first failure, in the order
+    total degree, then dg.splits(total, 3), then g.paths(total); each
+    failure is reported with the Phase values the evaluator gives there.
+    """
     g = c.graph
     cap = dg.as_degree(cap, g.k)
     eps = 0.0 if c.mode == EXACT else tol
+    zero = dg.zero(g.k)
     rep = CocycleReport(True)
 
     for total in dg.degrees_upto(cap):
-        for la in g.paths(total):
-            left = c(la, g.vertex_path(la.source))
-            right = c(g.vertex_path(la.range), la)
-            rep.pairs_checked += 2
-            if not (left.close(ONE, eps) and right.close(ONE, eps)):
-                rep.ok = False
-                rep.first_failure = ("C2", la, (left, right))
-                return rep
+        left, right = c.twist(total, zero), c.twist(zero, total)
+        ok = _agree([(left, None)], [], eps) & _agree([(right, None)], [], eps)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i = int(bad[0])
+            rep.pairs_checked += 2 * (i + 1)
+            rep.ok = False
+            rep.first_failure = ("C2", g.paths(total)[i], (left.phases[i], right.phases[i]))
+            return rep
+        rep.pairs_checked += 2 * len(left)
 
     for total in dg.degrees_upto(cap):
         for m, n, p in dg.splits(total, 3):
-            for la in g.paths(total):
-                l1, rest = g.split(la, m)
-                l2, l3 = g.split(rest, n)
+            mn, nq = dg.add(m, n), dg.add(n, p)
+            pre, _ = g.factor_arrays(mn, p)  # la -> la(0, m+n)
+            _, suf = g.factor_arrays(m, nq)  # la -> la(m, m+n+p)
+            first = c.twist(m, n)
+            c1_ok = _agree(
+                [(first, pre), (c.twist(mn, p), None)],
+                [(c.twist(m, nq), None), (c.twist(n, p), suf)],
+                eps,
+            )
+            bad = ~c1_ok
+            if c.mode == FLOAT:
+                bad = bad | (np.abs(first.modulus[pre] - 1.0) > tol)
+            hits = np.flatnonzero(bad)
+            if not hits.size:
+                rep.triples_checked += len(pre)
+                continue
+            i = int(hits[0])
+            rep.triples_checked += i + 1
+            rep.ok = False
+            l1, rest = g.split(g.paths(total)[i], m)
+            l2, l3 = g.split(rest, n)
+            if not c1_ok[i]:
                 lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
                 rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
-                rep.triples_checked += 1
-                if not lhs.close(rhs, eps):
-                    rep.ok = False
-                    rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
-                    return rep
-                if c.mode == FLOAT:
-                    val = abs(complex(c(l1, l2)))
-                    if abs(val - 1.0) > tol:
-                        rep.ok = False
-                        rep.first_failure = ("modulus", (l1, l2), val)
-                        return rep
+                rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
+            else:
+                rep.first_failure = ("modulus", (l1, l2), abs(complex(c(l1, l2))))
+            return rep
     return rep
 
 

@@ -12,6 +12,14 @@ Degree = tuple[int, ...]
 
 def as_degree(value, k: int) -> Degree:
     """Coerce value to a length-k tuple of nonnegative ints."""
+    if type(value) is tuple and len(value) == k:
+        # already canonical: returned as is (bool and other int subclasses
+        # are not plain ints and take the coercing path below)
+        for x in value:
+            if type(x) is not int or x < 0:
+                break
+        else:
+            return value
     try:
         deg = tuple(int(x) for x in value)
     except TypeError:

@@ -39,7 +39,6 @@ from .xmod import (
 )
 from .ymod import (
     CylElem,
-    _facts,
     alpha,
     alpha_decompose,
     alpha_k,
@@ -222,7 +221,7 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
         t = dg.add(q, d)
         if not dg.leq(t, space.N):
             continue
-        pre, suf = _facts(g, d, q)
+        pre, suf = g.factor_arrays(d, q)
         pq = g.paths(q)
         rows = space.block_slice(t).start
         cols = space.block_slice(q).start
@@ -253,9 +252,9 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
             continue
         Dq = space.block_depth(q)
         Dt = space.block_depth(t)
-        pre_d, suf_d = _facts(g, d, Dq)
-        pre_h, _ = _facts(g, h.depth, dg.sub(Dt, h.depth))
-        tail_pre, _ = _facts(g, q, dg.sub(Dq, q))
+        pre_d, suf_d = g.factor_arrays(d, Dq)
+        pre_h, _ = g.factor_arrays(h.depth, dg.sub(Dt, h.depth))
+        tail_pre, _ = g.factor_arrays(q, dg.sub(Dq, q))
         pq = g.paths(q)
         rows = space.block_slice(t).start
         cols = space.block_slice(q).start

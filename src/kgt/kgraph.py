@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import degrees as dg
 from .errors import (
     DegreeOutOfRange,
@@ -109,6 +111,7 @@ class KGraph:
         self._splits: dict = {}
         self._compose: dict = {}
         self._factor: dict = {}
+        self._factor_arrays: dict = {}
         self._ranges: dict = {}
         self._sources: dict = {}
 
@@ -282,6 +285,23 @@ class KGraph:
                 out.append((pm[mu], pn[nu]))
             hit = tuple(out)
             self._factor[key] = hit
+        return hit
+
+    def factor_arrays(self, m, n) -> tuple[np.ndarray, np.ndarray]:
+        """factor_indices(m, n) as read-only prefix and suffix index arrays:
+        path i of paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]]."""
+        m = dg.as_degree(m, self.k)
+        n = dg.as_degree(n, self.k)
+        key = (m, n)
+        hit = self._factor_arrays.get(key)
+        if hit is None:
+            pairs = self.factor_indices(m, n)
+            pre = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
+            suf = np.fromiter((j for _, j in pairs), dtype=np.intp, count=len(pairs))
+            pre.flags.writeable = False
+            suf.flags.writeable = False
+            hit = (pre, suf)
+            self._factor_arrays[key] = hit
         return hit
 
     # -- predicates and set operations ------------------------------------

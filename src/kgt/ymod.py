@@ -30,14 +30,6 @@ from .kgraph import KGraph, Path
 from .xmod import ModuleReport, VertexFn, XElem, XOp
 
 
-def _facts(g: KGraph, m, rest):
-    """Prefix and suffix index arrays for the factorization at degree m."""
-    pairs = g.factor_indices(m, rest)
-    pre = np.fromiter((i for i, _ in pairs), dtype=int, count=len(pairs))
-    suf = np.fromiter((j for _, j in pairs), dtype=int, count=len(pairs))
-    return pre, suf
-
-
 class CylElem:
     """A depth-m cylinder element of the fiber Y_n."""
 
@@ -136,7 +128,7 @@ def y_lift(h: CylElem, depth) -> CylElem:
         return h
     if not dg.leq(h.depth, depth):
         raise DegreeNotDominated(f"cannot lower depth {h.depth} to {depth}", (h.depth, depth))
-    pre, _ = _facts(g, h.depth, dg.sub(depth, h.depth))
+    pre, _ = g.factor_arrays(h.depth, dg.sub(depth, h.depth))
     return CylElem(g, h.module_degree, depth, h.coeffs[pre])
 
 
@@ -146,7 +138,7 @@ def y_inner(f: CylElem, g_: CylElem) -> CylElem:
     g = f.graph
     n = f.module_degree
     rest = dg.sub(f.depth, n)
-    _, suf = _facts(g, n, rest)
+    _, suf = g.factor_arrays(n, rest)
     prod = np.conj(f.coeffs) * g_.coeffs
     out = np.zeros(len(g.paths(rest)), dtype=np.complex128)
     np.add.at(out, suf, prod)
@@ -158,11 +150,11 @@ def y_tmul(c: Cocycle, f: CylElem, g_: CylElem) -> CylElem:
     gph = f.graph
     m, n = f.module_degree, g_.module_degree
     depth = dg.join(f.depth, dg.add(m, g_.depth))
-    pre_m, suf_m = _facts(gph, m, dg.sub(depth, m))
-    pre_f, _ = _facts(gph, f.depth, dg.sub(depth, f.depth))
+    pre_m, suf_m = gph.factor_arrays(m, dg.sub(depth, m))
+    pre_f, _ = gph.factor_arrays(f.depth, dg.sub(depth, f.depth))
     tail = dg.sub(depth, m)
-    tail_pre_n, _ = _facts(gph, n, dg.sub(tail, n))
-    tail_pre_g, _ = _facts(gph, g_.depth, dg.sub(tail, g_.depth))
+    tail_pre_n, _ = gph.factor_arrays(n, dg.sub(tail, n))
+    tail_pre_g, _ = gph.factor_arrays(g_.depth, dg.sub(tail, g_.depth))
 
     pm = gph.paths(m)
     pn = gph.paths(n)
@@ -179,7 +171,7 @@ def shift_pullback(h: CylElem, p) -> CylElem:
     if any(h.module_degree):
         raise DegreeMismatch("shift pullback acts on degree-0 functions", h.module_degree)
     p = dg.as_degree(p, g.k)
-    _, suf = _facts(g, p, h.depth)
+    _, suf = g.factor_arrays(p, h.depth)
     return CylElem(g, dg.zero(g.k), dg.add(p, h.depth), h.coeffs[suf])
 
 
@@ -212,7 +204,7 @@ class YOp:
         if self.matrix.shape != (size, size):
             raise DegreeMismatch(f"matrix shape {self.matrix.shape}, expected {size}", None)
         if require_block and size:
-            _, suf = _facts(graph, self.module_degree, dg.sub(self.depth, self.module_degree))
+            _, suf = graph.factor_arrays(self.module_degree, dg.sub(self.depth, self.module_degree))
             off = suf[:, None] != suf[None, :]
             if off.any() and not np.all(np.abs(self.matrix[off]) <= 1e-12):
                 raise ValueError("matrix mixes tails; not an adjointable operator on this fiber")
@@ -237,7 +229,7 @@ class YOp:
             return self
         if not dg.leq(self.depth, depth):
             raise DegreeNotDominated(f"cannot lower depth {self.depth} to {depth}", None)
-        pre, suf = _facts(g, self.depth, dg.sub(depth, self.depth))
+        pre, suf = g.factor_arrays(self.depth, dg.sub(depth, self.depth))
         mat = self.matrix[np.ix_(pre, pre)] * (suf[:, None] == suf[None, :])
         return YOp(g, self.module_degree, depth, mat, require_block=False)
 
@@ -302,7 +294,7 @@ def y_theta(f: CylElem, g_: CylElem) -> YOp:
     f, g_ = f._common(g_)
     g = f.graph
     n = f.module_degree
-    _, suf = _facts(g, n, dg.sub(f.depth, n))
+    _, suf = g.factor_arrays(n, dg.sub(f.depth, n))
     mat = np.outer(f.coeffs, np.conj(g_.coeffs)) * (suf[:, None] == suf[None, :])
     return YOp(g, n, f.depth, mat)
 
@@ -332,11 +324,11 @@ def y_iota(c: Cocycle, S: YOp, n) -> YOp:
         raise DegreeNotDominated(f"target fiber {n} does not dominate {m}", (m, n))
     depth = dg.join(S.depth, n)
     lifted = S.lift(depth)
-    pre_m, suf_m = _facts(g, m, dg.sub(depth, m))
+    pre_m, suf_m = g.factor_arrays(m, dg.sub(depth, m))
     pm = g.paths(m)
     pmid = g.paths(dg.sub(n, m))
     # segment (m, n) of each depth-D path: factor the tail once more
-    tail_pre, _ = _facts(g, dg.sub(n, m), dg.sub(depth, n))
+    tail_pre, _ = g.factor_arrays(dg.sub(n, m), dg.sub(depth, n))
     twist = np.empty(len(g.paths(depth)), dtype=np.complex128)
     for i in range(twist.size):
         twist[i] = complex(c(pm[pre_m[i]], pmid[tail_pre[suf_m[i]]]))
