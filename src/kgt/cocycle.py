@@ -19,13 +19,11 @@ and twist(0, n), and (C1) on Lambda^(m+n+p) as the one array identity
 
     T(m,n)[pre] + T(m+n,p)  =  T(m,n+p) + T(n,p)[suf]   (turns mod 1)
 
-per degree split, with pre and suf from KGraph.factor_arrays.  The values
-are compared in one of four encodings: int64 numerators when everything is
-exact and fits; Python-int object arrays when L or a numerator sum would
-overflow int64; arrays of Phase objects, compared with Phase.close, when a
-value is inexact in exact mode or in float mode with zero tolerance; and
-complex128 values with the tolerance (plus the modulus test) in float mode
-with a positive tolerance.
+per degree split, with pre and suf from KGraph.factor_arrays.  Integer
+equality decides when every table is exact and the encoding fits int64;
+otherwise, and for the entries it rejects in float mode with a positive
+tolerance, the Phase products are compared with Phase.close, as a check
+of one triple at a time would compare them.
 """
 
 from __future__ import annotations
@@ -80,31 +78,33 @@ class Twist:
     """The values of c on the composable pairs of degrees (m, n): entry i is
     c(mu, nu) for the factorization paths(m+n)[i] = mu . nu.
 
-    `phases` holds the Phase values.  When all of them are exact (`exact`),
-    entry i is also encoded as turns[i] / turn_den (its turn part, reduced
-    mod 1) and rads[i] / rad_den (its radian part): integer numerators over
-    one denominator each, in int64 arrays unless a numerator exceeds the
-    int64-safe bound, in which case they are object arrays of Python ints.
+    `phases` holds the Phase values.  `ints` encodes them as integers when
+    every value is exact and the encoding fits int64; `values` and `modulus`
+    are their complex values and moduli.
     """
 
     def __init__(self, phases: list[Phase]):
         arr = np.empty(len(phases), dtype=object)
         arr[:] = phases
         self.phases = _read_only(arr)
-        self.exact = all(p.is_exact for p in phases)
-        self.turn_den = self.rad_den = 1
-        self.rad_max = 0
-        self.turns = self.rads = None
-        if self.exact:
-            self.turn_den = math.lcm(*(p.turns.denominator for p in phases))
-            self.rad_den = math.lcm(*(p.rads.denominator for p in phases))
-            turns = [p.turns.numerator * (self.turn_den // p.turns.denominator) for p in phases]
-            rads = [p.rads.numerator * (self.rad_den // p.rads.denominator) for p in phases]
-            self.rad_max = max(map(abs, rads), default=0)
-            fits = self.turn_den <= _INT64_SAFE and self.rad_max <= _INT64_SAFE
-            dtype = np.int64 if fits else object
-            self.turns = _read_only(np.array(turns, dtype=dtype))
-            self.rads = _read_only(np.array(rads, dtype=dtype))
+
+    @cached_property
+    def ints(self) -> tuple[np.ndarray, int, np.ndarray, int] | None:
+        """(turns, turn_den, rads, rad_den): entry i is turns[i] / turn_den
+        turns (reduced mod 1) plus rads[i] / rad_den radians, in int64
+        arrays.  None when a value is inexact or a denominator or numerator
+        exceeds the int64-safe bound."""
+        ps = self.phases.tolist()
+        if not all(p.is_exact for p in ps):
+            return None
+        turn_den = math.lcm(*(p.turns.denominator for p in ps))
+        rad_den = math.lcm(*(p.rads.denominator for p in ps))
+        turns = [p.turns.numerator * (turn_den // p.turns.denominator) for p in ps]
+        rads = [p.rads.numerator * (rad_den // p.rads.denominator) for p in ps]
+        if turn_den > _INT64_SAFE or max(map(abs, rads), default=0) > _INT64_SAFE:
+            return None
+        turns = _read_only(np.array(turns, dtype=np.int64))
+        return turns, turn_den, _read_only(np.array(rads, dtype=np.int64)), rad_den
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -113,8 +113,8 @@ class Twist:
 
     @cached_property
     def modulus(self) -> np.ndarray:
-        """abs(complex(c)) per entry, computed as Python computes it."""
-        return _read_only(np.array([abs(z) for z in self.values.tolist()], dtype=np.float64))
+        """abs(complex(c)) per entry."""
+        return _read_only(np.array([abs(complex(p)) for p in self.phases], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -149,14 +149,16 @@ class Cocycle:
 
     def twist(self, m, n) -> Twist:
         """c on every composable pair of degrees (m, n), indexed by the
-        composite path in paths(m+n); built once and cached."""
+        composite path in paths(m+n); cached, like the pair memo, up to
+        total degree _MEMO_TOTAL_CAP."""
         g = self.graph
         key = (dg.as_degree(m, g.k), dg.as_degree(n, g.k))
         hit = self._twists.get(key)
         if hit is None:
             pm, pn = g.paths(key[0]), g.paths(key[1])
             hit = Twist([self(pm[i], pn[j]) for i, j in g.factor_indices(*key)])
-            self._twists[key] = hit
+            if dg.total(key[0]) + dg.total(key[1]) <= _MEMO_TOTAL_CAP:
+                self._twists[key] = hit
         return hit
 
     def __repr__(self) -> str:
@@ -407,49 +409,63 @@ class CocycleReport:
     first_failure: tuple | None = None  # (kind, witness paths, values)
 
 
-def _take(arr: np.ndarray, idx):
-    return arr if idx is None else arr[idx]
-
-
-def _product(terms, field: str, unit):
-    """Elementwise product of the terms' `field` arrays; `unit` when empty."""
-    out = unit
+def _phase_products(terms: list, rows) -> np.ndarray:
+    """Elementwise Phase product of the terms at the common positions `rows`
+    (all when None); ONE when there are no terms."""
+    out = ONE
     for i, (t, idx) in enumerate(terms):
-        x = _take(getattr(t, field), idx)
+        sel = rows if idx is None else (idx if rows is None else idx[rows])
+        x = t.phases if sel is None else t.phases[sel]
         out = x if i == 0 else out * x
     return out
 
 
+_close = np.frompyfunc(Phase.close, 3, 1)
+
+
+def _int_agree(lhs: list, rhs: list) -> np.ndarray | None:
+    """Exact elementwise equality of the two products from the tables'
+    integer encodings; None when a table has none or a scaled numerator
+    would exceed the int64-safe bound."""
+    ints = [t.ints for t, _ in lhs + rhs]
+    if any(e is None for e in ints):
+        return None
+    den_t = math.lcm(*(e[1] for e in ints))
+    den_r = math.lcm(*(e[3] for e in ints))
+    if den_t > _INT64_SAFE or any(
+        int(np.abs(e[2]).max(initial=0)) * (den_r // e[3]) > _INT64_SAFE for e in ints
+    ):
+        return None
+
+    def sums(terms):
+        turns = rads = 0
+        for t, idx in terms:
+            tn, td, rn, rd = t.ints
+            turns = turns + (tn if idx is None else tn[idx]) * (den_t // td)
+            rads = rads + (rn if idx is None else rn[idx]) * (den_r // rd)
+        return turns, rads
+
+    (lt, lr), (rt, rr) = sums(lhs), sums(rhs)
+    return np.asarray(((lt - rt) % den_t == 0) & (lr == rr), dtype=bool)
+
+
 def _agree(lhs: list, rhs: list, eps: float) -> np.ndarray:
-    """Elementwise: does the product of the `lhs` terms match that of the
-    `rhs` terms (an empty side is 1), as Phase.close(_, eps) would judge it?
+    """Elementwise Phase.close(product of the `lhs` terms, product of the
+    `rhs` terms, eps), an empty side being 1.
 
     A term is (Twist, index array or None); the index array maps the common
-    path set onto the table's paths.
+    path set onto the table's paths.  Exactly equal products are close at
+    any eps, so integer equality settles every entry it accepts; only the
+    entries it rejects at eps > 0, and every entry when a table has no
+    integer encoding, are judged on the Phase products.
     """
-    tables = [t for t, _ in lhs + rhs]
-    if eps > 0:
-        return np.abs(_product(lhs, "values", 1 + 0j) - _product(rhs, "values", 1 + 0j)) <= eps
-    if all(t.exact for t in tables):
-        den_t = math.lcm(*(t.turn_den for t in tables))
-        den_r = math.lcm(*(t.rad_den for t in tables))
-        wide = den_t > _INT64_SAFE or any(
-            t.rad_max * (den_r // t.rad_den) > _INT64_SAFE for t in tables
-        )
-
-        def sums(terms):
-            turns = rads = 0
-            for t, idx in terms:
-                a, b = (t.turns.astype(object), t.rads.astype(object)) if wide else (t.turns, t.rads)
-                turns = turns + _take(a, idx) * (den_t // t.turn_den)
-                rads = rads + _take(b, idx) * (den_r // t.rad_den)
-            return turns, rads
-
-        (lt, lr), (rt, rr) = sums(lhs), sums(rhs)
-        return np.asarray(((lt - rt) % den_t == 0) & (lr == rr), dtype=bool)
-
-    close = np.frompyfunc(lambda a, b: a.close(b, eps), 2, 1)
-    return np.asarray(close(_product(lhs, "phases", ONE), _product(rhs, "phases", ONE)), dtype=bool)
+    ok = _int_agree(lhs, rhs)
+    if ok is None:
+        return np.asarray(_close(_phase_products(lhs, None), _phase_products(rhs, None), eps), dtype=bool)
+    if eps > 0 and not ok.all():
+        rows = np.flatnonzero(~ok)
+        ok[rows] = np.asarray(_close(_phase_products(lhs, rows), _phase_products(rhs, rows), eps), dtype=bool)
+    return ok
 
 
 def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:

@@ -241,27 +241,13 @@ def x_act(a: VertexFn, f: XElem, side: str = "left") -> XElem:
     return XElem(graph, f.degree, weights * f.coeffs)
 
 
-def _cocycle_on_factors(c: Cocycle, m, n) -> np.ndarray:
-    """Vector over Lambda^(m+n): the twist c(la(0,m), la(m,m+n))."""
-    g = c.graph
-    total = dg.add(dg.as_degree(m, g.k), dg.as_degree(n, g.k))
-    pm, pn = g.paths(m), g.paths(n)
-    out = np.empty(len(g.paths(total)), dtype=np.complex128)
-    for i, (ip, isfx) in enumerate(g.factor_indices(m, n)):
-        out[i] = complex(c(pm[ip], pn[isfx]))
-    return out
-
-
 def x_tmul(c: Cocycle, f: XElem, g: XElem) -> XElem:
     """Twisted product landing in X_(m+n)."""
     graph = f.graph
     m, n = f.degree, g.degree
-    total = dg.add(m, n)
-    factors = graph.factor_indices(m, n)
-    pre = np.array([i for i, _ in factors], dtype=int)
-    suf = np.array([j for _, j in factors], dtype=int)
-    twist = _cocycle_on_factors(c, m, n)
-    return XElem(graph, total, twist * f.coeffs[pre] * g.coeffs[suf])
+    pre, suf = graph.factor_arrays(m, n)
+    twist = c.twist(m, n).values
+    return XElem(graph, dg.add(m, n), twist * f.coeffs[pre] * g.coeffs[suf])
 
 
 def x_theta(f: XElem, g: XElem) -> XOp:
@@ -298,7 +284,7 @@ def x_iota(c: Cocycle, S: XOp, n) -> XOp:
     diff = dg.sub(n, m)
     pm, pd = g.paths(m), g.paths(diff)
     idx_m = {p: i for i, p in enumerate(pm)}
-    twist = _cocycle_on_factors(c, m, diff)
+    twist = c.twist(m, diff).values
     factors = g.factor_indices(m, diff)
     target_index = g.path_index(n)
     size = len(g.paths(n))
@@ -368,10 +354,10 @@ def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
     pm, pn, pt = g.paths(m), g.paths(n), g.paths(total)
     rep = ModuleReport(True)
 
-    factors = g.factor_indices(m, n)
-    pre = np.array([i for i, _ in factors], dtype=int)
-    suf = np.array([j for _, j in factors], dtype=int)
-    twist = np.array([complex(c(pm[i], pn[j])) for i, j in factors])
+    pre, suf = g.factor_arrays(m, n)
+    # c is called pair by pair, not through c.twist: any callable with a
+    # graph and a mode can be checked, unit modulus or not
+    twist = np.array([complex(c(pm[i], pn[j])) for i, j in zip(pre, suf)])
 
     # products[i, j, :] = coefficients of delta_i * delta_j in X_total
     a, b, P = len(pm), len(pn), len(pt)

@@ -215,9 +215,9 @@ def _big_prime_bicharacter():
     return bicharacter_cocycle(F1, mat)
 
 
-def test_large_turn_denominators_use_python_ints():
+def test_large_turn_denominators_fall_back_to_phases():
     c = _big_prime_bicharacter()
-    assert c.twist((1, 1), (1, 1)).turns.dtype == object
+    assert c.twist((1, 1), (1, 1)).ints is None
     rep = assert_same(c, (2, 2))
     assert rep.ok
     entries = tabulate_by_split(c, (2, 2))
@@ -226,11 +226,27 @@ def test_large_turn_denominators_use_python_ints():
     assert rep.first_failure[0] == "C1"
 
 
-def test_large_radian_numerators_use_python_ints():
+def test_large_radian_numerators_fall_back_to_phases():
     big = Phase.exact_radians(Fraction(2**64 + 1, 3))
     c = bicharacter_cocycle(F1, [[big, ONE], [Phase.from_turns(Fraction(1, 4)), big]])
-    assert c.twist((1, 0), (1, 0)).rads.dtype == object
+    assert c.twist((1, 0), (1, 0)).ints is None
     assert assert_same(c, (2, 2)).ok
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_float_mode_with_large_exact_radians(tol):
+    """Angles near 1e8 rad are a few ulps of float apart from their rounded
+    products, more than 1e-9; exactly equal products still pass."""
+    mat = [[Phase.exact_radians(Fraction(10**8 + 3, 7)), Phase.exact_radians(Fraction(123456789))],
+           [Phase.exact_radians(Fraction(-(10**8), 3)), Phase.exact_radians(Fraction(98765432, 5))]]
+    c = bicharacter_cocycle(F1, mat, mode=FLOAT)
+    assert c.twist((1, 1), (1, 1)).ints is not None
+    assert assert_same(c, (2, 2), tol).ok
+    entries = tabulate_by_split(c, (2, 2))
+    key = (("e",), ("f",))
+    entries[key] = entries[key] * Phase.exact_radians(Fraction(1, 10**12))
+    bad = assert_same(table_cocycle(F1, (2, 2), entries, FLOAT), (2, 2), tol)
+    assert bad.ok == (tol > 0)
 
 
 def test_exact_mode_coboundary_with_float_values():
@@ -301,9 +317,19 @@ def test_twist_entries_are_the_values_on_factor_pairs():
         assert len(t) == len(SV.paths(dg.add(m, n)))
         assert list(t.phases) == [c(pm[i], pn[j]) for i, j in zip(pre, suf)]
         assert c.twist(m, n) is t
-        for p, a, r in zip(t.phases, t.turns, t.rads):
-            assert p.turns == Fraction(int(a), t.turn_den)
-            assert p.rads == Fraction(int(r), t.rad_den)
+        turns, turn_den, rads, rad_den = t.ints
+        assert turns.dtype == rads.dtype == np.int64
+        for p, a, r in zip(t.phases, turns, rads):
+            assert p.turns == Fraction(int(a), turn_den)
+            assert p.rads == Fraction(int(r), rad_den)
+
+
+def test_twist_cache_keeps_the_pair_memo_bound():
+    loop = single_vertex(1, (1,))
+    c = bicharacter_cocycle(loop, [[Phase.from_turns(Fraction(1, 5))]])
+    assert c.twist((8,), (8,)) is c.twist((8,), (8,))
+    assert c.twist((9,), (8,)) is not c.twist((9,), (8,))
+    assert c.twist((9,), (8,)).phases[0] == Phase.from_turns(Fraction(72, 5))
 
 
 def test_factor_arrays_are_cached_read_only_factor_indices():
