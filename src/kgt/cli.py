@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,12 +82,79 @@ def _read_json(path: str):
 
 
 def _write_json(doc, path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=False)
+    """Write json.dumps(doc, indent=2) and a newline to path, or to stdout.
+
+    A numpy array in doc is written as its .tolist() would be.  The text goes
+    out in pieces, one per array, so the whole document is never held at once.
+    """
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(_json_chunks(doc, ""))
+            fh.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(_json_chunks(doc, ""))
+        sys.stdout.write("\n")
+
+
+def _json_chunks(obj, pad: str):
+    """The text of json.dumps(obj, indent=2), nested at indentation pad."""
+    if isinstance(obj, np.ndarray):
+        yield _array_json(obj, pad)
+    elif isinstance(obj, dict) and obj:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            # json's own key text: non-str keys become strings as json makes them
+            yield sep + json.dumps({key: 0})[1:-4] + ": "
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            yield sep
+            yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _array_json(arr: np.ndarray, pad: str) -> str:
+    """json.dumps(arr.tolist(), indent=2), nested at indentation pad.
+
+    A float array's text is one join over a slot array: element i at slot
+    2i, and at slot 2i+1 the text json puts after it, which closes and
+    reopens one list per trailing axis whose index wraps there.  Zeros, most
+    entries of a creation matrix, are written without a repr call each.
+    """
+    if arr.dtype.kind != "f" or arr.ndim == 0 or arr.size == 0:
+        return json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + pad)
+    flat = arr.ravel()
+    d = arr.ndim
+    ind = ["\n" + pad + "  " * j for j in range(d + 1)]
+    slots = np.empty(2 * arr.size - 1, dtype=object)
+    slots[0::2] = "0.0"
+    slots[2 * np.flatnonzero((flat == 0) & np.signbit(flat))] = "-0.0"
+    nonzero = np.flatnonzero(flat)
+    reprs = [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, flat[nonzero].tolist())]
+    slots[2 * nonzero] = np.array(reprs, dtype=object)
+    for t in range(d):
+        # after each element where the last t axes wrap around
+        stride = math.prod(arr.shape[d - t:])
+        slots[2 * stride - 1::2 * stride] = (
+            "".join(ind[d - 1 - j] + "]" for j in range(t))
+            + ","
+            + "".join(ind[d - t + j] + "[" for j in range(t))
+            + ind[d]
+        )
+    head = "[" + "".join(ind[j] + "[" for j in range(1, d)) + ind[d]
+    tail = "".join(ind[j] + "]" for j in range(d - 1, -1, -1))
+    return head + "".join(slots.tolist()) + tail
 
 
 def _as_object(doc, allowed, where: str) -> dict:
@@ -512,7 +580,7 @@ def cmd_fock(args) -> int:
         ops = [
             {
                 "generator": name,
-                "matrix": np.stack((op.matrix.real, op.matrix.imag), -1).tolist(),
+                "matrix": np.stack((op.matrix.real, op.matrix.imag), -1),
             }
             for name, op in _creations(space, c)
         ]

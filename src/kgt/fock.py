@@ -177,10 +177,6 @@ class FockOp:
         """Columns restricted to interior vectors: the action tested by identities."""
         return self.matrix[:, self.space.interior_mask(d)]
 
-    def compress(self, d) -> np.ndarray:
-        mask = self.space.interior_mask(d)
-        return self.matrix[np.ix_(mask, mask)]
-
     def close(self, other: "FockOp", tol: float = 1e-9) -> bool:
         self._same(other)
         return bool(np.allclose(self.matrix, other.matrix, atol=tol, rtol=0.0))
@@ -207,6 +203,16 @@ def gauge_unitary(space: FockSpace, z) -> FockOp:
     return FockOp(space, (0,) * space.graph.k, np.diag(diag), require_block=False)
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entrywise, rounded as a Python complex product: numpy's vector
+    loop for complex multiplication may fuse multiply-adds, which moves the
+    last bit of some entries."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
     """Left twisted multiplication by f, compressed at the truncation boundary."""
     if space.system != "X":
@@ -216,19 +222,16 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    pd = g.paths(d)
     for q in space.blocks:
         t = dg.add(q, d)
         if not dg.leq(t, space.N):
             continue
         pre, suf = g.factor_arrays(d, q)
-        pq = g.paths(q)
-        rows = space.block_slice(t).start
-        cols = space.block_slice(q).start
-        for i in range(len(pre)):
-            w = f.coeffs[pre[i]]
-            if w != 0:
-                M[rows + i, cols + suf[i]] = complex(c(pd[pre[i]], pq[suf[i]])) * w
+        w = f.coeffs[pre]
+        (i,) = np.nonzero(w)
+        if i.size:
+            tw = c.twist(d, q).values[i]
+            M[space.block_slice(t).start + i, space.block_slice(q).start + suf[i]] = _times(tw, w[i])
     return FockOp(space, d, M, require_block=False)
 
 
@@ -245,24 +248,20 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
             f"depth {h.depth} cannot act within working depth {space.D}", (h.depth, space.D)
         )
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    pd = g.paths(d)
     for q in space.blocks:
         t = dg.add(q, d)
         if not dg.leq(t, space.N):
             continue
-        Dq = space.block_depth(q)
         Dt = space.block_depth(t)
-        pre_d, suf_d = g.factor_arrays(d, Dq)
+        _, suf = g.factor_arrays(d, space.block_depth(q))
         pre_h, _ = g.factor_arrays(h.depth, dg.sub(Dt, h.depth))
-        tail_pre, _ = g.factor_arrays(q, dg.sub(Dq, q))
-        pq = g.paths(q)
-        rows = space.block_slice(t).start
-        cols = space.block_slice(q).start
-        for i in range(len(pre_d)):
-            w = h.coeffs[pre_h[i]]
-            if w != 0:
-                tw = complex(c(pd[pre_d[i]], pq[tail_pre[suf_d[i]]]))
-                M[rows + i, cols + suf_d[i]] = tw * w
+        w = h.coeffs[pre_h]
+        (i,) = np.nonzero(w)
+        if i.size:
+            # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
+            pre, _ = g.factor_arrays(dg.add(d, q), dg.sub(Dt, dg.add(d, q)))
+            tw = c.twist(d, q).values[pre[i]]
+            M[space.block_slice(t).start + i, space.block_slice(q).start + suf[i]] = _times(tw, w[i])
     return FockOp(space, d, M, require_block=False)
 
 

@@ -150,17 +150,13 @@ def y_tmul(c: Cocycle, f: CylElem, g_: CylElem) -> CylElem:
     gph = f.graph
     m, n = f.module_degree, g_.module_degree
     depth = dg.join(f.depth, dg.add(m, g_.depth))
-    pre_m, suf_m = gph.factor_arrays(m, dg.sub(depth, m))
+    _, suf_m = gph.factor_arrays(m, dg.sub(depth, m))
     pre_f, _ = gph.factor_arrays(f.depth, dg.sub(depth, f.depth))
     tail = dg.sub(depth, m)
-    tail_pre_n, _ = gph.factor_arrays(n, dg.sub(tail, n))
     tail_pre_g, _ = gph.factor_arrays(g_.depth, dg.sub(tail, g_.depth))
-
-    pm = gph.paths(m)
-    pn = gph.paths(n)
-    twist = np.empty(len(gph.paths(depth)), dtype=np.complex128)
-    for i in range(twist.size):
-        twist[i] = complex(c(pm[pre_m[i]], pn[tail_pre_n[suf_m[i]]]))
+    # c(x(0, m), x(m, m+n)) for x in Lambda^depth, read off the (m, n) twist
+    pre_mn, _ = gph.factor_arrays(dg.add(m, n), dg.sub(depth, dg.add(m, n)))
+    twist = c.twist(m, n).values[pre_mn]
     out = twist * f.coeffs[pre_f] * g_.coeffs[tail_pre_g[suf_m]]
     return CylElem(gph, dg.add(m, n), depth, out)
 
@@ -324,14 +320,8 @@ def y_iota(c: Cocycle, S: YOp, n) -> YOp:
         raise DegreeNotDominated(f"target fiber {n} does not dominate {m}", (m, n))
     depth = dg.join(S.depth, n)
     lifted = S.lift(depth)
-    pre_m, suf_m = g.factor_arrays(m, dg.sub(depth, m))
-    pm = g.paths(m)
-    pmid = g.paths(dg.sub(n, m))
-    # segment (m, n) of each depth-D path: factor the tail once more
-    tail_pre, _ = g.factor_arrays(dg.sub(n, m), dg.sub(depth, n))
-    twist = np.empty(len(g.paths(depth)), dtype=np.complex128)
-    for i in range(twist.size):
-        twist[i] = complex(c(pm[pre_m[i]], pmid[tail_pre[suf_m[i]]]))
+    pre_n, _ = g.factor_arrays(n, dg.sub(depth, n))
+    twist = c.twist(m, dg.sub(n, m)).values[pre_n]
     mat = lifted.matrix * np.outer(twist, np.conj(twist))
     return YOp(g, n, depth, mat)
 

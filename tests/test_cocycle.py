@@ -149,9 +149,7 @@ def test_c_f_requires_invariance():
 
 def test_c_omega_values_and_check():
     c = c_omega(GAMMA, [ONE_RAD])
-    la = find_path(GAMMA, (0, 1), ())
     nu = find_path(GAMMA, (2, 0), ("b", "a"))
-    assert la.source == nu.range or True  # value test below picks a composable pair
     la = next(p for p in GAMMA.paths((0, 1)) if p.source == nu.range)
     assert c(la, nu) == ONE_RAD**2
     assert check_cocycle(c, (2, 2)).ok

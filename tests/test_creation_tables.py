@@ -1,0 +1,170 @@
+"""Creation operators and Y twists read off Cocycle.twist, against the
+per-element definitions.
+
+`creation_x`, `creation_y`, `y_tmul` and `y_iota` read c from the cached
+twist tables.  The functions below are the definitions they replaced: they
+call c once per entry.  The arithmetic is the same, so the results must agree
+bit for bit, zero signs included, and a short table must fail the same way.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from kgt import degrees as dg
+from kgt.cocycle import c_theta, from_table, tabulate
+from kgt.errors import CapTooSmallForRequestedDegree
+from kgt.fock import FockSpace, creation_x, creation_y
+from kgt.kgraph import fixture_f1
+from kgt.phases import Phase
+from kgt.verify import SuiteConfig, default_instances
+from kgt.xmod import XElem
+from kgt.ymod import CylElem, YOp, y_iota, y_tmul
+
+F1 = fixture_f1()
+
+
+def creation_x_by_entries(space, c, f):
+    g = space.graph
+    d = f.degree
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    pd = g.paths(d)
+    for q in space.blocks:
+        t = dg.add(q, d)
+        if not dg.leq(t, space.N):
+            continue
+        pre, suf = g.factor_arrays(d, q)
+        pq = g.paths(q)
+        rows = space.block_slice(t).start
+        cols = space.block_slice(q).start
+        for i in range(len(pre)):
+            w = f.coeffs[pre[i]]
+            if w != 0:
+                M[rows + i, cols + suf[i]] = complex(c(pd[pre[i]], pq[suf[i]])) * w
+    return M
+
+
+def creation_y_by_entries(space, c, h):
+    g = space.graph
+    d = h.module_degree
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    pd = g.paths(d)
+    for q in space.blocks:
+        t = dg.add(q, d)
+        if not dg.leq(t, space.N):
+            continue
+        Dq = space.block_depth(q)
+        Dt = space.block_depth(t)
+        pre_d, suf_d = g.factor_arrays(d, Dq)
+        pre_h, _ = g.factor_arrays(h.depth, dg.sub(Dt, h.depth))
+        tail_pre, _ = g.factor_arrays(q, dg.sub(Dq, q))
+        pq = g.paths(q)
+        rows = space.block_slice(t).start
+        cols = space.block_slice(q).start
+        for i in range(len(pre_d)):
+            w = h.coeffs[pre_h[i]]
+            if w != 0:
+                tw = complex(c(pd[pre_d[i]], pq[tail_pre[suf_d[i]]]))
+                M[rows + i, cols + suf_d[i]] = tw * w
+    return M
+
+
+def y_tmul_twist_by_entries(c, m, n, depth):
+    """c(x(0, m), x(m, m+n)) for every x in Lambda^depth."""
+    g = c.graph
+    pre_m, suf_m = g.factor_arrays(m, dg.sub(depth, m))
+    tail_pre_n, _ = g.factor_arrays(n, dg.sub(dg.sub(depth, m), n))
+    pm, pn = g.paths(m), g.paths(n)
+    return np.array(
+        [complex(c(pm[pre_m[i]], pn[tail_pre_n[suf_m[i]]])) for i in range(len(g.paths(depth)))],
+        dtype=np.complex128,
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def coefficient_vectors(size, rng):
+    """Point masses, plus random vectors with some exact zeros."""
+    for i in range(size):
+        yield np.eye(size, dtype=np.complex128)[i]
+    w = rng.normal(size=size) + 1j * rng.normal(size=size)
+    w[rng.random(size) < 0.4] = 0
+    yield w
+    yield np.zeros(size, dtype=np.complex128)
+
+
+def instances():
+    return default_instances(SuiteConfig(seed=3, graphs=3, cocycles=1, degree_entry_cap=1))
+
+
+def test_creation_x_matches_entries():
+    rng = np.random.default_rng(0)
+    for inst in instances():
+        g, c = inst.graph, inst.cocycle
+        space = FockSpace(g, (1,) * g.k, "X")
+        for n in space.blocks:
+            for coeffs in coefficient_vectors(len(g.paths(n)), rng):
+                f = XElem(g, n, coeffs)
+                assert same_bits(creation_x(space, c, f).matrix, creation_x_by_entries(space, c, f)), inst.label
+
+
+def test_creation_y_matches_entries():
+    rng = np.random.default_rng(1)
+    for inst in instances():
+        g, c = inst.graph, inst.cocycle
+        space = FockSpace(g, (1,) * g.k, "Y", depth=(2,) * g.k if g.k < 3 else (1,) * g.k)
+        for n in space.blocks:
+            depth = space.block_depth(n)
+            for coeffs in coefficient_vectors(len(g.paths(depth)), rng):
+                h = CylElem(g, n, depth, coeffs)
+                assert same_bits(creation_y(space, c, h).matrix, creation_y_by_entries(space, c, h)), inst.label
+
+
+def test_y_tmul_and_y_iota_twists_match_entries():
+    rng = np.random.default_rng(2)
+    for inst in instances():
+        g, c = inst.graph, inst.cocycle
+        one = (1,) * g.k
+        for m in dg.degrees_upto(one):
+            for n in dg.degrees_upto(one):
+                depth = dg.add(m, n)
+                f = CylElem(g, m, m, rng.normal(size=len(g.paths(m))) + 0j)
+                h = CylElem(g, n, n, rng.normal(size=len(g.paths(n))) + 0j)
+                twist = y_tmul_twist_by_entries(c, m, n, depth)
+                want = twist * f.coeffs[g.factor_arrays(m, n)[0]] * h.coeffs[g.factor_arrays(m, n)[1]]
+                assert same_bits(y_tmul(c, f, h).coeffs, want), inst.label
+
+                # y_iota from Y_m to Y_(m+n), at working depth m+n
+                _, tails = g.factor_arrays(m, dg.zero(g.k))
+                S = YOp(g, m, m, rng.normal(size=(tails.size,) * 2) * (tails[:, None] == tails) + 0j)
+                mat = S.lift(depth).matrix * np.outer(twist, np.conj(twist))
+                assert same_bits(y_iota(c, S, depth).matrix, mat), inst.label
+
+
+def short_table():
+    """An F1 table cocycle stored only up to degree (1, 1)."""
+    c = c_theta(F1, Phase.from_turns(Fraction(1, 8)))
+    return from_table(F1, tabulate(c, (1, 1)), (1, 1))
+
+
+def test_short_table_fails_alike():
+    c = short_table()
+    space = FockSpace(F1, (2, 2), "X")
+    e = XElem.delta(F1, F1.edge_path("e"))
+    for build in (creation_x, creation_x_by_entries):
+        with pytest.raises(CapTooSmallForRequestedDegree):
+            build(space, c, e)
+    zero = XElem(F1, e.degree, np.zeros(1))
+    assert same_bits(creation_x(space, c, zero).matrix, creation_x_by_entries(space, c, zero))
+    assert not creation_x(space, c, zero).matrix.any()
+
+    yspace = FockSpace(F1, (2, 2), "Y", depth=(2, 2))
+    h = CylElem.delta(F1, F1.edge_path("e"))
+    for build in (creation_y, creation_y_by_entries):
+        with pytest.raises(CapTooSmallForRequestedDegree):
+            build(yspace, c, h)
+    zero = CylElem.zeros(F1, h.module_degree, h.depth)
+    assert not creation_y(yspace, c, zero).matrix.any()

@@ -1,0 +1,171 @@
+"""The CLI's JSON writer against json.dumps(indent=2).
+
+`kgt fock --emit matrices` puts numpy arrays into its document, and the
+writer prints each one as json.dumps would print its .tolist().  Every test
+here compares the written bytes with json.dumps of the same document built
+from nested lists, which is how the document was built before.
+"""
+
+import json
+import math
+import tempfile
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from kgt.cli import _creations, _path_str, _write_json, emit_cocycle_doc, emit_graph_doc, load_cocycle, load_graph, main
+from kgt.cocycle import FLOAT, bicharacter_cocycle, c_theta
+from kgt.fock import FockSpace
+from kgt.kgraph import fixture_f1, fixture_f2
+from kgt.phases import Phase
+
+F1 = fixture_f1()
+F2 = fixture_f2()
+
+
+def tolist_document(g_path, c_path, N, system="X", D=None):
+    """The --emit matrices document with every matrix as nested float lists."""
+    g = load_graph(g_path)
+    with open(c_path) as fh:
+        c = load_cocycle(json.load(fh), g)
+    space = FockSpace(g, N, system, depth=D)
+    return {
+        "schema": "kgt-fock/1",
+        "system": space.system,
+        "N": list(space.N),
+        "D": list(space.D) if space.D is not None else None,
+        "dim": space.dim,
+        "basis": [
+            {"index": i, "degree": list(n), "path": _path_str(p), "depth": list(space.block_depth(n))}
+            for i, (n, p) in enumerate(space.basis())
+        ],
+        "operators": [
+            {"generator": name, "matrix": np.stack((op.matrix.real, op.matrix.imag), -1).tolist()}
+            for name, op in _creations(space, c)
+        ],
+    }
+
+
+def write_pair(tmp_path, g, c, cap):
+    g_doc, c_doc = tmp_path / "g.json", tmp_path / "c.json"
+    g_doc.write_text(json.dumps(emit_graph_doc(g)))
+    c_doc.write_text(json.dumps(emit_cocycle_doc(c, cap)))
+    return str(g_doc), str(c_doc)
+
+
+def assert_matrices_bytes(tmp_path, g, c, cap, N, system="X", D=None):
+    g_doc, c_doc = write_pair(tmp_path, g, c, cap)
+    out = tmp_path / "m.json"
+    args = ["--N", ",".join(map(str, N)), "--system", system, "--emit", "matrices", "--out", str(out)]
+    if D is not None:
+        args += ["--D", ",".join(map(str, D))]
+    assert main(["fock", g_doc, c_doc, *args]) == 0
+    want = json.dumps(tolist_document(g_doc, c_doc, N, system, D), indent=2) + "\n"
+    assert out.read_bytes() == want.encode()
+    return want
+
+
+# -- kgt fock --emit matrices ------------------------------------------------
+
+
+def test_x_matrices_at_three_truncations(tmp_path):
+    c = c_theta(F1, Phase.from_turns(Fraction(1, 8)))
+    for N in ((0, 0), (1, 1), (2, 2)):
+        assert_matrices_bytes(tmp_path, F1, c, (3, 3), N)
+
+
+def test_y_matrices_with_depth(tmp_path):
+    c = c_theta(F1, Phase.from_turns(Fraction(3, 8)))
+    assert_matrices_bytes(tmp_path, F1, c, (3, 3), (1, 1), "Y", (2, 2))
+
+
+def test_multi_vertex_matrices(tmp_path):
+    c = bicharacter_cocycle(F2, [[Phase.from_turns(Fraction(1, 8))]])
+    assert len(F2.vertices) == 2
+    text = assert_matrices_bytes(tmp_path, F2, c, (4,), (3,))
+    assert json.loads(text)["dim"] == 8
+
+
+def test_float_table_matrices(tmp_path):
+    # float radian entries load as a FLOAT table with long float reprs
+    c = c_theta(F1, Phase.from_radians(0.7))
+    assert load_cocycle(emit_cocycle_doc(c, (3, 3)), F1).mode == FLOAT
+    text = assert_matrices_bytes(tmp_path, F1, c, (3, 3), (2, 2))
+    assert any(len(s) > 15 for s in text.split())
+
+
+def test_matrices_to_stdout(tmp_path, capsys):
+    c = c_theta(F1, Phase.from_turns(Fraction(1, 8)))
+    g_doc, c_doc = write_pair(tmp_path, F1, c, (3, 3))
+    assert main(["fock", g_doc, c_doc, "--N", "1,1", "--emit", "matrices"]) == 0
+    want = json.dumps(tolist_document(g_doc, c_doc, (1, 1)), indent=2) + "\n"
+    assert capsys.readouterr().out == want
+
+
+# -- the writer on its own ---------------------------------------------------
+
+
+def tolists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: tolists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [tolists(v) for v in obj]
+    return obj
+
+
+def written(doc, tmp_path):
+    out = tmp_path / "w.json"
+    _write_json(doc, str(out))
+    return out.read_text()
+
+
+def test_special_floats_and_empty_arrays(tmp_path):
+    special = np.array([[math.nan, math.inf], [-math.inf, -0.0], [0.0, 1e-310]])
+    doc = {
+        "special": special,
+        "float32": special.astype(np.float32),
+        "empty": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((1, 0, 2))],
+        "scalar": np.float64(-0.0),
+        "zero_d": np.array(math.nan),
+        "ints": np.arange(6).reshape(2, 3),
+        "nested": {"a": [{"b": special[:, ::-1]}], "c": {}, "d": []},
+    }
+    text = written(doc, tmp_path)
+    assert text == json.dumps(tolists(doc), indent=2) + "\n"
+    for word in ("NaN", "Infinity", "-Infinity", "-0.0", "[]"):
+        assert word in text
+
+
+def test_plain_documents_are_json_dumps(tmp_path):
+    doc = {"k": 2, "é": ["x", None, True, 1.5], 3: {}, "t": (1, [2, ()]), "s": "a\nb\"c"}
+    assert written(doc, tmp_path) == json.dumps(doc, indent=2) + "\n"
+    assert written([], tmp_path) == "[]\n"
+
+
+@st.composite
+def documents(draw):
+    """A small float array of random shape and dtype, nested in dicts and lists."""
+    width = draw(st.sampled_from([64, 32]))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3))
+    arr = draw(hnp.arrays(f"float{width}", shape, elements=st.floats(width=width)))
+    depth = draw(st.integers(0, 3))
+    doc = arr
+    for _ in range(depth):
+        doc = draw(st.sampled_from([lambda x: {"m": x, "n": 1}, lambda x: [0.5, x]]))(doc)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=documents())
+def test_random_arrays_match_json_dumps(doc):
+    # pytest's tmp_path is one directory for every example, so use a fresh one
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/w.json"
+        _write_json(doc, path)
+        with open(path) as fh:
+            assert fh.read() == json.dumps(tolists(doc), indent=2) + "\n"
