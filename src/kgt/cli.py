@@ -6,8 +6,11 @@ lifted cocycles), and `fock` dumps truncated creation matrices or relation
 reports.  Documents are JSON; angles travel as exact "p/q turn" strings when
 possible and float radians otherwise.
 
-Exit codes: 0 all good, 1 a check failed, 2 parse or usage trouble, 3 a
-validation counterexample, 4 an unknown suite selector.
+Exit codes: 0 all good, 1 a check failed, 2 parse or usage trouble
+(malformed input included, from every subcommand), 3 a validation
+counterexample, printed on a `counterexample:` line when the error names
+one, 4 an unknown suite selector.  The subcommands raise; `main` alone maps
+an error to its exit code, through _EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -360,21 +363,7 @@ def _parse_degree(text: str, k: int):
 
 
 def cmd_validate(args) -> int:
-    try:
-        skel = parse_graph_doc(_read_json(args.graph))
-    except ParseError as err:
-        print(f"ParseError: {err}", file=sys.stderr)
-        return 2
-    try:
-        g = validate_skeleton(skel)
-    except MalformedSkeleton as err:
-        print(f"MalformedSkeleton: {err}", file=sys.stderr)
-        return 2
-    except KgtError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        if err.witness is not None:
-            print(f"counterexample: {err.witness!r}", file=sys.stderr)
-        return 3
+    g = load_graph(args.graph)
     print(
         f"ok: rank {g.k}, {len(g.vertices)} vertices, {len(g.all_edges)} edges, "
         f"{len(g.skeleton.squares)} squares"
@@ -389,17 +378,7 @@ def _load_pair(args):
 
 
 def cmd_check(args) -> int:
-    try:
-        g, c = _load_pair(args)
-    except MalformedSkeleton as err:
-        print(f"MalformedSkeleton: {err}", file=sys.stderr)
-        return 2
-    except ParseError as err:
-        print(f"ParseError: {err}", file=sys.stderr)
-        return 2
-    except KgtError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+    g, c = _load_pair(args)
     cfg = SuiteConfig(
         seed=args.seed,
         degree_entry_cap=args.cap,
@@ -409,11 +388,7 @@ def cmd_check(args) -> int:
     label = f"{os.path.basename(args.graph)}/{os.path.basename(args.cocycle)}"
     inst = Instance(label, g, c, is_fixture=True)
     selector = [s.strip() for s in args.suite.split(",") if s.strip()]
-    try:
-        rep = run_suite(selector, cfg, instances=[inst])
-    except UnknownCheck as err:
-        print(f"UnknownCheck: {err}", file=sys.stderr)
-        return 4
+    rep = run_suite(selector, cfg, instances=[inst])
     if args.format == "machine":
         doc = rep.to_dict()
         doc["schema"] = REPORT_SCHEMA
@@ -442,38 +417,31 @@ def _action_from_params(g: KGraph, doc) -> ZlAction:
 
 
 def cmd_build(args) -> int:
-    try:
-        params = json.loads(args.params) if args.params else {}
-        if not isinstance(params, dict):
-            raise ParseError("--params must be a JSON object", args.params)
-        graphs = [load_graph(p) for p in args.graphs]
-        if args.op == "cartesian":
-            if len(graphs) != 2:
-                raise ParseError("cartesian needs two graph files", args.graphs)
-            _as_object(params, set(), "params")
-            built = cartesian(*graphs)
-        elif args.op == "skew":
-            if len(graphs) != 1:
-                raise ParseError("skew needs one graph file", args.graphs)
-            _as_object(params, {"group", "labels"}, "params")
-            grp = cyclic_group(int(_field(params, "group", "params")))
-            labels = {str(e): str(a) for e, a in _field(params, "labels", "params").items()}
-            built = skew_product(graphs[0], grp, labels)
-        elif args.op == "crossed":
-            if len(graphs) != 1:
-                raise ParseError("crossed needs one graph file", args.graphs)
-            _as_object(params, {"action", "cap"}, "params")
-            beta = _action_from_params(graphs[0], _field(params, "action", "params"))
-            cap = tuple(int(x) for x in _field(params, "cap", "params"))
-            built = crossed_product(graphs[0], beta, cap)
-        else:  # argparse choices guard this
-            raise ParseError(f"unknown op {args.op!r}", args.op)
-    except ParseError as err:
-        print(f"ParseError: {err}", file=sys.stderr)
-        return 2
-    except KgtError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+    params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ParseError("--params must be a JSON object", args.params)
+    graphs = [load_graph(p) for p in args.graphs]
+    if args.op == "cartesian":
+        if len(graphs) != 2:
+            raise ParseError("cartesian needs two graph files", args.graphs)
+        _as_object(params, set(), "params")
+        built = cartesian(*graphs)
+    elif args.op == "skew":
+        if len(graphs) != 1:
+            raise ParseError("skew needs one graph file", args.graphs)
+        _as_object(params, {"group", "labels"}, "params")
+        grp = cyclic_group(int(_field(params, "group", "params")))
+        labels = {str(e): str(a) for e, a in _field(params, "labels", "params").items()}
+        built = skew_product(graphs[0], grp, labels)
+    elif args.op == "crossed":
+        if len(graphs) != 1:
+            raise ParseError("crossed needs one graph file", args.graphs)
+        _as_object(params, {"action", "cap"}, "params")
+        beta = _action_from_params(graphs[0], _field(params, "action", "params"))
+        cap = tuple(int(x) for x in _field(params, "cap", "params"))
+        built = crossed_product(graphs[0], beta, cap)
+    else:  # argparse choices guard this
+        raise ParseError(f"unknown op {args.op!r}", args.op)
     _write_json(emit_graph_doc(built), args.out_graph)
     if args.cocycle:
         cap = _parse_degree(args.table_cap, built.k) if args.table_cap else _default_table_cap(built)
@@ -488,14 +456,7 @@ def cmd_build(args) -> int:
             need = tuple(max(a, b) for a, b in zip(cap[kb:], built.cap))
             if need != built.cap:
                 lift_on = crossed_product(built.base, built.action, need)
-        try:
-            c = load_cocycle(_read_json(args.cocycle), lift_on)
-        except ParseError as err:
-            print(f"ParseError: {err}", file=sys.stderr)
-            return 2
-        except KgtError as err:
-            print(f"{type(err).__name__}: {err}", file=sys.stderr)
-            return 3
+        c = load_cocycle(_read_json(args.cocycle), lift_on)
         _write_json(emit_cocycle_doc(c, cap), args.out_cocycle)
     return 0
 
@@ -549,23 +510,12 @@ def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
 
 
 def cmd_fock(args) -> int:
-    try:
-        g, c = _load_pair(args)
-        N = _parse_degree(args.N, g.k)
-        if args.system == "Y" and args.D is None:
-            print("usage error: --system Y needs --D", file=sys.stderr)
-            return 2
-        D = _parse_degree(args.D, g.k) if args.D is not None else None
-        space = FockSpace(g, N, args.system, depth=D)
-    except MalformedSkeleton as err:
-        print(f"MalformedSkeleton: {err}", file=sys.stderr)
-        return 2
-    except ParseError as err:
-        print(f"ParseError: {err}", file=sys.stderr)
-        return 2
-    except KgtError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+    g, c = _load_pair(args)
+    N = _parse_degree(args.N, g.k)
+    if args.system == "Y" and args.D is None:
+        raise ParseError("--system Y needs --D", args.D)
+    D = _parse_degree(args.D, g.k) if args.D is not None else None
+    space = FockSpace(g, N, args.system, depth=D)
 
     if args.emit == "matrices":
         basis = [
@@ -689,19 +639,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# error type -> exit code; the first match wins
+_EXIT_CODES = ((UnknownCheck, 4), (ParseError, 2), (MalformedSkeleton, 2), (KgtError, 3))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnknownCheck as err:
-        print(f"UnknownCheck: {err}", file=sys.stderr)
-        return 4
-    except ParseError as err:
-        print(f"ParseError: {err}", file=sys.stderr)
-        return 2
     except KgtError as err:
+        code = next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+        if code == 3 and err.witness is not None:
+            print(f"counterexample: {err.witness!r}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ and twist(0, n), and (C1) on Lambda^(m+n+p) as the one array identity
 
     T(m,n)[pre] + T(m+n,p)  =  T(m,n+p) + T(n,p)[suf]   (turns mod 1)
 
-per degree split, with pre and suf from KGraph.factor_arrays.  Integer
+per degree split, with pre and suf from KGraph.factor_indices.  Integer
 equality decides when every table is exact and the encoding fits int64;
 otherwise, and for the entries it rejects in float mode with a positive
 tolerance, the Phase products are compared with Phase.close, as a check
@@ -156,7 +156,8 @@ class Cocycle:
         hit = self._twists.get(key)
         if hit is None:
             pm, pn = g.paths(key[0]), g.paths(key[1])
-            hit = Twist([self(pm[i], pn[j]) for i, j in g.factor_indices(*key)])
+            pre, suf = g.factor_indices(*key)
+            hit = Twist([self(pm[i], pn[j]) for i, j in zip(pre.tolist(), suf.tolist())])
             if dg.total(key[0]) + dg.total(key[1]) <= _MEMO_TOTAL_CAP:
                 self._twists[key] = hit
         return hit
@@ -367,7 +368,8 @@ def tabulate(c: Cocycle, cap) -> dict:
             if not any(m) or not any(n):
                 continue
             pm, pn = g.paths(m), g.paths(n)
-            for (i, j), val in zip(g.factor_indices(m, n), c.twist(m, n).phases):
+            pre, suf = g.factor_indices(m, n)
+            for i, j, val in zip(pre.tolist(), suf.tolist(), c.twist(m, n).phases):
                 out[(pm[i].edges, pn[j].edges)] = val
     return out
 
@@ -497,8 +499,8 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     for total in dg.degrees_upto(cap):
         for m, n, p in dg.splits(total, 3):
             mn, nq = dg.add(m, n), dg.add(n, p)
-            pre, _ = g.factor_arrays(mn, p)  # la -> la(0, m+n)
-            _, suf = g.factor_arrays(m, nq)  # la -> la(m, m+n+p)
+            pre, _ = g.factor_indices(mn, p)  # la -> la(0, m+n)
+            _, suf = g.factor_indices(m, nq)  # la -> la(m, m+n+p)
             first = c.twist(m, n)
             c1_ok = _agree(
                 [(first, pre), (c.twist(mn, p), None)],

@@ -226,7 +226,7 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
         t = dg.add(q, d)
         if not dg.leq(t, space.N):
             continue
-        pre, suf = g.factor_arrays(d, q)
+        pre, suf = g.factor_indices(d, q)
         w = f.coeffs[pre]
         (i,) = np.nonzero(w)
         if i.size:
@@ -253,13 +253,13 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
         if not dg.leq(t, space.N):
             continue
         Dt = space.block_depth(t)
-        _, suf = g.factor_arrays(d, space.block_depth(q))
-        pre_h, _ = g.factor_arrays(h.depth, dg.sub(Dt, h.depth))
+        _, suf = g.factor_indices(d, space.block_depth(q))
+        pre_h, _ = g.factor_indices(h.depth, dg.sub(Dt, h.depth))
         w = h.coeffs[pre_h]
         (i,) = np.nonzero(w)
         if i.size:
             # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
-            pre, _ = g.factor_arrays(dg.add(d, q), dg.sub(Dt, dg.add(d, q)))
+            pre, _ = g.factor_indices(dg.add(d, q), dg.sub(Dt, dg.add(d, q)))
             tw = c.twist(d, q).values[pre[i]]
             M[space.block_slice(t).start + i, space.block_slice(q).start + suf[i]] = _times(tw, w[i])
     return FockOp(space, d, M, require_block=False)

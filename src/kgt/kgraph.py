@@ -87,8 +87,7 @@ class KGraph:
 
     Instances are immutable after validation; the memo dictionaries only ever
     gain entries, and each entry is written once, so sharing across threads is
-    safe under the usual dict atomicity guarantees.  Call precompute() to
-    populate tables eagerly instead.
+    safe under the usual dict atomicity guarantees.
     """
 
     def __init__(self, skeleton: KGraphSkeleton, _token=None):
@@ -111,7 +110,6 @@ class KGraph:
         self._splits: dict = {}
         self._compose: dict = {}
         self._factor: dict = {}
-        self._factor_arrays: dict = {}
         self._ranges: dict = {}
         self._sources: dict = {}
 
@@ -198,11 +196,6 @@ class KGraph:
             self._sources[n] = hit
         return hit
 
-    def precompute(self, upto) -> None:
-        for n in dg.degrees_upto(dg.as_degree(upto, self.k)):
-            self.paths(n)
-            self.path_index(n)
-
     # -- composition and factorization ------------------------------------
 
     def compose(self, la: Path, mu: Path) -> Path:
@@ -270,8 +263,9 @@ class KGraph:
         mid, _ = self.split(rest, dg.sub(n, m))
         return mid
 
-    def factor_indices(self, m, n) -> tuple[tuple[int, int], ...]:
-        """For each path in paths(m+n), indices of its (m, n) factor pair."""
+    def factor_indices(self, m, n) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only prefix and suffix index arrays, cached: path i of
+        paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]]."""
         m = dg.as_degree(m, self.k)
         n = dg.as_degree(n, self.k)
         key = (m, n)
@@ -279,29 +273,15 @@ class KGraph:
         if hit is None:
             pm = self.path_index(m)
             pn = self.path_index(n)
-            out = []
+            pre, suf = [], []
             for la in self.paths(dg.add(m, n)):
                 mu, nu = self.split(la, m)
-                out.append((pm[mu], pn[nu]))
-            hit = tuple(out)
+                pre.append(pm[mu])
+                suf.append(pn[nu])
+            hit = (np.array(pre, dtype=np.intp), np.array(suf, dtype=np.intp))
+            for arr in hit:
+                arr.flags.writeable = False
             self._factor[key] = hit
-        return hit
-
-    def factor_arrays(self, m, n) -> tuple[np.ndarray, np.ndarray]:
-        """factor_indices(m, n) as read-only prefix and suffix index arrays:
-        path i of paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]]."""
-        m = dg.as_degree(m, self.k)
-        n = dg.as_degree(n, self.k)
-        key = (m, n)
-        hit = self._factor_arrays.get(key)
-        if hit is None:
-            pairs = self.factor_indices(m, n)
-            pre = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
-            suf = np.fromiter((j for _, j in pairs), dtype=np.intp, count=len(pairs))
-            pre.flags.writeable = False
-            suf.flags.writeable = False
-            hit = (pre, suf)
-            self._factor_arrays[key] = hit
         return hit
 
     # -- predicates and set operations ------------------------------------

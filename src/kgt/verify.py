@@ -358,7 +358,7 @@ def random_cocycle(seed, g: KGraph, cap=None) -> Cocycle:
     del cap
     rng = np.random.default_rng(seed)
     c = _sample_cocycle(rng, g, depth=1)
-    return Cocycle(g, c, c.mode, f"random[{seed}]:{c.name}")
+    return Cocycle(g, c.evaluator, c.mode, f"random[{seed}]:{c.name}")
 
 
 # -- default instance battery ------------------------------------------------
@@ -653,9 +653,7 @@ def _chk_prefixes(inst, cfg, rng):
     g = inst.graph
     for d in _some_degrees(g, cfg, rng):
         for m, rest in dg.splits(d, 2):
-            pre_counts = np.zeros(len(g.paths(m)), dtype=int)
-            for ip, _ in g.factor_indices(m, rest):
-                pre_counts[ip] += 1
+            pre_counts = np.bincount(g.factor_indices(m, rest)[0], minlength=len(g.paths(m)))
             for i, mu in enumerate(g.paths(m)):
                 if pre_counts[i] != len(g.by_range(rest)[mu.source]):
                     return ("prefix-fiber", mu, rest)
@@ -1405,8 +1403,8 @@ def _chk_alpha_injective(inst, cfg, rng):
             extra = dg.unit(g.k, i)
             if not _fits(g, dg.add(m, extra)):
                 continue
-            pre = {ip for ip, _ in g.factor_indices(m, extra)}
-            if pre != set(range(len(g.paths(m)))):
+            pre, _ = g.factor_indices(m, extra)
+            if set(pre.tolist()) != set(range(len(g.paths(m)))):
                 return ("prefix-not-surjective", m, extra)
         f1 = _rand_xelem(g, m, rng)
         f2 = _rand_xelem(g, m, rng)

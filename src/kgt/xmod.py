@@ -245,7 +245,7 @@ def x_tmul(c: Cocycle, f: XElem, g: XElem) -> XElem:
     """Twisted product landing in X_(m+n)."""
     graph = f.graph
     m, n = f.degree, g.degree
-    pre, suf = graph.factor_arrays(m, n)
+    pre, suf = graph.factor_indices(m, n)
     twist = c.twist(m, n).values
     return XElem(graph, dg.add(m, n), twist * f.coeffs[pre] * g.coeffs[suf])
 
@@ -272,9 +272,10 @@ def phi_x(a: VertexFn, n, graph: KGraph | None = None) -> XOp:
 def x_iota(c: Cocycle, S: XOp, n) -> XOp:
     """Extend S in L(X_m) to L(X_n) via iota(S)(x y) = (S x) y.
 
-    Computed by basis transport: factor each degree-n path at m, apply S to
-    the prefix, re-multiply, and track the two cocycle phases.  With m = 0
-    this reproduces left multiplication by the diagonal of S.
+    Computed by basis transport: with every degree-n path factored as
+    mu.nu, d(mu) = m, the entry at (mu'.nu', mu.nu) is
+    S[mu', mu] [nu' = nu] c(mu', nu) conj(c(mu, nu)).  With m = 0 this
+    reproduces left multiplication by the diagonal of S.
     """
     g = S.graph
     m = S.degree
@@ -282,27 +283,9 @@ def x_iota(c: Cocycle, S: XOp, n) -> XOp:
     if not dg.leq(m, n):
         raise DegreeNotDominated(f"target degree {n} does not dominate {m}", (m, n))
     diff = dg.sub(n, m)
-    pm, pd = g.paths(m), g.paths(diff)
-    idx_m = {p: i for i, p in enumerate(pm)}
+    pre, suf = g.factor_indices(m, diff)
     twist = c.twist(m, diff).values
-    factors = g.factor_indices(m, diff)
-    target_index = g.path_index(n)
-    size = len(g.paths(n))
-    out = np.zeros((size, size), dtype=np.complex128)
-    col_of = {}
-    for col, (ip, isfx) in enumerate(factors):
-        col_of[(ip, isfx)] = col
-    for col, (ip, isfx) in enumerate(factors):
-        colvec = S.matrix[:, ip]
-        if not np.any(colvec):
-            continue
-        nu = pd[isfx]
-        for ip2 in np.nonzero(colvec)[0]:
-            mu2 = pm[ip2]
-            if mu2.source != nu.range:
-                continue
-            row = col_of[(int(ip2), isfx)]
-            out[row, col] = colvec[ip2] * twist[row] * np.conj(twist[col])
+    out = S.matrix[np.ix_(pre, pre)] * (suf[:, None] == suf[None, :]) * np.outer(twist, np.conj(twist))
     return XOp(g, n, out)
 
 
@@ -354,7 +337,7 @@ def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
     pm, pn, pt = g.paths(m), g.paths(n), g.paths(total)
     rep = ModuleReport(True)
 
-    pre, suf = g.factor_arrays(m, n)
+    pre, suf = g.factor_indices(m, n)
     # c is called pair by pair, not through c.twist: any callable with a
     # graph and a mode can be checked, unit modulus or not
     twist = np.array([complex(c(pm[i], pn[j])) for i, j in zip(pre, suf)])

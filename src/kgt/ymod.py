@@ -128,7 +128,7 @@ def y_lift(h: CylElem, depth) -> CylElem:
         return h
     if not dg.leq(h.depth, depth):
         raise DegreeNotDominated(f"cannot lower depth {h.depth} to {depth}", (h.depth, depth))
-    pre, _ = g.factor_arrays(h.depth, dg.sub(depth, h.depth))
+    pre, _ = g.factor_indices(h.depth, dg.sub(depth, h.depth))
     return CylElem(g, h.module_degree, depth, h.coeffs[pre])
 
 
@@ -138,7 +138,7 @@ def y_inner(f: CylElem, g_: CylElem) -> CylElem:
     g = f.graph
     n = f.module_degree
     rest = dg.sub(f.depth, n)
-    _, suf = g.factor_arrays(n, rest)
+    _, suf = g.factor_indices(n, rest)
     prod = np.conj(f.coeffs) * g_.coeffs
     out = np.zeros(len(g.paths(rest)), dtype=np.complex128)
     np.add.at(out, suf, prod)
@@ -150,12 +150,12 @@ def y_tmul(c: Cocycle, f: CylElem, g_: CylElem) -> CylElem:
     gph = f.graph
     m, n = f.module_degree, g_.module_degree
     depth = dg.join(f.depth, dg.add(m, g_.depth))
-    _, suf_m = gph.factor_arrays(m, dg.sub(depth, m))
-    pre_f, _ = gph.factor_arrays(f.depth, dg.sub(depth, f.depth))
+    _, suf_m = gph.factor_indices(m, dg.sub(depth, m))
+    pre_f, _ = gph.factor_indices(f.depth, dg.sub(depth, f.depth))
     tail = dg.sub(depth, m)
-    tail_pre_g, _ = gph.factor_arrays(g_.depth, dg.sub(tail, g_.depth))
+    tail_pre_g, _ = gph.factor_indices(g_.depth, dg.sub(tail, g_.depth))
     # c(x(0, m), x(m, m+n)) for x in Lambda^depth, read off the (m, n) twist
-    pre_mn, _ = gph.factor_arrays(dg.add(m, n), dg.sub(depth, dg.add(m, n)))
+    pre_mn, _ = gph.factor_indices(dg.add(m, n), dg.sub(depth, dg.add(m, n)))
     twist = c.twist(m, n).values[pre_mn]
     out = twist * f.coeffs[pre_f] * g_.coeffs[tail_pre_g[suf_m]]
     return CylElem(gph, dg.add(m, n), depth, out)
@@ -167,7 +167,7 @@ def shift_pullback(h: CylElem, p) -> CylElem:
     if any(h.module_degree):
         raise DegreeMismatch("shift pullback acts on degree-0 functions", h.module_degree)
     p = dg.as_degree(p, g.k)
-    _, suf = g.factor_arrays(p, h.depth)
+    _, suf = g.factor_indices(p, h.depth)
     return CylElem(g, dg.zero(g.k), dg.add(p, h.depth), h.coeffs[suf])
 
 
@@ -200,7 +200,7 @@ class YOp:
         if self.matrix.shape != (size, size):
             raise DegreeMismatch(f"matrix shape {self.matrix.shape}, expected {size}", None)
         if require_block and size:
-            _, suf = graph.factor_arrays(self.module_degree, dg.sub(self.depth, self.module_degree))
+            _, suf = graph.factor_indices(self.module_degree, dg.sub(self.depth, self.module_degree))
             off = suf[:, None] != suf[None, :]
             if off.any() and not np.all(np.abs(self.matrix[off]) <= 1e-12):
                 raise ValueError("matrix mixes tails; not an adjointable operator on this fiber")
@@ -225,7 +225,7 @@ class YOp:
             return self
         if not dg.leq(self.depth, depth):
             raise DegreeNotDominated(f"cannot lower depth {self.depth} to {depth}", None)
-        pre, suf = g.factor_arrays(self.depth, dg.sub(depth, self.depth))
+        pre, suf = g.factor_indices(self.depth, dg.sub(depth, self.depth))
         mat = self.matrix[np.ix_(pre, pre)] * (suf[:, None] == suf[None, :])
         return YOp(g, self.module_degree, depth, mat, require_block=False)
 
@@ -290,7 +290,7 @@ def y_theta(f: CylElem, g_: CylElem) -> YOp:
     f, g_ = f._common(g_)
     g = f.graph
     n = f.module_degree
-    _, suf = g.factor_arrays(n, dg.sub(f.depth, n))
+    _, suf = g.factor_indices(n, dg.sub(f.depth, n))
     mat = np.outer(f.coeffs, np.conj(g_.coeffs)) * (suf[:, None] == suf[None, :])
     return YOp(g, n, f.depth, mat)
 
@@ -320,7 +320,7 @@ def y_iota(c: Cocycle, S: YOp, n) -> YOp:
         raise DegreeNotDominated(f"target fiber {n} does not dominate {m}", (m, n))
     depth = dg.join(S.depth, n)
     lifted = S.lift(depth)
-    pre_n, _ = g.factor_arrays(n, dg.sub(depth, n))
+    pre_n, _ = g.factor_indices(n, dg.sub(depth, n))
     twist = c.twist(m, dg.sub(n, m)).values[pre_n]
     mat = lifted.matrix * np.outer(twist, np.conj(twist))
     return YOp(g, n, depth, mat)

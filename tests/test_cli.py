@@ -93,22 +93,45 @@ def test_validate_accepts_fixture(files):
     assert main(["validate", write("f1.json", _f1_doc())]) == 0
 
 
-def test_validate_dangling_endpoint_exits_2(files, capsys):
+@pytest.mark.parametrize("command", ["validate", "check", "build", "fock"])
+def test_dangling_endpoint_exits_2(files, capsys, command):
     _, write = files
     doc = _f1_doc()
     doc["edges"][0]["source"] = "nowhere"
-    assert main(["validate", write("bad.json", doc)]) == 2
+    bad = write("bad.json", doc)
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    argv = {
+        "validate": ["validate", bad],
+        "check": ["check", bad, c],
+        "build": ["build", bad, bad, "--op", "cartesian", "--out-graph", "/dev/null"],
+        "fock": ["fock", bad, c, "--N", "1,1"],
+    }[command]
+    assert main(argv) == 2
     assert "MalformedSkeleton" in capsys.readouterr().err
+
+
+def _swapped_squares_doc():
+    doc = emit_graph_doc(cartesian(fixture_f2(), fixture_f2()))
+    sq = doc["squares"]
+    sq[0]["second"], sq[1]["second"] = sq[1]["second"], sq[0]["second"]
+    return doc
 
 
 def test_validate_swapped_squares_exit_3(files, capsys):
     _, write = files
-    doc = emit_graph_doc(cartesian(fixture_f2(), fixture_f2()))
-    sq = doc["squares"]
-    sq[0]["second"], sq[1]["second"] = sq[1]["second"], sq[0]["second"]
-    assert main(["validate", write("swapped.json", doc)]) == 3
+    assert main(["validate", write("swapped.json", _swapped_squares_doc())]) == 3
     err = capsys.readouterr().err
     assert "counterexample" in err
+
+
+def test_check_swapped_squares_exit_3_with_counterexample(files, capsys):
+    _, write = files
+    g = write("swapped.json", _swapped_squares_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    assert main(["check", g, c]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("EndpointMismatch: ")
+    assert err[1].startswith("counterexample: ")
 
 
 def test_validate_garbage_json_exits_2(files, capsys):

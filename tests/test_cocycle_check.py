@@ -311,7 +311,7 @@ def test_hypothesis_agreement(subject, seed, mode, tol, corrupted):
 def test_twist_entries_are_the_values_on_factor_pairs():
     c = random_cocycle(3, SV)
     for m, n in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((0, 0), (2, 1))]:
-        pre, suf = SV.factor_arrays(m, n)
+        pre, suf = SV.factor_indices(m, n)
         t = c.twist(m, n)
         pm, pn = SV.paths(m), SV.paths(n)
         assert len(t) == len(SV.paths(dg.add(m, n)))
@@ -332,12 +332,18 @@ def test_twist_cache_keeps_the_pair_memo_bound():
     assert c.twist((9,), (8,)).phases[0] == Phase.from_turns(Fraction(72, 5))
 
 
-def test_factor_arrays_are_cached_read_only_factor_indices():
-    pre, suf = SV.factor_arrays((1, 0), (1, 1))
-    assert list(zip(pre.tolist(), suf.tolist())) == list(SV.factor_indices((1, 0), (1, 1)))
-    assert SV.factor_arrays([1, 0], [1, 1])[0] is pre
-    with pytest.raises(ValueError):
-        pre[0] = 0
+def test_factor_indices_are_cached_read_only_arrays():
+    pre, suf = SV.factor_indices((1, 0), (1, 1))
+    assert pre.dtype == suf.dtype == np.intp
+    pm, pn = SV.paths((1, 0)), SV.paths((1, 1))
+    assert [SV.split(la, (1, 0)) for la in SV.paths((2, 1))] == [
+        (pm[i], pn[j]) for i, j in zip(pre, suf)
+    ]
+    again = SV.factor_indices([1, 0], [1, 1])
+    assert again[0] is pre and again[1] is suf
+    for arr in (pre, suf):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 # -- degree coercion ---------------------------------------------------------

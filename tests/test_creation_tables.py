@@ -34,7 +34,7 @@ def creation_x_by_entries(space, c, f):
         t = dg.add(q, d)
         if not dg.leq(t, space.N):
             continue
-        pre, suf = g.factor_arrays(d, q)
+        pre, suf = g.factor_indices(d, q)
         pq = g.paths(q)
         rows = space.block_slice(t).start
         cols = space.block_slice(q).start
@@ -56,9 +56,9 @@ def creation_y_by_entries(space, c, h):
             continue
         Dq = space.block_depth(q)
         Dt = space.block_depth(t)
-        pre_d, suf_d = g.factor_arrays(d, Dq)
-        pre_h, _ = g.factor_arrays(h.depth, dg.sub(Dt, h.depth))
-        tail_pre, _ = g.factor_arrays(q, dg.sub(Dq, q))
+        pre_d, suf_d = g.factor_indices(d, Dq)
+        pre_h, _ = g.factor_indices(h.depth, dg.sub(Dt, h.depth))
+        tail_pre, _ = g.factor_indices(q, dg.sub(Dq, q))
         pq = g.paths(q)
         rows = space.block_slice(t).start
         cols = space.block_slice(q).start
@@ -73,8 +73,8 @@ def creation_y_by_entries(space, c, h):
 def y_tmul_twist_by_entries(c, m, n, depth):
     """c(x(0, m), x(m, m+n)) for every x in Lambda^depth."""
     g = c.graph
-    pre_m, suf_m = g.factor_arrays(m, dg.sub(depth, m))
-    tail_pre_n, _ = g.factor_arrays(n, dg.sub(dg.sub(depth, m), n))
+    pre_m, suf_m = g.factor_indices(m, dg.sub(depth, m))
+    tail_pre_n, _ = g.factor_indices(n, dg.sub(dg.sub(depth, m), n))
     pm, pn = g.paths(m), g.paths(n)
     return np.array(
         [complex(c(pm[pre_m[i]], pn[tail_pre_n[suf_m[i]]])) for i in range(len(g.paths(depth)))],
@@ -134,11 +134,11 @@ def test_y_tmul_and_y_iota_twists_match_entries():
                 f = CylElem(g, m, m, rng.normal(size=len(g.paths(m))) + 0j)
                 h = CylElem(g, n, n, rng.normal(size=len(g.paths(n))) + 0j)
                 twist = y_tmul_twist_by_entries(c, m, n, depth)
-                want = twist * f.coeffs[g.factor_arrays(m, n)[0]] * h.coeffs[g.factor_arrays(m, n)[1]]
+                want = twist * f.coeffs[g.factor_indices(m, n)[0]] * h.coeffs[g.factor_indices(m, n)[1]]
                 assert same_bits(y_tmul(c, f, h).coeffs, want), inst.label
 
                 # y_iota from Y_m to Y_(m+n), at working depth m+n
-                _, tails = g.factor_arrays(m, dg.zero(g.k))
+                _, tails = g.factor_indices(m, dg.zero(g.k))
                 S = YOp(g, m, m, rng.normal(size=(tails.size,) * 2) * (tails[:, None] == tails) + 0j)
                 mat = S.lift(depth).matrix * np.outer(twist, np.conj(twist))
                 assert same_bits(y_iota(c, S, depth).matrix, mat), inst.label

@@ -213,10 +213,11 @@ def test_factorization_unique_by_enumeration():
 
 
 def test_factor_indices_consistent_with_split():
-    pairs = F2.factor_indices((1,), (2,))
+    pre, suf = F2.factor_indices((1,), (2,))
     p1 = F2.paths((1,))
     p2 = F2.paths((2,))
-    for la, (i, j) in zip(F2.paths((3,)), pairs):
+    assert len(pre) == len(suf) == len(F2.paths((3,)))
+    for la, i, j in zip(F2.paths((3,)), pre, suf):
         assert F2.split(la, (1,)) == (p1[i], p2[j])
 
 

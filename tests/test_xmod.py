@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kgt import degrees as dg
 from kgt.cocycle import c_theta, trivial_cocycle
 from kgt.errors import DegreeMismatch, DegreeNotDominated
 from kgt.kgraph import fixture_f1, fixture_f2
 from kgt.phases import Phase
+from kgt.verify import SuiteConfig, default_instances
 from kgt.xmod import (
     VertexFn,
     XElem,
@@ -277,3 +279,46 @@ def test_norms():
     assert f.norm() == pytest.approx(4.0)
     op = phi_x(VertexFn(F2, [2.0, -5.0]), (1,))
     assert op.norm() == pytest.approx(5.0)
+
+
+# -- x_iota against the per-entry transport ------------------------------------
+
+
+def x_iota_by_entries(c, S, n):
+    """The definition x_iota replaced: for each column mu.nu, apply S to the
+    prefix mu, re-multiply each image prefix with nu, and track the two
+    cocycle phases, calling c once per entry."""
+    g = S.graph
+    m = S.degree
+    diff = dg_sub(n, m)
+    pm, pd = g.paths(m), g.paths(diff)
+    pre, suf = g.factor_indices(m, diff)
+    factors = list(zip(pre.tolist(), suf.tolist()))
+    twist = [complex(c(pm[i], pd[j])) for i, j in factors]
+    col_of = {pair: col for col, pair in enumerate(factors)}
+    out = np.zeros((len(factors),) * 2, dtype=np.complex128)
+    for col, (ip, isfx) in enumerate(factors):
+        colvec = S.matrix[:, ip]
+        nu = pd[isfx]
+        for ip2 in np.nonzero(colvec)[0]:
+            if pm[ip2].source != nu.range:
+                continue
+            row = col_of[(int(ip2), isfx)]
+            out[row, col] = colvec[ip2] * twist[row] * np.conj(twist[col])
+    return out
+
+
+def test_iota_matches_the_per_entry_transport():
+    rng = np.random.default_rng(5)
+    for inst in default_instances(SuiteConfig()):
+        g, c = inst.graph, inst.cocycle
+        one = (1,) * g.k
+        for m in dg.degrees_upto(one):
+            sources = np.array([p.source for p in g.paths(m)])
+            size = sources.size
+            block = sources[:, None] == sources[None, :]
+            S = XOp(g, m, (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))) * block)
+            for n in dg.degrees_upto(one):
+                if dg.leq(m, n):
+                    got = x_iota(c, S, n).matrix
+                    assert np.allclose(got, x_iota_by_entries(c, S, n), atol=1e-12, rtol=0.0), inst.label
