@@ -48,4 +48,4 @@ print()
 for name, c in families:
     rep = check_cocycle(c, (2, 2), tol=0.0)
     print(f"  {name} ({c.name}): ok={rep.ok}, "
-          f"{rep.pairs_checked} pairs and {rep.triples_checked} triples checked")
+          f"{rep.triples_checked} triples checked")

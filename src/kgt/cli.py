@@ -161,12 +161,27 @@ def _array_json(arr: np.ndarray, pad: str) -> str:
 
 
 def _as_object(doc, allowed, where: str) -> dict:
+    """doc, if it is an object with no field outside `allowed` (any field
+    when allowed is None)."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object", doc)
-    extra = sorted(set(doc) - set(allowed))
+    extra = [] if allowed is None else sorted(set(doc) - set(allowed))
     if extra:
         raise ParseError(f"{where}: unknown field(s) {extra}", extra)
     return doc
+
+
+def _as_list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{where}: expected a list", value)
+    return value
+
+
+def _as_int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{where}: expected an integer, got {value!r}", value) from err
 
 
 def _field(doc: dict, key: str, where: str):
@@ -178,24 +193,24 @@ def _field(doc: dict, key: str, where: str):
 def parse_graph_doc(doc):
     """JSON object -> unvalidated skeleton; field errors raise ParseError."""
     _as_object(doc, {"k", "vertices", "edges", "squares"}, "graph document")
-    k = int(_field(doc, "k", "graph document"))
-    vertices = [str(v) for v in _field(doc, "vertices", "graph document")]
+    k = _as_int(_field(doc, "k", "graph document"), "k")
+    vertices = [str(v) for v in _as_list(_field(doc, "vertices", "graph document"), "vertices")]
     edges = []
-    for i, e in enumerate(_field(doc, "edges", "graph document")):
+    for i, e in enumerate(_as_list(_field(doc, "edges", "graph document"), "edges")):
         _as_object(e, {"id", "color", "range", "source"}, f"edges[{i}]")
         edges.append(
             (
                 str(_field(e, "id", f"edges[{i}]")),
-                int(_field(e, "color", f"edges[{i}]")),
+                _as_int(_field(e, "color", f"edges[{i}]"), f"edges[{i}].color"),
                 str(_field(e, "range", f"edges[{i}]")),
                 str(_field(e, "source", f"edges[{i}]")),
             )
         )
     squares = []
-    for i, s in enumerate(doc.get("squares", [])):
+    for i, s in enumerate(_as_list(doc.get("squares", []), "squares")):
         _as_object(s, {"first", "second"}, f"squares[{i}]")
-        first = list(_field(s, "first", f"squares[{i}]"))
-        second = list(_field(s, "second", f"squares[{i}]"))
+        first = _as_list(_field(s, "first", f"squares[{i}]"), f"squares[{i}].first")
+        second = _as_list(_field(s, "second", f"squares[{i}]"), f"squares[{i}].second")
         if len(first) != 2 or len(second) != 2:
             raise ParseError(f"squares[{i}]: need two edge ids per side", s)
         squares.append((tuple(map(str, first)), tuple(map(str, second))))
@@ -306,23 +321,11 @@ def load_cocycle(doc, g: KGraph, check_cap=None) -> Cocycle:
         raise ParseError(
             f"cocycle document: unknown builtin {name!r}; know {_BUILTIN_COCYCLES}", name
         )
-    cap = check_cap if check_cap is not None else _default_cap(g)
+    cap = check_cap if check_cap is not None else g.clip((2,) * g.k)
     rep = check_cocycle(c, cap)
     if not rep.ok:
         raise ParseError(f"cocycle fails the pair/triple laws: {rep.first_failure!r}", rep.first_failure)
     return c
-
-
-def _clip_to_lattice(g: KGraph, cap: list) -> tuple:
-    if isinstance(g, CrossedProductGraph):
-        kb = g.base.k
-        for j, cj in enumerate(g.cap):
-            cap[kb + j] = min(cap[kb + j], cj)
-    return tuple(cap)
-
-
-def _default_cap(g: KGraph):
-    return _clip_to_lattice(g, [2] * g.k)
 
 
 def _default_table_cap(g: KGraph):
@@ -409,15 +412,22 @@ def cmd_check(args) -> int:
 
 def _action_from_params(g: KGraph, doc) -> ZlAction:
     _as_object(doc, {"vertices", "edges"}, "action")
-    vperms = [dict(d) for d in _field(doc, "vertices", "action")]
-    eperms = [dict(d) for d in _field(doc, "edges", "action")]
+
+    def perms(key):
+        entries = _as_list(_field(doc, key, "action"), f"action.{key}")
+        return [dict(_as_object(d, None, f"action.{key}[{i}]")) for i, d in enumerate(entries)]
+
+    vperms, eperms = perms("vertices"), perms("edges")
     if len(vperms) != len(eperms):
         raise ParseError("action: vertex and edge permutation lists differ in length", doc)
     return ZlAction(g, tuple(vperms), tuple(eperms))
 
 
 def cmd_build(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as err:
+        raise ParseError(f"--params:{err.lineno}:{err.colno}: {err.msg}", args.params) from err
     if not isinstance(params, dict):
         raise ParseError("--params must be a JSON object", args.params)
     graphs = [load_graph(p) for p in args.graphs]
@@ -430,15 +440,17 @@ def cmd_build(args) -> int:
         if len(graphs) != 1:
             raise ParseError("skew needs one graph file", args.graphs)
         _as_object(params, {"group", "labels"}, "params")
-        grp = cyclic_group(int(_field(params, "group", "params")))
-        labels = {str(e): str(a) for e, a in _field(params, "labels", "params").items()}
+        grp = cyclic_group(_as_int(_field(params, "group", "params"), "params.group"))
+        labels = _as_object(_field(params, "labels", "params"), None, "params.labels")
+        labels = {str(e): str(a) for e, a in labels.items()}
         built = skew_product(graphs[0], grp, labels)
     elif args.op == "crossed":
         if len(graphs) != 1:
             raise ParseError("crossed needs one graph file", args.graphs)
         _as_object(params, {"action", "cap"}, "params")
         beta = _action_from_params(graphs[0], _field(params, "action", "params"))
-        cap = tuple(int(x) for x in _field(params, "cap", "params"))
+        cap = _as_list(_field(params, "cap", "params"), "params.cap")
+        cap = tuple(_as_int(x, "params.cap") for x in cap)
         built = crossed_product(graphs[0], beta, cap)
     else:  # argparse choices guard this
         raise ParseError(f"unknown op {args.op!r}", args.op)

@@ -306,6 +306,10 @@ class CrossedProductGraph(KGraph):
                 f"lattice degree {lattice_part} exceeds cap {self.cap}", lattice_part
             )
 
+    def clip(self, d) -> dg.Degree:
+        kb = self.base.k
+        return tuple(d[:kb]) + tuple(min(x, c) for x, c in zip(d[kb:], self.cap))
+
     def paths(self, n):
         n = dg.as_degree(n, self.k)
         self._check_cap(n[self.base.k :])

@@ -103,12 +103,9 @@ class KGraph:
             i: tuple(sorted((e for e in skeleton.edges if e.color == i), key=lambda e: e.ident))
             for i in range(1, self.k + 1)
         }
-        self._sq = dict(skeleton.squares)
-        self._sq_inv = {v: kk for kk, v in self._sq.items()}
+        self._sq_inv = {v: kk for kk, v in skeleton.squares.items()}
         self._paths: dict[dg.Degree, tuple[Path, ...]] = {}
         self._index: dict[dg.Degree, dict[Path, int]] = {}
-        self._splits: dict = {}
-        self._compose: dict = {}
         self._factor: dict = {}
         self._ranges: dict = {}
         self._sources: dict = {}
@@ -196,15 +193,16 @@ class KGraph:
             self._sources[n] = hit
         return hit
 
+    def clip(self, d) -> dg.Degree:
+        """The largest degree <= d whose paths this graph stores: d itself
+        here; adjoined-lattice graphs store a finite lattice window."""
+        return tuple(d)
+
     # -- composition and factorization ------------------------------------
 
     def compose(self, la: Path, mu: Path) -> Path:
         if la.source != mu.range:
             raise NotComposable(f"s({la!r}) = {la.source} != r({mu!r}) = {mu.range}", (la, mu))
-        key = (la, mu)
-        hit = self._compose.get(key)
-        if hit is not None:
-            return hit
         seq = list(la.edges + mu.edges)
         # gnome sort by color; each backward swap applies one square
         i = 0
@@ -216,42 +214,21 @@ class KGraph:
                     i -= 1
             else:
                 i += 1
-        out = Path(dg.add(la.degree, mu.degree), tuple(seq), la.range, mu.source)
-        self._compose[key] = out
-        return out
-
-    def _pull_front(self, seq: tuple[str, ...], color: int) -> list[str]:
-        """Move the first color-`color` edge to position 0 through squares."""
-        seq = list(seq)
-        idx = next(j for j, ident in enumerate(seq) if self._color[ident] == color)
-        while idx > 0:
-            pair = (seq[idx - 1], seq[idx])  # ascending: color(pair[0]) < color
-            seq[idx - 1], seq[idx] = self._sq[pair]
-            idx -= 1
-        return seq
+        return Path(dg.add(la.degree, mu.degree), tuple(seq), la.range, mu.source)
 
     def split(self, la: Path, m) -> tuple[Path, Path]:
-        """The unique factorization la = mu.nu with d(mu) = m."""
+        """The unique factorization la = mu.nu with d(mu) = m, read from
+        factor_indices(m, d(la) - m).  The first split at a degree pair
+        builds that table, so it enumerates all of Lambda^d(la); the callers
+        in this package already hold that set."""
         m = dg.as_degree(m, self.k)
-        if not dg.leq(m, la.degree):
-            raise DegreeOutOfRange(f"{m} is not <= d({la!r}) = {la.degree}", (la, m))
-        key = (la, m)
-        hit = self._splits.get(key)
-        if hit is not None:
-            return hit
-        if not any(m):
-            out = (self.vertex_path(la.range), la)
-        elif m == la.degree:
-            out = (la, self.vertex_path(la.source))
-        else:
-            i = next(c for c in range(1, self.k + 1) if m[c - 1] > 0)
-            seq = self._pull_front(la.edges, i)
-            head = self._edge[seq[0]]
-            rest = Path(dg.sub(la.degree, dg.unit(self.k, i)), tuple(seq[1:]), head.source, la.source)
-            mu_tail, nu = self.split(rest, dg.sub(m, dg.unit(self.k, i)))
-            out = (Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu)
-        self._splits[key] = out
-        return out
+        d = la.degree
+        if not dg.leq(m, d):
+            raise DegreeOutOfRange(f"{m} is not <= d({la!r}) = {d}", (la, m))
+        n = tuple(a - b for a, b in zip(d, m))
+        pre, suf = self.factor_indices(m, n)
+        i = self._index[d][la]
+        return self._paths[m][pre[i]], self._paths[n][suf[i]]
 
     def segment(self, la: Path, m, n) -> Path:
         """The subpath la(m, n)."""
@@ -265,19 +242,22 @@ class KGraph:
 
     def factor_indices(self, m, n) -> tuple[np.ndarray, np.ndarray]:
         """Read-only prefix and suffix index arrays, cached: path i of
-        paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]]."""
+        paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]].
+
+        The only stored factorization: built in one pass that composes each
+        mu in Lambda^m with each nu in s(mu).Lambda^n."""
         m = dg.as_degree(m, self.k)
         n = dg.as_degree(n, self.k)
         key = (m, n)
         hit = self._factor.get(key)
         if hit is None:
-            pm = self.path_index(m)
-            pn = self.path_index(n)
-            pre, suf = [], []
-            for la in self.paths(dg.add(m, n)):
-                mu, nu = self.split(la, m)
-                pre.append(pm[mu])
-                suf.append(pn[nu])
+            index = self.path_index(dg.add(m, n))
+            pn, ranged = self.paths(n), self.by_range(n)
+            pre, suf = [0] * len(index), [0] * len(index)
+            for i, mu in enumerate(self.paths(m)):
+                for j in ranged[mu.source]:
+                    t = index[self.compose(mu, pn[j])]
+                    pre[t], suf[t] = i, j
             hit = (np.array(pre, dtype=np.intp), np.array(suf, dtype=np.intp))
             for arr in hit:
                 arr.flags.writeable = False

@@ -142,6 +142,49 @@ def test_validate_garbage_json_exits_2(files, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+_SWAP = {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}
+
+
+def _build_with(op, params):
+    def argv(write):
+        f2 = write("f2.json", _f2_doc())
+        return ["build", f2, "--op", op, "--params", params, "--out-graph", "/dev/null"]
+
+    return argv
+
+
+def _validate_with(edit):
+    def argv(write):
+        doc = _f1_doc()
+        edit(doc)
+        return ["validate", write("bad.json", doc)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_build_with("skew", "{nope"), id="params-not-json"),
+        pytest.param(_build_with("skew", '{"group": 2, "labels": 5}'), id="skew-labels-not-object"),
+        pytest.param(_build_with("skew", '{"group": "x", "labels": {}}'), id="skew-group-not-int"),
+        pytest.param(
+            _build_with("crossed", json.dumps({"action": {"vertices": [5], "edges": [5]}, "cap": [2]})),
+            id="crossed-action-entry-not-object",
+        ),
+        pytest.param(_build_with("crossed", json.dumps({"action": _SWAP, "cap": "x"})), id="crossed-cap-not-list"),
+        pytest.param(_validate_with(lambda d: d.update(k="x")), id="k-not-int"),
+        pytest.param(_validate_with(lambda d: d["edges"][0].update(color="x")), id="color-not-int"),
+        pytest.param(_validate_with(lambda d: d.update(edges=5)), id="edges-not-list"),
+        pytest.param(_validate_with(lambda d: d["squares"][0].update(first=5)), id="square-side-not-list"),
+    ],
+)
+def test_malformed_input_exits_2(files, capsys, argv):
+    _, write = files
+    assert main(argv(write)) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 # -- check -------------------------------------------------------------------
 
 

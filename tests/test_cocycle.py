@@ -300,6 +300,17 @@ def test_c_theta_not_cohomologous_to_trivial_by_propagation():
 
 def test_report_counts_are_plausible():
     rep = check_cocycle(trivial_cocycle(F2), (3,))
-    # 2 paths per positive length, 2 vertices, C2 touches every path twice
-    assert rep.pairs_checked == 2 * (2 + 2 + 2 + 2)
+    # 2 paths per length, times the 1, 3, 6, 10 splits of lengths 0..3 into 3 parts
+    assert rep.triples_checked == 2 * (1 + 3 + 6 + 10)
     assert rep.triples_checked > 0
+
+
+def test_unit_law_holds_by_construction():
+    def ev(la, mu):
+        raise AssertionError(f"evaluator asked about {(la, mu)}")
+
+    c = Cocycle(F2, ev, name="raising")
+    for la in F2.paths((0,)) + F2.paths((2,)):
+        assert c(la, F2.vertex_path(la.source)) is ONE
+        assert c(F2.vertex_path(la.range), la) is ONE
+    assert check_cocycle(c, (0,)).ok

@@ -15,6 +15,7 @@ from kgt.errors import (
     UnknownFixture,
 )
 from kgt.kgraph import (
+    Path,
     builtin_fixtures,
     fixture_f1,
     fixture_f2,
@@ -23,6 +24,7 @@ from kgt.kgraph import (
     single_vertex,
     validate_skeleton,
 )
+from kgt.verify import builtin_suite_graphs, random_kgraph
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -212,13 +214,55 @@ def test_factorization_unique_by_enumeration():
         assert all(len(v) == 1 for v in hits.values())
 
 
+def _pull_front(g, seq, color):
+    """Move the first color-`color` edge to position 0 through squares."""
+    seq = list(seq)
+    idx = next(j for j, ident in enumerate(seq) if g.edge(ident).color == color)
+    while idx > 0:
+        seq[idx - 1], seq[idx] = g.skeleton.squares[(seq[idx - 1], seq[idx])]
+        idx -= 1
+    return seq
+
+
+def split_by_squares(g, la, m):
+    """The definition of la = mu.nu with d(mu) = m: pull the first edge of
+    the lowest color m needs to the front through the squares, then split
+    the rest."""
+    m = dg.as_degree(m, g.k)
+    if not any(m):
+        return g.vertex_path(la.range), la
+    if m == la.degree:
+        return la, g.vertex_path(la.source)
+    i = next(c for c in range(1, g.k + 1) if m[c - 1] > 0)
+    seq = _pull_front(g, la.edges, i)
+    head = g.edge(seq[0])
+    rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
+    mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
+    return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu
+
+
+def _oracle_graphs():
+    suite = dict(builtin_suite_graphs())
+    yield "omega(2,(2,2))", suite["omega2"]
+    yield "single_vertex(3,(2,1,1))", single_vertex(3, (2, 1, 1))
+    for label in ("cartesian(F2,F2)", "skew(F2,Z2)", "crossed(F2,swap)"):
+        yield label, suite[label]
+    for k in (1, 2, 3):
+        for seed in (0, 1, 2):
+            yield f"random(k={k},seed={seed})", random_kgraph(seed, k=k)
+
+
 def test_factor_indices_consistent_with_split():
-    pre, suf = F2.factor_indices((1,), (2,))
-    p1 = F2.paths((1,))
-    p2 = F2.paths((2,))
-    assert len(pre) == len(suf) == len(F2.paths((3,)))
-    for la, i, j in zip(F2.paths((3,)), pre, suf):
-        assert F2.split(la, (1,)) == (p1[i], p2[j])
+    for label, g in _oracle_graphs():
+        for d in dg.degrees_upto(g.clip((2,) * g.k if g.k <= 2 else (2, 1, 1))):
+            for m in dg.degrees_upto(d):
+                n = dg.sub(d, m)
+                pre, suf = g.factor_indices(m, n)
+                assert len(pre) == len(suf) == len(g.paths(d)), label
+                for la, i, j in zip(g.paths(d), pre.tolist(), suf.tolist()):
+                    want = split_by_squares(g, la, m)
+                    assert (g.paths(m)[i], g.paths(n)[j]) == want, (label, la, m)
+                    assert g.split(la, m) == want, (label, la, m)
 
 
 # -- predicates and set operations ------------------------------------------
