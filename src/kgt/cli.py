@@ -160,28 +160,21 @@ def _array_json(arr: np.ndarray, pad: str) -> str:
     return head + "".join(slots.tolist()) + tail
 
 
-def _as_object(doc, allowed, where: str) -> dict:
-    """doc, if it is an object with no field outside `allowed` (any field
-    when allowed is None)."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected an object", doc)
-    extra = [] if allowed is None else sorted(set(doc) - set(allowed))
-    if extra:
-        raise ParseError(f"{where}: unknown field(s) {extra}", extra)
-    return doc
+_KINDS = {dict: "an object", list: "a list", int: "an integer"}
 
 
-def _as_list(value, where: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{where}: expected a list", value)
+def _typed(value, kind: type, where: str):
+    """value, if JSON decoding gave it the type `kind`; a boolean is no integer."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}", value)
     return value
 
 
-def _as_int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{where}: expected an integer, got {value!r}", value) from err
+def _as_object(doc, allowed, where: str) -> dict:
+    extra = sorted(set(_typed(doc, dict, where)) - set(allowed))
+    if extra:
+        raise ParseError(f"{where}: unknown field(s) {extra}", extra)
+    return doc
 
 
 def _field(doc: dict, key: str, where: str):
@@ -193,24 +186,24 @@ def _field(doc: dict, key: str, where: str):
 def parse_graph_doc(doc):
     """JSON object -> unvalidated skeleton; field errors raise ParseError."""
     _as_object(doc, {"k", "vertices", "edges", "squares"}, "graph document")
-    k = _as_int(_field(doc, "k", "graph document"), "k")
-    vertices = [str(v) for v in _as_list(_field(doc, "vertices", "graph document"), "vertices")]
+    k = _typed(_field(doc, "k", "graph document"), int, "k")
+    vertices = [str(v) for v in _typed(_field(doc, "vertices", "graph document"), list, "vertices")]
     edges = []
-    for i, e in enumerate(_as_list(_field(doc, "edges", "graph document"), "edges")):
+    for i, e in enumerate(_typed(_field(doc, "edges", "graph document"), list, "edges")):
         _as_object(e, {"id", "color", "range", "source"}, f"edges[{i}]")
         edges.append(
             (
                 str(_field(e, "id", f"edges[{i}]")),
-                _as_int(_field(e, "color", f"edges[{i}]"), f"edges[{i}].color"),
+                _typed(_field(e, "color", f"edges[{i}]"), int, f"edges[{i}].color"),
                 str(_field(e, "range", f"edges[{i}]")),
                 str(_field(e, "source", f"edges[{i}]")),
             )
         )
     squares = []
-    for i, s in enumerate(_as_list(doc.get("squares", []), "squares")):
+    for i, s in enumerate(_typed(doc.get("squares", []), list, "squares")):
         _as_object(s, {"first", "second"}, f"squares[{i}]")
-        first = _as_list(_field(s, "first", f"squares[{i}]"), f"squares[{i}].first")
-        second = _as_list(_field(s, "second", f"squares[{i}]"), f"squares[{i}].second")
+        first = _typed(_field(s, "first", f"squares[{i}]"), list, f"squares[{i}].first")
+        second = _typed(_field(s, "second", f"squares[{i}]"), list, f"squares[{i}].second")
         if len(first) != 2 or len(second) != 2:
             raise ParseError(f"squares[{i}]: need two edge ids per side", s)
         squares.append((tuple(map(str, first)), tuple(map(str, second))))
@@ -414,8 +407,8 @@ def _action_from_params(g: KGraph, doc) -> ZlAction:
     _as_object(doc, {"vertices", "edges"}, "action")
 
     def perms(key):
-        entries = _as_list(_field(doc, key, "action"), f"action.{key}")
-        return [dict(_as_object(d, None, f"action.{key}[{i}]")) for i, d in enumerate(entries)]
+        entries = _typed(_field(doc, key, "action"), list, f"action.{key}")
+        return [dict(_typed(d, dict, f"action.{key}[{i}]")) for i, d in enumerate(entries)]
 
     vperms, eperms = perms("vertices"), perms("edges")
     if len(vperms) != len(eperms):
@@ -440,8 +433,8 @@ def cmd_build(args) -> int:
         if len(graphs) != 1:
             raise ParseError("skew needs one graph file", args.graphs)
         _as_object(params, {"group", "labels"}, "params")
-        grp = cyclic_group(_as_int(_field(params, "group", "params"), "params.group"))
-        labels = _as_object(_field(params, "labels", "params"), None, "params.labels")
+        grp = cyclic_group(_typed(_field(params, "group", "params"), int, "params.group"))
+        labels = _typed(_field(params, "labels", "params"), dict, "params.labels")
         labels = {str(e): str(a) for e, a in labels.items()}
         built = skew_product(graphs[0], grp, labels)
     elif args.op == "crossed":
@@ -449,8 +442,10 @@ def cmd_build(args) -> int:
             raise ParseError("crossed needs one graph file", args.graphs)
         _as_object(params, {"action", "cap"}, "params")
         beta = _action_from_params(graphs[0], _field(params, "action", "params"))
-        cap = _as_list(_field(params, "cap", "params"), "params.cap")
-        cap = tuple(_as_int(x, "params.cap") for x in cap)
+        cap = _typed(_field(params, "cap", "params"), list, "params.cap")
+        cap = tuple(_typed(x, int, "params.cap") for x in cap)
+        if min(cap, default=0) < 0:
+            raise ParseError(f"params.cap: degrees are non-negative, got {list(cap)}", cap)
         built = crossed_product(graphs[0], beta, cap)
     else:  # argparse choices guard this
         raise ParseError(f"unknown op {args.op!r}", args.op)

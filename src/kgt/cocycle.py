@@ -151,16 +151,13 @@ class Cocycle:
         return self(la, mu).conj()
 
     def twist(self, m, n) -> Twist:
-        """c on every composable pair of degrees (m, n), indexed by the
-        composite path in paths(m+n); cached, like the pair memo, up to
-        total degree _MEMO_TOTAL_CAP."""
+        """c(split(la, m)) for each la in paths(m+n), in that order; cached,
+        like the pair memo, up to total degree _MEMO_TOTAL_CAP."""
         g = self.graph
         key = (dg.as_degree(m, g.k), dg.as_degree(n, g.k))
         hit = self._twists.get(key)
         if hit is None:
-            pm, pn = g.paths(key[0]), g.paths(key[1])
-            pre, suf = g.factor_indices(*key)
-            hit = Twist([self(pm[i], pn[j]) for i, j in zip(pre.tolist(), suf.tolist())])
+            hit = Twist([self(*g.split(la, key[0])) for la in g.paths(dg.add(*key))])
             if dg.total(key[0]) + dg.total(key[1]) <= _MEMO_TOTAL_CAP:
                 self._twists[key] = hit
         return hit

@@ -223,10 +223,10 @@ class KGraph:
         in this package already hold that set."""
         m = dg.as_degree(m, self.k)
         d = la.degree
-        if not dg.leq(m, d):
-            raise DegreeOutOfRange(f"{m} is not <= d({la!r}) = {d}", (la, m))
         n = tuple(a - b for a, b in zip(d, m))
-        pre, suf = self.factor_indices(m, n)
+        if min(n, default=0) < 0:
+            raise DegreeOutOfRange(f"{m} is not <= d({la!r}) = {d}", (la, m))
+        pre, suf = self._factor.get((m, n)) or self.factor_indices(m, n)
         i = self._index[d][la]
         return self._paths[m][pre[i]], self._paths[n][suf[i]]
 

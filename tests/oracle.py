@@ -1,0 +1,36 @@
+"""Factorization by the definition, independent of KGraph's cached tables.
+
+`split_by_squares` walks the squares of the skeleton one edge at a time, so
+tests can check KGraph.split, KGraph.factor_indices and everything built on
+them against it.
+"""
+
+from kgt import degrees as dg
+from kgt.kgraph import Path
+
+
+def _pull_front(g, seq, color):
+    """Move the first color-`color` edge to position 0 through squares."""
+    seq = list(seq)
+    idx = next(j for j, ident in enumerate(seq) if g.edge(ident).color == color)
+    while idx > 0:
+        seq[idx - 1], seq[idx] = g.skeleton.squares[(seq[idx - 1], seq[idx])]
+        idx -= 1
+    return seq
+
+
+def split_by_squares(g, la, m):
+    """The definition of la = mu.nu with d(mu) = m: pull the first edge of
+    the lowest color m needs to the front through the squares, then split
+    the rest."""
+    m = dg.as_degree(m, g.k)
+    if not any(m):
+        return g.vertex_path(la.range), la
+    if m == la.degree:
+        return la, g.vertex_path(la.source)
+    i = next(c for c in range(1, g.k + 1) if m[c - 1] > 0)
+    seq = _pull_front(g, la.edges, i)
+    head = g.edge(seq[0])
+    rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
+    mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
+    return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu

@@ -173,7 +173,17 @@ def _validate_with(edit):
             id="crossed-action-entry-not-object",
         ),
         pytest.param(_build_with("crossed", json.dumps({"action": _SWAP, "cap": "x"})), id="crossed-cap-not-list"),
+        pytest.param(
+            _build_with("crossed", json.dumps({"action": _SWAP, "cap": [2.9]})), id="crossed-cap-float"
+        ),
+        pytest.param(
+            _build_with("crossed", json.dumps({"action": _SWAP, "cap": [-1]})), id="crossed-cap-negative"
+        ),
+        pytest.param(_build_with("skew", '{"group": true, "labels": {}}'), id="skew-group-bool"),
         pytest.param(_validate_with(lambda d: d.update(k="x")), id="k-not-int"),
+        pytest.param(_validate_with(lambda d: d.update(k=1.5)), id="k-float"),
+        pytest.param(_validate_with(lambda d: d.update(k="1")), id="k-numeric-string"),
+        pytest.param(_validate_with(lambda d: d["edges"][0].update(color=True)), id="color-bool"),
         pytest.param(_validate_with(lambda d: d["edges"][0].update(color="x")), id="color-not-int"),
         pytest.param(_validate_with(lambda d: d.update(edges=5)), id="edges-not-list"),
         pytest.param(_validate_with(lambda d: d["squares"][0].update(first=5)), id="square-side-not-list"),

@@ -1,7 +1,8 @@
 """The array form of check_cocycle and tabulate against the per-triple loop.
 
 `check_by_triples` and `tabulate_by_split` are the definitions: they walk
-every composable triple (pair) and call the cocycle on it; (C2) holds by
+every composable triple (pair), factored through the squares by
+`oracle.split_by_squares`, and call the cocycle on it; (C2) holds by
 construction, so there is no pair loop for it.  The library
 checks the same identities on cached twist tables; every report field,
 including the first failing triple and its Phase values, must agree.
@@ -35,6 +36,7 @@ from kgt.fock import FockSpace
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import ONE, Phase, format_angle
 from kgt.verify import SuiteConfig, default_instances, random_cocycle, random_kgraph
+from oracle import split_by_squares
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -55,8 +57,8 @@ def check_by_triples(c, cap, tol=1e-9):
     for total in dg.degrees_upto(cap):
         for m, n, p in dg.splits(total, 3):
             for la in g.paths(total):
-                l1, rest = g.split(la, m)
-                l2, l3 = g.split(rest, n)
+                l1, rest = split_by_squares(g, la, m)
+                l2, l3 = split_by_squares(g, rest, n)
                 lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
                 rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
                 rep.triples_checked += 1
@@ -82,7 +84,7 @@ def tabulate_by_split(c, cap):
             if not any(m) or not any(n):
                 continue
             for la in g.paths(total):
-                mu, nu = g.split(la, m)
+                mu, nu = split_by_squares(g, la, m)
                 out[(mu.edges, nu.edges)] = c(mu, nu)
     return out
 
@@ -326,7 +328,7 @@ def test_factor_indices_are_cached_read_only_arrays():
     pre, suf = SV.factor_indices((1, 0), (1, 1))
     assert pre.dtype == suf.dtype == np.intp
     pm, pn = SV.paths((1, 0)), SV.paths((1, 1))
-    assert [SV.split(la, (1, 0)) for la in SV.paths((2, 1))] == [
+    assert [split_by_squares(SV, la, (1, 0)) for la in SV.paths((2, 1))] == [
         (pm[i], pn[j]) for i, j in zip(pre, suf)
     ]
     again = SV.factor_indices([1, 0], [1, 1])

@@ -15,7 +15,6 @@ from kgt.errors import (
     UnknownFixture,
 )
 from kgt.kgraph import (
-    Path,
     builtin_fixtures,
     fixture_f1,
     fixture_f2,
@@ -25,6 +24,7 @@ from kgt.kgraph import (
     validate_skeleton,
 )
 from kgt.verify import builtin_suite_graphs, random_kgraph
+from oracle import split_by_squares
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -212,33 +212,6 @@ def test_factorization_unique_by_enumeration():
         total = g.paths(dg.add(dg.as_degree(m, g.k), dg.as_degree(n, g.k)))
         assert set(hits) == set(total)
         assert all(len(v) == 1 for v in hits.values())
-
-
-def _pull_front(g, seq, color):
-    """Move the first color-`color` edge to position 0 through squares."""
-    seq = list(seq)
-    idx = next(j for j, ident in enumerate(seq) if g.edge(ident).color == color)
-    while idx > 0:
-        seq[idx - 1], seq[idx] = g.skeleton.squares[(seq[idx - 1], seq[idx])]
-        idx -= 1
-    return seq
-
-
-def split_by_squares(g, la, m):
-    """The definition of la = mu.nu with d(mu) = m: pull the first edge of
-    the lowest color m needs to the front through the squares, then split
-    the rest."""
-    m = dg.as_degree(m, g.k)
-    if not any(m):
-        return g.vertex_path(la.range), la
-    if m == la.degree:
-        return la, g.vertex_path(la.source)
-    i = next(c for c in range(1, g.k + 1) if m[c - 1] > 0)
-    seq = _pull_front(g, la.edges, i)
-    head = g.edge(seq[0])
-    rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
-    mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
-    return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu
 
 
 def _oracle_graphs():
