@@ -46,7 +46,6 @@ except KgtError as exc:
 # source-freeness and growth of the path spaces
 ok, witness = g.is_source_free()
 print("\nsource-free:", ok)
-report = g.properness([(1, 0), (0, 1), (2, 2)])
-print("proper:", report.proper)
-for key, count in sorted(report.fibers.items()):
-    print("  paths into", key[0], "of degree", key[1], "->", count)
+for n in [(1, 0), (0, 1), (2, 2)]:
+    for v, ix in sorted(g.by_range(n).items()):
+        print("  paths into", v, "of degree", n, "->", len(ix))

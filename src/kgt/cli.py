@@ -7,7 +7,8 @@ reports.  Documents are JSON; angles travel as exact "p/q turn" strings when
 possible and float radians otherwise.
 
 Exit codes: 0 all good, 1 a check failed, 2 parse or usage trouble
-(malformed input included, from every subcommand), 3 a validation
+(malformed input included, from every subcommand, and a `fock` truncation
+whose dense operators would pass fock.MAX_OP_BYTES), 3 a validation
 counterexample, printed on a `counterexample:` line when the error names
 one, 4 an unknown suite selector.  The subcommands raise; `main` alone maps
 an error to its exit code, through _EXIT_CODES.
@@ -49,7 +50,7 @@ from .constructions import (
     cyclic_group,
     skew_product,
 )
-from .errors import KgtError, MalformedSkeleton, ParseError, UnknownCheck
+from .errors import FockSpaceTooLarge, KgtError, MalformedSkeleton, ParseError, UnknownCheck
 from .fock import (
     FockSpace,
     ck_relations_check,
@@ -647,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # error type -> exit code; the first match wins
-_EXIT_CODES = ((UnknownCheck, 4), (ParseError, 2), (MalformedSkeleton, 2), (KgtError, 3))
+_EXIT_CODES = ((UnknownCheck, 4), (ParseError, 2), (MalformedSkeleton, 2), (FockSpaceTooLarge, 2), (KgtError, 3))
 
 
 def main(argv=None) -> int:

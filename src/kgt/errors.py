@@ -95,3 +95,7 @@ class UnknownCheck(KgtError):
 
 class ParseError(KgtError):
     """A document failed to parse or validate against its schema."""
+
+
+class FockSpaceTooLarge(KgtError):
+    """One dense operator on the requested Fock space would exceed the byte limit."""

@@ -14,6 +14,8 @@ with weight one over the base.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import degrees as dg
@@ -23,6 +25,7 @@ from .errors import (
     DegreeMismatch,
     DegreeNotDominated,
     DepthOverflow,
+    FockSpaceTooLarge,
 )
 from .kgraph import KGraph
 from .xmod import (
@@ -49,9 +52,58 @@ from .ymod import (
     y_tmul,
 )
 
+# The most bytes one dense operator may take: 256 MiB, dimension 4,096.
+MAX_OP_BYTES = 256 * 2**20
+# Path counts saturate here, far above any dimension under MAX_OP_BYTES.
+_COUNT_CAP = 2**62
+
+
+def _counted_dim(graph: KGraph, N, base) -> int:
+    """The sum of |Lambda^(base+n)| over n <= N, without enumerating a path.
+
+    With A_i the color-i adjacency matrix, |Lambda^n| is the sum of the
+    entries of A_1^n_1 ... A_k^n_k, and unique factorization makes the A_i
+    commute, so the sum over n <= N factors color by color.  Every count
+    saturates at _COUNT_CAP: the entries are nonnegative, so a result under
+    the cap is exact.
+    """
+    at = {v: j for j, v in enumerate(graph.vertices)}
+    adj = [np.zeros((len(at), len(at)), dtype=object) for _ in range(graph.k)]
+    for e in graph.all_edges:
+        adj[e.color - 1][at[e.source], at[e.range]] += 1
+    row = np.ones(len(at), dtype=object)
+    for A, b in zip(adj, base):
+        for _ in range(b):
+            row = np.minimum(row @ A, _COUNT_CAP)
+    for A, n in zip(adj, N):
+        total, term = row, row
+        for _ in range(n):
+            if sum(total) >= _COUNT_CAP:
+                break
+            term = np.minimum(term @ A, _COUNT_CAP)
+            total = np.minimum(total + term, _COUNT_CAP)
+        row = total
+    return min(int(sum(row)), _COUNT_CAP)
+
+
+class _Plan(NamedTuple):
+    """One creation's entries over every block pair, concatenated."""
+
+    flat: np.ndarray  # target row * dim + source column
+    gather: np.ndarray  # index into the coefficient vector
+    twist_at: np.ndarray  # index into the concatenated twist values
+    block: np.ndarray  # position in qs of the entry's source block
+    qs: tuple  # the source blocks q with q + d <= N, in order
+    pads: tuple  # zeros as long as each block's twist table
+
 
 class FockSpace:
-    """Direct sum of the degree-n stages for n <= N, in graded lex order."""
+    """Direct sum of the degree-n stages for n <= N, in graded lex order.
+
+    The space is refused before any path is enumerated when one dense
+    operator on it would take more than MAX_OP_BYTES.  Creation operators
+    read one cached plan per shift (per shift and cylinder depth for Y).
+    """
 
     def __init__(self, graph: KGraph, N, system: str = "X", depth=None):
         if system not in ("X", "Y"):
@@ -67,6 +119,14 @@ class FockSpace:
                 raise DegreeNotDominated(f"depth {self.D} must dominate {self.N}", None)
         else:
             self.D = None
+        dim = _counted_dim(graph, self.N, self.block_depth(dg.zero(graph.k)))
+        if 16 * dim * dim > MAX_OP_BYTES:
+            at_least = " or more" if dim == _COUNT_CAP else ""
+            raise FockSpaceTooLarge(
+                f"a dense operator on this Fock space (dim {dim}{at_least}) takes"
+                f" {16 * dim * dim} bytes{at_least}, over the limit of {MAX_OP_BYTES} bytes",
+                (dim, 16 * dim * dim, MAX_OP_BYTES),
+            )
         self.blocks = dg.degrees_upto(self.N)
         self._pos = {n: i for i, n in enumerate(self.blocks)}
         self._offsets = []
@@ -81,6 +141,9 @@ class FockSpace:
         self._deg = np.zeros((at, graph.k), dtype=int)
         for n in self.blocks:
             self._deg[self.block_slice(n)] = n
+        self._block = np.repeat(np.arange(len(self.blocks)), self._sizes)
+        self._interior: dict[dg.Degree, np.ndarray] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     def block_depth(self, n):
         n = dg.as_degree(n, self.graph.k)
@@ -100,11 +163,58 @@ class FockSpace:
         return tuple(out)
 
     def interior_mask(self, d) -> np.ndarray:
+        """Read-only boolean mask of the coordinates in blocks of degree <= N - d; cached."""
         d = dg.as_degree(d, self.graph.k)
-        if not dg.leq(d, self.N):
-            raise DegreeExceedsTruncation(f"{d} exceeds the truncation {self.N}", d)
-        top = dg.sub(self.N, d)
-        return np.all(self._deg <= np.asarray(top), axis=1)
+        mask = self._interior.get(d)
+        if mask is None:
+            if not dg.leq(d, self.N):
+                raise DegreeExceedsTruncation(f"{d} exceeds the truncation {self.N}", d)
+            mask = np.all(self._deg <= np.asarray(dg.sub(self.N, d)), axis=1)
+            mask.flags.writeable = False
+            self._interior[d] = mask
+        return mask
+
+    def _target_blocks(self, shift) -> np.ndarray:
+        """Per coordinate, the position of the block its degree plus shift
+        lands in, or -1 outside the space."""
+        pos = [self._pos.get(tuple(a + b for a, b in zip(n, shift)), -1) for n in self.blocks]
+        return np.repeat(np.asarray(pos, dtype=np.intp), self._sizes)
+
+    def _creation_plan(self, d, depth=None) -> "_Plan":
+        """The entries of a degree-d creation, for every block pair (q, q+d)
+        with q + d <= N, concatenated; cached per (d, depth).  `depth` is the
+        cylinder depth of the coefficients in the Y model, None in X."""
+        plan = self._plans.get((d, depth))
+        if plan is not None:
+            return plan
+        g = self.graph
+        flat, gather, twist_at, block, qs, pads = [], [], [], [], [], []
+        at = 0
+        for q in self.blocks:
+            t = dg.add(q, d)
+            if not dg.leq(t, self.N):
+                continue
+            if self.system == "X":
+                pre, suf = g.factor_indices(d, q)
+                coeff, tw = pre, np.arange(len(pre))
+            else:
+                # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
+                Dt = self.block_depth(t)
+                _, suf = g.factor_indices(d, self.block_depth(q))
+                coeff = g.factor_indices(depth, dg.sub(Dt, depth))[0]
+                tw = g.factor_indices(t, dg.sub(Dt, t))[0]
+            rows = self.block_slice(t).start + np.arange(len(suf))
+            flat.append(rows * self.dim + self.block_slice(q).start + suf)
+            gather.append(coeff)
+            twist_at.append(at + tw)
+            block.append(np.full(len(suf), len(qs)))
+            qs.append(q)
+            size = len(g.paths(t))  # the length of the (d, q) twist table
+            pads.append(np.zeros(size, dtype=np.complex128))
+            at += size
+        arrays = [np.concatenate(parts).astype(np.intp) for parts in (flat, gather, twist_at, block)]
+        plan = self._plans[(d, depth)] = _Plan(*arrays, tuple(qs), tuple(pads))
+        return plan
 
     def embed(self, n, coeffs) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.complex128)
@@ -128,8 +238,7 @@ class FockOp:
         if self.matrix.shape != (space.dim, space.dim):
             raise DegreeMismatch(f"matrix shape {self.matrix.shape}, expected {space.dim}", None)
         if require_block:
-            want = space._deg[None, :, :] + np.asarray(self.shift)
-            ok = np.all(space._deg[:, None, :] == want, axis=2)
+            ok = space._block[:, None] == space._target_blocks(self.shift)[None, :]
             if np.any(np.abs(self.matrix[~ok]) > 1e-12):
                 raise ValueError(f"matrix entries leave the shift-{self.shift} blocks")
 
@@ -179,11 +288,11 @@ class FockOp:
 
     def close(self, other: "FockOp", tol: float = 1e-9) -> bool:
         self._same(other)
-        return bool(np.allclose(self.matrix, other.matrix, atol=tol, rtol=0.0))
+        return _close(self.matrix, other.matrix, tol)
 
     def close_on_interior(self, other: "FockOp", d, tol: float = 1e-9) -> bool:
         self._same(other)
-        return bool(np.allclose(self.on_interior(d), other.on_interior(d), atol=tol, rtol=0.0))
+        return _close(self.on_interior(d), other.on_interior(d), tol)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
@@ -213,33 +322,45 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """np.allclose(a, b, atol=tol, rtol=0.0), skipping isclose when every
+    difference is plainly within tol; NaN and infinities take the slow path."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, and fails the test
+        if (np.abs(a - b) <= tol).all():
+            return True
+    return bool(np.allclose(a, b, atol=tol, rtol=0.0))
+
+
+def _create(space: FockSpace, c: Cocycle, d, plan: _Plan, coeffs: np.ndarray) -> FockOp:
+    """The creation read off `plan`: one gather, one scatter.  The cocycle is
+    asked only for blocks that hold a nonzero coefficient."""
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    w = coeffs[plan.gather]
+    (i,) = np.nonzero(w)
+    if i.size:
+        hit = np.zeros(len(plan.qs), dtype=bool)
+        hit[plan.block[i]] = True
+        tw = np.concatenate(
+            [c.twist(d, q).values if h else pad for q, h, pad in zip(plan.qs, hit.tolist(), plan.pads)]
+        )
+        M.reshape(-1)[plan.flat[i]] = _times(tw[plan.twist_at[i]], w[i])
+    return FockOp(space, d, M, require_block=False)
+
+
 def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
     """Left twisted multiplication by f, compressed at the truncation boundary."""
     if space.system != "X":
         raise ValueError("creation_x needs the finite-path model")
-    g = space.graph
     d = f.degree
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
-    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for q in space.blocks:
-        t = dg.add(q, d)
-        if not dg.leq(t, space.N):
-            continue
-        pre, suf = g.factor_indices(d, q)
-        w = f.coeffs[pre]
-        (i,) = np.nonzero(w)
-        if i.size:
-            tw = c.twist(d, q).values[i]
-            M[space.block_slice(t).start + i, space.block_slice(q).start + suf[i]] = _times(tw, w[i])
-    return FockOp(space, d, M, require_block=False)
+    return _create(space, c, d, space._creation_plan(d), f.coeffs)
 
 
 def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
     """Left twisted multiplication by h on the cylinder blocks."""
     if space.system != "Y":
         raise ValueError("creation_y needs the cylinder model")
-    g = space.graph
     d = h.module_degree
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
@@ -247,22 +368,7 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
         raise DepthOverflow(
             f"depth {h.depth} cannot act within working depth {space.D}", (h.depth, space.D)
         )
-    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for q in space.blocks:
-        t = dg.add(q, d)
-        if not dg.leq(t, space.N):
-            continue
-        Dt = space.block_depth(t)
-        _, suf = g.factor_indices(d, space.block_depth(q))
-        pre_h, _ = g.factor_indices(h.depth, dg.sub(Dt, h.depth))
-        w = h.coeffs[pre_h]
-        (i,) = np.nonzero(w)
-        if i.size:
-            # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
-            pre, _ = g.factor_indices(dg.add(d, q), dg.sub(Dt, dg.add(d, q)))
-            tw = c.twist(d, q).values[pre[i]]
-            M[space.block_slice(t).start + i, space.block_slice(q).start + suf[i]] = _times(tw, w[i])
-    return FockOp(space, d, M, require_block=False)
+    return _create(space, c, d, space._creation_plan(d, h.depth), h.coeffs)
 
 
 def _creation(space: FockSpace, c: Cocycle, x) -> FockOp:
@@ -354,14 +460,17 @@ def rep_axioms_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: 
                 rep.first_failure = ("linearity", n, None)
                 return rep
 
+    right = []  # (a, creation by a) per vertex indicator a
+    for v in range(len(g.vertices)):
+        a = VertexFn(g, np.eye(len(g.vertices))[v])
+        a0 = XElem(g, zero, a.values) if space.system == "X" else CylElem.from_vertex_fn(a)
+        right.append((a, _creation(space, c, a0)))
     for n in space.blocks:
         for i, x in enumerate(elems[n][:pair_cap]):
-            for v in range(len(g.vertices)):
-                a = VertexFn(g, np.eye(len(g.vertices))[v])
+            for v, (a, ca) in enumerate(right):
                 xa = _right(space, c, x, a)
-                a0 = XElem(g, zero, a.values) if space.system == "X" else CylElem.from_vertex_fn(a)
                 rep.cases_checked += 1
-                if not _creation(space, c, xa).close(cre[n][i] @ _creation(space, c, a0), tol):
+                if not _creation(space, c, xa).close(cre[n][i] @ ca, tol):
                     rep.ok = False
                     rep.first_failure = ("right-action", (n, i, g.vertices[v]), None)
                     return rep
@@ -481,7 +590,7 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
                 rep.cases_checked += 1
                 got = sgen[mu] @ sgen[nu]
                 want = complex(c(mu, nu)) * sgen[la]
-                if not np.allclose(got.on_interior(m), want.on_interior(m), atol=tol, rtol=0.0):
+                if not _close(got.on_interior(m), want.on_interior(m), tol):
                     rep.ok = False
                     rep.first_failure = ("compose", (mu, nu), None)
                     return rep
@@ -499,14 +608,14 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
             la = g.paths(n)[i]
             total = total + sgen[la] @ sgen[la].adjoint()
         rep.cases_checked += 1
-        if not np.allclose(total.matrix[up], svtx[v].matrix[up], atol=tol, rtol=0.0):
+        if not _close(total.matrix[up], svtx[v].matrix[up], tol):
             rep.ok = False
             rep.first_failure = ("ck-sum", v, None)
             return rep
         defect = svtx[v].matrix - total.matrix
         want = svtx[v].matrix * np.outer(low, low)
         rep.cases_checked += 1
-        if not np.allclose(defect, want, atol=tol, rtol=0.0):
+        if not _close(defect, want, tol):
             rep.ok = False
             rep.first_failure = ("defect-shape", v, None)
             return rep
@@ -655,7 +764,7 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
         got = assembled(seed)
         want = space.embed(n, np.eye(len(g.paths(depth)))[g.path_index(depth)[la]])
         rep.cases_checked += 1
-        if not np.allclose(got, want, atol=tol, rtol=0.0):
+        if not _close(got, want, tol):
             rep.ok = False
             rep.first_failure = ("vector", la, None)
             return rep

@@ -275,15 +275,6 @@ class KGraph:
                     return False, (v, i)
         return True, None
 
-    def properness(self, degree_list) -> "PropernessReport":
-        """Row-finiteness is automatic for finite graphs; report fiber sizes."""
-        fibers = {}
-        for n in degree_list:
-            n = dg.as_degree(n, self.k)
-            for v, ix in self.by_range(n).items():
-                fibers[(v, n)] = len(ix)
-        return PropernessReport(True, fibers)
-
     def is_s_section(self, U) -> bool:
         """True iff the source map is injective on the path set U."""
         U = set(U)
@@ -312,12 +303,6 @@ class KGraph:
             if w.range == v.source
         }
         return tuple(sorted(extU & extV, key=Path.sort_key))
-
-
-@dataclass(frozen=True)
-class PropernessReport:
-    proper: bool
-    fibers: dict
 
 
 _VALIDATED = object()

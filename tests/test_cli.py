@@ -349,3 +349,15 @@ def test_fock_y_relations_pass(files):
     g = write("f1.json", _f1_doc())
     c = write("c.json", _ctheta_doc())
     assert main(["fock", g, c, "--system", "Y", "--N", "1,1", "--D", "2,2"]) == 0
+
+
+def test_fock_oversized_truncation_exits_2(files, capsys):
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    assert main(["fock", g, c, "--N", "1"]) == 0
+    capsys.readouterr()
+    # 2 * 5001 coordinates: 1.6 GB per dense operator
+    assert main(["fock", g, c, "--N", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FockSpaceTooLarge:") and "10002" in err

@@ -16,7 +16,7 @@ from kgt import degrees as dg
 from kgt.cocycle import c_theta, from_table, tabulate
 from kgt.errors import CapTooSmallForRequestedDegree
 from kgt.fock import FockSpace, creation_x, creation_y
-from kgt.kgraph import fixture_f1
+from kgt.kgraph import fixture_f1, omega
 from kgt.phases import Phase
 from kgt.verify import SuiteConfig, default_instances
 from kgt.xmod import XElem
@@ -108,7 +108,15 @@ def test_creation_x_matches_entries():
         for n in space.blocks:
             for coeffs in coefficient_vectors(len(g.paths(n)), rng):
                 f = XElem(g, n, coeffs)
-                assert same_bits(creation_x(space, c, f).matrix, creation_x_by_entries(space, c, f)), inst.label
+                want = creation_x_by_entries(space, c, f)
+                for _ in range(2):  # the second call reads the cached plan
+                    assert same_bits(creation_x(space, c, f).matrix, want), inst.label
+
+
+def cylinder_depths(space, n):
+    """Every depth between the module degree n and the block depth of n."""
+    top = space.block_depth(n)
+    return [p for p in dg.degrees_upto(top) if dg.leq(n, p)]
 
 
 def test_creation_y_matches_entries():
@@ -117,10 +125,12 @@ def test_creation_y_matches_entries():
         g, c = inst.graph, inst.cocycle
         space = FockSpace(g, (1,) * g.k, "Y", depth=(2,) * g.k if g.k < 3 else (1,) * g.k)
         for n in space.blocks:
-            depth = space.block_depth(n)
-            for coeffs in coefficient_vectors(len(g.paths(depth)), rng):
-                h = CylElem(g, n, depth, coeffs)
-                assert same_bits(creation_y(space, c, h).matrix, creation_y_by_entries(space, c, h)), inst.label
+            for depth in cylinder_depths(space, n):
+                for coeffs in coefficient_vectors(len(g.paths(depth)), rng):
+                    h = CylElem(g, n, depth, coeffs)
+                    want = creation_y_by_entries(space, c, h)
+                    for _ in range(2):  # the second call reads the cached plan
+                        assert same_bits(creation_y(space, c, h).matrix, want), (inst.label, n, depth)
 
 
 def test_y_tmul_and_y_iota_twists_match_entries():
@@ -168,3 +178,43 @@ def test_short_table_fails_alike():
             build(yspace, c, h)
     zero = CylElem.zeros(F1, h.module_degree, h.depth)
     assert not creation_y(yspace, c, zero).matrix.any()
+
+
+def raised(build, *args):
+    """(type, message) of the error build(*args) raises, or None."""
+    try:
+        build(*args)
+    except CapTooSmallForRequestedDegree as err:
+        return type(err), str(err)
+    return None
+
+
+def test_short_table_on_a_graph_with_sources():
+    """On omega(2, (1, 1)) a coefficient vector can miss the blocks whose
+    twist lies beyond the table, and then no error is raised."""
+    g = omega(2, (1, 1))
+    c = from_table(g, tabulate(c_theta(g, Phase.from_turns(Fraction(1, 8))), (1, 0)), (1, 0))
+    outcomes = set()
+    for N, D in (((1, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1))):
+        space = FockSpace(g, N, "Y", depth=D)
+        for n in space.blocks:
+            for depth in cylinder_depths(space, n):
+                size = len(g.paths(depth))
+                for coeffs in [*np.eye(size, dtype=np.complex128), np.ones(size, dtype=np.complex128)]:
+                    h = CylElem(g, n, depth, coeffs)
+                    err = raised(creation_y_by_entries, space, c, h)
+                    for _ in range(2):  # the second call reads the cached plan
+                        assert raised(creation_y, space, c, h) == err, (N, n, depth, coeffs)
+                        if err is None:
+                            assert same_bits(creation_y(space, c, h).matrix, creation_y_by_entries(space, c, h))
+                    outcomes.add(err is None)
+    xspace = FockSpace(g, (1, 1), "X")
+    for n in xspace.blocks:
+        size = len(g.paths(n))
+        for coeffs in [*np.eye(size, dtype=np.complex128), np.ones(size, dtype=np.complex128)]:
+            f = XElem(g, n, coeffs)
+            err = raised(creation_x_by_entries, xspace, c, f)
+            for _ in range(2):
+                assert raised(creation_x, xspace, c, f) == err, (n, coeffs)
+            outcomes.add(err is None)
+    assert outcomes == {True, False}  # both outcomes are exercised

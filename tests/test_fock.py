@@ -1,12 +1,18 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt import builtin_fixtures
+from kgt import degrees as dg
+from kgt import fock
 from kgt.cocycle import Cocycle, c_theta, trivial_cocycle
-from kgt.errors import DegreeExceedsTruncation, DepthOverflow
+from kgt.errors import DegreeExceedsTruncation, DepthOverflow, FockSpaceTooLarge
 from kgt.fock import (
+    MAX_OP_BYTES,
     FockOp,
     FockSpace,
     ck_relations_check,
@@ -20,7 +26,9 @@ from kgt.fock import (
     rep_axioms_check,
     zeta_surjectivity_check,
 )
+from kgt.kgraph import omega, single_vertex
 from kgt.phases import ONE, Phase
+from kgt.verify import SuiteConfig, default_instances
 from kgt.xmod import VertexFn, XElem, x_theta
 from kgt.ymod import CylElem, alpha, alpha_k
 
@@ -198,3 +206,127 @@ def test_zeta_surjectivity_fixtures():
     Fy2 = FockSpace(F2, (2,), "Y", (4,))
     rep = zeta_surjectivity_check(Fy2, trivial_cocycle(F2), (2,))
     assert rep.ok, rep.first_failure
+
+
+# -- comparisons -------------------------------------------------------------
+
+SPACES = {
+    "f1-x": lambda: FockSpace(F1, (2, 2)),
+    "f2-y": lambda: FockSpace(F2, (2,), "Y", (3,)),
+    # no path of degree (2, 0), so every block and every interior is empty
+    "empty": lambda: FockSpace(omega(2, (1, 1)), (0, 0), "Y", (2, 0)),
+}
+
+
+def inject(rng, a, b, count, tol):
+    """Put NaN, infinities (equal and not), signed zeros, differences of
+    exactly tol and just over it at random entries of a and b."""
+    for _ in range(count if a.size else 0):
+        r, s = (int(x) for x in rng.integers(0, a.shape[0], size=2))
+        kind = int(rng.integers(0, 8))
+        if kind == 0:
+            (a if rng.random() < 0.5 else b)[r, s] = complex(np.nan, rng.normal())
+        elif kind == 1:
+            a[r, s] = b[r, s] = rng.choice([np.inf, -np.inf, 1j * np.inf])
+        elif kind == 2:
+            a[r, s], b[r, s] = np.inf, -np.inf
+        elif kind == 3:
+            (a if rng.random() < 0.5 else b)[r, s] = np.inf
+        elif kind == 4:
+            a[r, s], b[r, s] = complex(-0.0, -0.0), 0.0
+        elif kind == 5:
+            a[r, s], b[r, s] = 0.0, rng.choice([tol, -tol, 1j * tol])
+        elif kind == 6:
+            a[r, s], b[r, s] = 0.0, np.nextafter(tol, np.inf)
+        else:
+            a[r, s], b[r, s] = 1.0, 1.0 + tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPACES)),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([0.0, 1e-9, 0.25, 1.0]),
+    count=st.integers(0, 4),
+    noise=st.sampled_from([0.0, 1e-12, 1e-3]),
+)
+def test_close_agrees_with_allclose(name, seed, tol, count, noise):
+    space = SPACES[name]()
+    rng = np.random.default_rng(seed)
+    shape = (space.dim, space.dim)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = a + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    inject(rng, a, b, count, tol)
+    A = FockOp(space, (0,) * space.graph.k, a, require_block=False)
+    B = FockOp(space, (0,) * space.graph.k, b, require_block=False)
+    assert A.close(B, tol) == bool(np.allclose(a, b, atol=tol, rtol=0.0))
+    degrees = [n for n, _ in space.basis()]
+    for d in space.blocks:
+        mask = np.array([dg.leq(n, dg.sub(space.N, d)) for n in degrees], dtype=bool).reshape(-1)
+        want = bool(np.allclose(a[:, mask], b[:, mask], atol=tol, rtol=0.0))
+        assert A.close_on_interior(B, d, tol) == want
+        assert np.array_equal(space.interior_mask(d), mask)
+
+
+def test_interior_mask_is_cached_read_only():
+    F = FockSpace(F1, (2, 2))
+    mask = F.interior_mask((1, 0))
+    assert F.interior_mask([1, 0]) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(DegreeExceedsTruncation):
+        F.interior_mask((3, 0))
+
+
+# -- the byte limit ----------------------------------------------------------
+
+
+def test_oversized_space_is_refused_before_allocating():
+    g = single_vertex(2, (3, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FockSpaceTooLarge) as err:
+            FockSpace(g, (4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    dim = 121 * 121  # (1 + 3 + 9 + 27 + 81)^2 paths of degree <= (4, 4)
+    assert err.value.witness == (dim, 16 * dim * dim, MAX_OP_BYTES)
+    assert str(dim) in str(err.value) and str(MAX_OP_BYTES) in str(err.value)
+    # Y counts its deeper blocks: 729 + 2 * 2187 + 6561 = 11664 coordinates
+    with pytest.raises(FockSpaceTooLarge) as err:
+        FockSpace(g, (1, 1), "Y", (4, 4))
+    assert err.value.witness[0] == 11664
+
+
+def test_byte_limit_boundary(monkeypatch):
+    monkeypatch.setattr(fock, "MAX_OP_BYTES", 16 * 9 * 9)
+    assert FockSpace(F1, (2, 2)).dim == 9
+    monkeypatch.setattr(fock, "MAX_OP_BYTES", 16 * 9 * 9 - 1)
+    with pytest.raises(FockSpaceTooLarge):
+        FockSpace(F1, (2, 2))
+
+
+def test_counted_dim_matches_the_layout():
+    """The dimension counted from adjacency matrices equals the enumerated one."""
+    graphs = [F1, F2, omega(2, (1, 1)), omega(2, (2, 1)), single_vertex(2, (2, 3))]
+    graphs += [inst.graph for inst in default_instances(SuiteConfig(seed=0, cocycles=1))]
+    for g in graphs:
+        for N in dg.degrees_upto(g.clip((2,) * min(g.k, 2) + (1,) * max(g.k - 2, 0))):
+            x = FockSpace(g, N)
+            assert fock._counted_dim(g, N, x.block_depth(dg.zero(g.k))) == x.dim
+            D = g.clip(dg.add(N, (1,) * g.k))
+            y = FockSpace(g, N, "Y", D)
+            assert fock._counted_dim(g, N, y.block_depth(dg.zero(g.k))) == y.dim
+
+
+def test_require_block_mask_follows_the_shift():
+    F = FockSpace(F1, (2, 2))
+    c = c_theta(F1, Phase.exact_radians(1))
+    op = creation_x(F, c, delta_x(F1, (1, 0), "e"))
+    FockOp(F, (1, 0), op.matrix)
+    FockOp(F, (-1, 0), op.adjoint().matrix)
+    with pytest.raises(ValueError):
+        FockOp(F, (0, 1), op.matrix)
+    with pytest.raises(ValueError):
+        FockOp(F, (1, 0), op.adjoint().matrix)

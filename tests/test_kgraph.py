@@ -259,11 +259,16 @@ def test_lattice_fixture_is_not_source_free():
     assert color in (1, 2)
 
 
-def test_properness_counts():
-    rep = F2.properness([(3,)])
-    assert rep.proper
-    assert rep.fibers[("u", (3,))] == 1
-    assert rep.fibers[("v", (3,))] == 1
+def test_unit_fiber_counts():
+    """|v.Lambda^n| read off by_range: one path of each length into each
+    vertex of the two-cycle, and the edge count of each color into each
+    vertex of omega(2, (1, 1)), which has sources."""
+    assert {v: len(ix) for v, ix in F2.by_range((3,)).items()} == {"u": 1, "v": 1}
+    g = omega(2, (1, 1))
+    for i in (1, 2):
+        into = {v: sum(e.range == v and e.color == i for e in g.all_edges) for v in g.vertices}
+        assert {v: len(ix) for v, ix in g.by_range(dg.unit(2, i)).items()} == into
+        assert sorted(into.values()) == [0, 0, 1, 1]
 
 
 def test_vee_mce_on_f1():
