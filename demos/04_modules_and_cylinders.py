@@ -31,7 +31,7 @@ ip = x_inner(de, de)
 print("\n<delta_e, delta_e> as a vertex function:", ip.values)
 a = VertexFn.indicator(g, "*")
 print("left action of the vertex indicator:", x_act(a, de, side="left").coeffs)
-print("phi(a) at degree (1,1):", phi_x(a, (1, 1), g).matrix.real)
+print("phi(a) at degree (1,1):", phi_x(a, (1, 1)).matrix.real)
 
 # cylinder model: the same element viewed at two depths
 h = CylElem.delta(g, g.paths((1, 0))[0])

@@ -58,6 +58,7 @@ from .fock import (
     creation_x,
     creation_y,
     psi_check,
+    relation_degrees,
     rep_axioms_check,
 )
 from .kgraph import KGraph, Path, make_skeleton, validate_skeleton
@@ -254,10 +255,11 @@ def _coboundary_from_params(g: KGraph, params: dict) -> Cocycle:
                     out = out * form[i][j] ** (la.degree[i] * la.degree[j])
         return out
 
-    return Coboundary(g, b, name="coboundary").delta()
+    exact = all(p.is_exact for p in label.values()) and all(p.is_exact for row in form for p in row)
+    return Coboundary(g, b, name="coboundary").delta(EXACT if exact else FLOAT)
 
 
-def load_cocycle(doc, g: KGraph, check_cap=None) -> Cocycle:
+def load_cocycle(doc, g: KGraph) -> Cocycle:
     """Build a cocycle document against g; the pair/triple laws are checked
     on loading (table documents within their stored cap)."""
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -315,8 +317,7 @@ def load_cocycle(doc, g: KGraph, check_cap=None) -> Cocycle:
         raise ParseError(
             f"cocycle document: unknown builtin {name!r}; know {_BUILTIN_COCYCLES}", name
         )
-    cap = check_cap if check_cap is not None else g.clip((2,) * g.k)
-    rep = check_cocycle(c, cap)
+    rep = check_cocycle(c, g.clip((2,) * g.k))
     if not rep.ok:
         raise ParseError(f"cocycle fails the pair/triple laws: {rep.first_failure!r}", rep.first_failure)
     return c
@@ -546,7 +547,7 @@ def cmd_fock(args) -> int:
             "schema": FOCK_SCHEMA,
             "system": space.system,
             "N": list(space.N),
-            "D": list(space.D) if space.D is not None else None,
+            "D": list(space.D) if space.system == "Y" else None,
             "dim": space.dim,
             "basis": basis,
             "operators": ops,
@@ -560,10 +561,7 @@ def cmd_fock(args) -> int:
     lines.append(f"{'ok' if rep.ok else 'FAIL'} representation axioms ({rep.cases_checked} cases)")
     failed = failed or not rep.ok
     if space.system == "X":
-        degrees = [dg.unit(g.k, i) for i in range(1, g.k + 1) if dg.leq(dg.unit(g.k, i), space.N)]
-        if any(space.N):
-            degrees.append(space.N)
-        for n in degrees:
+        for n in relation_degrees(space.N):
             rep = ck_relations_check(space, c, n, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} generator relations at degree {n}")
             failed = failed or not rep.ok

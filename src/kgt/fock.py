@@ -1,11 +1,12 @@
 """Truncated Fock models for the finite-path system X and the cylinder system Y.
 
-The space is a direct sum of degree blocks n <= N.  For X the block n carries
-coordinates over Lambda^n; for Y it carries depth-(D-N+n) cylinder coordinates,
-so that creation by a depth-minimal element of degree d sends the block-n stage
-exactly onto the block-(n+d) stage.  Identities that survive truncation do so
-on interior(d), the span of blocks of degree <= N-d; everything asserted here
-is asserted at that compression, and defects are reported rather than dropped.
+The space is a direct sum of degree blocks n <= N.  For Y the block n carries
+depth-(D-N+n) cylinder coordinates; X is the same layout at D = N, so its
+block n carries coordinates over Lambda^n.  Creation by a depth-minimal
+element of degree d sends the block-n stage exactly onto the block-(n+d)
+stage.  Identities that survive truncation do so on interior(d), the span of
+blocks of degree <= N-d; everything asserted here is asserted at that
+compression, and defects are reported rather than dropped.
 
 Adjoints are plain conjugate transposes: each block's pairing is the counting
 l2 product of coefficient vectors, which is the module inner product summed
@@ -33,6 +34,7 @@ from .xmod import (
     VertexFn,
     XElem,
     XOp,
+    arrays_close,
     phi_x_decompose,
     x_act,
     x_compact_align,
@@ -102,7 +104,8 @@ class FockSpace:
 
     The space is refused before any path is enumerated when one dense
     operator on it would take more than MAX_OP_BYTES.  Creation operators
-    read one cached plan per shift (per shift and cylinder depth for Y).
+    read one cached plan per shift and coefficient depth.  In X the working
+    depth D is N.
     """
 
     def __init__(self, graph: KGraph, N, system: str = "X", depth=None):
@@ -111,14 +114,13 @@ class FockSpace:
         self.graph = graph
         self.system = system
         self.N = dg.as_degree(N, graph.k)
-        if system == "Y":
-            if depth is None:
-                raise ValueError("the cylinder model needs a working depth")
-            self.D = dg.as_degree(depth, graph.k)
-            if not dg.leq(self.N, self.D):
-                raise DegreeNotDominated(f"depth {self.D} must dominate {self.N}", None)
-        else:
-            self.D = None
+        if system == "X":
+            depth = self.N
+        elif depth is None:
+            raise ValueError("the cylinder model needs a working depth")
+        self.D = dg.as_degree(depth, graph.k)
+        if not dg.leq(self.N, self.D):
+            raise DegreeNotDominated(f"depth {self.D} must dominate {self.N}", None)
         dim = _counted_dim(graph, self.N, self.block_depth(dg.zero(graph.k)))
         if 16 * dim * dim > MAX_OP_BYTES:
             at_least = " or more" if dim == _COUNT_CAP else ""
@@ -146,10 +148,7 @@ class FockSpace:
         self._plans: dict[tuple, _Plan] = {}
 
     def block_depth(self, n):
-        n = dg.as_degree(n, self.graph.k)
-        if self.system == "X":
-            return n
-        return dg.add(dg.sub(self.D, self.N), n)
+        return dg.add(dg.sub(self.D, self.N), dg.as_degree(n, self.graph.k))
 
     def block_slice(self, n) -> slice:
         i = self._pos[dg.as_degree(n, self.graph.k)]
@@ -180,10 +179,11 @@ class FockSpace:
         pos = [self._pos.get(tuple(a + b for a, b in zip(n, shift)), -1) for n in self.blocks]
         return np.repeat(np.asarray(pos, dtype=np.intp), self._sizes)
 
-    def _creation_plan(self, d, depth=None) -> "_Plan":
-        """The entries of a degree-d creation, for every block pair (q, q+d)
-        with q + d <= N, concatenated; cached per (d, depth).  `depth` is the
-        cylinder depth of the coefficients in the Y model, None in X."""
+    def _creation_plan(self, d, depth) -> "_Plan":
+        """The entries of a degree-d creation by coefficients of cylinder
+        depth `depth`, for every block pair (q, q+d) with q + d <= N,
+        concatenated; cached per (d, depth).  An X creation reads the plan
+        at depth d: with D = N, factor_indices(t, 0)[0] is the identity."""
         plan = self._plans.get((d, depth))
         if plan is not None:
             return plan
@@ -194,15 +194,11 @@ class FockSpace:
             t = dg.add(q, d)
             if not dg.leq(t, self.N):
                 continue
-            if self.system == "X":
-                pre, suf = g.factor_indices(d, q)
-                coeff, tw = pre, np.arange(len(pre))
-            else:
-                # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
-                Dt = self.block_depth(t)
-                _, suf = g.factor_indices(d, self.block_depth(q))
-                coeff = g.factor_indices(depth, dg.sub(Dt, depth))[0]
-                tw = g.factor_indices(t, dg.sub(Dt, t))[0]
+            # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
+            Dt = self.block_depth(t)
+            _, suf = g.factor_indices(d, self.block_depth(q))
+            coeff = g.factor_indices(depth, dg.sub(Dt, depth))[0]
+            tw = g.factor_indices(t, dg.sub(Dt, t))[0]
             rows = self.block_slice(t).start + np.arange(len(suf))
             flat.append(rows * self.dim + self.block_slice(q).start + suf)
             gather.append(coeff)
@@ -288,11 +284,11 @@ class FockOp:
 
     def close(self, other: "FockOp", tol: float = 1e-9) -> bool:
         self._same(other)
-        return _close(self.matrix, other.matrix, tol)
+        return arrays_close(self.matrix, other.matrix, tol)
 
     def close_on_interior(self, other: "FockOp", d, tol: float = 1e-9) -> bool:
         self._same(other)
-        return _close(self.on_interior(d), other.on_interior(d), tol)
+        return arrays_close(self.on_interior(d), other.on_interior(d), tol)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
@@ -322,15 +318,6 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """np.allclose(a, b, atol=tol, rtol=0.0), skipping isclose when every
-    difference is plainly within tol; NaN and infinities take the slow path."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, and fails the test
-        if (np.abs(a - b) <= tol).all():
-            return True
-    return bool(np.allclose(a, b, atol=tol, rtol=0.0))
-
-
 def _create(space: FockSpace, c: Cocycle, d, plan: _Plan, coeffs: np.ndarray) -> FockOp:
     """The creation read off `plan`: one gather, one scatter.  The cocycle is
     asked only for blocks that hold a nonzero coefficient."""
@@ -354,7 +341,7 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
     d = f.degree
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
-    return _create(space, c, d, space._creation_plan(d), f.coeffs)
+    return _create(space, c, d, space._creation_plan(d, d), f.coeffs)
 
 
 def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
@@ -410,6 +397,16 @@ def fock_compacts_y(space: FockSpace, c: Cocycle, S) -> FockOp:
 
 
 # -- relation suites ---------------------------------------------------------
+
+
+def relation_degrees(N) -> list:
+    """The degrees the generator relations are checked at in a truncation at
+    N: the unit degrees <= N, then N itself when it is nonzero and no unit."""
+    k = len(N)
+    out = [dg.unit(k, i) for i in range(1, k + 1) if dg.leq(dg.unit(k, i), N)]
+    if any(N) and N not in out:
+        out.append(N)
+    return out
 
 
 def _block_elems(space: FockSpace, n):
@@ -590,7 +587,7 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
                 rep.cases_checked += 1
                 got = sgen[mu] @ sgen[nu]
                 want = complex(c(mu, nu)) * sgen[la]
-                if not _close(got.on_interior(m), want.on_interior(m), tol):
+                if not arrays_close(got.on_interior(m), want.on_interior(m), tol):
                     rep.ok = False
                     rep.first_failure = ("compose", (mu, nu), None)
                     return rep
@@ -608,14 +605,14 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
             la = g.paths(n)[i]
             total = total + sgen[la] @ sgen[la].adjoint()
         rep.cases_checked += 1
-        if not _close(total.matrix[up], svtx[v].matrix[up], tol):
+        if not arrays_close(total.matrix[up], svtx[v].matrix[up], tol):
             rep.ok = False
             rep.first_failure = ("ck-sum", v, None)
             return rep
         defect = svtx[v].matrix - total.matrix
         want = svtx[v].matrix * np.outer(low, low)
         rep.cases_checked += 1
-        if not _close(defect, want, tol):
+        if not arrays_close(defect, want, tol):
             rep.ok = False
             rep.first_failure = ("defect-shape", v, None)
             return rep
@@ -628,22 +625,19 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     return rep
 
 
-def psi_check(space: FockSpace, c: Cocycle, cap=None, tol: float = 1e-9, pair_cap: int = 32) -> ModuleReport:
+def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 32) -> ModuleReport:
     """The canonical maps X_n -> L(F_Y) form a representation whose compacts
     factor through the cylinder compacts, and are injective blockwise."""
     if space.system != "Y":
         raise ValueError("psi_check runs on the cylinder model")
     g = space.graph
-    cap = space.N if cap is None else dg.as_degree(cap, g.k)
-    if not dg.leq(cap, space.N):
-        raise DegreeExceedsTruncation(f"cap {cap} exceeds {space.N}", cap)
     rep = ModuleReport(True)
-    degrees = dg.degrees_upto(cap)
+    degrees = dg.degrees_upto(space.N)
     psi = {m: _delta_creations(space, c, m) for m in degrees}
 
     for m in degrees:
         for n in degrees:
-            if not dg.leq(dg.add(m, n), cap):
+            if not dg.leq(dg.add(m, n), space.N):
                 continue
             pairs = 0
             for i, la in enumerate(g.paths(m)):
@@ -700,12 +694,7 @@ def psi_check(space: FockSpace, c: Cocycle, cap=None, tol: float = 1e-9, pair_ca
             j1 = g.path_index(n)[mu1]
             j2 = g.path_index(n)[mu2]
             lhs = (psi[m][i1] @ psi[m][i2].adjoint()) @ (psi[n][j1] @ psi[n][j2].adjoint())
-            aligned = x_compact_align(c, S, T)
-            rhs = FockOp.zeros(space)
-            ops = _delta_creations(space, c, aligned.degree)
-            for (r, s), w in np.ndenumerate(aligned.matrix):
-                if w != 0:
-                    rhs = rhs + w * (ops[r] @ ops[s].adjoint())
+            rhs = fock_compacts_x(space, c, x_compact_align(c, S, T))
             rep.cases_checked += 1
             if not lhs.close_on_interior(rhs, dg.join(m, n), tol):
                 rep.ok = False
@@ -764,7 +753,7 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
         got = assembled(seed)
         want = space.embed(n, np.eye(len(g.paths(depth)))[g.path_index(depth)[la]])
         rep.cases_checked += 1
-        if not _close(got, want, tol):
+        if not arrays_close(got, want, tol):
             rep.ok = False
             rep.first_failure = ("vector", la, None)
             return rep

@@ -27,7 +27,7 @@ from .errors import (
     NotSectionDecomposable,
 )
 from .kgraph import KGraph, Path
-from .xmod import ModuleReport, VertexFn, XElem, XOp
+from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close
 
 
 class CylElem:
@@ -102,7 +102,7 @@ class CylElem:
 
     def close(self, other: "CylElem", tol: float = 1e-9) -> bool:
         a, b = self._common(other)
-        return bool(np.allclose(a.coeffs, b.coeffs, atol=tol, rtol=0.0))
+        return arrays_close(a.coeffs, b.coeffs, tol)
 
     def sup_norm(self) -> float:
         """Sup of |f|; exact because every prefix extends (source-free model)."""
@@ -269,7 +269,7 @@ class YOp:
 
     def close(self, other: "YOp", tol: float = 1e-9) -> bool:
         a, b = self._common(other)
-        return bool(np.allclose(a.matrix, b.matrix, atol=tol, rtol=0.0))
+        return arrays_close(a.matrix, b.matrix, tol)
 
     def __repr__(self) -> str:
         return f"YOp(deg {self.module_degree}, depth {self.depth}, {self.matrix.shape[0]}x{self.matrix.shape[0]})"

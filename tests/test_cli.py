@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_graph_doc
-from kgt.cocycle import c_theta
+from kgt.cocycle import EXACT, FLOAT, c_theta
 from kgt.constructions import cartesian
 from kgt.errors import ParseError
 from kgt.kgraph import fixture_f1, fixture_f2, validate_skeleton
@@ -83,6 +83,20 @@ def test_coboundary_builtin_loads_and_is_exact():
     }
     c = load_cocycle(doc, fixture_f2())
     assert c.mode == "exact-angle"
+
+
+def test_coboundary_builtin_with_float_angles_loads_as_float(files):
+    _, write = files
+    g = write("f1.json", _f1_doc())
+    doc = {"kind": "builtin", "name": "coboundary", "params": {"edge_phases": {"e": 0.3, "f": 1.1}}}
+    c = write("cob.json", doc)
+    assert main(["check", g, c, "--suite", "def-3.1"]) == 0
+    assert load_cocycle(doc, fixture_f1()).mode == FLOAT
+    angles = [["1/8 turn", 0.7], ["0 turn", "1/4 turn"]]
+    form = {"kind": "builtin", "name": "coboundary", "params": {"degree_form": angles}}
+    assert load_cocycle(form, fixture_f1()).mode == FLOAT
+    doc["params"]["edge_phases"] = {"e": "1/3 turn", "f": "1/5 turn"}
+    assert load_cocycle(doc, fixture_f1()).mode == EXACT
 
 
 # -- validate ----------------------------------------------------------------
@@ -349,6 +363,21 @@ def test_fock_y_relations_pass(files):
     g = write("f1.json", _f1_doc())
     c = write("c.json", _ctheta_doc())
     assert main(["fock", g, c, "--system", "Y", "--N", "1,1", "--D", "2,2"]) == 0
+
+
+def test_relations_are_checked_once_per_degree(files, capsys):
+    _, write = files
+    f1 = write("f1.json", _f1_doc())
+    f2 = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    cases = ((f2, "1", ["(1,)"]), (f2, "2", ["(1,)", "(2,)"]), (f1, "1,1", ["(1, 0)", "(0, 1)", "(1, 1)"]))
+    for g, N, want in cases:
+        assert main(["fock", g, c, "--N", N]) == 0
+        lines = [x for x in capsys.readouterr().out.splitlines() if "generator relations" in x]
+        assert lines == [f"ok generator relations at degree {n}" for n in want]
+    # at the zero truncation no unit degree fits, so there is no relation to check
+    assert main(["check", f2, c, "--cap", "0", "--suite", "def-4.4"]) == 0
+    assert "1 passed, 0 failed" in capsys.readouterr().out
 
 
 def test_fock_oversized_truncation_exits_2(files, capsys):

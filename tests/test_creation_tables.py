@@ -20,7 +20,7 @@ from kgt.kgraph import fixture_f1, omega
 from kgt.phases import Phase
 from kgt.verify import SuiteConfig, default_instances
 from kgt.xmod import XElem
-from kgt.ymod import CylElem, YOp, y_iota, y_tmul
+from kgt.ymod import CylElem, YOp, alpha, y_iota, y_tmul
 
 F1 = fixture_f1()
 
@@ -111,6 +111,23 @@ def test_creation_x_matches_entries():
                 want = creation_x_by_entries(space, c, f)
                 for _ in range(2):  # the second call reads the cached plan
                     assert same_bits(creation_x(space, c, f).matrix, want), inst.label
+
+
+def test_x_creation_is_the_cylinder_creation_at_depth_n():
+    """The X model is the Y model at working depth D = N: creation by f in
+    X_d equals creation by alpha(d, d, f), bit for bit, over the default
+    battery."""
+    rng = np.random.default_rng(2)
+    for inst in default_instances(SuiteConfig(degree_entry_cap=1)):
+        g, c = inst.graph, inst.cocycle
+        N = (1,) * g.k
+        sx, sy = FockSpace(g, N, "X"), FockSpace(g, N, "Y", depth=N)
+        assert sx.basis() == sy.basis(), inst.label
+        for d in sx.blocks:
+            for coeffs in coefficient_vectors(len(g.paths(d)), rng):
+                f = XElem(g, d, coeffs)
+                got = creation_x(sx, c, f).matrix
+                assert same_bits(got, creation_y(sy, c, alpha(d, d, f)).matrix), (inst.label, d)
 
 
 def cylinder_depths(space, n):

@@ -29,8 +29,8 @@ from kgt.fock import (
 from kgt.kgraph import omega, single_vertex
 from kgt.phases import ONE, Phase
 from kgt.verify import SuiteConfig, default_instances
-from kgt.xmod import VertexFn, XElem, x_theta
-from kgt.ymod import CylElem, alpha, alpha_k
+from kgt.xmod import VertexFn, XElem, XOp, arrays_close, x_theta
+from kgt.ymod import CylElem, YOp, alpha, alpha_k
 
 F1 = builtin_fixtures("f1")
 F2 = builtin_fixtures("f2")
@@ -222,50 +222,83 @@ def inject(rng, a, b, count, tol):
     """Put NaN, infinities (equal and not), signed zeros, differences of
     exactly tol and just over it at random entries of a and b."""
     for _ in range(count if a.size else 0):
-        r, s = (int(x) for x in rng.integers(0, a.shape[0], size=2))
+        at = tuple(int(x) for x in rng.integers(0, a.shape[0], size=a.ndim))
         kind = int(rng.integers(0, 8))
         if kind == 0:
-            (a if rng.random() < 0.5 else b)[r, s] = complex(np.nan, rng.normal())
+            (a if rng.random() < 0.5 else b)[at] = complex(np.nan, rng.normal())
         elif kind == 1:
-            a[r, s] = b[r, s] = rng.choice([np.inf, -np.inf, 1j * np.inf])
+            a[at] = b[at] = rng.choice([np.inf, -np.inf, 1j * np.inf])
         elif kind == 2:
-            a[r, s], b[r, s] = np.inf, -np.inf
+            a[at], b[at] = np.inf, -np.inf
         elif kind == 3:
-            (a if rng.random() < 0.5 else b)[r, s] = np.inf
+            (a if rng.random() < 0.5 else b)[at] = np.inf
         elif kind == 4:
-            a[r, s], b[r, s] = complex(-0.0, -0.0), 0.0
+            a[at], b[at] = complex(-0.0, -0.0), 0.0
         elif kind == 5:
-            a[r, s], b[r, s] = 0.0, rng.choice([tol, -tol, 1j * tol])
+            a[at], b[at] = 0.0, rng.choice([tol, -tol, 1j * tol])
         elif kind == 6:
-            a[r, s], b[r, s] = 0.0, np.nextafter(tol, np.inf)
+            a[at], b[at] = 0.0, np.nextafter(tol, np.inf)
         else:
-            a[r, s], b[r, s] = 1.0, 1.0 + tol
+            a[at], b[at] = 1.0, 1.0 + tol
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    name=st.sampled_from(sorted(SPACES)),
+def noisy_pair(rng, shape, noise, count, tol):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = a + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    inject(rng, a, b, count, tol)
+    return a, b
+
+
+def allclose(a, b, tol):
+    return bool(np.allclose(a, b, atol=tol, rtol=0.0))
+
+
+CLOSE_ARGS = dict(
     seed=st.integers(0, 2**32 - 1),
     tol=st.sampled_from([0.0, 1e-9, 0.25, 1.0]),
     count=st.integers(0, 4),
     noise=st.sampled_from([0.0, 1e-12, 1e-3]),
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(SPACES)), **CLOSE_ARGS)
 def test_close_agrees_with_allclose(name, seed, tol, count, noise):
     space = SPACES[name]()
     rng = np.random.default_rng(seed)
-    shape = (space.dim, space.dim)
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    b = a + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    inject(rng, a, b, count, tol)
+    a, b = noisy_pair(rng, (space.dim, space.dim), noise, count, tol)
     A = FockOp(space, (0,) * space.graph.k, a, require_block=False)
     B = FockOp(space, (0,) * space.graph.k, b, require_block=False)
-    assert A.close(B, tol) == bool(np.allclose(a, b, atol=tol, rtol=0.0))
+    assert arrays_close(a, b, tol) == allclose(a, b, tol)
+    assert A.close(B, tol) == allclose(a, b, tol)
     degrees = [n for n, _ in space.basis()]
     for d in space.blocks:
         mask = np.array([dg.leq(n, dg.sub(space.N, d)) for n in degrees], dtype=bool).reshape(-1)
-        want = bool(np.allclose(a[:, mask], b[:, mask], atol=tol, rtol=0.0))
+        want = allclose(a[:, mask], b[:, mask], tol)
         assert A.close_on_interior(B, d, tol) == want
         assert np.array_equal(space.interior_mask(d), mask)
+
+
+SV = single_vertex(2, (2, 1))  # two paths of degree (1, 1), one source block
+
+
+@settings(max_examples=80, deadline=None)
+@given(**CLOSE_ARGS)
+def test_module_close_agrees_with_allclose(seed, tol, count, noise):
+    rng = np.random.default_rng(seed)
+    n = (1, 1)
+    size = len(SV.paths(n))
+    a, b = noisy_pair(rng, (size,), noise, count, tol)
+    want = allclose(a, b, tol)
+    assert arrays_close(a, b, tol) == want
+    assert XElem(SV, n, a).close(XElem(SV, n, b), tol) == want
+    assert CylElem(SV, n, n, a).close(CylElem(SV, n, n, b), tol) == want
+    a, b = noisy_pair(rng, (size, size), noise, count, tol)
+    want = allclose(a, b, tol)
+    assert arrays_close(a, b, tol) == want
+    assert XOp(SV, n, a, require_block=False).close(XOp(SV, n, b, require_block=False), tol) == want
+    Ya, Yb = YOp(SV, n, n, a, require_block=False), YOp(SV, n, n, b, require_block=False)
+    assert Ya.close(Yb, tol) == want
 
 
 def test_interior_mask_is_cached_read_only():

@@ -36,7 +36,7 @@ def tolist_document(g_path, c_path, N, system="X", D=None):
         "schema": "kgt-fock/1",
         "system": space.system,
         "N": list(space.N),
-        "D": list(space.D) if space.D is not None else None,
+        "D": list(space.D) if space.system == "Y" else None,
         "dim": space.dim,
         "basis": [
             {"index": i, "degree": list(n), "path": _path_str(p), "depth": list(space.block_depth(n))}
