@@ -17,7 +17,7 @@ from kgt.kgraph import fixture_f1, fixture_f2
 from kgt.xmod import XElem
 
 g = fixture_f1()
-sp = FockSpace(g, (2, 2), "X")
+sp = FockSpace(g, (2, 2))
 print("Fock space over the one-vertex rank-2 graph, cap (2,2): dim", sp.dim)
 print("basis blocks:", {n: sp.block_slice(n) for n in [(0, 0), (1, 0), (1, 1)]})
 
@@ -37,7 +37,7 @@ print("gauge-fixed relations at (1,1):", ck_relations_check(sp, c, (1, 1)).ok)
 
 # same machinery on a graph with two vertices: creations track sources
 g2 = fixture_f2()
-sp2 = FockSpace(g2, (3,), "X")
+sp2 = FockSpace(g2, (3,))
 s = creation_x(sp2, trivial_cocycle(g2), XElem.delta(g2, g2.edge_path("a")))
 print("\ntwo-cycle graph, creation by the edge a:")
 print(np.array2string(s.matrix.real, precision=0))

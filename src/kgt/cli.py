@@ -56,7 +56,6 @@ from .fock import (
     ck_relations_check,
     cp_identity_check,
     creation_x,
-    creation_y,
     psi_check,
     relation_degrees,
     rep_axioms_check,
@@ -65,7 +64,6 @@ from .kgraph import KGraph, Path, make_skeleton, validate_skeleton
 from .phases import Phase, format_angle, parse_angle, product
 from .verify import Instance, SuiteConfig, run_suite
 from .xmod import VertexFn, XElem
-from .ymod import CylElem
 
 REPORT_SCHEMA = "kgt-report/1"
 FOCK_SCHEMA = "kgt-fock/1"
@@ -476,19 +474,10 @@ def _creations(space: FockSpace, c: Cocycle):
     out = []
     for i, v in enumerate(g.vertices):
         f = XElem(g, dg.zero(g.k), np.eye(len(g.vertices))[i])
-        if space.system == "X":
-            out.append((f"vertex:{v}", creation_x(space, c, f)))
-        else:
-            out.append((f"vertex:{v}", creation_y(space, c, CylElem.delta(g, g.vertex_path(v)))))
+        out.append((f"vertex:{v}", creation_x(space, c, f)))
     for e in g.all_edges:
-        n = dg.unit(g.k, e.color)
-        if not dg.leq(n, space.N):
-            continue
-        p = g.edge_path(e.ident)
-        if space.system == "X":
-            out.append((f"edge:{e.ident}", creation_x(space, c, XElem.delta(g, p))))
-        else:
-            out.append((f"edge:{e.ident}", creation_y(space, c, CylElem.delta(g, p))))
+        if dg.leq(dg.unit(g.k, e.color), space.N):
+            out.append((f"edge:{e.ident}", creation_x(space, c, XElem.delta(g, g.edge_path(e.ident)))))
     return out
 
 
@@ -524,7 +513,7 @@ def cmd_fock(args) -> int:
     if args.system == "Y" and args.D is None:
         raise ParseError("--system Y needs --D", args.D)
     D = _parse_degree(args.D, g.k) if args.D is not None else None
-    space = FockSpace(g, N, args.system, depth=D)
+    space = FockSpace(g, N, depth=D if args.system == "Y" else None)
 
     if args.emit == "matrices":
         basis = [
@@ -545,9 +534,9 @@ def cmd_fock(args) -> int:
         ]
         doc = {
             "schema": FOCK_SCHEMA,
-            "system": space.system,
+            "system": args.system,
             "N": list(space.N),
-            "D": list(space.D) if space.system == "Y" else None,
+            "D": list(space.D) if args.system == "Y" else None,
             "dim": space.dim,
             "basis": basis,
             "operators": ops,
@@ -557,10 +546,10 @@ def cmd_fock(args) -> int:
 
     lines = []
     failed = False
-    rep = rep_axioms_check(space, c, tol=args.tolerance)
+    rep = rep_axioms_check(space, c, tol=args.tolerance, system=args.system)
     lines.append(f"{'ok' if rep.ok else 'FAIL'} representation axioms ({rep.cases_checked} cases)")
     failed = failed or not rep.ok
-    if space.system == "X":
+    if args.system == "X":
         for n in relation_degrees(space.N):
             rep = ck_relations_check(space, c, n, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} generator relations at degree {n}")

@@ -147,9 +147,6 @@ class Cocycle:
                 self._memo[key] = hit
         return hit
 
-    def conj(self, la: Path, mu: Path) -> Phase:
-        return self(la, mu).conj()
-
     def twist(self, m, n) -> Twist:
         """c(split(la, m)) for each la in paths(m+n), in that order; cached,
         like the pair memo, up to total degree _MEMO_TOTAL_CAP."""
@@ -380,18 +377,15 @@ def tabulate(c: Cocycle, cap) -> dict:
 class Coboundary:
     """A path function b with b = 1 on vertices; delta() is its 2-coboundary."""
 
-    def __init__(self, graph: KGraph, values, name: str = "b"):
+    def __init__(self, graph: KGraph, fn, name: str = "b"):
         self.graph = graph
-        self._fn = values if callable(values) else None
-        self._table = None if callable(values) else dict(values)
+        self._fn = fn
         self.name = name
 
     def __call__(self, la: Path) -> Phase:
         if la.is_vertex:
             return ONE
-        if self._fn is not None:
-            return self._fn(la)
-        return self._table[la]
+        return self._fn(la)
 
     def delta(self, mode=EXACT) -> Cocycle:
         def ev(la: Path, mu: Path) -> Phase:

@@ -1,8 +1,10 @@
 """Truncated Fock models for the finite-path system X and the cylinder system Y.
 
-The space is a direct sum of degree blocks n <= N.  For Y the block n carries
-depth-(D-N+n) cylinder coordinates; X is the same layout at D = N, so its
-block n carries coordinates over Lambda^n.  Creation by a depth-minimal
+The space is a direct sum of degree blocks n <= N; the block n carries
+depth-(D-N+n) cylinder coordinates.  At the default working depth D = N this
+is the finite-path model of X, whose block n carries coordinates over
+Lambda^n; a deeper D is the cylinder model of Y, on which X still acts
+through creation_x, as NT(X) embeds in NT(Y).  Creation by a depth-minimal
 element of degree d sends the block-n stage exactly onto the block-(n+d)
 stage.  Identities that survive truncation do so on interior(d), the span of
 blocks of degree <= N-d; everything asserted here is asserted at that
@@ -102,23 +104,16 @@ class _Plan(NamedTuple):
 class FockSpace:
     """Direct sum of the degree-n stages for n <= N, in graded lex order.
 
-    The space is refused before any path is enumerated when one dense
-    operator on it would take more than MAX_OP_BYTES.  Creation operators
-    read one cached plan per shift and coefficient depth.  In X the working
-    depth D is N.
+    The working depth D defaults to N.  The space is refused before any path
+    is enumerated when one dense operator on it would take more than
+    MAX_OP_BYTES.  Creation operators read one cached plan per shift and
+    coefficient depth.
     """
 
-    def __init__(self, graph: KGraph, N, system: str = "X", depth=None):
-        if system not in ("X", "Y"):
-            raise ValueError(f"system must be 'X' or 'Y', got {system!r}")
+    def __init__(self, graph: KGraph, N, depth=None):
         self.graph = graph
-        self.system = system
         self.N = dg.as_degree(N, graph.k)
-        if system == "X":
-            depth = self.N
-        elif depth is None:
-            raise ValueError("the cylinder model needs a working depth")
-        self.D = dg.as_degree(depth, graph.k)
+        self.D = self.N if depth is None else dg.as_degree(depth, graph.k)
         if not dg.leq(self.N, self.D):
             raise DegreeNotDominated(f"depth {self.D} must dominate {self.N}", None)
         dim = _counted_dim(graph, self.N, self.block_depth(dg.zero(graph.k)))
@@ -183,7 +178,7 @@ class FockSpace:
         """The entries of a degree-d creation by coefficients of cylinder
         depth `depth`, for every block pair (q, q+d) with q + d <= N,
         concatenated; cached per (d, depth).  An X creation reads the plan
-        at depth d: with D = N, factor_indices(t, 0)[0] is the identity."""
+        at depth d."""
         plan = self._plans.get((d, depth))
         if plan is not None:
             return plan
@@ -218,8 +213,7 @@ class FockSpace:
         return out
 
     def __repr__(self) -> str:
-        tag = f", D={self.D}" if self.system == "Y" else ""
-        return f"FockSpace({self.system}, N={self.N}{tag}, dim={self.dim})"
+        return f"FockSpace(N={self.N}, D={self.D}, dim={self.dim})"
 
 
 class FockOp:
@@ -242,10 +236,6 @@ class FockOp:
     def zeros(cls, space: FockSpace, shift=None) -> "FockOp":
         shift = (0,) * space.graph.k if shift is None else shift
         return cls(space, shift, np.zeros((space.dim, space.dim)), require_block=False)
-
-    @classmethod
-    def identity(cls, space: FockSpace) -> "FockOp":
-        return cls(space, (0,) * space.graph.k, np.eye(space.dim), require_block=False)
 
     def _same(self, other: "FockOp") -> None:
         if self.space is not other.space:
@@ -335,9 +325,10 @@ def _create(space: FockSpace, c: Cocycle, d, plan: _Plan, coeffs: np.ndarray) ->
 
 
 def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
-    """Left twisted multiplication by f, compressed at the truncation boundary."""
-    if space.system != "X":
-        raise ValueError("creation_x needs the finite-path model")
+    """Left twisted multiplication by f, compressed at the truncation boundary.
+
+    On a space with D > N this is the canonical map X_d -> L(F_Y): f acts as
+    the cylinder alpha(d, d, f)."""
     d = f.degree
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
@@ -346,8 +337,6 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
 
 def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
     """Left twisted multiplication by h on the cylinder blocks."""
-    if space.system != "Y":
-        raise ValueError("creation_y needs the cylinder model")
     d = h.module_degree
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
@@ -359,16 +348,14 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
 
 
 def _creation(space: FockSpace, c: Cocycle, x) -> FockOp:
-    if space.system == "X":
+    if isinstance(x, XElem):
         return creation_x(space, c, x)
     return creation_y(space, c, x)
 
 
 def _delta_creations(space: FockSpace, c: Cocycle, n) -> list[FockOp]:
     g = space.graph
-    if space.system == "X":
-        return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]
-    return [creation_y(space, c, alpha(n, n, XElem.delta(g, la))) for la in g.paths(n)]
+    return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]
 
 
 def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
@@ -383,8 +370,6 @@ def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
 
 def fock_compacts_y(space: FockSpace, c: Cocycle, S) -> FockOp:
     """The image of an adjointable operator on Y_n: extend to every block above n."""
-    if space.system != "Y":
-        raise ValueError("fock_compacts_y needs the cylinder model")
     n = S.module_degree
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for q in space.blocks:
@@ -409,41 +394,46 @@ def relation_degrees(N) -> list:
     return out
 
 
-def _block_elems(space: FockSpace, n):
+def _block_elems(space: FockSpace, n, system: str):
     """Canonical point-mass module elements of degree n for relation checks."""
     g = space.graph
-    if space.system == "X":
+    if system == "X":
         return [XElem.delta(g, la) for la in g.paths(n)]
-    depth = space.block_depth(n)
-    return [CylElem.delta(g, la, n) for la in g.paths(depth)]
+    return [CylElem.delta(g, la, n) for la in g.paths(space.block_depth(n))]
 
 
-def _mul(space: FockSpace, c: Cocycle, x, y):
-    if space.system == "X":
+def _mul(c: Cocycle, x, y):
+    if isinstance(x, XElem):
         return x_tmul(c, x, y)
     return y_tmul(c, x, y)
 
 
-def _right(space: FockSpace, c: Cocycle, x, a: VertexFn):
-    if space.system == "X":
+def _right(c: Cocycle, x, a: VertexFn):
+    if isinstance(x, XElem):
         return x_act(a, x, "right")
     return y_tmul(c, x, CylElem.from_vertex_fn(a))
 
 
-def _inner0(space: FockSpace, x, y):
-    """The inner product as a degree-0 module element of the right kind."""
-    if space.system == "X":
-        ip = x_inner(x, y)
-        return XElem(space.graph, dg.zero(space.graph.k), ip.values)
+def _inner0(x, y):
+    """The inner product as a degree-0 module element of the same kind."""
+    if isinstance(x, XElem):
+        return XElem(x.graph, dg.zero(x.graph.k), x_inner(x, y).values)
     return y_inner(x, y)
 
 
-def rep_axioms_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 64) -> ModuleReport:
+def rep_axioms_check(
+    space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 64, system: str = "X"
+) -> ModuleReport:
     """Representation axioms on interior vectors: linearity, the right module
-    action, adjoint inner products, and multiplicativity across degrees."""
+    action, adjoint inner products, and multiplicativity across degrees.
+
+    `system` names the module the creations take: "X" (path functions of
+    degree n) or "Y" (cylinders of depth D-N+n in the fiber of degree n)."""
+    if system not in ("X", "Y"):
+        raise ValueError(f"system must be 'X' or 'Y', got {system!r}")
     g = space.graph
     rep = ModuleReport(True)
-    elems = {n: _block_elems(space, n) for n in space.blocks}
+    elems = {n: _block_elems(space, n, system) for n in space.blocks}
     cre = {n: [_creation(space, c, x) for x in elems[n]] for n in space.blocks}
     zero = dg.zero(g.k)
 
@@ -460,12 +450,12 @@ def rep_axioms_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: 
     right = []  # (a, creation by a) per vertex indicator a
     for v in range(len(g.vertices)):
         a = VertexFn(g, np.eye(len(g.vertices))[v])
-        a0 = XElem(g, zero, a.values) if space.system == "X" else CylElem.from_vertex_fn(a)
+        a0 = XElem(g, zero, a.values) if system == "X" else CylElem.from_vertex_fn(a)
         right.append((a, _creation(space, c, a0)))
     for n in space.blocks:
         for i, x in enumerate(elems[n][:pair_cap]):
             for v, (a, ca) in enumerate(right):
-                xa = _right(space, c, x, a)
+                xa = _right(c, x, a)
                 rep.cases_checked += 1
                 if not _creation(space, c, xa).close(cre[n][i] @ ca, tol):
                     rep.ok = False
@@ -480,7 +470,7 @@ def rep_axioms_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: 
                     break
                 pairs += 1
                 lhs = cre[n][i].adjoint() @ cre[n][j]
-                rhs = _creation(space, c, _inner0(space, elems[n][i], elems[n][j]))
+                rhs = _creation(space, c, _inner0(elems[n][i], elems[n][j]))
                 rep.cases_checked += 1
                 if not lhs.close_on_interior(rhs, n, tol):
                     rep.ok = False
@@ -499,7 +489,7 @@ def rep_axioms_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: 
                     pairs += 1
                     rep.cases_checked += 1
                     got = cre[m][i] @ cre[n][j]
-                    want = _creation(space, c, _mul(space, c, x, y))
+                    want = _creation(space, c, _mul(c, x, y))
                     if not got.close(want, tol):
                         rep.ok = False
                         rep.first_failure = ("multiplicativity", (m, n, i, j), None)
@@ -509,8 +499,6 @@ def rep_axioms_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: 
 
 def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) -> ModuleReport:
     """psi-hat(S) psi-hat(T) against psi-hat of the aligned compact product."""
-    if space.system != "X":
-        raise ValueError("nica_check runs on the finite-path model")
     m, n = S.degree, T.degree
     for d in (m, n):
         if not dg.leq(d, space.N):
@@ -527,14 +515,12 @@ def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) 
 def cp_identity_check(space: FockSpace, c: Cocycle, a: VertexFn, n, tol: float = 1e-9) -> ModuleReport:
     """The covariance defect of the finite-path compacts equals the defect of
     the cylinder compacts, on interior(n)."""
-    if space.system != "Y":
-        raise ValueError("cp_identity_check runs on the cylinder model")
     n = dg.as_degree(n, space.graph.k)
     psi0 = creation_y(space, c, CylElem.from_vertex_fn(a))
     lhs = FockOp.zeros(space)
-    for gi in phi_x_decompose(c, a, n):
-        ci = creation_y(space, c, alpha(n, n, gi))
-        cj = creation_y(space, c, alpha(n, n, gi.conj()))
+    for gi in phi_x_decompose(a, n):
+        ci = creation_x(space, c, gi)
+        cj = creation_x(space, c, gi.conj())
         lhs = lhs + ci @ cj.adjoint()
     lhs = lhs - psi0
     rhs = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n)) - psi0
@@ -553,8 +539,6 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     dominates n; the uncompressed defect is the projection onto the
     complementary low-degree corner, and is reported, not ignored.
     """
-    if space.system != "X":
-        raise ValueError("ck_relations_check runs on the finite-path model")
     g = space.graph
     n = dg.as_degree(n, g.k)
     if not dg.leq(n, space.N):
@@ -628,8 +612,6 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
 def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 32) -> ModuleReport:
     """The canonical maps X_n -> L(F_Y) form a representation whose compacts
     factor through the cylinder compacts, and are injective blockwise."""
-    if space.system != "Y":
-        raise ValueError("psi_check runs on the cylinder model")
     g = space.graph
     rep = ModuleReport(True)
     degrees = dg.degrees_upto(space.N)
@@ -647,7 +629,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
                     pairs += 1
                     rep.cases_checked += 1
                     prod = x_tmul(c, XElem.delta(g, la), XElem.delta(g, mu))
-                    want = creation_y(space, c, alpha(dg.add(m, n), dg.add(m, n), prod))
+                    want = creation_x(space, c, prod)
                     if not (psi[m][i] @ psi[n][j]).close(want, tol):
                         rep.ok = False
                         rep.first_failure = ("psi-multiplicative", (la, mu), None)
@@ -711,8 +693,6 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
     products minus the covariance defect; and compare with direct creation by
     the cylinder, both as operators on interior(n) and on a seed vector.
     """
-    if space.system != "Y":
-        raise ValueError("zeta_surjectivity_check runs on the cylinder model")
     g = space.graph
     n = dg.as_degree(n, g.k)
     if not dg.leq(n, space.N):
@@ -725,20 +705,20 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
         tail = alpha(dg.zero(g.k), p, dec.f_tilde)
 
         inner_sum = FockOp.zeros(space)
-        cf = creation_y(space, c, alpha(p, p, dec.f_tilde))
+        cf = creation_x(space, c, dec.f_tilde)
         for eta in dec.eta:
-            inner_sum = inner_sum + cf @ creation_y(space, c, alpha(p, p, eta)).adjoint()
+            inner_sum = inner_sum + cf @ creation_x(space, c, eta).adjoint()
 
         defect = FockOp.zeros(space)
-        for gi in phi_y_decompose(c, tail, p, tol):
-            ci = creation_y(space, c, alpha(p, p, gi))
-            cj = creation_y(space, c, alpha(p, p, gi.conj()))
+        for gi in phi_y_decompose(tail, p, tol):
+            ci = creation_x(space, c, gi)
+            cj = creation_x(space, c, gi.conj())
             defect = defect + ci @ cj.adjoint()
         defect = defect - creation_y(space, c, tail)
 
         assembled = FockOp.zeros(space, n)
         for xi in dec.xi:
-            cxi = creation_y(space, c, alpha(n, n, xi))
+            cxi = creation_x(space, c, xi)
             assembled = assembled + cxi @ (inner_sum - defect)
 
         target = creation_y(space, c, CylElem.delta(g, la, n))

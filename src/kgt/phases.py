@@ -144,9 +144,14 @@ def product(phases) -> Phase:
 
 
 def parse_angle(text) -> Phase:
-    """Parse the wire format: 'p/q' (or 'p/q turn') exactly, else float radians."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return Phase.from_radians(float(text))
+    """Parse the wire format: 'p/q' (or 'p/q turn') exactly, else float radians.
+
+    A string holding an integer is whole turns; an integer number is exact
+    radians, as cocycle.as_phase reads it; any other number is float radians."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Phase.exact_radians(text)
+    if isinstance(text, float):
+        return Phase.from_radians(text)
     s = str(text).strip()
     try:
         if s.endswith("turn"):

@@ -300,7 +300,7 @@ def x_iota(c: Cocycle, S: XOp, n) -> XOp:
     return XOp(g, n, out)
 
 
-def phi_x_decompose(c: Cocycle, a: VertexFn, n) -> list[XElem]:
+def phi_x_decompose(a: VertexFn, n) -> list[XElem]:
     """Elements g_i with phi_x(a, n) = sum_i Theta_{g_i, conj(g_i)}.
 
     Uses the finest partition: one singleton per path whose range carries

@@ -206,12 +206,6 @@ class YOp:
                 raise ValueError("matrix mixes tails; not an adjointable operator on this fiber")
 
     @classmethod
-    def identity(cls, graph: KGraph, module_degree, depth=None) -> "YOp":
-        module_degree = dg.as_degree(module_degree, graph.k)
-        depth = module_degree if depth is None else dg.as_degree(depth, graph.k)
-        return cls(graph, module_degree, depth, np.eye(len(graph.paths(depth))))
-
-    @classmethod
     def zeros(cls, graph: KGraph, module_degree, depth=None) -> "YOp":
         module_degree = dg.as_degree(module_degree, graph.k)
         depth = module_degree if depth is None else dg.as_degree(depth, graph.k)
@@ -329,7 +323,7 @@ def y_iota(c: Cocycle, S: YOp, n) -> YOp:
 # -- section decompositions --------------------------------------------------
 
 
-def phi_y_decompose(c: Cocycle, a: CylElem, n, tol: float = 1e-9) -> list[XElem]:
+def phi_y_decompose(a: CylElem, n, tol: float = 1e-9) -> list[XElem]:
     """Elements g_i of X_D with phi_y(a, n) = sum Theta_{alpha(g_i), alpha(conj g_i)}.
 
     Finest partition: one complex-square-root singleton per supported depth-D

@@ -335,7 +335,7 @@ def test_rotation_commutation_smoke():
             z = fe[i] / ef[i]
             assert abs(z - complex(ph)) <= 1e-12
 
-            sp = FockSpace(f1, (2, 2), "X")
+            sp = FockSpace(f1, (2, 2))
             se = creation_x(sp, c, pe)
             sf = creation_x(sp, c, pf)
             assert (sf @ se).close_on_interior(complex(ph) * (se @ sf), (1, 1), 1e-12)
@@ -366,7 +366,7 @@ def test_creation_model_and_covariance():
         for g, c in _model_fixtures(depth_scale=4):
             N = (2,) * g.k
             D = (4,) * g.k
-            sp = FockSpace(g, N, "Y", depth=D)
+            sp = FockSpace(g, N, depth=D)
             rep = psi_check(sp, c)
             assert rep.ok, (c.name, rep.first_failure)
             for v in g.vertices:
@@ -387,7 +387,7 @@ def test_cylinder_reconstruction():
             (f2, bicharacter_cocycle(f2, [[_turn(1, 3)]]), (2,), (4,)),
         ]
         for g, c, N, D in cases:
-            sp = FockSpace(g, N, "Y", depth=D)
+            sp = FockSpace(g, N, depth=D)
             for n in dg.degrees_upto(N):
                 rep = zeta_surjectivity_check(sp, c, n)
                 assert rep.ok, (c.name, n, rep.first_failure)

@@ -10,7 +10,7 @@ from kgt.cocycle import EXACT, FLOAT, c_theta
 from kgt.constructions import cartesian
 from kgt.errors import ParseError
 from kgt.kgraph import fixture_f1, fixture_f2, validate_skeleton
-from kgt.phases import Phase
+from kgt.phases import Phase, parse_angle
 
 
 @pytest.fixture
@@ -97,6 +97,22 @@ def test_coboundary_builtin_with_float_angles_loads_as_float(files):
     assert load_cocycle(form, fixture_f1()).mode == FLOAT
     doc["params"]["edge_phases"] = {"e": "1/3 turn", "f": "1/5 turn"}
     assert load_cocycle(doc, fixture_f1()).mode == EXACT
+
+
+def test_json_integer_angles_are_exact_radians(files):
+    """A JSON integer is exact radians, as cocycle.as_phase reads a number; a
+    string holding an integer is whole turns; other numbers are float radians."""
+    _, write = files
+    params = {"edge_phases": {"e": "1/3 turn", "f": 1}, "degree_form": [[0, 0], [0, 0]]}
+    doc = {"kind": "builtin", "name": "coboundary", "params": params}
+    assert load_cocycle(doc, fixture_f1()).mode == EXACT
+    assert main(["check", write("f1.json", _f1_doc()), write("cob.json", doc), "--suite", "def-3.1"]) == 0
+    assert parse_angle(1) == Phase.exact_radians(1)
+    assert parse_angle(-3).is_exact
+    assert parse_angle("1") == Phase.from_turns(Fraction(1))
+    assert not parse_angle(1.0).is_exact
+    with pytest.raises(ParseError):
+        parse_angle(True)
 
 
 # -- validate ----------------------------------------------------------------

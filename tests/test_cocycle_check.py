@@ -370,7 +370,7 @@ def test_fock_matrices_document_is_byte_identical(tmp_path):
     assert main(["fock", str(g_doc), str(c_doc), "--N", "2,2", "--emit", "matrices", "--out", str(out)]) == 0
     written = out.read_text()
     doc = json.loads(written)
-    ops = dict(_creations(FockSpace(F1, (2, 2), "X"), c))
+    ops = dict(_creations(FockSpace(F1, (2, 2)), c))
     assert [op["generator"] for op in doc["operators"]] == list(ops)
     # the per-entry construction that the vectorised one replaced
     doc["operators"] = [

@@ -18,7 +18,7 @@ from kgt.errors import CapTooSmallForRequestedDegree
 from kgt.fock import FockSpace, creation_x, creation_y
 from kgt.kgraph import fixture_f1, omega
 from kgt.phases import Phase
-from kgt.verify import SuiteConfig, default_instances
+from kgt.verify import SuiteConfig, _fock_caps, default_instances
 from kgt.xmod import XElem
 from kgt.ymod import CylElem, YOp, alpha, y_iota, y_tmul
 
@@ -104,7 +104,7 @@ def test_creation_x_matches_entries():
     rng = np.random.default_rng(0)
     for inst in instances():
         g, c = inst.graph, inst.cocycle
-        space = FockSpace(g, (1,) * g.k, "X")
+        space = FockSpace(g, (1,) * g.k)
         for n in space.blocks:
             for coeffs in coefficient_vectors(len(g.paths(n)), rng):
                 f = XElem(g, n, coeffs)
@@ -121,13 +121,35 @@ def test_x_creation_is_the_cylinder_creation_at_depth_n():
     for inst in default_instances(SuiteConfig(degree_entry_cap=1)):
         g, c = inst.graph, inst.cocycle
         N = (1,) * g.k
-        sx, sy = FockSpace(g, N, "X"), FockSpace(g, N, "Y", depth=N)
+        sx, sy = FockSpace(g, N), FockSpace(g, N, depth=N)
         assert sx.basis() == sy.basis(), inst.label
         for d in sx.blocks:
             for coeffs in coefficient_vectors(len(g.paths(d)), rng):
                 f = XElem(g, d, coeffs)
                 got = creation_x(sx, c, f).matrix
                 assert same_bits(got, creation_y(sy, c, alpha(d, d, f)).matrix), (inst.label, d)
+
+
+def test_x_creation_on_a_deeper_space_is_the_cylinder_creation():
+    """On a space with D > N, creation_x is the canonical map X_d -> L(F_Y):
+    it equals creation by alpha(d, d, f), bit for bit, over the cap-1
+    default battery at the suite's (N, D)."""
+    rng = np.random.default_rng(4)
+    cfg = SuiteConfig(degree_entry_cap=1)
+    deeper = 0
+    for inst in default_instances(cfg):
+        g, c = inst.graph, inst.cocycle
+        N, D = _fock_caps(g, cfg, inst)
+        if D == N:
+            continue
+        deeper += 1
+        space = FockSpace(g, N, D)
+        for d in space.blocks:
+            for coeffs in coefficient_vectors(len(g.paths(d)), rng):
+                f = XElem(g, d, coeffs)
+                got = creation_x(space, c, f).matrix
+                assert same_bits(got, creation_y(space, c, alpha(d, d, f)).matrix), (inst.label, d)
+    assert deeper
 
 
 def cylinder_depths(space, n):
@@ -140,7 +162,7 @@ def test_creation_y_matches_entries():
     rng = np.random.default_rng(1)
     for inst in instances():
         g, c = inst.graph, inst.cocycle
-        space = FockSpace(g, (1,) * g.k, "Y", depth=(2,) * g.k if g.k < 3 else (1,) * g.k)
+        space = FockSpace(g, (1,) * g.k, depth=(2,) * g.k if g.k < 3 else (1,) * g.k)
         for n in space.blocks:
             for depth in cylinder_depths(space, n):
                 for coeffs in coefficient_vectors(len(g.paths(depth)), rng):
@@ -179,7 +201,7 @@ def short_table():
 
 def test_short_table_fails_alike():
     c = short_table()
-    space = FockSpace(F1, (2, 2), "X")
+    space = FockSpace(F1, (2, 2))
     e = XElem.delta(F1, F1.edge_path("e"))
     for build in (creation_x, creation_x_by_entries):
         with pytest.raises(CapTooSmallForRequestedDegree):
@@ -188,7 +210,7 @@ def test_short_table_fails_alike():
     assert same_bits(creation_x(space, c, zero).matrix, creation_x_by_entries(space, c, zero))
     assert not creation_x(space, c, zero).matrix.any()
 
-    yspace = FockSpace(F1, (2, 2), "Y", depth=(2, 2))
+    yspace = FockSpace(F1, (2, 2), depth=(2, 2))
     h = CylElem.delta(F1, F1.edge_path("e"))
     for build in (creation_y, creation_y_by_entries):
         with pytest.raises(CapTooSmallForRequestedDegree):
@@ -213,7 +235,7 @@ def test_short_table_on_a_graph_with_sources():
     c = from_table(g, tabulate(c_theta(g, Phase.from_turns(Fraction(1, 8))), (1, 0)), (1, 0))
     outcomes = set()
     for N, D in (((1, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1))):
-        space = FockSpace(g, N, "Y", depth=D)
+        space = FockSpace(g, N, depth=D)
         for n in space.blocks:
             for depth in cylinder_depths(space, n):
                 size = len(g.paths(depth))
@@ -225,7 +247,7 @@ def test_short_table_on_a_graph_with_sources():
                         if err is None:
                             assert same_bits(creation_y(space, c, h).matrix, creation_y_by_entries(space, c, h))
                     outcomes.add(err is None)
-    xspace = FockSpace(g, (1, 1), "X")
+    xspace = FockSpace(g, (1, 1))
     for n in xspace.blocks:
         size = len(g.paths(n))
         for coeffs in [*np.eye(size, dtype=np.complex128), np.ones(size, dtype=np.complex128)]:

@@ -28,7 +28,7 @@ from kgt.fock import (
 )
 from kgt.kgraph import omega, single_vertex
 from kgt.phases import ONE, Phase
-from kgt.verify import SuiteConfig, default_instances
+from kgt.verify import SuiteConfig, _fock_caps, default_instances
 from kgt.xmod import VertexFn, XElem, XOp, arrays_close, x_theta
 from kgt.ymod import CylElem, YOp, alpha, alpha_k
 
@@ -107,10 +107,45 @@ def test_gauge_grading_scales_creations():
 def test_rep_axioms_pass_on_fixtures():
     assert rep_axioms_check(FockSpace(F2, (2,)), trivial_cocycle(F2)).ok
     assert rep_axioms_check(FockSpace(F1, (2, 2)), c_theta(F1, Phase.exact_radians(1))).ok
-    assert rep_axioms_check(FockSpace(F2, (2,), "Y", (4,)), trivial_cocycle(F2)).ok
+    assert rep_axioms_check(FockSpace(F2, (2,), (4,)), trivial_cocycle(F2), system="Y").ok
     assert rep_axioms_check(
-        FockSpace(F1, (2, 2), "Y", (4, 4)), c_theta(F1, Phase.exact_radians(1))
+        FockSpace(F1, (2, 2), (4, 4)), c_theta(F1, Phase.exact_radians(1)), system="Y"
     ).ok
+
+
+def test_rep_axioms_refuse_an_unknown_system():
+    with pytest.raises(ValueError, match="'Z'"):
+        rep_axioms_check(FockSpace(F2, (1,)), trivial_cocycle(F2), system="Z")
+
+
+def test_x_relations_hold_on_deeper_spaces():
+    """X acts on the Fock space of Y: over the cap-1 default battery, at the
+    suite's (N, D) with D > N, the generator relations hold at every relation
+    degree, and products of rank-one compacts are Nica covariant."""
+    rng = np.random.default_rng(5)
+
+    def rank_one(g, n):
+        f, h = (rng.normal(size=len(g.paths(n))) + 1j * rng.normal(size=len(g.paths(n))) for _ in range(2))
+        return x_theta(XElem(g, n, f), XElem(g, n, h))
+
+    cfg = SuiteConfig(degree_entry_cap=1)
+    deeper = 0
+    for inst in default_instances(cfg):
+        g, c = inst.graph, inst.cocycle
+        N, D = _fock_caps(g, cfg, inst)
+        if D == N:
+            continue
+        deeper += 1
+        space = FockSpace(g, N, D)
+        degrees = fock.relation_degrees(N)
+        for n in degrees:
+            rep = ck_relations_check(space, c, n)
+            assert rep.ok, (inst.label, n, rep.first_failure)
+        for m in degrees:
+            for n in degrees:
+                rep = nica_check(space, c, rank_one(g, m), rank_one(g, n))
+                assert rep.ok, (inst.label, m, n, rep.first_failure)
+    assert deeper
 
 
 def test_rep_axioms_catch_a_dropped_phase():
@@ -148,11 +183,11 @@ def test_nica_check_exhaustive_small_graph():
 
 
 def test_cp_identity_on_fixtures():
-    F = FockSpace(F2, (2,), "Y", (4,))
+    F = FockSpace(F2, (2,), (4,))
     c = trivial_cocycle(F2)
     assert cp_identity_check(F, c, VertexFn(F2, [1.0, 1.0]), (1,)).ok
     assert cp_identity_check(F, c, VertexFn(F2, [0.0, 0.0]), (1,)).ok
-    Fy = FockSpace(F1, (2, 2), "Y", (4, 4))
+    Fy = FockSpace(F1, (2, 2), (4, 4))
     ct = c_theta(F1, Phase.exact_radians(1))
     for n in [(1, 0), (1, 1), (2, 2)]:
         assert cp_identity_check(Fy, ct, VertexFn(F1, [1.0]), n).ok
@@ -172,7 +207,7 @@ def test_ck_relations_twisted_torus():
 def test_creation_y_matches_alpha_route():
     # creating by an alpha image equals the psi definition used by psi_check
     c = c_theta(F1, Phase.exact_radians(1))
-    F = FockSpace(F1, (2, 2), "Y", (4, 4))
+    F = FockSpace(F1, (2, 2), (4, 4))
     f = delta_x(F1, (1, 0), "e")
     direct = creation_y(F, c, alpha((1, 0), (1, 0), f))
     K = x_theta(f, f)
@@ -181,7 +216,7 @@ def test_creation_y_matches_alpha_route():
 
 
 def test_creation_y_identity_and_overflow():
-    F = FockSpace(F2, (2,), "Y", (4,))
+    F = FockSpace(F2, (2,), (4,))
     c = trivial_cocycle(F2)
     one = creation_y(F, c, CylElem.ones(F2))
     assert np.allclose(one.matrix, np.eye(F.dim))
@@ -191,19 +226,19 @@ def test_creation_y_identity_and_overflow():
 
 
 def test_psi_check_fixtures():
-    assert psi_check(FockSpace(F2, (2,), "Y", (4,)), trivial_cocycle(F2)).ok
+    assert psi_check(FockSpace(F2, (2,), (4,)), trivial_cocycle(F2)).ok
     assert psi_check(
-        FockSpace(F1, (2, 2), "Y", (4, 4)), c_theta(F1, Phase.exact_radians(1))
+        FockSpace(F1, (2, 2), (4, 4)), c_theta(F1, Phase.exact_radians(1))
     ).ok
 
 
 def test_zeta_surjectivity_fixtures():
-    Fy = FockSpace(F1, (2, 2), "Y", (4, 4))
+    Fy = FockSpace(F1, (2, 2), (4, 4))
     ct = c_theta(F1, Phase.exact_radians(1))
     for n in [(0, 0), (1, 0), (2, 2)]:
         rep = zeta_surjectivity_check(Fy, ct, n)
         assert rep.ok, rep.first_failure
-    Fy2 = FockSpace(F2, (2,), "Y", (4,))
+    Fy2 = FockSpace(F2, (2,), (4,))
     rep = zeta_surjectivity_check(Fy2, trivial_cocycle(F2), (2,))
     assert rep.ok, rep.first_failure
 
@@ -212,9 +247,9 @@ def test_zeta_surjectivity_fixtures():
 
 SPACES = {
     "f1-x": lambda: FockSpace(F1, (2, 2)),
-    "f2-y": lambda: FockSpace(F2, (2,), "Y", (3,)),
+    "f2-y": lambda: FockSpace(F2, (2,), (3,)),
     # no path of degree (2, 0), so every block and every interior is empty
-    "empty": lambda: FockSpace(omega(2, (1, 1)), (0, 0), "Y", (2, 0)),
+    "empty": lambda: FockSpace(omega(2, (1, 1)), (0, 0), (2, 0)),
 }
 
 
@@ -328,7 +363,7 @@ def test_oversized_space_is_refused_before_allocating():
     assert str(dim) in str(err.value) and str(MAX_OP_BYTES) in str(err.value)
     # Y counts its deeper blocks: 729 + 2 * 2187 + 6561 = 11664 coordinates
     with pytest.raises(FockSpaceTooLarge) as err:
-        FockSpace(g, (1, 1), "Y", (4, 4))
+        FockSpace(g, (1, 1), (4, 4))
     assert err.value.witness[0] == 11664
 
 
@@ -349,7 +384,7 @@ def test_counted_dim_matches_the_layout():
             x = FockSpace(g, N)
             assert fock._counted_dim(g, N, x.block_depth(dg.zero(g.k))) == x.dim
             D = g.clip(dg.add(N, (1,) * g.k))
-            y = FockSpace(g, N, "Y", D)
+            y = FockSpace(g, N, D)
             assert fock._counted_dim(g, N, y.block_depth(dg.zero(g.k))) == y.dim
 
 

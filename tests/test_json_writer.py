@@ -31,12 +31,12 @@ def tolist_document(g_path, c_path, N, system="X", D=None):
     g = load_graph(g_path)
     with open(c_path) as fh:
         c = load_cocycle(json.load(fh), g)
-    space = FockSpace(g, N, system, depth=D)
+    space = FockSpace(g, N, depth=D)
     return {
         "schema": "kgt-fock/1",
-        "system": space.system,
+        "system": system,
         "N": list(space.N),
-        "D": list(space.D) if space.system == "Y" else None,
+        "D": list(space.D) if system == "Y" else None,
         "dim": space.dim,
         "basis": [
             {"index": i, "degree": list(n), "path": _path_str(p), "depth": list(space.block_depth(n))}

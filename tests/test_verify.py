@@ -175,6 +175,15 @@ def test_graph_checks_deduplicate_by_graph():
     assert len(rep.results) == 1
 
 
+def test_truncation_checks_pass_at_degree_cap_0():
+    """At degree cap 0 the truncation is N = 0: the gauge check creates only
+    at the unit degrees that fit, and the assembly, which creates at degree
+    D - N, checks nothing when D - N does not fit."""
+    rep = run_suite(["remark-4.6ii", "zeta-surjectivity"], SuiteConfig(seed=0, degree_entry_cap=0))
+    assert rep.results
+    assert not rep.failures(), rep.failures()[0].witness
+
+
 def test_runs_are_deterministic():
     cfg = SuiteConfig(graphs=2, cocycles=1)
     r1 = run_suite("prop-4.1", cfg)

@@ -213,25 +213,22 @@ def test_phi_injective_on_source_free_graph():
 
 
 def test_phi_decompose_identity_on_f2():
-    c = trivial_cocycle(F2)
-    gs = phi_x_decompose(c, VertexFn.ones(F2), (1,))
+    gs = phi_x_decompose(VertexFn.ones(F2), (1,))
     assert len(gs) == 2
     total = x_theta(gs[0], gs[0].conj()) + x_theta(gs[1], gs[1].conj())
     assert total.close(XOp.identity(F2, (1,)), tol=0.0)
 
 
 def test_phi_decompose_zero_and_singleton():
-    c = trivial_cocycle(F1)
-    assert phi_x_decompose(c, VertexFn.zeros(F1), (1, 1)) == []
-    gs = phi_x_decompose(c, VertexFn(F1, [0.25]), (1, 1))
+    assert phi_x_decompose(VertexFn.zeros(F1), (1, 1)) == []
+    gs = phi_x_decompose(VertexFn(F1, [0.25]), (1, 1))
     assert len(gs) == 1
     assert np.allclose(gs[0].coeffs, [0.5])
 
 
 def test_phi_decompose_reproduces_phi_generally():
-    c = trivial_cocycle(F2)
     a = VertexFn(F2, [0.3, 2.0])
-    gs = phi_x_decompose(c, a, (2,))
+    gs = phi_x_decompose(a, (2,))
     total = XOp.zeros(F2, (2,))
     for gi in gs:
         total = total + x_theta(gi, gi.conj())

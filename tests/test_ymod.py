@@ -346,9 +346,8 @@ def test_compact_products_interchange_with_alpha_k():
 
 
 def test_phi_y_decompose_reproduces_the_action():
-    c = trivial_cocycle(F2)
     a = CylElem(F2, (0,), (1,), [0.5, 2.0 + 1.0j])
-    parts = phi_y_decompose(c, a, (1,))
+    parts = phi_y_decompose(a, (1,))
     assert len(parts) == 2
     total = YOp.zeros(F2, (1,), (1,))
     for g in parts:
@@ -357,8 +356,7 @@ def test_phi_y_decompose_reproduces_the_action():
 
 
 def test_phi_y_decompose_empty_for_zero():
-    c = trivial_cocycle(F2)
-    assert phi_y_decompose(c, CylElem.zeros(F2, (0,), (1,)), (1,)) == []
+    assert phi_y_decompose(CylElem.zeros(F2, (0,), (1,)), (1,)) == []
 
 
 def test_alpha_decompose_point_mass():
