@@ -56,6 +56,7 @@ from .fock import (
     ck_relations_check,
     cp_identity_check,
     creation_x,
+    point_creations,
     psi_check,
     relation_degrees,
     rep_axioms_check,
@@ -471,10 +472,7 @@ def cmd_build(args) -> int:
 def _creations(space: FockSpace, c: Cocycle):
     """Degree-zero vertex generators plus one creation per edge that fits."""
     g = space.graph
-    out = []
-    for i, v in enumerate(g.vertices):
-        f = XElem(g, dg.zero(g.k), np.eye(len(g.vertices))[i])
-        out.append((f"vertex:{v}", creation_x(space, c, f)))
+    out = [(f"vertex:{v}", op) for v, op in zip(g.vertices, point_creations(space, c, dg.zero(g.k)))]
     for e in g.all_edges:
         if dg.leq(dg.unit(g.k, e.color), space.N):
             out.append((f"edge:{e.ident}", creation_x(space, c, XElem.delta(g, g.edge_path(e.ident)))))
@@ -484,6 +482,7 @@ def _creations(space: FockSpace, c: Cocycle):
 def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
     """Measured scalar in S_f S_e = z * S_e S_f on the interior, per edge pair."""
     g = space.graph
+    ops = dict(_creations(space, c))
     rows = []
     for e in g.all_edges:
         for f in g.all_edges:
@@ -493,8 +492,7 @@ def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
             d = dg.add(ne, nf)
             if not dg.leq(d, space.N):
                 continue
-            Se = creation_x(space, c, XElem.delta(g, g.edge_path(e.ident)))
-            Sf = creation_x(space, c, XElem.delta(g, g.edge_path(f.ident)))
+            Se, Sf = ops[f"edge:{e.ident}"], ops[f"edge:{f.ident}"]
             mask = space.interior_mask(d)
             A = (Sf @ Se).matrix[:, mask]
             B = (Se @ Sf).matrix[:, mask]
@@ -510,10 +508,9 @@ def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
 def cmd_fock(args) -> int:
     g, c = _load_pair(args)
     N = _parse_degree(args.N, g.k)
-    if args.system == "Y" and args.D is None:
-        raise ParseError("--system Y needs --D", args.D)
-    D = _parse_degree(args.D, g.k) if args.D is not None else None
-    space = FockSpace(g, N, depth=D if args.system == "Y" else None)
+    if (args.system == "Y") != (args.D is not None):
+        raise ParseError("--system Y needs --D, the cylinder depth, and only --system Y takes it", args.D)
+    space = FockSpace(g, N, depth=None if args.D is None else _parse_degree(args.D, g.k))
 
     if args.emit == "matrices":
         basis = [
@@ -626,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("cocycle")
     f.add_argument("--system", choices=("X", "Y"), default="X")
     f.add_argument("--N", required=True, help="truncation degree, e.g. 2,2")
-    f.add_argument("--D", default=None, help="cylinder depth (system Y)")
+    f.add_argument("--D", default=None, help="cylinder depth (--system Y only)")
     f.add_argument("--emit", choices=("matrices", "relations"), default="relations")
     f.add_argument("--tolerance", type=float, default=1e-9)
     f.add_argument("--out", default=None)

@@ -17,6 +17,7 @@ with weight one over the base.
 
 from __future__ import annotations
 
+from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -353,14 +354,16 @@ def _creation(space: FockSpace, c: Cocycle, x) -> FockOp:
     return creation_y(space, c, x)
 
 
-def _delta_creations(space: FockSpace, c: Cocycle, n) -> list[FockOp]:
+def point_creations(space: FockSpace, c: Cocycle, n) -> list[FockOp]:
+    """creation_x of every point mass XElem.delta of degree n, in path order;
+    at n = 0 these are the vertex projections, in vertex order."""
     g = space.graph
     return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]
 
 
 def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
     """The degree-shift-zero image of a compact on X_m: sum of C(f) C(g)*."""
-    ops = _delta_creations(space, c, S.degree)
+    ops = point_creations(space, c, S.degree)
     out = FockOp.zeros(space)
     for (i, j), w in np.ndenumerate(S.matrix):
         if w != 0:
@@ -421,6 +424,26 @@ def _inner0(x, y):
     return y_inner(x, y)
 
 
+def _first_pairs(a, b, cap: int):
+    """The first `cap` pairs of a x b, in row-major order."""
+    return islice(product(a, b), cap)
+
+
+def _multiplicativity(space: FockSpace, c: Cocycle, elems, cre, rep: ModuleReport, tol, pair_cap):
+    """C(x) C(y) against C(x y) for the first pair_cap pairs (x, y) of each
+    degree pair (m, n) with m + n <= N; counts each case into rep and returns
+    the first failing (m, n, i, j), or None."""
+    for m in space.blocks:
+        for n in space.blocks:
+            if not dg.leq(dg.add(m, n), space.N):
+                continue
+            for (i, x), (j, y) in _first_pairs(enumerate(elems[m]), enumerate(elems[n]), pair_cap):
+                rep.cases_checked += 1
+                if not (cre[m][i] @ cre[n][j]).close(_creation(space, c, _mul(c, x, y)), tol):
+                    return (m, n, i, j)
+    return None
+
+
 def rep_axioms_check(
     space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 64, system: str = "X"
 ) -> ModuleReport:
@@ -435,7 +458,6 @@ def rep_axioms_check(
     rep = ModuleReport(True)
     elems = {n: _block_elems(space, n, system) for n in space.blocks}
     cre = {n: [_creation(space, c, x) for x in elems[n]] for n in space.blocks}
-    zero = dg.zero(g.k)
 
     for n in space.blocks:
         if len(elems[n]) >= 2:
@@ -447,11 +469,8 @@ def rep_axioms_check(
                 rep.first_failure = ("linearity", n, None)
                 return rep
 
-    right = []  # (a, creation by a) per vertex indicator a
-    for v in range(len(g.vertices)):
-        a = VertexFn(g, np.eye(len(g.vertices))[v])
-        a0 = XElem(g, zero, a.values) if system == "X" else CylElem.from_vertex_fn(a)
-        right.append((a, _creation(space, c, a0)))
+    indicators = [VertexFn.indicator(g, v) for v in g.vertices]
+    right = list(zip(indicators, point_creations(space, c, dg.zero(g.k))))  # (a, creation by a)
     for n in space.blocks:
         for i, x in enumerate(elems[n][:pair_cap]):
             for v, (a, ca) in enumerate(right):
@@ -463,37 +482,19 @@ def rep_axioms_check(
                     return rep
 
     for n in space.blocks:
-        pairs = 0
-        for i in range(len(elems[n])):
-            for j in range(len(elems[n])):
-                if pairs >= pair_cap:
-                    break
-                pairs += 1
-                lhs = cre[n][i].adjoint() @ cre[n][j]
-                rhs = _creation(space, c, _inner0(elems[n][i], elems[n][j]))
-                rep.cases_checked += 1
-                if not lhs.close_on_interior(rhs, n, tol):
-                    rep.ok = False
-                    rep.first_failure = ("inner-product", (n, i, j), None)
-                    return rep
+        for i, j in _first_pairs(range(len(elems[n])), range(len(elems[n])), pair_cap):
+            lhs = cre[n][i].adjoint() @ cre[n][j]
+            rhs = _creation(space, c, _inner0(elems[n][i], elems[n][j]))
+            rep.cases_checked += 1
+            if not lhs.close_on_interior(rhs, n, tol):
+                rep.ok = False
+                rep.first_failure = ("inner-product", (n, i, j), None)
+                return rep
 
-    for m in space.blocks:
-        for n in space.blocks:
-            if not dg.leq(dg.add(m, n), space.N):
-                continue
-            pairs = 0
-            for i, x in enumerate(elems[m]):
-                for j, y in enumerate(elems[n]):
-                    if pairs >= pair_cap:
-                        break
-                    pairs += 1
-                    rep.cases_checked += 1
-                    got = cre[m][i] @ cre[n][j]
-                    want = _creation(space, c, _mul(c, x, y))
-                    if not got.close(want, tol):
-                        rep.ok = False
-                        rep.first_failure = ("multiplicativity", (m, n, i, j), None)
-                        return rep
+    bad = _multiplicativity(space, c, elems, cre, rep, tol, pair_cap)
+    if bad is not None:
+        rep.ok = False
+        rep.first_failure = ("multiplicativity", bad, None)
     return rep
 
 
@@ -512,17 +513,20 @@ def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) 
     return rep
 
 
+def _covariance_defect(space: FockSpace, c: Cocycle, gs, psi0: FockOp) -> FockOp:
+    """The sum of C(g_i) C(conj g_i)* over the frame gs, minus psi0."""
+    out = FockOp.zeros(space)
+    for gi in gs:
+        out = out + creation_x(space, c, gi) @ creation_x(space, c, gi.conj()).adjoint()
+    return out - psi0
+
+
 def cp_identity_check(space: FockSpace, c: Cocycle, a: VertexFn, n, tol: float = 1e-9) -> ModuleReport:
     """The covariance defect of the finite-path compacts equals the defect of
     the cylinder compacts, on interior(n)."""
     n = dg.as_degree(n, space.graph.k)
     psi0 = creation_y(space, c, CylElem.from_vertex_fn(a))
-    lhs = FockOp.zeros(space)
-    for gi in phi_x_decompose(a, n):
-        ci = creation_x(space, c, gi)
-        cj = creation_x(space, c, gi.conj())
-        lhs = lhs + ci @ cj.adjoint()
-    lhs = lhs - psi0
+    lhs = _covariance_defect(space, c, phi_x_decompose(a, n), psi0)
     rhs = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n)) - psi0
     rep = ModuleReport(True, cases_checked=1)
     if not lhs.close_on_interior(rhs, n, tol):
@@ -544,16 +548,12 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     if not dg.leq(n, space.N):
         raise DegreeExceedsTruncation(f"degree {n} exceeds {space.N}", n)
     rep = ModuleReport(True)
-    svtx = {
-        v: creation_x(space, c, XElem(g, dg.zero(g.k), np.eye(len(g.vertices))[i]))
-        for i, v in enumerate(g.vertices)
-    }
     sgen = {}
     for m in dg.degrees_upto(n):
-        for la in g.paths(m):
-            sgen[la] = creation_x(space, c, XElem.delta(g, la))
+        sgen.update(zip(g.paths(m), point_creations(space, c, m)))
+    svtx = {p.range: sgen[p] for p in g.paths(dg.zero(g.k))}
 
-    for i, v in enumerate(g.vertices):
+    for v in g.vertices:
         for w in g.vertices:
             rep.cases_checked += 1
             want = svtx[v] if v == w else FockOp.zeros(space)
@@ -610,48 +610,33 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
 
 
 def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 32) -> ModuleReport:
-    """The canonical maps X_n -> L(F_Y) form a representation whose compacts
-    factor through the cylinder compacts, and are injective blockwise."""
+    """The canonical maps X_n -> L(F_Y) form a Nica-covariant representation
+    whose compacts factor through the cylinder compacts, and are injective
+    blockwise."""
     g = space.graph
     rep = ModuleReport(True)
-    degrees = dg.degrees_upto(space.N)
-    psi = {m: _delta_creations(space, c, m) for m in degrees}
+    elems = {m: _block_elems(space, m, "X") for m in space.blocks}
+    psi = {m: point_creations(space, c, m) for m in space.blocks}
 
-    for m in degrees:
-        for n in degrees:
-            if not dg.leq(dg.add(m, n), space.N):
-                continue
-            pairs = 0
-            for i, la in enumerate(g.paths(m)):
-                for j, mu in enumerate(g.paths(n)):
-                    if pairs >= pair_cap:
-                        break
-                    pairs += 1
-                    rep.cases_checked += 1
-                    prod = x_tmul(c, XElem.delta(g, la), XElem.delta(g, mu))
-                    want = creation_x(space, c, prod)
-                    if not (psi[m][i] @ psi[n][j]).close(want, tol):
-                        rep.ok = False
-                        rep.first_failure = ("psi-multiplicative", (la, mu), None)
-                        return rep
+    bad = _multiplicativity(space, c, elems, psi, rep, tol, pair_cap)
+    if bad is not None:
+        m, n, i, j = bad
+        rep.ok = False
+        rep.first_failure = ("psi-multiplicative", (g.paths(m)[i], g.paths(n)[j]), None)
+        return rep
 
-    for m in degrees:
-        pairs = 0
-        for i, la in enumerate(g.paths(m)):
-            for j, mu in enumerate(g.paths(m)):
-                if pairs >= pair_cap:
-                    break
-                pairs += 1
-                rep.cases_checked += 1
-                S = x_theta(XElem.delta(g, la), XElem.delta(g, mu))
-                lhs = psi[m][i] @ psi[m][j].adjoint()
-                rhs = fock_compacts_y(space, c, alpha_k(S))
-                if not lhs.close_on_interior(rhs, m, tol):
-                    rep.ok = False
-                    rep.first_failure = ("psi-compacts", (la, mu), None)
-                    return rep
+    for m in space.blocks:
+        for (i, la), (j, mu) in _first_pairs(enumerate(g.paths(m)), enumerate(g.paths(m)), pair_cap):
+            rep.cases_checked += 1
+            S = x_theta(elems[m][i], elems[m][j])
+            lhs = psi[m][i] @ psi[m][j].adjoint()
+            rhs = fock_compacts_y(space, c, alpha_k(S))
+            if not lhs.close_on_interior(rhs, m, tol):
+                rep.ok = False
+                rep.first_failure = ("psi-compacts", (la, mu), None)
+                return rep
 
-    for m in degrees:
+    for m in space.blocks:
         stack = np.stack([op.matrix.ravel() for op in psi[m]])
         rep.cases_checked += 1
         if int(np.linalg.matrix_rank(stack)) != len(psi[m]):
@@ -659,29 +644,17 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
             rep.first_failure = ("psi-injective", m, None)
             return rep
 
-    done = 0
-    for m in degrees:
-        for n in degrees:
-            if done >= pair_cap:
-                break
-            if not (any(m) and any(n)):
-                continue
-            done += 1
-            la1, la2 = g.paths(m)[0], g.paths(m)[-1]
-            mu1, mu2 = g.paths(n)[0], g.paths(n)[-1]
-            S = x_theta(XElem.delta(g, la1), XElem.delta(g, la2))
-            T = x_theta(XElem.delta(g, mu1), XElem.delta(g, mu2))
-            i1 = g.path_index(m)[la1]
-            i2 = g.path_index(m)[la2]
-            j1 = g.path_index(n)[mu1]
-            j2 = g.path_index(n)[mu2]
-            lhs = (psi[m][i1] @ psi[m][i2].adjoint()) @ (psi[n][j1] @ psi[n][j2].adjoint())
-            rhs = fock_compacts_x(space, c, x_compact_align(c, S, T))
-            rep.cases_checked += 1
-            if not lhs.close_on_interior(rhs, dg.join(m, n), tol):
-                rep.ok = False
-                rep.first_failure = ("psi-nica", (m, n), None)
-                return rep
+    nonzero = [m for m in space.blocks if any(m)]
+    for m, n in _first_pairs(nonzero, nonzero, pair_cap):
+        # the rank-one compact from the last point mass of each degree to the first
+        S = x_theta(elems[m][0], elems[m][-1])
+        T = x_theta(elems[n][0], elems[n][-1])
+        sub = nica_check(space, c, S, T, tol)
+        rep.cases_checked += sub.cases_checked
+        if not sub.ok:
+            rep.ok = False
+            rep.first_failure = ("psi-nica", (m, n), None)
+            return rep
     return rep
 
 
@@ -709,12 +682,7 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
         for eta in dec.eta:
             inner_sum = inner_sum + cf @ creation_x(space, c, eta).adjoint()
 
-        defect = FockOp.zeros(space)
-        for gi in phi_y_decompose(tail, p, tol):
-            ci = creation_x(space, c, gi)
-            cj = creation_x(space, c, gi.conj())
-            defect = defect + ci @ cj.adjoint()
-        defect = defect - creation_y(space, c, tail)
+        defect = _covariance_defect(space, c, phi_y_decompose(tail, p, tol), creation_y(space, c, tail))
 
         assembled = FockOp.zeros(space, n)
         for xi in dec.xi:

@@ -117,6 +117,13 @@ class CheckCase:
     seed: int
 
 
+@dataclass(frozen=True)
+class Skip:
+    """What a check returns when its instance leaves it nothing to check."""
+
+    reason: str
+
+
 @dataclass
 class CaseResult:
     case: CheckCase
@@ -420,7 +427,9 @@ class CheckDef:
 
 
 # The ids below are the stable public names used by suite selectors and the
-# command line; treat them as opaque keys.
+# command line; treat them as opaque keys.  A check returns None when its
+# identity holds, a Skip when the instance leaves it nothing to check, and a
+# witness otherwise.
 REGISTRY: dict[str, CheckDef] = {}
 
 
@@ -1225,6 +1234,8 @@ def _chk_generator_relations(inst, cfg, rng):
 def _chk_gauge(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
     N, D = _fock_caps(g, cfg, inst)
+    if not any(N):
+        return Skip("no unit degree fits the truncation")
     z = np.exp(2j * np.pi * rng.random(size=g.k))
     for system, depth in (("X", N), ("Y", D)):
         space = FockSpace(g, N, depth)
@@ -1725,7 +1736,7 @@ def _chk_generator_assembly(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
     N, D = _fock_caps(g, cfg, inst)
     if not dg.leq(dg.sub(D, N), N):
-        return None  # the assembly creates at degree D - N, beyond the truncation
+        return Skip("the assembly creates at degree D - N, beyond the truncation")
     sy = FockSpace(g, N, depth=D)
     targets = [N] if not any(N) else [dg.unit(g.k, 1), N]
     for n in targets:
@@ -1761,7 +1772,10 @@ def _run_one(cd: CheckDef, inst: Instance, cfg: SuiteConfig, index: int) -> Case
     else:
         try:
             witness = cd.run(inst, cfg, np.random.default_rng(seed))
-            out = CaseResult(case, "pass" if witness is None else "fail", witness=witness)
+            if isinstance(witness, Skip):
+                out = CaseResult(case, "skipped", reason=witness.reason)
+            else:
+                out = CaseResult(case, "pass" if witness is None else "fail", witness=witness)
         except Exception as e:  # a crash inside a check is a failure, with the error as witness
             out = CaseResult(case, "fail", witness=f"{type(e).__name__}: {e}")
     out.millis = (time.perf_counter() - t0) * 1000

@@ -240,6 +240,23 @@ def test_check_full_suite_on_quarter_turn(files):
     assert len(rep["cases"]) >= 40
 
 
+def test_checks_with_nothing_to_check_are_skipped(files):
+    """At degree cap 0 the truncation holds no unit degree, so the gauge check
+    and the generator assembly have nothing to check."""
+    tmp, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    out = tmp / "r.json"
+    argv = ["check", g, c, "--cap", "0", "--suite", "remark-4.6ii,zeta-surjectivity", "--format", "machine"]
+    assert main(argv + ["--out", str(out)]) == 0
+    cases = json.loads(out.read_text())["cases"]
+    assert [(case["id"], case["status"]) for case in cases] == [
+        ("remark-4.6ii", "skipped"),
+        ("zeta-surjectivity", "skipped"),
+    ]
+    assert all(case["reason"] for case in cases)
+
+
 def test_check_bad_selector_exits_4(files, capsys):
     _, write = files
     g = write("f1.json", _f1_doc())
@@ -340,6 +357,15 @@ def test_fock_y_without_depth_is_usage_error(files, capsys):
     g = write("f1.json", _f1_doc())
     c = write("c.json", _ctheta_doc())
     assert main(["fock", g, c, "--system", "Y", "--N", "1,1"]) == 2
+    assert "--D" in capsys.readouterr().err
+
+
+def test_fock_depth_under_system_x_is_usage_error(files, capsys):
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    assert main(["fock", g, c, "--system", "X", "--N", "1", "--D", "7"]) == 2
+    assert main(["fock", g, c, "--N", "1", "--D", "2"]) == 2
     assert "--D" in capsys.readouterr().err
 
 

@@ -22,6 +22,7 @@ from kgt.fock import (
     fock_compacts_y,
     gauge_unitary,
     nica_check,
+    point_creations,
     psi_check,
     rep_axioms_check,
     zeta_surjectivity_check,
@@ -160,6 +161,55 @@ def test_rep_axioms_catch_a_dropped_phase():
     rep = rep_axioms_check(FockSpace(F1, (2, 2)), bad)
     assert not rep.ok
     assert rep.first_failure[0] == "multiplicativity"
+
+
+def test_psi_check_catches_a_dropped_phase():
+    base = c_theta(F1, Phase.exact_radians(1))
+
+    def corrupt(la, mu):
+        if la.edges == ("f",) and mu.edges == ("e",):
+            return ONE
+        return base(la, mu)
+
+    bad = Cocycle(F1, corrupt, mode=base.mode, name="dropped-phase")
+    rep = psi_check(FockSpace(F1, (2, 2), (3, 3)), bad)
+    assert not rep.ok
+    f = next(p for p in F1.paths((0, 1)) if p.edges == ("f",))
+    assert rep.first_failure == ("psi-multiplicative", (f, f), None)
+
+
+@pytest.mark.parametrize(
+    "pair_cap, rep_x, rep_y, psi",
+    [(1, 18, 11, 13), (3, 42, 25, 33), (64, 51, 30, 43)],
+)
+def test_pair_caps_sample_the_same_cases(pair_cap, rep_x, rep_y, psi):
+    """The number of cases each check samples at a pair cap, pinned on F2."""
+    c = trivial_cocycle(F2)
+    assert rep_axioms_check(FockSpace(F2, (2,)), c, pair_cap=pair_cap).cases_checked == rep_x
+    rep = rep_axioms_check(FockSpace(F2, (1,), (3,)), c, pair_cap=pair_cap, system="Y")
+    assert rep.cases_checked == rep_y
+    assert psi_check(FockSpace(F2, (2,), (3,)), c, pair_cap=pair_cap).cases_checked == psi
+
+
+def test_vertex_point_creations_are_the_vertex_cylinder_creations():
+    """At degree 0 the point-mass creations are the creations by the vertex
+    indicators read as cylinders, bit for bit, on the deeper spaces of the
+    cap-1 default battery."""
+    cfg = SuiteConfig(degree_entry_cap=1)
+    deeper = 0
+    for inst in default_instances(cfg):
+        g, c = inst.graph, inst.cocycle
+        N, D = _fock_caps(g, cfg, inst)
+        if D == N:
+            continue
+        deeper += 1
+        space = FockSpace(g, N, D)
+        ops = point_creations(space, c, dg.zero(g.k))
+        assert len(ops) == len(g.vertices)
+        for v, op in zip(g.vertices, ops):
+            want = creation_y(space, c, CylElem.from_vertex_fn(VertexFn.indicator(g, v)))
+            assert np.array_equal(op.matrix, want.matrix), (inst.label, v)
+    assert deeper
 
 
 def test_nica_check_on_fixture_pairs():

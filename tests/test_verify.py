@@ -240,6 +240,14 @@ def test_source_free_hypotheses_are_skipped_not_failed():
     assert "source" in rep.results[0].reason
 
 
+def test_replay_reproduces_a_skip():
+    cfg = SuiteConfig(degree_entry_cap=0, include_random=False)
+    case = run_suite("remark-4.6ii", cfg).results[0]
+    again = replay(case, cfg)
+    assert again.status == case.status == "skipped"
+    assert again.reason == case.reason != ""
+
+
 def test_report_dict_shape():
     rep = run_suite("def-u-join-v", FIXTURES_ONLY)
     doc = rep.to_dict()
