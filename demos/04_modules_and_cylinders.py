@@ -46,7 +46,7 @@ print("its inner product is a tail function:", y_inner(hh, hh).coeffs)
 # and alpha_decompose inverts that: sections times a tail function
 f = XElem(g, (2, 1), np.array([0.5 + 0.25j]))
 emb = alpha((1, 0), (2, 1), f)
-dec = alpha_decompose(c, f, (1, 0))
+dec = alpha_decompose(f, (1, 0))
 print("\nalpha embedding has module degree", emb.module_degree, "and depth", emb.depth)
 print("decomposition returns", len(dec.xi), "prefix sections and", len(dec.eta), "tail sections")
 

@@ -380,7 +380,6 @@ def cmd_check(args) -> int:
         seed=args.seed,
         degree_entry_cap=args.cap,
         tolerance=args.tolerance,
-        depth_margin=args.depth,
     )
     label = f"{os.path.basename(args.graph)}/{os.path.basename(args.cocycle)}"
     inst = Instance(label, g, c, is_fixture=True)
@@ -602,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--suite", default="all", help="comma-separated glob selectors (default: all)")
     ch.add_argument("--seed", type=int, default=_env_seed())
     ch.add_argument("--cap", type=int, default=2, help="per-color degree window")
-    ch.add_argument("--depth", type=int, default=None, help="extra cylinder depth margin")
     ch.add_argument("--tolerance", type=float, default=1e-9)
     ch.add_argument("--format", choices=("text", "machine"), default="text")
     ch.add_argument("--out", default=None)

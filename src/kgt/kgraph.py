@@ -522,7 +522,7 @@ def omega(k: int, cap) -> KGraph:
 
 
 def builtin_fixtures(name: str, **params) -> KGraph:
-    """Deterministic named fixtures; 'random' defers to the generator module."""
+    """Deterministic named fixtures."""
     if name == "f1":
         return fixture_f1()
     if name == "f2":
@@ -531,13 +531,4 @@ def builtin_fixtures(name: str, **params) -> KGraph:
         return single_vertex(params.get("k", 2), params.get("edges", (1, 1)))
     if name == "omega":
         return omega(params["k"], params["cap"])
-    if name == "random":
-        from .verify import random_kgraph
-
-        return random_kgraph(
-            params.get("seed", 0),
-            k=params.get("k", 2),
-            max_vertices=params.get("max_vertices", 3),
-            max_shifts=params.get("max_shifts", 2),
-        )
     raise UnknownFixture(f"no fixture named {name!r}", name)

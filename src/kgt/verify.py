@@ -30,6 +30,7 @@ from .cocycle import (
     c_sigma,
     c_theta,
     check_cocycle,
+    product_cocycle,
     skew_lift,
     trivial_cocycle,
 )
@@ -104,7 +105,6 @@ class SuiteConfig:
     tolerance: float = 1e-9
     include_fixtures: bool = True
     include_random: bool = True
-    depth_margin: int | None = None  # None: one extra level at rank <= 2, else zero
 
 
 DEFAULT_CONFIG = SuiteConfig()
@@ -538,9 +538,7 @@ def _fock_caps(g: KGraph, cfg: SuiteConfig, inst: Instance):
         N = tuple(min(2, x) for x in cap)
     else:
         N = tuple(min(1, x) for x in cap)
-    margin = cfg.depth_margin
-    if margin is None:
-        margin = 1 if g.k <= 2 else 0
+    margin = 1 if g.k <= 2 else 0  # one extra cylinder level at rank <= 2
     return N, g.clip(dg.add(N, (margin,) * g.k))
 
 
@@ -558,6 +556,28 @@ def _composable_pairs(g: KGraph, cap):
                 for mu in g.paths(d2):
                     if la.source == mu.range:
                         yield la, mu
+
+
+def _reassembles(c: Cocycle, f: XElem, n, dec, tol) -> bool:
+    """(R) alpha(n, m, f) = sum_i alpha(xi_i) . alpha_0(f_tilde) in Y_n, for
+    the split `dec` of f at n."""
+    g, m = f.graph, f.degree
+    tail = alpha(dg.zero(g.k), dg.sub(m, n), dec.f_tilde)
+    rhs = CylElem.zeros(g, n, m)
+    for xi in dec.xi:
+        rhs = rhs + y_tmul(c, alpha(n, n, xi), tail)
+    return alpha(n, m, f).close(rhs, tol)
+
+
+def _tail_acts_as_compacts(dec, tol) -> bool:
+    """(T) phi_Y(alpha_0(f_tilde)) = sum_j Theta(alpha(f_tilde), alpha(eta_j))
+    on Y_p, p = d(f_tilde), for a split `dec`."""
+    ft = dec.f_tilde
+    g, p = ft.graph, ft.degree
+    right = YOp.zeros(g, p, p)
+    for eta in dec.eta:
+        right = right + y_theta(alpha(p, p, ft), alpha(p, p, eta))
+    return phi_y(alpha(dg.zero(g.k), p, ft), p).close(right, tol)
 
 
 # -- structural checks -------------------------------------------------------
@@ -717,11 +737,16 @@ def _chk_point_sections(inst, cfg, rng):
         for la in (paths[int(i)] for i in rng.integers(0, len(paths), size=2)):
             if not g.is_s_section([la]):
                 return ("singleton-not-a-section", la)
+            f = XElem.delta(g, la)
             for n in dg.degrees_upto(m)[:: max(1, len(dg.degrees_upto(m)) // 3)]:
                 try:
-                    alpha_decompose(c, XElem.delta(g, la), n, tol=cfg.tolerance)
+                    dec = alpha_decompose(f, n)
                 except NotSectionDecomposable as e:
                     return ("point-mass-rejected", la, str(e))
+                if not _reassembles(c, f, n, dec, cfg.tolerance):
+                    return ("reassembly", la, n)
+                if not _tail_acts_as_compacts(dec, cfg.tolerance):
+                    return ("tail-compacts", la, n)
     return None
 
 
@@ -775,29 +800,44 @@ def _chk_cocycle_laws(inst, cfg, rng):
     return None if rep.ok else rep.first_failure
 
 
+def _swapped_f2() -> CrossedProductGraph:
+    """F2 with Z acting by its swap symmetry, lattice window (2,)."""
+    f2 = fixture_f2()
+    return crossed_product(f2, _swap_action(f2), (2,))
+
+
+def _closed_form(c: Cocycle, cfg: SuiteConfig, pair_cap, want, label: str):
+    """The cocycle laws of c on the window, then c(la, mu) == want(la, mu)
+    exactly on every composable pair up to pair_cap; None or a witness
+    (label, la, mu)."""
+    rep = check_cocycle(c, _cap(c.graph, cfg))
+    if not rep.ok:
+        return rep.first_failure
+    for la, mu in _composable_pairs(c.graph, pair_cap):
+        if not c(la, mu).close(want(la, mu), 0.0):
+            return (label, la, mu)
+    return None
+
+
 @_register(
     "eq-c-f",
     "the functor-counting twist matches its closed form and passes the pair/triple laws",
     "builtin",
 )
 def _chk_c_f(inst, cfg, rng):
-    f2 = fixture_f2()
-    gamma = crossed_product(f2, _swap_action(f2), (2,))
+    gamma = _swapped_f2()
     half = Phase.from_turns(Fraction(1, 2))
-    c = c_f(gamma, {"a": half, "b": half})
-    rep = check_cocycle(c, _cap(gamma, cfg))
-    if not rep.ok:
-        return rep.first_failure
     table = {"a": half, "b": half}
-    for la, mu in _composable_pairs(gamma, (1, 1)):
+
+    def want(la, mu):
         _, m = gamma.project(la)
         nu, _ = gamma.project(mu)
-        want = Phase.one()
+        out = Phase.one()
         for e in nu.edges:
-            want = want * table[e] ** dg.total(m)
-        if not c(la, mu).close(want, 0.0):
-            return ("closed-form", la, mu)
-    return None
+            out = out * table[e] ** dg.total(m)
+        return out
+
+    return _closed_form(c_f(gamma, table), cfg, (1, 1), want, "closed-form")
 
 
 @_register(
@@ -806,20 +846,15 @@ def _chk_c_f(inst, cfg, rng):
     "builtin",
 )
 def _chk_c_omega(inst, cfg, rng):
-    f2 = fixture_f2()
-    gamma = crossed_product(f2, _swap_action(f2), (2,))
+    gamma = _swapped_f2()
     w = Phase.from_turns(Fraction(1, 3))
-    c = c_omega(gamma, [w])
-    rep = check_cocycle(c, _cap(gamma, cfg))
-    if not rep.ok:
-        return rep.first_failure
-    for la, mu in _composable_pairs(gamma, (1, 1)):
+
+    def want(la, mu):
         _, m = gamma.project(la)
         nu, _ = gamma.project(mu)
-        want = (w ** int(m[0])) ** dg.total(nu.degree)
-        if not c(la, mu).close(want, 0.0):
-            return ("closed-form", la, mu)
-    return None
+        return (w ** int(m[0])) ** dg.total(nu.degree)
+
+    return _closed_form(c_omega(gamma, [w]), cfg, (1, 1), want, "closed-form")
 
 
 @_register(
@@ -828,21 +863,11 @@ def _chk_c_omega(inst, cfg, rng):
     "builtin",
 )
 def _chk_c_sigma(inst, cfg, rng):
-    f2 = fixture_f2()
-    gamma = crossed_product(f2, _swap_action(f2), (2,))
+    gamma = _swapped_f2()
     th = Phase.from_turns(Fraction(1, 8))
-    c = c_sigma(gamma, [[th]])
-    rep = check_cocycle(c, _cap(gamma, cfg))
-    if not rep.ok:
-        return rep.first_failure
     kb = gamma.base.k
-    for la, mu in _composable_pairs(gamma, (1, 2)):
-        m = la.degree[kb:]
-        n = mu.degree[kb:]
-        want = th ** (m[0] * n[0])
-        if not c(la, mu).close(want, 0.0):
-            return ("exponent-form", la, mu)
-    return None
+    want = lambda la, mu: th ** (la.degree[kb] * mu.degree[kb])
+    return _closed_form(c_sigma(gamma, [[th]]), cfg, (1, 2), want, "exponent-form")
 
 
 @_register(
@@ -854,18 +879,8 @@ def _chk_skew_lift(inst, cfg, rng):
     f2 = fixture_f2()
     base_c = bicharacter_cocycle(f2, [[Phase.from_turns(Fraction(1, 3))]])
     skew = skew_product(f2, cyclic_group(2), {"a": "1", "b": "0"})
-    c = skew_lift(base_c, skew)
-    rep = check_cocycle(c, _cap(skew, cfg))
-    if not rep.ok:
-        return rep.first_failure
-    for la, mu in _composable_pairs(skew, (2,)):
-        p, _ = skew.project(la)
-        q, _ = skew.project(mu)
-        if not c(la, mu).close(base_c(p, q), 0.0):
-            return ("projection-value", la, mu)
-    if len(skew.vertices) != len(f2.vertices) * 2:
-        return ("vertex-count", len(skew.vertices))
-    return None
+    want = lambda la, mu: base_c(skew.project(la)[0], skew.project(mu)[0])
+    return _closed_form(skew_lift(base_c, skew), cfg, (2,), want, "projection-value")
 
 
 @_register(
@@ -874,22 +889,16 @@ def _chk_skew_lift(inst, cfg, rng):
     "builtin",
 )
 def _chk_product_cocycle(inst, cfg, rng):
-    from .cocycle import product_cocycle
-
     f2 = fixture_f2()
     prod = cartesian(f2, f2)
     c1 = bicharacter_cocycle(f2, [[Phase.from_turns(Fraction(1, 3))]])
     c2 = bicharacter_cocycle(f2, [[Phase.from_turns(Fraction(1, 5))]])
-    c = product_cocycle(c1, c2, prod)
-    rep = check_cocycle(c, _cap(prod, cfg))
-    if not rep.ok:
-        return rep.first_failure
-    for la, mu in _composable_pairs(prod, (1, 1)):
-        l1, l2 = prod.project(la)
-        m1, m2 = prod.project(mu)
-        if not c(la, mu).close(c1(l1, m1) * c2(l2, m2), 0.0):
-            return ("factorwise-value", la, mu)
-    return None
+
+    def want(la, mu):
+        (l1, l2), (m1, m2) = prod.project(la), prod.project(mu)
+        return c1(l1, m1) * c2(l2, m2)
+
+    return _closed_form(product_cocycle(c1, c2, prod), cfg, (1, 1), want, "factorwise-value")
 
 
 @_register(
@@ -1432,6 +1441,20 @@ def _chk_section_lookup(inst, cfg, rng):
     return None
 
 
+def _aligned_rank_ones(g: KGraph, cfg: SuiteConfig, rng):
+    """For each of the first two sampled degree pairs (m, n): the join j,
+    section elements f1, f2 of degree m and g1, g2 of degree n, the common
+    extensions C of supp f2 and supp g1, and their tails past m and past n."""
+    supp = lambda x: [la for la, w in zip(g.paths(x.degree), x.coeffs) if w != 0]
+    for m, n in _degree_pairs(g, cfg, rng)[:2]:
+        f1, f2 = _rand_section_elem(g, m, rng), _rand_section_elem(g, m, rng)
+        g1, g2 = _rand_section_elem(g, n, rng), _rand_section_elem(g, n, rng)
+        C = g.vee(supp(f2), supp(g1))
+        tails_m = sorted({g.split(la, m)[1] for la in C}, key=Path.sort_key)
+        tails_n = sorted({g.split(la, n)[1] for la in C}, key=Path.sort_key)
+        yield m, n, dg.join(m, n), (f1, f2, g1, g2), C, tails_m, tails_n
+
+
 @_register(
     "lemma-5.5x",
     "an aligned product of path rank-ones expands over section indicators of the common extensions",
@@ -1440,14 +1463,7 @@ def _chk_section_lookup(inst, cfg, rng):
 def _chk_theta_expansion_x(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
     tol = cfg.tolerance * 100
-    for m, n in _degree_pairs(g, cfg, rng)[:2]:
-        j = dg.join(m, n)
-        f1, f2 = _rand_section_elem(g, m, rng), _rand_section_elem(g, m, rng)
-        g1, g2 = _rand_section_elem(g, n, rng), _rand_section_elem(g, n, rng)
-        supp = lambda x: [la for la, w in zip(g.paths(x.degree), x.coeffs) if w != 0]
-        C = g.vee(supp(f2), supp(g1))
-        tails_m = sorted({g.split(la, m)[1] for la in C}, key=Path.sort_key)
-        tails_n = sorted({g.split(la, n)[1] for la in C}, key=Path.sort_key)
+    for m, n, j, (f1, f2, g1, g2), C, tails_m, tails_n in _aligned_rank_ones(g, cfg, rng):
         lhs = x_compact_align(c, x_theta(f1, f2), x_theta(g1, g2))
         rhs = XOp.zeros(g, j)
         for gi in (XElem.delta(g, t) for t in tails_m):
@@ -1470,14 +1486,7 @@ def _chk_theta_expansion_x(inst, cfg, rng):
 def _chk_theta_expansion_y(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
     tol = cfg.tolerance * 100
-    for m, n in _degree_pairs(g, cfg, rng)[:2]:
-        j = dg.join(m, n)
-        f1, f2 = _rand_section_elem(g, m, rng), _rand_section_elem(g, m, rng)
-        g1, g2 = _rand_section_elem(g, n, rng), _rand_section_elem(g, n, rng)
-        supp = lambda x: [la for la, w in zip(g.paths(x.degree), x.coeffs) if w != 0]
-        C = g.vee(supp(f2), supp(g1))
-        tails_m = sorted({g.split(la, m)[1] for la in C}, key=Path.sort_key)
-        tails_n = sorted({g.split(la, n)[1] for la in C}, key=Path.sort_key)
+    for m, n, j, (f1, f2, g1, g2), C, tails_m, tails_n in _aligned_rank_ones(g, cfg, rng):
         am = lambda x: alpha(x.degree, x.degree, x)
         lhs = y_iota(c, y_theta(am(f1), am(f2)), j) @ y_iota(c, y_theta(am(g1), am(g2)), j)
         rhs = YOp.zeros(g, j, j)
@@ -1582,7 +1591,7 @@ def _chk_left_action_y(inst, cfg, rng):
     cap = _unit_cap(g, cfg)
     a = _rand_cyl(g, dg.zero(g.k), cap, rng)
     for n in (dg.zero(g.k), cap):
-        parts = phi_y_decompose(a, n, tol=cfg.tolerance * 10)
+        parts = phi_y_decompose(a, n)
         depth = dg.join(a.depth, n)
         total = YOp.zeros(g, n, depth)
         for gi in parts:
@@ -1659,14 +1668,9 @@ def _chk_action_decomp(inst, cfg, rng):
         if not paths:
             continue
         la = paths[int(rng.integers(0, len(paths)))]
+        f = XElem.delta(g, la)
         for n in {dg.zero(g.k), m}:
-            dec = alpha_decompose(c, XElem.delta(g, la), n, tol=tol)
-            rest = dg.sub(m, n)
-            rhs = CylElem.zeros(g, n, m)
-            tail = alpha(dg.zero(g.k), rest, dec.f_tilde)
-            for xi in dec.xi:
-                rhs = rhs + y_tmul(c, alpha(n, n, xi), tail)
-            if not alpha(n, m, XElem.delta(g, la)).close(rhs, tol):
+            if not _reassembles(c, f, n, alpha_decompose(f, n), tol):
                 return ("point-mass-reassembly", la, n)
     # product-shaped support: one prefix per tail range, tails a section
     for n in _some_degrees(g, cfg, rng, count=1):
@@ -1689,9 +1693,13 @@ def _chk_action_decomp(inst, cfg, rng):
             continue
         f = XElem(g, m, coeffs)
         try:
-            dec = alpha_decompose(c, f, n, tol=tol)
+            dec = alpha_decompose(f, n)
         except NotSectionDecomposable:
             continue  # two chosen prefixes may share a source on loops
+        if not _reassembles(c, f, n, dec, tol):
+            return ("product-reassembly", n)
+        if not _tail_acts_as_compacts(dec, tol):
+            return ("product-tail-compacts", n)
         for nu, t in t_of.items():
             if abs(dec.f_tilde(nu) - t) > tol:
                 return ("tail-values", nu)
@@ -1704,7 +1712,7 @@ def _chk_action_decomp(inst, cfg, rng):
     "pair",
 )
 def _chk_tail_compacts(inst, cfg, rng):
-    g, c = inst.graph, inst.cocycle
+    g = inst.graph
     tol = cfg.tolerance * 10
     for m in _some_degrees(g, cfg, rng, count=2):
         paths = g.paths(m)
@@ -1712,16 +1720,7 @@ def _chk_tail_compacts(inst, cfg, rng):
             continue
         la = paths[int(rng.integers(0, len(paths)))]
         for n in {dg.zero(g.k), m}:
-            dec = alpha_decompose(c, XElem.delta(g, la), n, tol=tol)
-            rest = dg.sub(m, n)
-            left = phi_y(alpha(dg.zero(g.k), rest, dec.f_tilde), rest)
-            right = YOp.zeros(g, rest, rest)
-            for eta_j in dec.eta:
-                right = right + y_theta(
-                    alpha(rest, rest, dec.f_tilde),
-                    alpha(rest, rest, eta_j),
-                )
-            if not left.close(right, tol):
+            if not _tail_acts_as_compacts(alpha_decompose(XElem.delta(g, la), n), tol):
                 return ("tail-compacts", la, n)
     return None
 

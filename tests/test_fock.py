@@ -232,6 +232,20 @@ def test_nica_check_exhaustive_small_graph():
             assert nica_check(F, c, S, T).ok
 
 
+def test_nica_check_creates_each_degree_once(monkeypatch):
+    g = single_vertex(2, (2, 2))
+    F = FockSpace(g, (1, 1))
+    made = []
+    real = fock.creation_x
+    monkeypatch.setattr(fock, "creation_x", lambda space, c, f: made.append(f.degree) or real(space, c, f))
+    rank_one = lambda n: x_theta(XElem.delta(g, g.paths(n)[0]), XElem.delta(g, g.paths(n)[-1]))
+    for m, n in (((1, 1), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 1)), ((1, 0), (1, 0))):
+        made.clear()
+        assert nica_check(F, trivial_cocycle(g), rank_one(m), rank_one(n)).ok
+        want = {d: len(g.paths(d)) for d in (m, n, dg.join(m, n))}
+        assert sorted(made) == sorted(d for d, count in want.items() for _ in range(count))
+
+
 def test_cp_identity_on_fixtures():
     F = FockSpace(F2, (2,), (4,))
     c = trivial_cocycle(F2)

@@ -309,8 +309,9 @@ def test_builtin_fixture_names():
     assert builtin_fixtures("f2").k == 1
     assert builtin_fixtures("single_vertex", k=2, edges=(2, 1)).k == 2
     assert builtin_fixtures("omega", k=2, cap=(2, 2)).k == 2
-    with pytest.raises(UnknownFixture):
-        builtin_fixtures("moebius")
+    for name in ("moebius", "random"):
+        with pytest.raises(UnknownFixture):
+            builtin_fixtures(name)
 
 
 def test_single_vertex_path_count_is_multinomial():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kgt import degrees as dg
+from kgt import verify
 from kgt.cocycle import EXACT, Coboundary, Cocycle, are_cohomologous, check_cocycle, trivial_cocycle
 from kgt.errors import GenerationExhausted, UnknownCheck
 from kgt.kgraph import fixture_f1, fixture_f2, omega
@@ -211,6 +212,21 @@ def test_failures_carry_replayable_seeds():
     again = replay(fail, TINY, instances=[inst])
     assert again.status == "fail"
     assert repr(again.witness) == repr(fail.witness)
+
+
+def test_action_decomposition_check_catches_a_dropped_prefix(monkeypatch):
+    real = verify.alpha_decompose
+
+    def drop_one_prefix(f, n):
+        dec = real(f, n)
+        if len(dec.xi) >= 2:
+            dec.xi = dec.xi[1:]
+        return dec
+
+    monkeypatch.setattr(verify, "alpha_decompose", drop_one_prefix)
+    rep = run_suite("eq-action-decomp-for-alpha", FIXTURES_ONLY)
+    assert not rep.ok
+    assert any(r.witness[0] == "product-reassembly" for r in rep.failures())
 
 
 def test_replay_reproduces_a_passing_case():

@@ -359,31 +359,51 @@ def test_phi_y_decompose_empty_for_zero():
     assert phi_y_decompose(CylElem.zeros(F2, (0,), (1,)), (1,)) == []
 
 
+def assert_split_identities(c, f, n, dec):
+    """The reassembly alpha(n, m, f) = sum alpha(xi) . alpha_0(f_tilde) and the
+    tail action phi(alpha_0(f_tilde)) = sum Theta(alpha(f_tilde), alpha(eta))."""
+    g, m = f.graph, f.degree
+    p = tuple(a - b for a, b in zip(m, n))
+    zero = (0,) * g.k
+    tail = alpha(zero, p, dec.f_tilde)
+    rhs = CylElem.zeros(g, n, m)
+    for xi in dec.xi:
+        rhs = rhs + y_tmul(c, alpha(n, n, xi), tail)
+    assert alpha(n, m, f).close(rhs)
+    right = YOp.zeros(g, p, p)
+    for eta in dec.eta:
+        right = right + y_theta(alpha(p, p, dec.f_tilde), alpha(p, p, eta))
+    assert phi_y(tail, p).close(right)
+
+
 def test_alpha_decompose_point_mass():
     c = c_theta(F1, EIGHTH)
     la = path(F1, (1, 1), "ef")
-    dec = alpha_decompose(c, XElem.delta(F1, la), (1, 0))
+    f = XElem.delta(F1, la)
+    dec = alpha_decompose(f, (1, 0))
     assert [p.edges for p in dec.u_paths] == [("e",)]
     assert [p.edges for p in dec.v_paths] == [("f",)]
     assert dec.f_tilde.coeffs[0] == 1.0
+    assert_split_identities(c, f, (1, 0), dec)
 
 
 def test_alpha_decompose_two_disjoint_prefixes():
     c = trivial_cocycle(F2)
     f = XElem(F2, (2,), [2.0, 3.0j])
-    dec = alpha_decompose(c, f, (1,))
+    dec = alpha_decompose(f, (1,))
     assert len(dec.xi) == 2 and len(dec.eta) == 2
     tails = sorted(p.edges for p in dec.v_paths)
     assert tails == [("a",), ("b",)]
+    assert_split_identities(c, f, (1,), dec)
 
 
 def test_alpha_decompose_rejects_clashing_sections():
     g = builtin_fixtures("single_vertex", k=1, edges=(2,))
     f = XElem(g, (1,), [1.0, 1.0])
     with pytest.raises(NotSectionDecomposable):
-        alpha_decompose(trivial_cocycle(g), f, (1,))
+        alpha_decompose(f, (1,))
     with pytest.raises(NotSectionDecomposable):
-        alpha_decompose(trivial_cocycle(g), f, (0,))
+        alpha_decompose(f, (0,))
 
 
 def test_cylinder_density_counts_extensions():
