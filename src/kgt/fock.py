@@ -108,7 +108,8 @@ class FockSpace:
     The working depth D defaults to N.  The space is refused before any path
     is enumerated when one dense operator on it would take more than
     MAX_OP_BYTES.  Creation operators read one cached plan per shift and
-    coefficient depth.
+    coefficient depth, and the relation checks one point table per plan
+    and cocycle.
     """
 
     def __init__(self, graph: KGraph, N, depth=None):
@@ -139,9 +140,9 @@ class FockSpace:
         self._deg = np.zeros((at, graph.k), dtype=int)
         for n in self.blocks:
             self._deg[self.block_slice(n)] = n
-        self._block = np.repeat(np.arange(len(self.blocks)), self._sizes)
         self._interior: dict[dg.Degree, np.ndarray] = {}
         self._plans: dict[tuple, _Plan] = {}
+        self._tables: dict[tuple, _PointTable] = {}
 
     def block_depth(self, n):
         return dg.add(dg.sub(self.D, self.N), dg.as_degree(n, self.graph.k))
@@ -168,12 +169,6 @@ class FockSpace:
             mask.flags.writeable = False
             self._interior[d] = mask
         return mask
-
-    def _target_blocks(self, shift) -> np.ndarray:
-        """Per coordinate, the position of the block its degree plus shift
-        lands in, or -1 outside the space."""
-        pos = [self._pos.get(tuple(a + b for a, b in zip(n, shift)), -1) for n in self.blocks]
-        return np.repeat(np.asarray(pos, dtype=np.intp), self._sizes)
 
     def _creation_plan(self, d, depth) -> "_Plan":
         """The entries of a degree-d creation by coefficients of cylinder
@@ -218,9 +213,12 @@ class FockSpace:
 
 
 class FockOp:
-    """A matrix over the Fock basis mapping each degree-q block into q + shift."""
+    """A matrix over the Fock basis mapping each degree-q block into q + shift.
 
-    def __init__(self, space: FockSpace, shift, matrix, require_block: bool = True):
+    The shift is the operator's degree: sums require equal shifts and
+    products add them.  The matrix is not checked against it."""
+
+    def __init__(self, space: FockSpace, shift, matrix):
         self.space = space
         self.shift = tuple(int(x) for x in shift)
         if len(self.shift) != space.graph.k:
@@ -228,15 +226,11 @@ class FockOp:
         self.matrix = np.asarray(matrix, dtype=np.complex128)
         if self.matrix.shape != (space.dim, space.dim):
             raise DegreeMismatch(f"matrix shape {self.matrix.shape}, expected {space.dim}", None)
-        if require_block:
-            ok = space._block[:, None] == space._target_blocks(self.shift)[None, :]
-            if np.any(np.abs(self.matrix[~ok]) > 1e-12):
-                raise ValueError(f"matrix entries leave the shift-{self.shift} blocks")
 
     @classmethod
     def zeros(cls, space: FockSpace, shift=None) -> "FockOp":
         shift = (0,) * space.graph.k if shift is None else shift
-        return cls(space, shift, np.zeros((space.dim, space.dim)), require_block=False)
+        return cls(space, shift, np.zeros((space.dim, space.dim)))
 
     def _same(self, other: "FockOp") -> None:
         if self.space is not other.space:
@@ -246,25 +240,23 @@ class FockOp:
         self._same(other)
         if self.shift != other.shift:
             raise DegreeMismatch(f"shifts differ: {self.shift} vs {other.shift}", None)
-        return FockOp(self.space, self.shift, self.matrix + other.matrix, require_block=False)
+        return FockOp(self.space, self.shift, self.matrix + other.matrix)
 
     def __sub__(self, other: "FockOp") -> "FockOp":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "FockOp":
-        return FockOp(self.space, self.shift, self.matrix * scalar, require_block=False)
+        return FockOp(self.space, self.shift, self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "FockOp") -> "FockOp":
         self._same(other)
         shift = tuple(a + b for a, b in zip(self.shift, other.shift))
-        return FockOp(self.space, shift, self.matrix @ other.matrix, require_block=False)
+        return FockOp(self.space, shift, self.matrix @ other.matrix)
 
     def adjoint(self) -> "FockOp":
-        return FockOp(
-            self.space, tuple(-x for x in self.shift), self.matrix.conj().T, require_block=False
-        )
+        return FockOp(self.space, tuple(-x for x in self.shift), self.matrix.conj().T)
 
     def __call__(self, vec) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=np.complex128)
@@ -296,17 +288,25 @@ def gauge_unitary(space: FockSpace, z) -> FockOp:
     diag = np.ones(space.dim, dtype=np.complex128)
     for i, zi in enumerate(z):
         diag *= zi ** space._deg[:, i]
-    return FockOp(space, (0,) * space.graph.k, np.diag(diag), require_block=False)
+    return FockOp(space, (0,) * space.graph.k, np.diag(diag))
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b entrywise, rounded as a Python complex product: numpy's vector
-    loop for complex multiplication may fuse multiply-adds, which moves the
-    last bit of some entries."""
-    out = np.empty(a.shape, dtype=np.complex128)
+    """a * b entrywise, broadcast, rounded as a Python complex product:
+    numpy's vector loop for complex multiplication may fuse multiply-adds,
+    which moves the last bit of some entries."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _twists(c: Cocycle, d, plan: _Plan, hit: np.ndarray) -> np.ndarray:
+    """The plan's twist values, concatenated; the cocycle is asked only for
+    the blocks marked in hit, and the others read as zeros."""
+    return np.concatenate(
+        [c.twist(d, q).values if h else pad for q, h, pad in zip(plan.qs, hit.tolist(), plan.pads)]
+    )
 
 
 def _create(space: FockSpace, c: Cocycle, d, plan: _Plan, coeffs: np.ndarray) -> FockOp:
@@ -318,11 +318,8 @@ def _create(space: FockSpace, c: Cocycle, d, plan: _Plan, coeffs: np.ndarray) ->
     if i.size:
         hit = np.zeros(len(plan.qs), dtype=bool)
         hit[plan.block[i]] = True
-        tw = np.concatenate(
-            [c.twist(d, q).values if h else pad for q, h, pad in zip(plan.qs, hit.tolist(), plan.pads)]
-        )
-        M.reshape(-1)[plan.flat[i]] = _times(tw[plan.twist_at[i]], w[i])
-    return FockOp(space, d, M, require_block=False)
+        M.reshape(-1)[plan.flat[i]] = _times(_twists(c, d, plan, hit)[plan.twist_at[i]], w[i])
+    return FockOp(space, d, M)
 
 
 def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
@@ -361,14 +358,136 @@ def point_creations(space: FockSpace, c: Cocycle, n) -> list[FockOp]:
     return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]
 
 
-def fock_compacts_x(space: FockSpace, ops: list, S: XOp) -> FockOp:
-    """The degree-shift-zero image of a compact on X_m: sum of C(f) C(g)*,
-    given the point creations `ops` of degree m (`point_creations`)."""
-    out = FockOp.zeros(space)
-    for (i, j), w in np.ndenumerate(S.matrix):
-        if w != 0:
-            out = out + w * (ops[i] @ ops[j].adjoint())
-    return out
+# -- point creations as index tables -----------------------------------------
+
+
+class _PointTable(NamedTuple):
+    """The creations by the point masses of one creation plan, as index tables.
+
+    Creation k, by the point mass at coefficient k, sends the basis vector
+    e_col to phase[k, col] e_target[k, col], or to zero where target[k, col]
+    is -1: a point creation has at most one nonzero entry in each row and
+    each column.  Column dim is a zero column, so a gather through a target
+    of -1 lands on it.  Composition is then a gather, the adjoint is the
+    inverse index map, and a range projection is a diagonal.
+    """
+
+    target: np.ndarray  # (K, dim + 1) target rows, -1 for none
+    phase: np.ndarray  # (K, dim + 1) phases, 0 where target is -1
+
+
+def _point_table(space: FockSpace, c: Cocycle, d, depth) -> _PointTable:
+    """The point creations of the plan (d, depth), by one scatter and with
+    no dense matrix; cached on the space per cocycle.  The cocycle is asked
+    for every block that holds an entry, as creating every point mass asks
+    it."""
+    table = space._tables.get((c, d, depth))
+    if table is None:
+        plan = space._creation_plan(d, depth)
+        K, dim = len(space.graph.paths(depth)), space.dim
+        target = np.full((K, dim + 1), -1, dtype=np.intp)
+        phase = np.zeros((K, dim + 1), dtype=np.complex128)
+        if plan.flat.size:
+            hit = np.zeros(len(plan.qs), dtype=bool)
+            hit[plan.block] = True
+            rows, cols = np.divmod(plan.flat, dim)
+            target[plan.gather, cols] = rows
+            phase[plan.gather, cols] = _twists(c, d, plan, hit)[plan.twist_at]
+        table = space._tables[(c, d, depth)] = _PointTable(target, phase)
+    return table
+
+
+def _adjoint(t: _PointTable) -> _PointTable:
+    """The adjoint of every creation in t: the inverse index maps, with
+    conjugate phases."""
+    target = np.full(t.target.shape, -1, dtype=np.intp)
+    phase = np.zeros(t.phase.shape, dtype=np.complex128)
+    k, col = np.nonzero(t.target[:, :-1] >= 0)
+    rows = t.target[k, col]
+    target[k, rows] = col
+    phase[k, rows] = np.conj(t.phase[k, col])
+    return _PointTable(target, phase)
+
+
+def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
+    """The tables of a[i[p]] b[j[p]], pair by pair: one gather."""
+    mid = b.target[j]
+    rows = np.asarray(i)[:, None]
+    return _PointTable(a.target[rows, mid], _times(a.phase[rows, mid], b.phase[j]))
+
+
+def _rows_close(a: np.ndarray, b: np.ndarray, tol) -> np.ndarray:
+    """arrays_close(a[p], b[p], tol) for every row p."""
+    with np.errstate(invalid="ignore"):
+        ok = (np.abs(a - b) <= tol).all(axis=1)
+    for p in np.flatnonzero(~ok):
+        ok[p] = arrays_close(a[p], b[p], tol)
+    return ok
+
+
+def _close_to(space: FockSpace, c: Cocycle, lhs: _PointTable, x, tol, d=None) -> np.ndarray:
+    """Per pair p, whether the operator whose table is row p of lhs is close
+    to the creation by element p of the batched module element x, on
+    interior(d), or everywhere when d is None.
+
+    The creation is read in column-entry form: the value at each entry of
+    its plan is the entry's twist times the entry's coefficient of x, as
+    _create scatters it.  Both sides are compared at every entry of the
+    plan and at every entry of lhs off the plan; everywhere else both are
+    zero.  So the answer is arrays_close's on the dense matrices, in
+    O(pairs * dim) memory.
+    """
+    dim = space.dim
+    key = (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)  # as _creation reads
+    plan = space._creation_plan(*key)
+    rows, cols = np.divmod(plan.flat, dim)
+    want = _times(x.coeffs[:, plan.gather], _point_table(space, c, *key).phase[plan.gather, cols])
+    got = np.where(lhs.target[:, cols] == rows, lhs.phase[:, cols], 0)
+    col_of = np.full(dim + 1, -1, dtype=np.intp)  # the plan's column at each row; one per row
+    col_of[rows] = cols
+    off = np.where(col_of[lhs.target[:, :dim]] != np.arange(dim), lhs.phase[:, :dim], 0)
+    if d is not None:
+        inside = space.interior_mask(d)
+        got, want, off = got[:, inside[cols]], want[:, inside[cols]], off[:, inside]
+    return _rows_close(np.hstack([got, off]), np.hstack([want, np.zeros_like(off)]), tol)
+
+
+def _tally(rep: ModuleReport, ok: np.ndarray):
+    """Count the cases in ok, up to and including its first failure, into
+    rep; return the index of that failure, or None."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        rep.cases_checked += int(bad[0]) + 1
+        return int(bad[0])
+    rep.cases_checked += len(ok)
+    return None
+
+
+def _rank(s: np.ndarray, size: int) -> int:
+    """np.linalg.matrix_rank of a matrix with singular values s and larger
+    side `size`, by its default threshold."""
+    return int(np.count_nonzero(s > s.max() * size * np.finfo(np.float64).eps)) if s.size else 0
+
+
+def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
+    """The degree-shift-zero image of a compact on X_m: the sum of
+    S[i, j] C(delta_i) C(delta_j)* over the nonzero entries of S, scattered
+    from the point table of degree m, dim terms at a time."""
+    m = S.degree
+    t = _point_table(space, c, m, m)
+    adj = _adjoint(t)
+    i, j = np.nonzero(S.matrix)
+    w = S.matrix[i, j]
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    cols = np.arange(space.dim)
+    step = max(space.dim, 1)
+    for at in range(0, len(i), step):
+        part = _compose(t, i[at : at + step], adj, j[at : at + step])
+        rows = part.target[:, :-1]
+        hit = rows >= 0
+        vals = part.phase[:, :-1] * w[at : at + step, None]
+        np.add.at(M, (rows[hit], np.broadcast_to(cols, rows.shape)[hit]), vals[hit])
+    return FockOp(space, dg.zero(space.graph.k), M)
 
 
 def fock_compacts_y(space: FockSpace, c: Cocycle, S) -> FockOp:
@@ -381,7 +500,7 @@ def fock_compacts_y(space: FockSpace, c: Cocycle, S) -> FockOp:
         block = y_iota(c, S, q).lift(space.block_depth(q)).matrix
         sl = space.block_slice(q)
         M[sl, sl] = block
-    return FockOp(space, (0,) * space.graph.k, M, require_block=False)
+    return FockOp(space, (0,) * space.graph.k, M)
 
 
 # -- relation suites ---------------------------------------------------------
@@ -397,12 +516,21 @@ def relation_degrees(N) -> list:
     return out
 
 
-def _block_elems(space: FockSpace, n, system: str):
-    """Canonical point-mass module elements of degree n for relation checks."""
+def _depth(space: FockSpace, n, system: str):
+    """The coefficient depth of the degree-n module elements of `system`:
+    path functions of degree n ("X") or cylinders of depth D-N+n ("Y")."""
+    return n if system == "X" else space.block_depth(n)
+
+
+def _points_at(space: FockSpace, n, system: str, k):
+    """The point mass at coefficient k of the degree-n elements of
+    `system`; an array of k gives them as one batched element."""
     g = space.graph
+    depth = _depth(space, n, system)
+    coeffs = np.eye(len(g.paths(depth)), dtype=np.complex128)[k]
     if system == "X":
-        return [XElem.delta(g, la) for la in g.paths(n)]
-    return [CylElem.delta(g, la, n) for la in g.paths(space.block_depth(n))]
+        return XElem(g, n, coeffs)
+    return CylElem(g, n, depth, coeffs)
 
 
 def _mul(c: Cocycle, x, y):
@@ -429,18 +557,25 @@ def _first_pairs(a, b, cap: int):
     return islice(product(a, b), cap)
 
 
-def _multiplicativity(space: FockSpace, c: Cocycle, elems, cre, rep: ModuleReport, tol, pair_cap):
-    """C(x) C(y) against C(x y) for the first pair_cap pairs (x, y) of each
-    degree pair (m, n) with m + n <= N; counts each case into rep and returns
-    the first failing (m, n, i, j), or None."""
+def _multiplicativity(space: FockSpace, c: Cocycle, system: str, tables, rep: ModuleReport, tol, pair_cap):
+    """C(x) C(y) against C(x y) for the first pair_cap pairs (x, y) of point
+    masses of `system` in each degree pair (m, n) with m + n <= N, where
+    tables[m] holds the point creations of degree m; counts each case into
+    rep and returns the first failing (m, n, i, j), or None.  The products
+    x y come from the module layer, one batch per degree pair."""
     for m in space.blocks:
         for n in space.blocks:
             if not dg.leq(dg.add(m, n), space.N):
                 continue
-            for (i, x), (j, y) in _first_pairs(enumerate(elems[m]), enumerate(elems[n]), pair_cap):
-                rep.cases_checked += 1
-                if not (cre[m][i] @ cre[n][j]).close(_creation(space, c, _mul(c, x, y)), tol):
-                    return (m, n, i, j)
+            rm, rn = range(len(tables[m].target)), range(len(tables[n].target))
+            pairs = list(_first_pairs(rm, rn, pair_cap))
+            if not pairs:
+                continue
+            i, j = np.array(pairs).T
+            prods = _mul(c, _points_at(space, m, system, i), _points_at(space, n, system, j))
+            bad = _tally(rep, _close_to(space, c, _compose(tables[m], i, tables[n], j), prods, tol))
+            if bad is not None:
+                return (m, n) + pairs[bad]
     return None
 
 
@@ -451,47 +586,55 @@ def rep_axioms_check(
     action, adjoint inner products, and multiplicativity across degrees.
 
     `system` names the module the creations take: "X" (path functions of
-    degree n) or "Y" (cylinders of depth D-N+n in the fiber of degree n)."""
+    degree n) or "Y" (cylinders of depth D-N+n in the fiber of degree n).
+    Linearity creates densely; the other axioms compare point tables, one
+    block or degree pair at a time."""
     if system not in ("X", "Y"):
         raise ValueError(f"system must be 'X' or 'Y', got {system!r}")
     g = space.graph
     rep = ModuleReport(True)
-    elems = {n: _block_elems(space, n, system) for n in space.blocks}
-    cre = {n: [_creation(space, c, x) for x in elems[n]] for n in space.blocks}
+    tables = {n: _point_table(space, c, n, _depth(space, n, system)) for n in space.blocks}
+    size = {n: len(tables[n].target) for n in space.blocks}
 
     for n in space.blocks:
-        if len(elems[n]) >= 2:
-            combo = elems[n][0] + 2.0j * elems[n][1]
-            want = cre[n][0] + 2.0j * cre[n][1]
+        if size[n] >= 2:
+            e0, e1 = (_points_at(space, n, system, k) for k in (0, 1))
+            want = _creation(space, c, e0) + 2.0j * _creation(space, c, e1)
             rep.cases_checked += 1
-            if not _creation(space, c, combo).close(want, tol):
+            if not _creation(space, c, e0 + 2.0j * e1).close(want, tol):
                 rep.ok = False
                 rep.first_failure = ("linearity", n, None)
                 return rep
 
-    indicators = [VertexFn.indicator(g, v) for v in g.vertices]
-    right = list(zip(indicators, point_creations(space, c, dg.zero(g.k))))  # (a, creation by a)
+    z = dg.zero(g.k)
+    vertices = _point_table(space, c, z, z)  # creation by each vertex indicator, in vertex order
     for n in space.blocks:
-        for i, x in enumerate(elems[n][:pair_cap]):
-            for v, (a, ca) in enumerate(right):
-                xa = _right(c, x, a)
-                rep.cases_checked += 1
-                if not _creation(space, c, xa).close(cre[n][i] @ ca, tol):
-                    rep.ok = False
-                    rep.first_failure = ("right-action", (n, i, g.vertices[v]), None)
-                    return rep
+        pairs = list(product(range(min(pair_cap, size[n])), range(len(g.vertices))))
+        if not pairs:
+            continue
+        i, v = np.array(pairs).T
+        xa = _right(c, _points_at(space, n, system, i), VertexFn(g, np.eye(len(g.vertices))[v]))
+        bad = _tally(rep, _close_to(space, c, _compose(tables[n], i, vertices, v), xa, tol))
+        if bad is not None:
+            a, b = pairs[bad]
+            rep.ok = False
+            rep.first_failure = ("right-action", (n, a, g.vertices[b]), None)
+            return rep
 
     for n in space.blocks:
-        for i, j in _first_pairs(range(len(elems[n])), range(len(elems[n])), pair_cap):
-            lhs = cre[n][i].adjoint() @ cre[n][j]
-            rhs = _creation(space, c, _inner0(elems[n][i], elems[n][j]))
-            rep.cases_checked += 1
-            if not lhs.close_on_interior(rhs, n, tol):
-                rep.ok = False
-                rep.first_failure = ("inner-product", (n, i, j), None)
-                return rep
+        pairs = list(_first_pairs(range(size[n]), range(size[n]), pair_cap))
+        if not pairs:
+            continue
+        i, j = np.array(pairs).T
+        inner = _inner0(_points_at(space, n, system, i), _points_at(space, n, system, j))
+        lhs = _compose(_adjoint(tables[n]), i, tables[n], j)
+        bad = _tally(rep, _close_to(space, c, lhs, inner, tol, n))
+        if bad is not None:
+            rep.ok = False
+            rep.first_failure = ("inner-product", (n,) + pairs[bad], None)
+            return rep
 
-    bad = _multiplicativity(space, c, elems, cre, rep, tol, pair_cap)
+    bad = _multiplicativity(space, c, system, tables, rep, tol, pair_cap)
     if bad is not None:
         rep.ok = False
         rep.first_failure = ("multiplicativity", bad, None)
@@ -500,31 +643,13 @@ def rep_axioms_check(
 
 def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) -> ModuleReport:
     """psi-hat(S) psi-hat(T) against psi-hat of the aligned compact product."""
-    for d in (S.degree, T.degree):
+    m, n = S.degree, T.degree
+    for d in (m, n):
         if not dg.leq(d, space.N):
             raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
-    held = {}
-
-    def creations(d):  # one degree at a time; _nica asks degree by degree, so each is built once
-        if d not in held:
-            held.clear()
-            held[d] = point_creations(space, c, d)
-        return held[d]
-
-    return _nica(space, c, S, T, tol, creations)
-
-
-def _nica(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol, creations) -> ModuleReport:
-    """nica_check, reading the point creations of degree d from creations(d)."""
-    m, n = S.degree, T.degree
     j = dg.join(m, n)
-    if j == m:  # T's creations first, so that S's serve the aligned product too
-        KT = fock_compacts_x(space, creations(n), T)
-        lhs = fock_compacts_x(space, creations(m), S) @ KT
-        del KT  # hold no more operators than the product while the aligned side is built
-    else:
-        lhs = fock_compacts_x(space, creations(m), S) @ fock_compacts_x(space, creations(n), T)
-    rhs = fock_compacts_x(space, creations(j), x_compact_align(c, S, T))
+    lhs = fock_compacts_x(space, c, S) @ fock_compacts_x(space, c, T)
+    rhs = fock_compacts_x(space, c, x_compact_align(c, S, T))
     rep = ModuleReport(True, cases_checked=1)
     if not lhs.close_on_interior(rhs, j, tol):
         rep.ok = False
@@ -560,67 +685,79 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     (i) composition with the cocycle phase, (ii) the isometry relation,
     (iii) the exhaustion sum at degree n, asserted on the blocks whose degree
     dominates n; the uncompressed defect is the projection onto the
-    complementary low-degree corner, and is reported, not ignored.
+    complementary low-degree corner, and is reported, not ignored.  Every
+    relation is checked on the point tables, one degree or split at a time.
     """
     g = space.graph
     n = dg.as_degree(n, g.k)
     if not dg.leq(n, space.N):
         raise DegreeExceedsTruncation(f"degree {n} exceeds {space.N}", n)
     rep = ModuleReport(True)
-    sgen = {}
-    for m in dg.degrees_upto(n):
-        sgen.update(zip(g.paths(m), point_creations(space, c, m)))
-    svtx = {p.range: sgen[p] for p in g.paths(dg.zero(g.k))}
+    tables = {m: _point_table(space, c, m, m) for m in dg.degrees_upto(n)}
+    z = dg.zero(g.k)
+    vtx = tables[z]
+    at = {p.range: i for i, p in enumerate(g.paths(z))}  # vertex -> its projection in vtx
 
-    for v in g.vertices:
-        for w in g.vertices:
-            rep.cases_checked += 1
-            want = svtx[v] if v == w else FockOp.zeros(space)
-            if not (svtx[v] @ svtx[w]).close(want, tol):
-                rep.ok = False
-                rep.first_failure = ("vertex", (v, w), None)
-                return rep
+    pairs = list(product(g.vertices, g.vertices))
+    i, j = np.array([(at[v], at[w]) for v, w in pairs]).T
+    want = XElem(g, z, np.eye(len(at))[i] * (i == j)[:, None])  # S_v S_w = [v = w] S_v
+    bad = _tally(rep, _close_to(space, c, _compose(vtx, i, vtx, j), want, tol))
+    if bad is not None:
+        rep.ok = False
+        rep.first_failure = ("vertex", pairs[bad], None)
+        return rep
 
     for m in dg.degrees_upto(n):
-        if not any(m):
+        paths = g.paths(m)
+        if not any(m) or not paths:
             continue
-        for la in g.paths(m):
-            for p, _ in dg.splits(m, 2):
-                mu, nu = g.split(la, p)
-                rep.cases_checked += 1
-                got = sgen[mu] @ sgen[nu]
-                want = complex(c(mu, nu)) * sgen[la]
-                if not arrays_close(got.on_interior(m), want.on_interior(m), tol):
-                    rep.ok = False
-                    rep.first_failure = ("compose", (mu, nu), None)
-                    return rep
-            rep.cases_checked += 1
-            if not (sgen[la].adjoint() @ sgen[la]).close_on_interior(svtx[la.source], m, tol):
-                rep.ok = False
-                rep.first_failure = ("isometry", la, None)
-                return rep
+        ks = np.arange(len(paths))
+        cuts = [p for p, _ in dg.splits(m, 2)]
+        oks = []
+        for p in cuts:  # S_mu S_nu = c(mu, nu) S_la for la = mu nu
+            q = dg.sub(m, p)
+            pre, suf = g.factor_indices(p, q)
+            lhs = _compose(tables[p], pre, tables[q], suf)
+            oks.append(_close_to(space, c, lhs, XElem(g, m, np.diag(c.twist(p, q).values)), tol, m))
+        want = XElem(g, z, np.eye(len(at))[[at[la.source] for la in paths]])  # S_la* S_la = S_s(la)
+        lhs = _compose(_adjoint(tables[m]), ks, tables[m], ks)
+        oks.append(_close_to(space, c, lhs, want, tol, m))
+        bad = _tally(rep, np.column_stack(oks).ravel())  # path by path: its splits, then its isometry
+        if bad is not None:
+            k, s = divmod(bad, len(oks))
+            rep.ok = False
+            if s < len(cuts):
+                rep.first_failure = ("compose", tuple(g.split(paths[k], cuts[s])), None)
+            else:
+                rep.first_failure = ("isometry", paths[k], None)
+            return rep
 
+    # every operator below is diagonal: a range projection of a point
+    # creation, or a vertex projection
+    dim = space.dim
     low = ~np.all(space._deg >= np.asarray(n), axis=1)  # blocks not dominating n
-    up = np.ix_(~low, ~low)
+    top = tables[n]
+    k, col = np.nonzero(top.target[:, :-1] >= 0)
+    ranges = np.zeros((len(top.target), dim), dtype=np.complex128)  # diagonal of S_la S_la*
+    ranges[k, top.target[k, col]] = _times(top.phase[k, col], np.conj(top.phase[k, col]))
     for v in g.vertices:
-        total = FockOp.zeros(space)
-        for i in g.by_range(n)[v]:
-            la = g.paths(n)[i]
-            total = total + sgen[la] @ sgen[la].adjoint()
+        total = ranges[list(g.by_range(n)[v])].sum(axis=0)
+        proj = np.zeros(dim, dtype=np.complex128)
+        (cols,) = np.nonzero(vtx.target[at[v], :-1] >= 0)
+        proj[vtx.target[at[v], cols]] = vtx.phase[at[v], cols]
         rep.cases_checked += 1
-        if not arrays_close(total.matrix[up], svtx[v].matrix[up], tol):
+        if not arrays_close(total[~low], proj[~low], tol):
             rep.ok = False
             rep.first_failure = ("ck-sum", v, None)
             return rep
-        defect = svtx[v].matrix - total.matrix
-        want = svtx[v].matrix * np.outer(low, low)
+        defect = proj - total
         rep.cases_checked += 1
-        if not arrays_close(defect, want, tol):
+        if not arrays_close(defect, proj * low, tol):
             rep.ok = False
             rep.first_failure = ("defect-shape", v, None)
             return rep
-        got_rank = int(np.linalg.matrix_rank(defect)) if defect.size else 0
-        want_rank = int(np.sum(np.abs(np.diag(svtx[v].matrix)) * low > 0.5))
+        got_rank = _rank(np.abs(defect), dim)
+        want_rank = int(np.sum(np.abs(proj) * low > 0.5))
         if got_rank != want_rank:
             rep.ok = False
             rep.first_failure = ("defect-rank", v, (got_rank, want_rank))
@@ -634,10 +771,9 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
     blockwise."""
     g = space.graph
     rep = ModuleReport(True)
-    elems = {m: _block_elems(space, m, "X") for m in space.blocks}
-    psi = {m: point_creations(space, c, m) for m in space.blocks}
+    tables = {m: _point_table(space, c, m, m) for m in space.blocks}
 
-    bad = _multiplicativity(space, c, elems, psi, rep, tol, pair_cap)
+    bad = _multiplicativity(space, c, "X", tables, rep, tol, pair_cap)
     if bad is not None:
         m, n, i, j = bad
         rep.ok = False
@@ -645,20 +781,32 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         return rep
 
     for m in space.blocks:
-        for (i, la), (j, mu) in _first_pairs(enumerate(g.paths(m)), enumerate(g.paths(m)), pair_cap):
+        size = len(tables[m].target)
+        pairs = list(_first_pairs(range(size), range(size), pair_cap))
+        if not pairs:
+            continue
+        i, j = np.array(pairs).T
+        lhs = _compose(tables[m], i, _adjoint(tables[m]), j)  # psi(delta_i) psi(delta_j)*
+        inside = np.flatnonzero(space.interior_mask(m))
+        for p, (a, b) in enumerate(pairs):
             rep.cases_checked += 1
-            S = x_theta(elems[m][i], elems[m][j])
-            lhs = psi[m][i] @ psi[m][j].adjoint()
-            rhs = fock_compacts_y(space, c, alpha_k(S))
-            if not lhs.close_on_interior(rhs, m, tol):
+            S = x_theta(_points_at(space, m, "X", a), _points_at(space, m, "X", b))
+            rhs = fock_compacts_y(space, c, alpha_k(S)).matrix[:, inside]
+            rows = lhs.target[p, inside]
+            (hit,) = np.nonzero(rows >= 0)
+            got, want = lhs.phase[p, inside[hit]], rhs[rows[hit], hit]
+            rhs[rows[hit], hit] = 0  # what is left of rhs must vanish
+            if not arrays_close(np.r_[got, np.zeros(rhs.size)], np.r_[want, rhs.ravel()], tol):
                 rep.ok = False
-                rep.first_failure = ("psi-compacts", (la, mu), None)
+                rep.first_failure = ("psi-compacts", (g.paths(m)[a], g.paths(m)[b]), None)
                 return rep
 
     for m in space.blocks:
-        stack = np.stack([op.matrix.ravel() for op in psi[m]])
+        # distinct point creations have disjoint supports, so their norms
+        # are the singular values of their stacked matrices
+        norms = np.linalg.norm(tables[m].phase[:, :-1], axis=1)
         rep.cases_checked += 1
-        if int(np.linalg.matrix_rank(stack)) != len(psi[m]):
+        if _rank(norms, max(len(norms), space.dim**2)) != len(norms):
             rep.ok = False
             rep.first_failure = ("psi-injective", m, None)
             return rep
@@ -666,9 +814,9 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
     nonzero = [m for m in space.blocks if any(m)]
     for m, n in _first_pairs(nonzero, nonzero, pair_cap):
         # the rank-one compact from the last point mass of each degree to the first
-        S = x_theta(elems[m][0], elems[m][-1])
-        T = x_theta(elems[n][0], elems[n][-1])
-        sub = _nica(space, c, S, T, tol, psi.__getitem__)
+        S = x_theta(_points_at(space, m, "X", 0), _points_at(space, m, "X", -1))
+        T = x_theta(_points_at(space, n, "X", 0), _points_at(space, n, "X", -1))
+        sub = nica_check(space, c, S, T, tol)
         rep.cases_checked += sub.cases_checked
         if not sub.ok:
             rep.ok = False

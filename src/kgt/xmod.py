@@ -24,9 +24,10 @@ from .kgraph import KGraph, Path
 
 
 def _as_coeffs(values, size: int) -> np.ndarray:
+    """Coefficients over `size` basis vectors; leading axes, if any, are a batch."""
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != (size,):
-        raise DegreeMismatch(f"coefficient vector has shape {arr.shape}, expected ({size},)", arr.shape)
+    if arr.shape[-1:] != (size,):
+        raise DegreeMismatch(f"coefficient vector has shape {arr.shape}, expected (..., {size})", arr.shape)
     return arr
 
 
@@ -91,7 +92,10 @@ class VertexFn:
 
 
 class XElem:
-    """An element of X_n: coefficients over the canonical order of Lambda^n."""
+    """An element of X_n: coefficients over the canonical order of Lambda^n.
+
+    Leading axes of the coefficients, if any, hold a batch of elements;
+    x_tmul, x_act and x_inner act on a batch element by element."""
 
     def __init__(self, graph: KGraph, degree, coeffs):
         self.graph = graph
@@ -230,11 +234,11 @@ def x_inner(f: XElem, g: XElem) -> VertexFn:
     """<f, g>(v) = sum over s(la) = v of conj(f(la)) g(la)."""
     f._match(g)
     graph = f.graph
-    out = np.zeros(len(graph.vertices), dtype=np.complex128)
     prod = np.conj(f.coeffs) * g.coeffs
+    out = np.zeros(prod.shape[:-1] + (len(graph.vertices),), dtype=np.complex128)
     for v, ix in graph.by_source(f.degree).items():
         if ix:
-            out[graph.vertex_index[v]] = np.sum(prod[list(ix)])
+            out[..., graph.vertex_index[v]] = np.sum(prod[..., list(ix)], axis=-1)
     return VertexFn(graph, out)
 
 
@@ -244,12 +248,12 @@ def x_act(a: VertexFn, f: XElem, side: str = "left") -> XElem:
     paths = graph.paths(f.degree)
     vidx = graph.vertex_index
     if side == "left":
-        weights = np.array([a.values[vidx[p.range]] for p in paths])
+        at = [vidx[p.range] for p in paths]
     elif side == "right":
-        weights = np.array([a.values[vidx[p.source]] for p in paths])
+        at = [vidx[p.source] for p in paths]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return XElem(graph, f.degree, weights * f.coeffs)
+    return XElem(graph, f.degree, a.values[..., at] * f.coeffs)
 
 
 def x_tmul(c: Cocycle, f: XElem, g: XElem) -> XElem:
@@ -258,7 +262,7 @@ def x_tmul(c: Cocycle, f: XElem, g: XElem) -> XElem:
     m, n = f.degree, g.degree
     pre, suf = graph.factor_indices(m, n)
     twist = c.twist(m, n).values
-    return XElem(graph, dg.add(m, n), twist * f.coeffs[pre] * g.coeffs[suf])
+    return XElem(graph, dg.add(m, n), twist * f.coeffs[..., pre] * g.coeffs[..., suf])
 
 
 def x_theta(f: XElem, g: XElem) -> XOp:

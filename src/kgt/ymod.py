@@ -31,7 +31,10 @@ from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close
 
 
 class CylElem:
-    """A depth-m cylinder element of the fiber Y_n."""
+    """A depth-m cylinder element of the fiber Y_n.
+
+    Leading axes of the coefficients, if any, hold a batch of elements;
+    y_lift, y_tmul and y_inner act on a batch element by element."""
 
     def __init__(self, graph: KGraph, module_degree, depth, coeffs):
         self.graph = graph
@@ -44,8 +47,8 @@ class CylElem:
             )
         size = len(graph.paths(self.depth))
         arr = np.asarray(coeffs, dtype=np.complex128)
-        if arr.shape != (size,):
-            raise DegreeMismatch(f"coefficients shape {arr.shape}, expected ({size},)", arr.shape)
+        if arr.shape[-1:] != (size,):
+            raise DegreeMismatch(f"coefficients shape {arr.shape}, expected (..., {size})", arr.shape)
         self.coeffs = arr
 
     @classmethod
@@ -129,7 +132,7 @@ def y_lift(h: CylElem, depth) -> CylElem:
     if not dg.leq(h.depth, depth):
         raise DegreeNotDominated(f"cannot lower depth {h.depth} to {depth}", (h.depth, depth))
     pre, _ = g.factor_indices(h.depth, dg.sub(depth, h.depth))
-    return CylElem(g, h.module_degree, depth, h.coeffs[pre])
+    return CylElem(g, h.module_degree, depth, h.coeffs[..., pre])
 
 
 def y_inner(f: CylElem, g_: CylElem) -> CylElem:
@@ -140,8 +143,8 @@ def y_inner(f: CylElem, g_: CylElem) -> CylElem:
     rest = dg.sub(f.depth, n)
     _, suf = g.factor_indices(n, rest)
     prod = np.conj(f.coeffs) * g_.coeffs
-    out = np.zeros(len(g.paths(rest)), dtype=np.complex128)
-    np.add.at(out, suf, prod)
+    out = np.zeros(prod.shape[:-1] + (len(g.paths(rest)),), dtype=np.complex128)
+    np.add.at(out, (..., suf), prod)
     return CylElem(g, dg.zero(g.k), rest, out)
 
 
@@ -157,7 +160,7 @@ def y_tmul(c: Cocycle, f: CylElem, g_: CylElem) -> CylElem:
     # c(x(0, m), x(m, m+n)) for x in Lambda^depth, read off the (m, n) twist
     pre_mn, _ = gph.factor_indices(dg.add(m, n), dg.sub(depth, dg.add(m, n)))
     twist = c.twist(m, n).values[pre_mn]
-    out = twist * f.coeffs[pre_f] * g_.coeffs[tail_pre_g[suf_m]]
+    out = twist * f.coeffs[..., pre_f] * g_.coeffs[..., tail_pre_g[suf_m]]
     return CylElem(gph, dg.add(m, n), depth, out)
 
 

@@ -86,12 +86,22 @@ def test_torus_commutation_phase():
     assert not np.allclose((sf @ se).on_interior((1, 1)), (se @ sf).on_interior((1, 1)), atol=1e-3)
 
 
+def assert_block_shaped(op):
+    """Every entry of op above 1e-12 maps a degree-q block into q + op.shift."""
+    space = op.space
+    pos = {n: i for i, n in enumerate(space.blocks)}
+    target = [pos.get(tuple(a + b for a, b in zip(n, op.shift)), -1) for n in space.blocks]
+    block = np.repeat(np.arange(len(space.blocks)), space._sizes)
+    ok = block[:, None] == np.repeat(target, space._sizes)[None, :]
+    assert not np.any(np.abs(op.matrix[~ok]) > 1e-12), f"entries leave the shift-{op.shift} blocks"
+
+
 def test_fock_op_requires_block_structure():
     F = FockSpace(F2, (1,))
     bad = np.ones((F.dim, F.dim))
-    with pytest.raises(ValueError):
-        FockOp(F, (0,), bad)
-    FockOp(F, (0,), np.eye(F.dim))
+    with pytest.raises(AssertionError):
+        assert_block_shaped(FockOp(F, (0,), bad))
+    assert_block_shaped(FockOp(F, (0,), np.eye(F.dim)))
 
 
 def test_gauge_grading_scales_creations():
@@ -233,17 +243,18 @@ def test_nica_check_exhaustive_small_graph():
 
 
 def test_nica_check_creates_each_degree_once(monkeypatch):
+    """nica_check scatters the point creations of each distinct degree into
+    one index table, once, and builds no dense point creation."""
     g = single_vertex(2, (2, 2))
-    F = FockSpace(g, (1, 1))
     made = []
-    real = fock.creation_x
-    monkeypatch.setattr(fock, "creation_x", lambda space, c, f: made.append(f.degree) or real(space, c, f))
+    real = fock._twists
+    monkeypatch.setattr(fock, "_twists", lambda c, d, plan, hit: made.append(d) or real(c, d, plan, hit))
+    monkeypatch.setattr(fock, "creation_x", None)
     rank_one = lambda n: x_theta(XElem.delta(g, g.paths(n)[0]), XElem.delta(g, g.paths(n)[-1]))
     for m, n in (((1, 1), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 1)), ((1, 0), (1, 0))):
         made.clear()
-        assert nica_check(F, trivial_cocycle(g), rank_one(m), rank_one(n)).ok
-        want = {d: len(g.paths(d)) for d in (m, n, dg.join(m, n))}
-        assert sorted(made) == sorted(d for d, count in want.items() for _ in range(count))
+        assert nica_check(FockSpace(g, (1, 1)), trivial_cocycle(g), rank_one(m), rank_one(n)).ok
+        assert sorted(made) == sorted({m, n, dg.join(m, n)})
 
 
 def test_cp_identity_on_fixtures():
@@ -366,8 +377,8 @@ def test_close_agrees_with_allclose(name, seed, tol, count, noise):
     space = SPACES[name]()
     rng = np.random.default_rng(seed)
     a, b = noisy_pair(rng, (space.dim, space.dim), noise, count, tol)
-    A = FockOp(space, (0,) * space.graph.k, a, require_block=False)
-    B = FockOp(space, (0,) * space.graph.k, b, require_block=False)
+    A = FockOp(space, (0,) * space.graph.k, a)
+    B = FockOp(space, (0,) * space.graph.k, b)
     assert arrays_close(a, b, tol) == allclose(a, b, tol)
     assert A.close(B, tol) == allclose(a, b, tol)
     degrees = [n for n, _ in space.basis()]
@@ -456,9 +467,9 @@ def test_require_block_mask_follows_the_shift():
     F = FockSpace(F1, (2, 2))
     c = c_theta(F1, Phase.exact_radians(1))
     op = creation_x(F, c, delta_x(F1, (1, 0), "e"))
-    FockOp(F, (1, 0), op.matrix)
-    FockOp(F, (-1, 0), op.adjoint().matrix)
-    with pytest.raises(ValueError):
-        FockOp(F, (0, 1), op.matrix)
-    with pytest.raises(ValueError):
-        FockOp(F, (1, 0), op.adjoint().matrix)
+    assert_block_shaped(FockOp(F, (1, 0), op.matrix))
+    assert_block_shaped(FockOp(F, (-1, 0), op.adjoint().matrix))
+    with pytest.raises(AssertionError):
+        assert_block_shaped(FockOp(F, (0, 1), op.matrix))
+    with pytest.raises(AssertionError):
+        assert_block_shaped(FockOp(F, (1, 0), op.adjoint().matrix))
