@@ -56,7 +56,6 @@ from .fock import (
     ck_relations_check,
     cp_identity_check,
     creation_x,
-    point_creations,
     psi_check,
     relation_degrees,
     rep_axioms_check,
@@ -471,7 +470,7 @@ def cmd_build(args) -> int:
 def _creations(space: FockSpace, c: Cocycle):
     """Degree-zero vertex generators plus one creation per edge that fits."""
     g = space.graph
-    out = [(f"vertex:{v}", op) for v, op in zip(g.vertices, point_creations(space, c, dg.zero(g.k)))]
+    out = [(f"vertex:{v}", creation_x(space, c, XElem.delta(g, g.vertex_path(v)))) for v in g.vertices]
     for e in g.all_edges:
         if dg.leq(dg.unit(g.k, e.color), space.N):
             out.append((f"edge:{e.ident}", creation_x(space, c, XElem.delta(g, g.edge_path(e.ident)))))

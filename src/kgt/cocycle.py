@@ -130,7 +130,7 @@ class Cocycle:
         self.mode = mode
         self.name = name
         self._memo: dict[tuple[Path, Path], Phase] = {}
-        self._twists: dict[tuple[dg.Degree, dg.Degree], Twist] = {}
+        self._twist_memo: dict[tuple[dg.Degree, dg.Degree], Twist] = {}
 
     def __call__(self, la: Path, mu: Path) -> Phase:
         """c(la, mu).  A vertex leg gives ONE without asking the evaluator,
@@ -152,11 +152,11 @@ class Cocycle:
         like the pair memo, up to total degree _MEMO_TOTAL_CAP."""
         g = self.graph
         key = (dg.as_degree(m, g.k), dg.as_degree(n, g.k))
-        hit = self._twists.get(key)
+        hit = self._twist_memo.get(key)
         if hit is None:
             hit = Twist([self(*g.split(la, key[0])) for la in g.paths(dg.add(*key))])
             if dg.total(key[0]) + dg.total(key[1]) <= _MEMO_TOTAL_CAP:
-                self._twists[key] = hit
+                self._twist_memo[key] = hit
         return hit
 
     def __repr__(self) -> str:

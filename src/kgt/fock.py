@@ -91,25 +91,14 @@ def _counted_dim(graph: KGraph, N, base) -> int:
     return min(int(sum(row)), _COUNT_CAP)
 
 
-class _Plan(NamedTuple):
-    """One creation's entries over every block pair, concatenated."""
-
-    flat: np.ndarray  # target row * dim + source column
-    gather: np.ndarray  # index into the coefficient vector
-    twist_at: np.ndarray  # index into the concatenated twist values
-    block: np.ndarray  # position in qs of the entry's source block
-    qs: tuple  # the source blocks q with q + d <= N, in order
-    pads: tuple  # zeros as long as each block's twist table
-
-
 class FockSpace:
     """Direct sum of the degree-n stages for n <= N, in graded lex order.
 
     The working depth D defaults to N.  The space is refused before any path
     is enumerated when one dense operator on it would take more than
-    MAX_OP_BYTES.  Creation operators read one cached plan per shift and
-    coefficient depth, and the relation checks one point table per plan
-    and cocycle.
+    MAX_OP_BYTES.  Creation operators and the relation checks read one
+    point table per shift, coefficient depth and cocycle, cached on the
+    space.
     """
 
     def __init__(self, graph: KGraph, N, depth=None):
@@ -141,7 +130,6 @@ class FockSpace:
         for n in self.blocks:
             self._deg[self.block_slice(n)] = n
         self._interior: dict[dg.Degree, np.ndarray] = {}
-        self._plans: dict[tuple, _Plan] = {}
         self._tables: dict[tuple, _PointTable] = {}
 
     def block_depth(self, n):
@@ -169,39 +157,6 @@ class FockSpace:
             mask.flags.writeable = False
             self._interior[d] = mask
         return mask
-
-    def _creation_plan(self, d, depth) -> "_Plan":
-        """The entries of a degree-d creation by coefficients of cylinder
-        depth `depth`, for every block pair (q, q+d) with q + d <= N,
-        concatenated; cached per (d, depth).  An X creation reads the plan
-        at depth d."""
-        plan = self._plans.get((d, depth))
-        if plan is not None:
-            return plan
-        g = self.graph
-        flat, gather, twist_at, block, qs, pads = [], [], [], [], [], []
-        at = 0
-        for q in self.blocks:
-            t = dg.add(q, d)
-            if not dg.leq(t, self.N):
-                continue
-            # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
-            Dt = self.block_depth(t)
-            _, suf = g.factor_indices(d, self.block_depth(q))
-            coeff = g.factor_indices(depth, dg.sub(Dt, depth))[0]
-            tw = g.factor_indices(t, dg.sub(Dt, t))[0]
-            rows = self.block_slice(t).start + np.arange(len(suf))
-            flat.append(rows * self.dim + self.block_slice(q).start + suf)
-            gather.append(coeff)
-            twist_at.append(at + tw)
-            block.append(np.full(len(suf), len(qs)))
-            qs.append(q)
-            size = len(g.paths(t))  # the length of the (d, q) twist table
-            pads.append(np.zeros(size, dtype=np.complex128))
-            at += size
-        arrays = [np.concatenate(parts).astype(np.intp) for parts in (flat, gather, twist_at, block)]
-        plan = self._plans[(d, depth)] = _Plan(*arrays, tuple(qs), tuple(pads))
-        return plan
 
     def embed(self, n, coeffs) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.complex128)
@@ -301,24 +256,14 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twists(c: Cocycle, d, plan: _Plan, hit: np.ndarray) -> np.ndarray:
-    """The plan's twist values, concatenated; the cocycle is asked only for
-    the blocks marked in hit, and the others read as zeros."""
-    return np.concatenate(
-        [c.twist(d, q).values if h else pad for q, h, pad in zip(plan.qs, hit.tolist(), plan.pads)]
-    )
-
-
-def _create(space: FockSpace, c: Cocycle, d, plan: _Plan, coeffs: np.ndarray) -> FockOp:
-    """The creation read off `plan`: one gather, one scatter.  The cocycle is
-    asked only for blocks that hold a nonzero coefficient."""
+def _create(space: FockSpace, c: Cocycle, d, depth, coeffs: np.ndarray) -> FockOp:
+    """The creation by coeffs, of coefficient depth `depth`: the point
+    creations of the table (d, depth), weighted by coeffs, in one scatter."""
+    t = _point_table(space, c, d, depth)
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    w = coeffs[plan.gather]
+    w = coeffs[t.k]
     (i,) = np.nonzero(w)
-    if i.size:
-        hit = np.zeros(len(plan.qs), dtype=bool)
-        hit[plan.block[i]] = True
-        M.reshape(-1)[plan.flat[i]] = _times(_twists(c, d, plan, hit)[plan.twist_at[i]], w[i])
+    M[t.row[i], t.col[i]] = _times(t.phase[t.k[i], t.col[i]], w[i])
     return FockOp(space, d, M)
 
 
@@ -330,7 +275,7 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
     d = f.degree
     if not dg.leq(d, space.N):
         raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
-    return _create(space, c, d, space._creation_plan(d, d), f.coeffs)
+    return _create(space, c, d, d, f.coeffs)
 
 
 def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
@@ -342,7 +287,7 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
         raise DepthOverflow(
             f"depth {h.depth} cannot act within working depth {space.D}", (h.depth, space.D)
         )
-    return _create(space, c, d, space._creation_plan(d, h.depth), h.coeffs)
+    return _create(space, c, d, h.depth, h.coeffs)
 
 
 def _creation(space: FockSpace, c: Cocycle, x) -> FockOp:
@@ -351,18 +296,12 @@ def _creation(space: FockSpace, c: Cocycle, x) -> FockOp:
     return creation_y(space, c, x)
 
 
-def point_creations(space: FockSpace, c: Cocycle, n) -> list[FockOp]:
-    """creation_x of every point mass XElem.delta of degree n, in path order;
-    at n = 0 these are the vertex projections, in vertex order."""
-    g = space.graph
-    return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]
-
-
 # -- point creations as index tables -----------------------------------------
 
 
 class _PointTable(NamedTuple):
-    """The creations by the point masses of one creation plan, as index tables.
+    """The creations by the point masses of one shift and coefficient depth,
+    as index tables.
 
     Creation k, by the point mass at coefficient k, sends the basis vector
     e_col to phase[k, col] e_target[k, col], or to zero where target[k, col]
@@ -370,30 +309,52 @@ class _PointTable(NamedTuple):
     each column.  Column dim is a zero column, so a gather through a target
     of -1 lands on it.  Composition is then a gather, the adjoint is the
     inverse index map, and a range projection is a diagonal.
+
+    The entries, one per (k, col) with a target, are listed in k, col and
+    row; a composite built by _compose does not list them.
     """
 
     target: np.ndarray  # (K, dim + 1) target rows, -1 for none
     phase: np.ndarray  # (K, dim + 1) phases, 0 where target is -1
+    k: np.ndarray | None = None  # per entry: the coefficient
+    col: np.ndarray | None = None  # per entry: the source column
+    row: np.ndarray | None = None  # per entry: the target row, target[k, col]
 
 
 def _point_table(space: FockSpace, c: Cocycle, d, depth) -> _PointTable:
-    """The point creations of the plan (d, depth), by one scatter and with
-    no dense matrix; cached on the space per cocycle.  The cocycle is asked
-    for every block that holds an entry, as creating every point mass asks
-    it."""
+    """The creations by the point masses of cylinder depth `depth` in the
+    fiber of degree d, for every block pair (q, q+d) with q + d <= N, with
+    no dense matrix; cached on the space per cocycle.  An X creation reads
+    the table at depth d.  The cocycle is asked for every block of the shift
+    that holds an entry, whatever coefficients a creation later weights the
+    table with."""
     table = space._tables.get((c, d, depth))
-    if table is None:
-        plan = space._creation_plan(d, depth)
-        K, dim = len(space.graph.paths(depth)), space.dim
-        target = np.full((K, dim + 1), -1, dtype=np.intp)
-        phase = np.zeros((K, dim + 1), dtype=np.complex128)
-        if plan.flat.size:
-            hit = np.zeros(len(plan.qs), dtype=bool)
-            hit[plan.block] = True
-            rows, cols = np.divmod(plan.flat, dim)
-            target[plan.gather, cols] = rows
-            phase[plan.gather, cols] = _twists(c, d, plan, hit)[plan.twist_at]
-        table = space._tables[(c, d, depth)] = _PointTable(target, phase)
+    if table is not None:
+        return table
+    g, dim = space.graph, space.dim
+    target = np.full((len(g.paths(depth)), dim + 1), -1, dtype=np.intp)
+    phase = np.zeros(target.shape, dtype=np.complex128)
+    ks, cols, rows = [], [], []
+    for q in space.blocks:
+        t = dg.add(q, d)
+        if not dg.leq(t, space.N):
+            continue
+        # c(x(0, d), x(d, d+q)) for x in Lambda^Dt, read off the (d, q) twist
+        Dt = space.block_depth(t)
+        _, suf = g.factor_indices(d, space.block_depth(q))
+        if not suf.size:
+            continue  # no entry, so the cocycle is not asked
+        k = g.factor_indices(depth, dg.sub(Dt, depth))[0]
+        tw = g.factor_indices(t, dg.sub(Dt, t))[0]
+        col = space.block_slice(q).start + suf
+        row = space.block_slice(t).start + np.arange(len(suf))
+        target[k, col] = row
+        phase[k, col] = c.twist(d, q).values[tw]
+        ks.append(k)
+        cols.append(col)
+        rows.append(row)
+    entries = (np.concatenate([np.zeros(0, np.intp), *parts]) for parts in (ks, cols, rows))
+    table = space._tables[(c, d, depth)] = _PointTable(target, phase, *entries)
     return table
 
 
@@ -402,11 +363,9 @@ def _adjoint(t: _PointTable) -> _PointTable:
     conjugate phases."""
     target = np.full(t.target.shape, -1, dtype=np.intp)
     phase = np.zeros(t.phase.shape, dtype=np.complex128)
-    k, col = np.nonzero(t.target[:, :-1] >= 0)
-    rows = t.target[k, col]
-    target[k, rows] = col
-    phase[k, rows] = np.conj(t.phase[k, col])
-    return _PointTable(target, phase)
+    target[t.k, t.row] = t.col
+    phase[t.k, t.row] = np.conj(t.phase[t.k, t.col])
+    return _PointTable(target, phase, t.k, t.row, t.col)
 
 
 def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
@@ -431,24 +390,23 @@ def _close_to(space: FockSpace, c: Cocycle, lhs: _PointTable, x, tol, d=None) ->
     interior(d), or everywhere when d is None.
 
     The creation is read in column-entry form: the value at each entry of
-    its plan is the entry's twist times the entry's coefficient of x, as
-    _create scatters it.  Both sides are compared at every entry of the
-    plan and at every entry of lhs off the plan; everywhere else both are
+    its point table is the entry's phase times the entry's coefficient of
+    x, as _create scatters it.  Both sides are compared at every entry of
+    that table and at every entry of lhs off it; everywhere else both are
     zero.  So the answer is arrays_close's on the dense matrices, in
     O(pairs * dim) memory.
     """
     dim = space.dim
     key = (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)  # as _creation reads
-    plan = space._creation_plan(*key)
-    rows, cols = np.divmod(plan.flat, dim)
-    want = _times(x.coeffs[:, plan.gather], _point_table(space, c, *key).phase[plan.gather, cols])
-    got = np.where(lhs.target[:, cols] == rows, lhs.phase[:, cols], 0)
-    col_of = np.full(dim + 1, -1, dtype=np.intp)  # the plan's column at each row; one per row
-    col_of[rows] = cols
+    t = _point_table(space, c, *key)
+    want = _times(x.coeffs[:, t.k], t.phase[t.k, t.col])
+    got = np.where(lhs.target[:, t.col] == t.row, lhs.phase[:, t.col], 0)
+    col_of = np.full(dim + 1, -1, dtype=np.intp)  # the table's column at each row; one per row
+    col_of[t.row] = t.col
     off = np.where(col_of[lhs.target[:, :dim]] != np.arange(dim), lhs.phase[:, :dim], 0)
     if d is not None:
         inside = space.interior_mask(d)
-        got, want, off = got[:, inside[cols]], want[:, inside[cols]], off[:, inside]
+        got, want, off = got[:, inside[t.col]], want[:, inside[t.col]], off[:, inside]
     return _rows_close(np.hstack([got, off]), np.hstack([want, np.zeros_like(off)]), tol)
 
 
@@ -737,14 +695,14 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     dim = space.dim
     low = ~np.all(space._deg >= np.asarray(n), axis=1)  # blocks not dominating n
     top = tables[n]
-    k, col = np.nonzero(top.target[:, :-1] >= 0)
     ranges = np.zeros((len(top.target), dim), dtype=np.complex128)  # diagonal of S_la S_la*
-    ranges[k, top.target[k, col]] = _times(top.phase[k, col], np.conj(top.phase[k, col]))
+    phases = top.phase[top.k, top.col]
+    ranges[top.k, top.row] = _times(phases, np.conj(phases))
+    projs = np.zeros((len(vtx.target), dim), dtype=np.complex128)  # diagonal of S_v
+    projs[vtx.k, vtx.row] = vtx.phase[vtx.k, vtx.col]
     for v in g.vertices:
         total = ranges[list(g.by_range(n)[v])].sum(axis=0)
-        proj = np.zeros(dim, dtype=np.complex128)
-        (cols,) = np.nonzero(vtx.target[at[v], :-1] >= 0)
-        proj[vtx.target[at[v], cols]] = vtx.phase[at[v], cols]
+        proj = projs[at[v]]
         rep.cases_checked += 1
         if not arrays_close(total[~low], proj[~low], tol):
             rep.ok = False

@@ -1,12 +1,16 @@
-"""Factorization by the definition, independent of KGraph's cached tables.
+"""Definitions that tests check the cached and batched code against.
 
 `split_by_squares` walks the squares of the skeleton one edge at a time, so
 tests can check KGraph.split, KGraph.factor_indices and everything built on
-them against it.
+them against it, independent of KGraph's cached tables.  `point_creations`
+builds every point-mass creation of a degree as a dense operator, for the
+dense loops that the Fock point tables replaced.
 """
 
 from kgt import degrees as dg
+from kgt.fock import creation_x
 from kgt.kgraph import Path
+from kgt.xmod import XElem
 
 
 def _pull_front(g, seq, color):
@@ -34,3 +38,10 @@ def split_by_squares(g, la, m):
     rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
     mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
     return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu
+
+
+def point_creations(space, c, n):
+    """creation_x of every point mass XElem.delta of degree n, in path order;
+    at n = 0 these are the vertex projections, in vertex order."""
+    g = space.graph
+    return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]

@@ -4,7 +4,8 @@ per-element definitions.
 `creation_x`, `creation_y`, `y_tmul` and `y_iota` read c from the cached
 twist tables.  The functions below are the definitions they replaced: they
 call c once per entry.  The arithmetic is the same, so the results must agree
-bit for bit, zero signs included, and a short table must fail the same way.
+bit for bit, zero signs included, wherever the point table behind a creation
+can be built; a creation refuses exactly when its table does.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from kgt import degrees as dg
+from kgt import fock
 from kgt.cocycle import c_theta, from_table, tabulate
 from kgt.errors import CapTooSmallForRequestedDegree
 from kgt.fock import FockSpace, creation_x, creation_y
@@ -109,7 +111,7 @@ def test_creation_x_matches_entries():
             for coeffs in coefficient_vectors(len(g.paths(n)), rng):
                 f = XElem(g, n, coeffs)
                 want = creation_x_by_entries(space, c, f)
-                for _ in range(2):  # the second call reads the cached plan
+                for _ in range(2):  # the second call reads the cached table
                     assert same_bits(creation_x(space, c, f).matrix, want), inst.label
 
 
@@ -168,7 +170,7 @@ def test_creation_y_matches_entries():
                 for coeffs in coefficient_vectors(len(g.paths(depth)), rng):
                     h = CylElem(g, n, depth, coeffs)
                     want = creation_y_by_entries(space, c, h)
-                    for _ in range(2):  # the second call reads the cached plan
+                    for _ in range(2):  # the second call reads the cached table
                         assert same_bits(creation_y(space, c, h).matrix, want), (inst.label, n, depth)
 
 
@@ -199,26 +201,6 @@ def short_table():
     return from_table(F1, tabulate(c, (1, 1)), (1, 1))
 
 
-def test_short_table_fails_alike():
-    c = short_table()
-    space = FockSpace(F1, (2, 2))
-    e = XElem.delta(F1, F1.edge_path("e"))
-    for build in (creation_x, creation_x_by_entries):
-        with pytest.raises(CapTooSmallForRequestedDegree):
-            build(space, c, e)
-    zero = XElem(F1, e.degree, np.zeros(1))
-    assert same_bits(creation_x(space, c, zero).matrix, creation_x_by_entries(space, c, zero))
-    assert not creation_x(space, c, zero).matrix.any()
-
-    yspace = FockSpace(F1, (2, 2), depth=(2, 2))
-    h = CylElem.delta(F1, F1.edge_path("e"))
-    for build in (creation_y, creation_y_by_entries):
-        with pytest.raises(CapTooSmallForRequestedDegree):
-            build(yspace, c, h)
-    zero = CylElem.zeros(F1, h.module_degree, h.depth)
-    assert not creation_y(yspace, c, zero).matrix.any()
-
-
 def raised(build, *args):
     """(type, message) of the error build(*args) raises, or None."""
     try:
@@ -228,32 +210,68 @@ def raised(build, *args):
     return None
 
 
+def assert_creation_fails_as_its_table(space, c, x, table_err):
+    """A creation raises exactly the error its point table raises, whatever
+    its coefficients; where it does not raise, it is the entry oracle's
+    creation, bit for bit."""
+    if isinstance(x, XElem):
+        create, by_entries = creation_x, creation_x_by_entries
+    else:
+        create, by_entries = creation_y, creation_y_by_entries
+    for _ in range(2):  # the second call reads the cached table
+        assert raised(create, space, c, x) == table_err, x.coeffs
+    oracle_err = raised(by_entries, space, c, x)
+    assert table_err is not None or oracle_err is None  # every refusal of the oracle is kept
+    if table_err is None:
+        assert same_bits(create(space, c, x).matrix, by_entries(space, c, x))
+
+
+def test_short_table_fails_alike():
+    """A creation asks the cocycle for every block of its shift: past the
+    table's cap, the point mass and the zero element both raise."""
+    c = short_table()
+    space = FockSpace(F1, (2, 2))
+    e = XElem.delta(F1, F1.edge_path("e"))
+    err = raised(fock._point_table, space, c, e.degree, e.degree)
+    assert err is not None
+    with pytest.raises(CapTooSmallForRequestedDegree):
+        creation_x_by_entries(space, c, e)
+    for f in (e, XElem.zeros(F1, e.degree)):
+        assert_creation_fails_as_its_table(space, c, f, err)
+
+    yspace = FockSpace(F1, (2, 2), depth=(2, 2))
+    h = CylElem.delta(F1, F1.edge_path("e"))
+    err = raised(fock._point_table, yspace, c, h.module_degree, h.depth)
+    assert err is not None
+    with pytest.raises(CapTooSmallForRequestedDegree):
+        creation_y_by_entries(yspace, c, h)
+    for x in (h, CylElem.zeros(F1, h.module_degree, h.depth)):
+        assert_creation_fails_as_its_table(yspace, c, x, err)
+
+
 def test_short_table_on_a_graph_with_sources():
-    """On omega(2, (1, 1)) a coefficient vector can miss the blocks whose
-    twist lies beyond the table, and then no error is raised."""
+    """On omega(2, (1, 1)) some point tables reach past the table cocycle's
+    cap and some do not; a creation raises exactly when its table does, for
+    every coefficient vector, the zero vector included."""
     g = omega(2, (1, 1))
     c = from_table(g, tabulate(c_theta(g, Phase.from_turns(Fraction(1, 8))), (1, 0)), (1, 0))
+
+    def vectors(size):
+        return [*np.eye(size, dtype=np.complex128), np.ones(size, dtype=np.complex128), np.zeros(size)]
+
     outcomes = set()
     for N, D in (((1, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1))):
         space = FockSpace(g, N, depth=D)
         for n in space.blocks:
             for depth in cylinder_depths(space, n):
-                size = len(g.paths(depth))
-                for coeffs in [*np.eye(size, dtype=np.complex128), np.ones(size, dtype=np.complex128)]:
-                    h = CylElem(g, n, depth, coeffs)
-                    err = raised(creation_y_by_entries, space, c, h)
-                    for _ in range(2):  # the second call reads the cached plan
-                        assert raised(creation_y, space, c, h) == err, (N, n, depth, coeffs)
-                        if err is None:
-                            assert same_bits(creation_y(space, c, h).matrix, creation_y_by_entries(space, c, h))
-                    outcomes.add(err is None)
+                err = raised(fock._point_table, space, c, n, depth)
+                for coeffs in vectors(len(g.paths(depth))):
+                    assert_creation_fails_as_its_table(space, c, CylElem(g, n, depth, coeffs), err)
+                outcomes.add(err is None)
     xspace = FockSpace(g, (1, 1))
     for n in xspace.blocks:
-        size = len(g.paths(n))
-        for coeffs in [*np.eye(size, dtype=np.complex128), np.ones(size, dtype=np.complex128)]:
-            f = XElem(g, n, coeffs)
-            err = raised(creation_x_by_entries, xspace, c, f)
-            for _ in range(2):
-                assert raised(creation_x, xspace, c, f) == err, (n, coeffs)
-            outcomes.add(err is None)
+        err = raised(fock._point_table, xspace, c, n, n)
+        for coeffs in vectors(len(g.paths(n))):
+            assert_creation_fails_as_its_table(xspace, c, XElem(g, n, coeffs), err)
+        outcomes.add(err is None)
     assert outcomes == {True, False}  # both outcomes are exercised

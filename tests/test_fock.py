@@ -22,7 +22,6 @@ from kgt.fock import (
     fock_compacts_y,
     gauge_unitary,
     nica_check,
-    point_creations,
     psi_check,
     rep_axioms_check,
     zeta_surjectivity_check,
@@ -32,6 +31,7 @@ from kgt.phases import ONE, Phase
 from kgt.verify import SuiteConfig, _fock_caps, default_instances
 from kgt.xmod import VertexFn, XElem, XOp, arrays_close, x_theta
 from kgt.ymod import CylElem, YOp, alpha, alpha_k
+from oracle import point_creations
 
 F1 = builtin_fixtures("f1")
 F2 = builtin_fixtures("f2")
@@ -243,12 +243,18 @@ def test_nica_check_exhaustive_small_graph():
 
 
 def test_nica_check_creates_each_degree_once(monkeypatch):
-    """nica_check scatters the point creations of each distinct degree into
-    one index table, once, and builds no dense point creation."""
+    """nica_check builds the point table of each distinct degree once and
+    builds no dense point creation."""
     g = single_vertex(2, (2, 2))
     made = []
-    real = fock._twists
-    monkeypatch.setattr(fock, "_twists", lambda c, d, plan, hit: made.append(d) or real(c, d, plan, hit))
+    real = fock._point_table
+
+    def counted(space, c, d, depth):
+        if (c, d, depth) not in space._tables:  # a build, not a cache hit
+            made.append(d)
+        return real(space, c, d, depth)
+
+    monkeypatch.setattr(fock, "_point_table", counted)
     monkeypatch.setattr(fock, "creation_x", None)
     rank_one = lambda n: x_theta(XElem.delta(g, g.paths(n)[0]), XElem.delta(g, g.paths(n)[-1]))
     for m, n in (((1, 1), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 1)), ((1, 0), (1, 0))):

@@ -25,7 +25,6 @@ from kgt.fock import (
     ck_relations_check,
     fock_compacts_y,
     nica_check,
-    point_creations,
     psi_check,
     rep_axioms_check,
 )
@@ -33,6 +32,7 @@ from kgt.phases import Phase
 from kgt.verify import SuiteConfig, _fock_caps, default_instances
 from kgt.xmod import ModuleReport, VertexFn, XElem, arrays_close, x_compact_align, x_theta
 from kgt.ymod import CylElem, alpha_k
+from oracle import point_creations
 
 F1 = builtin_fixtures("f1")
 
@@ -276,22 +276,20 @@ def test_a_non_cocycle_fails_alike():
 
 @pytest.fixture
 def bent_fock_twist(monkeypatch):
-    """Multiply the Fock twist by a varying unit phase where the shift and
-    the source block are both nonzero; the module products stay exact."""
-    real = fock._twists
+    """Multiply the phases of every point table built by a varying unit
+    phase where the shift and the source block are both nonzero; the module
+    products stay exact."""
+    real = fock._point_table
 
-    def bent(c, d, plan, hit):
-        tw = real(c, d, plan, hit)
-        if not any(d):
-            return tw
-        tw, at = tw.copy(), 0
-        for q, pad in zip(plan.qs, plan.pads):
-            if any(q):
-                tw[at : at + len(pad)] *= np.exp(0.1j * np.arange(1, len(pad) + 1))
-            at += len(pad)
-        return tw
+    def bent(space, c, d, depth):
+        built = (c, d, depth) not in space._tables
+        t = real(space, c, d, depth)
+        if built and any(d):
+            e = np.flatnonzero(space._deg[t.col].any(axis=1))  # entries with a nonzero source block
+            t.phase[t.k[e], t.col[e]] *= np.exp(0.1j * t.row[e])
+        return t
 
-    monkeypatch.setattr(fock, "_twists", bent)
+    monkeypatch.setattr(fock, "_point_table", bent)
 
 
 def test_a_bent_fock_twist_fails_alike(bent_fock_twist):
