@@ -373,10 +373,20 @@ def _load_pair(args):
     return g, c
 
 
+def _env_seed() -> int:
+    """The suite seed in KGT_SEED, 0 when it is unset."""
+    text = os.environ.get("KGT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as err:
+        raise ParseError(f"KGT_SEED: expected an integer seed, got {text!r}", text) from err
+
+
 def cmd_check(args) -> int:
+    seed = _env_seed() if args.seed is None else args.seed
     g, c = _load_pair(args)
     cfg = SuiteConfig(
-        seed=args.seed,
+        seed=seed,
         degree_entry_cap=args.cap,
         tolerance=args.tolerance,
     )
@@ -575,13 +585,6 @@ def cmd_fock(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get("KGT_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kgt",
@@ -598,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("graph")
     ch.add_argument("cocycle")
     ch.add_argument("--suite", default="all", help="comma-separated glob selectors (default: all)")
-    ch.add_argument("--seed", type=int, default=_env_seed())
+    ch.add_argument("--seed", type=int, default=None, help="suite seed (default: $KGT_SEED, else 0)")
     ch.add_argument("--cap", type=int, default=2, help="per-color degree window")
     ch.add_argument("--tolerance", type=float, default=1e-9)
     ch.add_argument("--format", choices=("text", "machine"), default="text")

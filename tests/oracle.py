@@ -4,11 +4,13 @@
 tests can check KGraph.split, KGraph.factor_indices and everything built on
 them against it, independent of KGraph's cached tables.  `point_creations`
 builds every point-mass creation of a degree as a dense operator, for the
-dense loops that the Fock point tables replaced.
+dense loops that the Fock point tables replaced, and `creation_pairs` sums
+dense creation pairs C(f) C(g)*, the definition that the images of compacts
+built by `fock_compacts_x` are checked against.
 """
 
 from kgt import degrees as dg
-from kgt.fock import creation_x
+from kgt.fock import FockOp, creation_x
 from kgt.kgraph import Path
 from kgt.xmod import XElem
 
@@ -45,3 +47,13 @@ def point_creations(space, c, n):
     at n = 0 these are the vertex projections, in vertex order."""
     g = space.graph
     return [creation_x(space, c, XElem.delta(g, la)) for la in g.paths(n)]
+
+
+def creation_pairs(space, c, pairs):
+    """The sum of C(f) C(g)* over the pairs (f, g) of path functions, as
+    dense creations; a frame gs gives its covariance sum through the pairs
+    (g, conj g)."""
+    out = FockOp.zeros(space)
+    for f, g in pairs:
+        out = out + creation_x(space, c, f) @ creation_x(space, c, g).adjoint()
+    return out

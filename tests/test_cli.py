@@ -284,6 +284,30 @@ def test_check_seed_comes_from_environment(files, monkeypatch):
     assert json.loads(out.read_text())["config"]["seed"] == 7
 
 
+def test_check_refuses_a_malformed_environment_seed(files, monkeypatch, capsys):
+    _, write = files
+    g = write("f1.json", _f1_doc())
+    c = write("c.json", _ctheta_doc())
+    monkeypatch.setenv("KGT_SEED", "abc")
+    out = files[0] / "r.json"
+    assert main(["check", g, c, "--suite", "def-3.1", "--format", "machine", "--out", str(out)]) == 2
+    assert "KGT_SEED" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit --seed does not read the environment
+    assert main(["check", g, c, "--suite", "def-3.1", "--seed", "3", "--format", "machine", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 3
+
+
+def test_only_check_reads_the_environment_seed(files, monkeypatch):
+    tmp, write = files
+    g = write("f1.json", _f1_doc())
+    c = write("c.json", _ctheta_doc())
+    monkeypatch.setenv("KGT_SEED", "abc")
+    assert main(["validate", g]) == 0
+    assert main(["build", g, g, "--op", "cartesian", "--out-graph", str(tmp / "prod.json")]) == 0
+    assert main(["fock", g, c, "--N", "1,1", "--out", str(tmp / "rel.txt")]) == 0
+
+
 # -- build -------------------------------------------------------------------
 
 
