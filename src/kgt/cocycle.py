@@ -399,9 +399,12 @@ class Coboundary:
 
 @dataclass
 class CocycleReport:
-    ok: bool
     triples_checked: int = 0
     first_failure: tuple | None = None  # (kind, witness paths, values)
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
 
 
 def _phase_products(terms: list, rows) -> np.ndarray:
@@ -474,7 +477,7 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     g = c.graph
     cap = dg.as_degree(cap, g.k)
     eps = 0.0 if c.mode == EXACT else tol
-    rep = CocycleReport(True)
+    rep = CocycleReport()
     for total in dg.degrees_upto(cap):
         for m, n, p in dg.splits(total, 3):
             mn, nq = dg.add(m, n), dg.add(n, p)
@@ -495,7 +498,6 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
                 continue
             i = int(hits[0])
             rep.triples_checked += i + 1
-            rep.ok = False
             l1, rest = g.split(g.paths(total)[i], m)
             l2, l3 = g.split(rest, n)
             if not c1_ok[i]:

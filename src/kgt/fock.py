@@ -550,7 +550,7 @@ def rep_axioms_check(
     if system not in ("X", "Y"):
         raise ValueError(f"system must be 'X' or 'Y', got {system!r}")
     g = space.graph
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     tables = {n: _point_table(space, c, n, _depth(space, n, system)) for n in space.blocks}
     size = {n: len(tables[n].target) for n in space.blocks}
 
@@ -560,9 +560,7 @@ def rep_axioms_check(
             want = _creation(space, c, e0) + 2.0j * _creation(space, c, e1)
             rep.cases_checked += 1
             if not _creation(space, c, e0 + 2.0j * e1).close(want, tol):
-                rep.ok = False
-                rep.first_failure = ("linearity", n, None)
-                return rep
+                return rep.fail(("linearity", n, None))
 
     z = dg.zero(g.k)
     vertices = _point_table(space, c, z, z)  # creation by each vertex indicator, in vertex order
@@ -575,9 +573,7 @@ def rep_axioms_check(
         bad = _tally(rep, _close_to(space, c, _compose(tables[n], i, vertices, v), xa, tol))
         if bad is not None:
             a, b = pairs[bad]
-            rep.ok = False
-            rep.first_failure = ("right-action", (n, a, g.vertices[b]), None)
-            return rep
+            return rep.fail(("right-action", (n, a, g.vertices[b]), None))
 
     for n in space.blocks:
         pairs = list(_first_pairs(range(size[n]), range(size[n]), pair_cap))
@@ -588,14 +584,11 @@ def rep_axioms_check(
         lhs = _compose(_adjoint(tables[n]), i, tables[n], j)
         bad = _tally(rep, _close_to(space, c, lhs, inner, tol, n))
         if bad is not None:
-            rep.ok = False
-            rep.first_failure = ("inner-product", (n,) + pairs[bad], None)
-            return rep
+            return rep.fail(("inner-product", (n,) + pairs[bad], None))
 
     bad = _multiplicativity(space, c, system, tables, rep, tol, pair_cap)
     if bad is not None:
-        rep.ok = False
-        rep.first_failure = ("multiplicativity", bad, None)
+        return rep.fail(("multiplicativity", bad, None))
     return rep
 
 
@@ -605,24 +598,25 @@ def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) 
     j = dg.join(m, n)
     lhs = fock_compacts_x(space, c, S) @ fock_compacts_x(space, c, T)
     rhs = fock_compacts_x(space, c, x_compact_align(c, S, T))
-    rep = ModuleReport(True, cases_checked=1)
+    rep = ModuleReport(cases_checked=1)
     if not lhs.close_on_interior(rhs, j, tol):
-        rep.ok = False
-        rep.first_failure = ("nica", (m, n), None)
+        return rep.fail(("nica", (m, n), None))
     return rep
 
 
 def cp_identity_check(space: FockSpace, c: Cocycle, a: VertexFn, n, tol: float = 1e-9) -> ModuleReport:
     """The covariance defect of the finite-path compacts equals the defect of
-    the cylinder compacts, on interior(n)."""
+    the cylinder compacts, on interior(n).
+
+    Both defects subtract the same creation by a from an image of a's left
+    action on the degree-n module, and only absolute differences count, so
+    the two images of compacts are compared directly."""
     n = dg.as_degree(n, space.graph.k)
-    psi0 = creation_y(space, c, CylElem.from_vertex_fn(a))
-    lhs = fock_compacts_x(space, c, phi_x(a, n)) - psi0
-    rhs = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n)) - psi0
-    rep = ModuleReport(True, cases_checked=1)
+    lhs = fock_compacts_x(space, c, phi_x(a, n))
+    rhs = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n))
+    rep = ModuleReport(cases_checked=1)
     if not lhs.close_on_interior(rhs, n, tol):
-        rep.ok = False
-        rep.first_failure = ("cp-identity", n, None)
+        return rep.fail(("cp-identity", n, None))
     return rep
 
 
@@ -639,7 +633,7 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     n = dg.as_degree(n, g.k)
     if not dg.leq(n, space.N):
         raise DegreeExceedsTruncation(f"degree {n} exceeds {space.N}", n)
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     tables = {m: _point_table(space, c, m, m) for m in dg.degrees_upto(n)}
     z = dg.zero(g.k)
     vtx = tables[z]
@@ -650,9 +644,7 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     want = XElem(g, z, np.eye(len(at))[i] * (i == j)[:, None])  # S_v S_w = [v = w] S_v
     bad = _tally(rep, _close_to(space, c, _compose(vtx, i, vtx, j), want, tol))
     if bad is not None:
-        rep.ok = False
-        rep.first_failure = ("vertex", pairs[bad], None)
-        return rep
+        return rep.fail(("vertex", pairs[bad], None))
 
     for m in dg.degrees_upto(n):
         paths = g.paths(m)
@@ -672,12 +664,9 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
         bad = _tally(rep, np.column_stack(oks).ravel())  # path by path: its splits, then its isometry
         if bad is not None:
             k, s = divmod(bad, len(oks))
-            rep.ok = False
             if s < len(cuts):
-                rep.first_failure = ("compose", tuple(g.split(paths[k], cuts[s])), None)
-            else:
-                rep.first_failure = ("isometry", paths[k], None)
-            return rep
+                return rep.fail(("compose", tuple(g.split(paths[k], cuts[s])), None))
+            return rep.fail(("isometry", paths[k], None))
 
     # every operator below is diagonal: a range projection of a point
     # creation, or a vertex projection
@@ -694,21 +683,15 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
         proj = projs[at[v]]
         rep.cases_checked += 1
         if not arrays_close(total[~low], proj[~low], tol):
-            rep.ok = False
-            rep.first_failure = ("ck-sum", v, None)
-            return rep
+            return rep.fail(("ck-sum", v, None))
         defect = proj - total
         rep.cases_checked += 1
         if not arrays_close(defect, proj * low, tol):
-            rep.ok = False
-            rep.first_failure = ("defect-shape", v, None)
-            return rep
+            return rep.fail(("defect-shape", v, None))
         got_rank = _rank(np.abs(defect), dim)
         want_rank = int(np.sum(np.abs(proj) * low > 0.5))
         if got_rank != want_rank:
-            rep.ok = False
-            rep.first_failure = ("defect-rank", v, (got_rank, want_rank))
-            return rep
+            return rep.fail(("defect-rank", v, (got_rank, want_rank)))
     return rep
 
 
@@ -717,15 +700,13 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
     whose compacts factor through the cylinder compacts, and are injective
     blockwise."""
     g = space.graph
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     tables = {m: _point_table(space, c, m, m) for m in space.blocks}
 
     bad = _multiplicativity(space, c, "X", tables, rep, tol, pair_cap)
     if bad is not None:
         m, n, i, j = bad
-        rep.ok = False
-        rep.first_failure = ("psi-multiplicative", (g.paths(m)[i], g.paths(n)[j]), None)
-        return rep
+        return rep.fail(("psi-multiplicative", (g.paths(m)[i], g.paths(n)[j]), None))
 
     for m in space.blocks:
         size = len(tables[m].target)
@@ -734,9 +715,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
             S = x_theta(_points_at(space, m, "X", a), _points_at(space, m, "X", b))
             psi = fock_compacts_x(space, c, S)
             if not psi.close_on_interior(fock_compacts_y(space, c, alpha_k(S)), m, tol):
-                rep.ok = False
-                rep.first_failure = ("psi-compacts", (g.paths(m)[a], g.paths(m)[b]), None)
-                return rep
+                return rep.fail(("psi-compacts", (g.paths(m)[a], g.paths(m)[b]), None))
 
     for m in space.blocks:
         # distinct point creations have disjoint supports, so their norms
@@ -744,9 +723,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         norms = np.linalg.norm(tables[m].phase[:, :-1], axis=1)
         rep.cases_checked += 1
         if _rank(norms, max(len(norms), space.dim**2)) != len(norms):
-            rep.ok = False
-            rep.first_failure = ("psi-injective", m, None)
-            return rep
+            return rep.fail(("psi-injective", m, None))
 
     nonzero = [m for m in space.blocks if any(m)]
     for m, n in _first_pairs(nonzero, nonzero, pair_cap):
@@ -756,9 +733,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         sub = nica_check(space, c, S, T, tol)
         rep.cases_checked += sub.cases_checked
         if not sub.ok:
-            rep.ok = False
-            rep.first_failure = ("psi-nica", (m, n), None)
-            return rep
+            return rep.fail(("psi-nica", (m, n), None))
     return rep
 
 
@@ -774,7 +749,7 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
     n = dg.as_degree(n, g.k)
     if not dg.leq(n, space.N):
         raise DegreeExceedsTruncation(f"degree {n} exceeds {space.N}", n)
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     depth = space.block_depth(n)
     p = dg.sub(depth, n)
     for la in g.paths(depth):
@@ -793,9 +768,7 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
         target = creation_y(space, c, CylElem.delta(g, la, n))
         rep.cases_checked += 1
         if not assembled.close_on_interior(target, n, tol):
-            rep.ok = False
-            rep.first_failure = ("operator", la, None)
-            return rep
+            return rep.fail(("operator", la, None))
 
         tail_path = g.split(la, n)[1]
         seed = space.embed(dg.zero(g.k), np.eye(len(g.paths(p)))[g.path_index(p)[tail_path]])
@@ -803,7 +776,5 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
         want = space.embed(n, np.eye(len(g.paths(depth)))[g.path_index(depth)[la]])
         rep.cases_checked += 1
         if not arrays_close(got, want, tol):
-            rep.ok = False
-            rep.first_failure = ("vector", la, None)
-            return rep
+            return rep.fail(("vector", la, None))
     return rep

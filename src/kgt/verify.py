@@ -250,7 +250,10 @@ def _circulant_skeleton(M: int, shifts, rng):
     return make_skeleton(k, verts, edges, squares)
 
 
-def random_kgraph(seed, k: int = 2, max_vertices: int = 3, max_shifts: int = 2, attempts: int = 24) -> KGraph:
+_SKELETON_ATTEMPTS = 24  # square pairings tried per shift set; the last is the canonical one
+
+
+def random_kgraph(seed, k: int = 2, max_vertices: int = 3, max_shifts: int = 2) -> KGraph:
     """A random circulant k-colored graph that always passes validation.
 
     Every vertex is the range of an edge of every color, so the output has no
@@ -269,8 +272,8 @@ def random_kgraph(seed, k: int = 2, max_vertices: int = 3, max_shifts: int = 2, 
     shifts = [[int(rng.integers(0, M)) for _ in range(mult[i])] for i in range(k)]
 
     while True:
-        for attempt in range(attempts):
-            sampled = attempt < attempts - 1  # last try uses the canonical pairing
+        for attempt in range(_SKELETON_ATTEMPTS):
+            sampled = attempt < _SKELETON_ATTEMPTS - 1  # last try uses the canonical pairing
             skel = _circulant_skeleton(M, shifts, rng if sampled else None)
             try:
                 return validate_skeleton(skel)
@@ -513,15 +516,15 @@ def _section_paths(g: KGraph, n, rng):
     return out
 
 
-def _rand_xop(g: KGraph, n, rng, terms: int = 2) -> XOp:
+def _rand_xop(g: KGraph, n, rng) -> XOp:
     S = XOp.zeros(g, n)
-    for _ in range(terms):
+    for _ in range(2):
         S = S + x_theta(_rand_xelem(g, n, rng), _rand_xelem(g, n, rng))
     return S
 
-def _rand_section_xop(g: KGraph, n, rng, terms: int = 2) -> XOp:
+def _rand_section_xop(g: KGraph, n, rng) -> XOp:
     S = XOp.zeros(g, n)
-    for _ in range(terms):
+    for _ in range(2):
         S = S + x_theta(_rand_section_elem(g, n, rng), _rand_section_elem(g, n, rng))
     return S
 
@@ -796,8 +799,7 @@ def _chk_cocycle_laws(inst, cfg, rng):
     cap = list(_cap(g, cfg))
     while sum(cap) < 3:  # room for a triple with three nonzero parts
         cap[0] += 1
-    rep = check_cocycle(c, tuple(cap), tol=cfg.tolerance)
-    return None if rep.ok else rep.first_failure
+    return check_cocycle(c, tuple(cap), tol=cfg.tolerance).first_failure
 
 
 def _swapped_f2() -> CrossedProductGraph:
@@ -1123,10 +1125,7 @@ def _chk_x_product(inst, cfg, rng):
             if not left.close(right, cfg.tolerance * 10):
                 return ("associativity", (m, n))
     m, n = _degree_pairs(g, cfg, rng)[0]
-    rep = x_tensor_iso_check(inst.cocycle, m, n, tol=cfg.tolerance)
-    if not rep.ok:
-        return rep.first_failure
-    return None
+    return x_tensor_iso_check(inst.cocycle, m, n, tol=cfg.tolerance).first_failure
 
 
 @_register(
@@ -1286,10 +1285,7 @@ def _chk_inclusion_rep(inst, cfg, rng):
     if not arrays_close(a.coeffs, f.coeffs, cfg.tolerance):
         return ("coefficient-transport", N)
     sy = FockSpace(g, N, depth=D)
-    rep = psi_check(sy, c, tol=cfg.tolerance, pair_cap=16)
-    if not rep.ok:
-        return rep.first_failure
-    return None
+    return psi_check(sy, c, tol=cfg.tolerance, pair_cap=16).first_failure
 
 
 @_register(

@@ -332,9 +332,19 @@ def x_compact_align(c: Cocycle, S: XOp, T: XOp) -> XOp:
 
 @dataclass
 class ModuleReport:
-    ok: bool
+    """The cases a module check counted, and the witness of its first failure."""
+
     cases_checked: int = 0
     first_failure: tuple | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
+
+    def fail(self, witness: tuple) -> ModuleReport:
+        """Record `witness` as the failure and return the report."""
+        self.first_failure = witness
+        return self
 
 
 def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
@@ -350,7 +360,7 @@ def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
     n = dg.as_degree(n, g.k)
     total = dg.add(m, n)
     pm, pn, pt = g.paths(m), g.paths(n), g.paths(total)
-    rep = ModuleReport(True)
+    rep = ModuleReport()
 
     pre, suf = g.factor_indices(m, n)
     # c is called pair by pair, not through c.twist: any callable with a
@@ -386,16 +396,9 @@ def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
             bad = np.unravel_index(np.argmax(np.abs(lhs - rhs)), lhs.shape)
             i1, j1 = divmod(bad[0], b)
             i2, j2 = divmod(bad[1], b)
-            rep.ok = False
-            rep.first_failure = (
-                "tps-inner-product",
-                (pm[i1], pn[j1], pm[i2], pn[j2], v),
-                (lhs[bad], rhs[bad]),
-            )
-            return rep
+            return rep.fail(("tps-inner-product", (pm[i1], pn[j1], pm[i2], pn[j2], v), (lhs[bad], rhs[bad])))
 
     span_dim = int(np.linalg.matrix_rank(products.reshape(a * b, P)))
     if span_dim != P:
-        rep.ok = False
-        rep.first_failure = ("span", (m, n), (span_dim, P))
+        return rep.fail(("span", (m, n), (span_dim, P)))
     return rep

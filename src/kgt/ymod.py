@@ -412,14 +412,12 @@ def cylinder_density_check(g: KGraph, U, depth) -> ModuleReport:
     Lambda^depth; exact equality is the discrete density statement.
     """
     U = list(U)
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     if not U:
         return rep
     n = U[0].degree
     if len({p.degree for p in U}) != 1 or not g.is_s_section(U):
-        rep.ok = False
-        rep.first_failure = ("not-an-s-section", tuple(U), None)
-        return rep
+        return rep.fail(("not-an-s-section", tuple(U), None))
     depth = dg.as_degree(depth, g.k)
     ext = dg.sub(depth, n)
     by_extension = sum(len(g.by_range(ext)[u.source]) for u in U)
@@ -427,8 +425,7 @@ def cylinder_density_check(g: KGraph, U, depth) -> ModuleReport:
     direct = sum(1 for la in g.paths(depth) if g.split(la, n)[0] in uset)
     rep.cases_checked = direct
     if by_extension != direct:
-        rep.ok = False
-        rep.first_failure = ("dimension", tuple(U), (by_extension, direct))
+        return rep.fail(("dimension", tuple(U), (by_extension, direct)))
     return rep
 
 
@@ -437,22 +434,17 @@ def sup_norm_check(f: CylElem, U, tol: float = 1e-9) -> ModuleReport:
     module norm; both sides are computed independently."""
     g = f.graph
     U = list(U)
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     n = f.module_degree
     if any(p.degree != n for p in U) or not g.is_s_section(U):
-        rep.ok = False
-        rep.first_failure = ("not-an-s-section", tuple(U), None)
-        return rep
+        return rep.fail(("not-an-s-section", tuple(U), None))
     uset = set(U)
     for la, w in zip(g.paths(f.depth), f.coeffs):
         if w != 0 and g.split(la, n)[0] not in uset:
-            rep.ok = False
-            rep.first_failure = ("support-outside-sections", la, w)
-            return rep
+            return rep.fail(("support-outside-sections", la, w))
     sup = f.sup_norm()
     mod = f.norm()
     rep.cases_checked = 1
     if abs(sup - mod) > tol:
-        rep.ok = False
-        rep.first_failure = ("norms-differ", None, (sup, mod))
+        return rep.fail(("norms-differ", None, (sup, mod)))
     return rep

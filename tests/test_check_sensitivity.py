@@ -3,9 +3,10 @@ witness the check then reports; a check whose row passes can fail."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from kgt import fock
+from kgt import fock, ymod
 from kgt.cocycle import trivial_cocycle
 from kgt.kgraph import fixture_f2
 from kgt.verify import Instance, SuiteConfig, run_suite
@@ -45,6 +46,60 @@ def test_prop_5_1_sees_the_cylinder_compacts(bent_cylinder_compacts):
     label, pair, _ = witness("prop-5.1", 1)
     assert label == "psi-compacts"  # so psi-multiplicative passed
     assert len(pair) == 2
+
+
+@pytest.fixture
+def bent_nonzero_cylinder_compacts(monkeypatch):
+    """bent_cylinder_compacts, for operators of nonzero degree only."""
+    real = fock.fock_compacts_y
+
+    def bent(space, c, S):
+        out = real(space, c, S)
+        if any(S.module_degree):
+            sl = space.block_slice(S.module_degree)
+            out.matrix[sl, sl] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(fock, "fock_compacts_y", bent)
+
+
+def test_prop_5_1_sees_nonzero_degree_cylinder_compacts(bent_nonzero_cylinder_compacts):
+    # psi-compacts compares the degree-m compacts on interior(m), the blocks
+    # q <= N - m, and they act only on the blocks q >= m; at cap 1, N = (1,)
+    # and interior((1,)) is block 0, so only cap 2 sees a nonzero degree
+    a = F2.edge_path("a")
+    assert witness("prop-5.1", 2) == ("psi-compacts", (a, a), None)
+
+
+@pytest.fixture
+def bent_point_tables(monkeypatch):
+    """Point tables of every nonzero shift, with each entry whose source
+    column lies in a nonzero block turned by the phase e^(0.1i)."""
+    real = fock._point_table
+
+    def bent(space, c, d, depth):
+        t = real(space, c, d, depth)
+        if not any(d):
+            return t
+        hit = space._deg[t.col].any(axis=1)
+        phase = t.phase.copy()
+        phase[t.k[hit], t.col[hit]] *= np.exp(0.1j)
+        return t._replace(phase=phase)
+
+    monkeypatch.setattr(fock, "_point_table", bent)
+
+
+def test_generator_relations_see_the_point_tables(bent_point_tables):
+    # at cap 1, N = (1,): no shift-(1,) entry has its source in a nonzero block
+    w = witness("def-4.4", 2)
+    assert w == ("finite-path-model", "multiplicativity", ((1,), (1,), 0, 1), None)
+
+
+def test_sup_norm_check_sees_the_sup_norm(monkeypatch):
+    real = ymod.CylElem.sup_norm
+    monkeypatch.setattr(ymod.CylElem, "sup_norm", lambda f: real(f) * (1 + 1e-6))
+    label, _, _ = witness("lemma-6.3", 1)
+    assert label == "norms-differ"
 
 
 def test_zeta_surjectivity_sees_the_tail_function(monkeypatch):

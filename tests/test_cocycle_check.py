@@ -53,7 +53,7 @@ def check_by_triples(c, cap, tol=1e-9):
     g = c.graph
     cap = dg.as_degree(cap, g.k)
     eps = 0.0 if c.mode == EXACT else tol
-    rep = CocycleReport(True)
+    rep = CocycleReport()
     for total in dg.degrees_upto(cap):
         for m, n, p in dg.splits(total, 3):
             for la in g.paths(total):
@@ -63,13 +63,11 @@ def check_by_triples(c, cap, tol=1e-9):
                 rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
                 rep.triples_checked += 1
                 if not lhs.close(rhs, eps):
-                    rep.ok = False
                     rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
                     return rep
                 if c.mode == FLOAT:
                     val = abs(complex(c(l1, l2)))
                     if abs(val - 1.0) > tol:
-                        rep.ok = False
                         rep.first_failure = ("modulus", (l1, l2), val)
                         return rep
     return rep

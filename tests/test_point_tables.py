@@ -62,7 +62,7 @@ def multiplicativity_dense(space, c, elems, cre, rep, tol, pair_cap):
 
 def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
     g = space.graph
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     elems = {n: block_elems(space, n, system) for n in space.blocks}
     cre = {n: [fock._creation(space, c, x) for x in elems[n]] for n in space.blocks}
 
@@ -72,7 +72,7 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
             want = cre[n][0] + 2.0j * cre[n][1]
             rep.cases_checked += 1
             if not fock._creation(space, c, combo).close(want, tol):
-                return ModuleReport(False, rep.cases_checked, ("linearity", n, None))
+                return ModuleReport(rep.cases_checked, ("linearity", n, None))
 
     indicators = [VertexFn.indicator(g, v) for v in g.vertices]
     right = list(zip(indicators, point_creations(space, c, dg.zero(g.k))))
@@ -83,7 +83,7 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
                 rep.cases_checked += 1
                 if not fock._creation(space, c, xa).close(cre[n][i] @ ca, tol):
                     witness = ("right-action", (n, i, g.vertices[v]), None)
-                    return ModuleReport(False, rep.cases_checked, witness)
+                    return ModuleReport(rep.cases_checked, witness)
 
     for n in space.blocks:
         for i, j in fock._first_pairs(range(len(elems[n])), range(len(elems[n])), pair_cap):
@@ -91,11 +91,10 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
             rhs = fock._creation(space, c, fock._inner0(elems[n][i], elems[n][j]))
             rep.cases_checked += 1
             if not lhs.close_on_interior(rhs, n, tol):
-                return ModuleReport(False, rep.cases_checked, ("inner-product", (n, i, j), None))
+                return ModuleReport(rep.cases_checked, ("inner-product", (n, i, j), None))
 
     bad = multiplicativity_dense(space, c, elems, cre, rep, tol, pair_cap)
     if bad is not None:
-        rep.ok = False
         rep.first_failure = ("multiplicativity", bad, None)
     return rep
 
@@ -103,7 +102,7 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
 def ck_relations_dense(space, c, n, tol=1e-9):
     g = space.graph
     n = dg.as_degree(n, g.k)
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     sgen = {}
     for m in dg.degrees_upto(n):
         sgen.update(zip(g.paths(m), point_creations(space, c, m)))
@@ -114,7 +113,7 @@ def ck_relations_dense(space, c, n, tol=1e-9):
             rep.cases_checked += 1
             want = svtx[v] if v == w else FockOp.zeros(space)
             if not (svtx[v] @ svtx[w]).close(want, tol):
-                return ModuleReport(False, rep.cases_checked, ("vertex", (v, w), None))
+                return ModuleReport(rep.cases_checked, ("vertex", (v, w), None))
 
     for m in dg.degrees_upto(n):
         if not any(m):
@@ -126,10 +125,10 @@ def ck_relations_dense(space, c, n, tol=1e-9):
                 got = sgen[mu] @ sgen[nu]
                 want = complex(c(mu, nu)) * sgen[la]
                 if not arrays_close(got.on_interior(m), want.on_interior(m), tol):
-                    return ModuleReport(False, rep.cases_checked, ("compose", (mu, nu), None))
+                    return ModuleReport(rep.cases_checked, ("compose", (mu, nu), None))
             rep.cases_checked += 1
             if not (sgen[la].adjoint() @ sgen[la]).close_on_interior(svtx[la.source], m, tol):
-                return ModuleReport(False, rep.cases_checked, ("isometry", la, None))
+                return ModuleReport(rep.cases_checked, ("isometry", la, None))
 
     low = ~np.all(space._deg >= np.asarray(n), axis=1)
     up = np.ix_(~low, ~low)
@@ -140,16 +139,16 @@ def ck_relations_dense(space, c, n, tol=1e-9):
             total = total + sgen[la] @ sgen[la].adjoint()
         rep.cases_checked += 1
         if not arrays_close(total.matrix[up], svtx[v].matrix[up], tol):
-            return ModuleReport(False, rep.cases_checked, ("ck-sum", v, None))
+            return ModuleReport(rep.cases_checked, ("ck-sum", v, None))
         defect = svtx[v].matrix - total.matrix
         want = svtx[v].matrix * np.outer(low, low)
         rep.cases_checked += 1
         if not arrays_close(defect, want, tol):
-            return ModuleReport(False, rep.cases_checked, ("defect-shape", v, None))
+            return ModuleReport(rep.cases_checked, ("defect-shape", v, None))
         got_rank = int(np.linalg.matrix_rank(defect)) if defect.size else 0
         want_rank = int(np.sum(np.abs(np.diag(svtx[v].matrix)) * low > 0.5))
         if got_rank != want_rank:
-            return ModuleReport(False, rep.cases_checked, ("defect-rank", v, (got_rank, want_rank)))
+            return ModuleReport(rep.cases_checked, ("defect-rank", v, (got_rank, want_rank)))
     return rep
 
 
@@ -168,13 +167,13 @@ def nica_dense(space, c, S, T, tol=1e-9):
     lhs = compacts_x_dense(space, ops[m], S) @ compacts_x_dense(space, ops[n], T)
     rhs = compacts_x_dense(space, ops[j], x_compact_align(c, S, T))
     if not lhs.close_on_interior(rhs, j, tol):
-        return ModuleReport(False, 1, ("nica", (m, n), None))
-    return ModuleReport(True, 1)
+        return ModuleReport(1, ("nica", (m, n), None))
+    return ModuleReport(1)
 
 
 def psi_dense(space, c, tol=1e-9, pair_cap=32):
     g = space.graph
-    rep = ModuleReport(True)
+    rep = ModuleReport()
     elems = {m: block_elems(space, m, "X") for m in space.blocks}
     psi = {m: point_creations(space, c, m) for m in space.blocks}
 
@@ -182,7 +181,7 @@ def psi_dense(space, c, tol=1e-9, pair_cap=32):
     if bad is not None:
         m, n, i, j = bad
         witness = ("psi-multiplicative", (g.paths(m)[i], g.paths(n)[j]), None)
-        return ModuleReport(False, rep.cases_checked, witness)
+        return ModuleReport(rep.cases_checked, witness)
 
     for m in space.blocks:
         for (i, la), (j, mu) in fock._first_pairs(enumerate(g.paths(m)), enumerate(g.paths(m)), pair_cap):
@@ -190,13 +189,13 @@ def psi_dense(space, c, tol=1e-9, pair_cap=32):
             lhs = psi[m][i] @ psi[m][j].adjoint()
             rhs = fock_compacts_y(space, c, alpha_k(x_theta(elems[m][i], elems[m][j])))
             if not lhs.close_on_interior(rhs, m, tol):
-                return ModuleReport(False, rep.cases_checked, ("psi-compacts", (la, mu), None))
+                return ModuleReport(rep.cases_checked, ("psi-compacts", (la, mu), None))
 
     for m in space.blocks:
         stack = np.stack([op.matrix.ravel() for op in psi[m]])
         rep.cases_checked += 1
         if int(np.linalg.matrix_rank(stack)) != len(psi[m]):
-            return ModuleReport(False, rep.cases_checked, ("psi-injective", m, None))
+            return ModuleReport(rep.cases_checked, ("psi-injective", m, None))
 
     nonzero = [m for m in space.blocks if any(m)]
     for m, n in fock._first_pairs(nonzero, nonzero, pair_cap):
@@ -205,7 +204,7 @@ def psi_dense(space, c, tol=1e-9, pair_cap=32):
         sub = nica_dense(space, c, S, T, tol)
         rep.cases_checked += sub.cases_checked
         if not sub.ok:
-            return ModuleReport(False, rep.cases_checked, ("psi-nica", (m, n), None))
+            return ModuleReport(rep.cases_checked, ("psi-nica", (m, n), None))
     return rep
 
 
