@@ -257,6 +257,13 @@ def _coboundary_from_params(g: KGraph, params: dict) -> Cocycle:
     return Coboundary(g, b, name="coboundary").delta(EXACT if exact else FLOAT)
 
 
+def _edge_ids(path, where: str) -> tuple[str, ...]:
+    """A path of a table entry: a list of edge-id strings."""
+    if not isinstance(path, list) or not all(isinstance(e, str) for e in path):
+        raise ParseError(f"{where}: expected a list of edge ids, got {path!r}", path)
+    return tuple(path)
+
+
 def load_cocycle(doc, g: KGraph) -> Cocycle:
     """Build a cocycle document against g; the pair/triple laws are checked
     on loading (table documents within their stored cap)."""
@@ -265,16 +272,32 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
     kind = doc["kind"]
     if kind == "table":
         _as_object(doc, {"kind", "entries", "cap"}, "cocycle document")
-        cap = dg.as_degree([int(x) for x in _field(doc, "cap", "cocycle document")], g.k)
+        cap = _typed(_field(doc, "cap", "cocycle document"), list, "cap")
+        cap = tuple(_typed(x, int, f"cap[{i}]") for i, x in enumerate(cap))
+        if len(cap) != g.k or min(cap, default=0) < 0:
+            raise ParseError(f"cap: need {g.k} non-negative integers, got {list(cap)}", list(cap))
+        # each distinct angle string is parsed once; JSON numbers are parsed
+        # per entry, as 1, 1.0, 0.0 and -0.0 are equal keys but give
+        # different phases or different bits
+        angles: dict[str, Phase] = {}
         entries = {}
-        exact = True
-        for i, ent in enumerate(_field(doc, "entries", "cocycle document")):
-            if len(ent) != 3:
+        for i, ent in enumerate(_typed(_field(doc, "entries", "cocycle document"), list, "entries")):
+            if not isinstance(ent, list) or len(ent) != 3:
                 raise ParseError(f"entries[{i}]: need [first, second, angle]", ent)
             le, me, ang = ent
-            p = parse_angle(ang)
-            exact = exact and p.is_exact
-            entries[(tuple(map(str, le)), tuple(map(str, me)))] = p
+            key = (_edge_ids(le, f"entries[{i}][0]"), _edge_ids(me, f"entries[{i}][1]"))
+            if key in entries:
+                raise ParseError(f"entries[{i}]: the pair {[list(p) for p in key]} is listed twice", key)
+            p = angles.get(ang) if isinstance(ang, str) else None
+            if p is None:
+                try:
+                    p = parse_angle(ang)
+                except ParseError as err:
+                    raise ParseError(f"entries[{i}]: {err}", err.witness) from err
+                if isinstance(ang, str):
+                    angles[ang] = p
+            entries[key] = p
+        exact = all(p.is_exact for p in entries.values())
         return from_table(g, entries, cap, mode=EXACT if exact else FLOAT, check=True)
     if kind != "builtin":
         raise ParseError(f"cocycle document: unknown kind {kind!r}", kind)

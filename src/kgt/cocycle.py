@@ -14,7 +14,9 @@ Cocycle.twist(m, n) tabulates c once on every composable pair of degrees
 (m, n), indexed by the composite path in Lambda^(m+n).  An exact table is
 integer-encoded: turn numerators mod a shared denominator L and radian
 numerators over a shared denominator, so exact equality of phases is
-equality of integers.  (C2) holds by construction (Cocycle.__call__ answers
+equality of integers.  A table cocycle (from_table) fills a twist by
+gathering the codes of its entries; any other cocycle asks its evaluator
+one pair at a time.  (C2) holds by construction (Cocycle.__call__ answers
 vertex legs itself), and check_cocycle tests (C1) on Lambda^(m+n+p) as the
 one array identity
 
@@ -121,14 +123,48 @@ class Twist:
         return len(self.phases)
 
 
-class Cocycle:
-    """Evaluator plus memo tables; construct via the functions below."""
+class _CodedTwist(Twist):
+    """A Twist whose entry i is entry codes[i] of `distinct`, the Twist of a
+    table's distinct values: each field is computed on the distinct values
+    and gathered through the codes, and equals the field of
+    Twist(list(self.phases)).  The integer encoding is that of the values
+    the codes use, so its denominators are theirs alone."""
 
-    def __init__(self, graph: KGraph, evaluator, mode: str = EXACT, name: str = "cocycle"):
+    def __init__(self, distinct: Twist, codes: np.ndarray):
+        self._distinct = distinct
+        self._codes = _read_only(codes)
+        self.phases = _read_only(distinct.phases[codes])
+
+    @cached_property
+    def ints(self) -> tuple[np.ndarray, int, np.ndarray, int] | None:
+        used, inverse = np.unique(self._codes, return_inverse=True)
+        enc = Twist(self._distinct.phases[used].tolist()).ints
+        if enc is None:
+            return None
+        turns, turn_den, rads, rad_den = enc
+        return _read_only(turns[inverse]), turn_den, _read_only(rads[inverse]), rad_den
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _read_only(self._distinct.values[self._codes])
+
+    @cached_property
+    def modulus(self) -> np.ndarray:
+        return _read_only(self._distinct.modulus[self._codes])
+
+
+class Cocycle:
+    """Evaluator plus memo tables; construct via the functions below.
+
+    `_tabulate`, when given, builds twist(m, n) for nonzero m and n in place
+    of asking the evaluator one pair at a time; from_table passes one."""
+
+    def __init__(self, graph: KGraph, evaluator, mode: str = EXACT, name: str = "cocycle", *, _tabulate=None):
         self.graph = graph
         self.evaluator = evaluator
         self.mode = mode
         self.name = name
+        self._tabulate = _tabulate
         self._memo: dict[tuple[Path, Path], Phase] = {}
         self._twist_memo: dict[tuple[dg.Degree, dg.Degree], Twist] = {}
 
@@ -154,7 +190,10 @@ class Cocycle:
         key = (dg.as_degree(m, g.k), dg.as_degree(n, g.k))
         hit = self._twist_memo.get(key)
         if hit is None:
-            hit = Twist([self(*g.split(la, key[0])) for la in g.paths(dg.add(*key))])
+            if self._tabulate is not None and any(key[0]) and any(key[1]):
+                hit = self._tabulate(*key)
+            else:
+                hit = Twist([self(*g.split(la, key[0])) for la in g.paths(dg.add(*key))])
             if dg.total(key[0]) + dg.total(key[1]) <= _MEMO_TOTAL_CAP:
                 self._twist_memo[key] = hit
         return hit
@@ -325,11 +364,30 @@ def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle
 
     Pairs with a vertex leg are served by (C2).  Lookups beyond the stored cap
     raise CapTooSmallForRequestedDegree.
+
+    Each entry is coded once, as an index into the distinct value objects
+    (distinct by identity, so float values keep their exact bits), and a
+    twist table gathers the codes of its pairs.  A twist that meets a pair
+    past the cap or without an entry asks ev for every pair in paths(m+n)
+    order, so it raises where a pair-by-pair twist would.
     """
     cap = dg.as_degree(cap, g.k)
-    table = {}
+    codes, code_of, distinct = {}, {}, []
     for (le, me), val in entries.items():
-        table[(tuple(le), tuple(me))] = as_phase(val)
+        p = as_phase(val)
+        code = codes[(tuple(le), tuple(me))] = code_of.setdefault(id(p), len(distinct))
+        if code == len(distinct):
+            distinct.append(p)
+    table = Twist(distinct)
+
+    def tabulate_twist(m, n) -> Twist:
+        pm, pn = g.paths(m), g.paths(n)
+        pre, suf = g.factor_indices(m, n)
+        got = [codes.get((pm[i].edges, pn[j].edges)) for i, j in zip(pre.tolist(), suf.tolist())]
+        if None in got or not dg.leq(dg.add(m, n), cap):
+            for la in g.paths(dg.add(m, n)):
+                ev(*g.split(la, m))
+        return _CodedTwist(table, np.array(got, dtype=np.intp))
 
     def ev(la: Path, mu: Path) -> Phase:
         if not dg.leq(dg.add(la.degree, mu.degree), cap):
@@ -338,13 +396,13 @@ def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle
                 (la, mu),
             )
         try:
-            return table[(la.edges, mu.edges)]
+            return distinct[codes[(la.edges, mu.edges)]]
         except KeyError:
             raise CapTooSmallForRequestedDegree(
                 f"no table entry for {(la, mu)}", (la, mu)
             ) from None
 
-    c = Cocycle(g, ev, mode, "table")
+    c = Cocycle(g, ev, mode, "table", _tabulate=tabulate_twist)
     if check:
         rep = check_cocycle(c, cap)
         if not rep.ok:

@@ -147,23 +147,28 @@ def parse_angle(text) -> Phase:
     """Parse the wire format: 'p/q' (or 'p/q turn') exactly, else float radians.
 
     A string holding an integer is whole turns; an integer number is exact
-    radians, as cocycle.as_phase reads it; any other number is float radians."""
+    radians, as cocycle.as_phase reads it; any other number is float radians.
+    Non-finite radians (NaN, infinities) name no phase and are refused."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Phase.exact_radians(text)
     if isinstance(text, float):
-        return Phase.from_radians(text)
-    s = str(text).strip()
-    try:
-        if s.endswith("turn"):
-            return Phase.from_turns(Fraction(s[: -len("turn")].strip()))
-        if "/" in s:
-            return Phase.from_turns(Fraction(s))
+        rads = text
+    else:
+        s = str(text).strip()
         try:
-            return Phase.from_turns(Fraction(int(s)))
-        except ValueError:
-            return Phase.from_radians(float(s))
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"cannot read angle {text!r}", text) from err
+            if s.endswith("turn"):
+                return Phase.from_turns(Fraction(s[: -len("turn")].strip()))
+            if "/" in s:
+                return Phase.from_turns(Fraction(s))
+            try:
+                return Phase.from_turns(Fraction(int(s)))
+            except ValueError:
+                rads = float(s)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ParseError(f"cannot read angle {text!r}", text) from err
+    if not math.isfinite(rads):
+        raise ParseError(f"angle {text!r} is not a finite number of radians", text)
+    return Phase.from_radians(rads)
 
 
 def format_angle(p: Phase) -> str | float:
