@@ -298,7 +298,18 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
                     angles[ang] = p
             entries[key] = p
         exact = all(p.is_exact for p in entries.values())
-        return from_table(g, entries, cap, mode=EXACT if exact else FLOAT, check=True)
+        c = from_table(g, entries, cap, mode=EXACT if exact else FLOAT, check=True)
+        # the check read one entry per non-vertex pair within the cap; no twist reads the rest
+        pairs = sum(len(g.paths(t)) * (math.prod(x + 1 for x in t) - 2) for t in dg.degrees_upto(cap) if any(t))
+        if len(entries) > pairs:
+            read = tabulate(c, cap)
+            i, (le, me) = next((i, key) for i, key in enumerate(entries) if key not in read)
+            raise ParseError(
+                f"entries[{i}]: no twist reads the pair {[list(le), list(me)]}: it has an unknown edge or a "
+                "vertex leg, is past the cap, or is not a composable pair of paths in normal form",
+                doc["entries"][i],
+            )
+        return c
     if kind != "builtin":
         raise ParseError(f"cocycle document: unknown kind {kind!r}", kind)
     _as_object(doc, {"kind", "name", "params"}, "cocycle document")

@@ -54,7 +54,6 @@ from .phases import ONE, Phase, parse_angle, product
 EXACT = "exact-angle"
 FLOAT = "float"
 
-_MEMO_TOTAL_CAP = 16
 # Bound on every scaled numerator in an int64 identity, so that a sum of four
 # of them cannot overflow; past it the identities run on Python ints.
 _INT64_SAFE = 2**60
@@ -154,10 +153,9 @@ class _CodedTwist(Twist):
 
 
 class Cocycle:
-    """Evaluator plus memo tables; construct via the functions below.
-
-    `_tabulate`, when given, builds twist(m, n) for nonzero m and n in place
-    of asking the evaluator one pair at a time; from_table passes one."""
+    """Evaluator plus twist tables, its only cache; construct via the functions
+    below.  `_tabulate`, when given, builds twist(m, n) for nonzero m and n in
+    place of asking the evaluator one pair at a time; from_table passes one."""
 
     def __init__(self, graph: KGraph, evaluator, mode: str = EXACT, name: str = "cocycle", *, _tabulate=None):
         self.graph = graph
@@ -165,7 +163,6 @@ class Cocycle:
         self.mode = mode
         self.name = name
         self._tabulate = _tabulate
-        self._memo: dict[tuple[Path, Path], Phase] = {}
         self._twist_memo: dict[tuple[dg.Degree, dg.Degree], Twist] = {}
 
     def __call__(self, la: Path, mu: Path) -> Phase:
@@ -175,17 +172,10 @@ class Cocycle:
             raise NotComposable(f"cocycle argument pair is not composable", (la, mu))
         if la.is_vertex or mu.is_vertex:
             return ONE
-        key = (la, mu)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self.evaluator(la, mu)
-            if dg.total(la.degree) + dg.total(mu.degree) <= _MEMO_TOTAL_CAP:
-                self._memo[key] = hit
-        return hit
+        return self.evaluator(la, mu)
 
     def twist(self, m, n) -> Twist:
-        """c(split(la, m)) for each la in paths(m+n), in that order; cached,
-        like the pair memo, up to total degree _MEMO_TOTAL_CAP."""
+        """c(split(la, m)) for each la in paths(m+n), in that order; cached."""
         g = self.graph
         key = (dg.as_degree(m, g.k), dg.as_degree(n, g.k))
         hit = self._twist_memo.get(key)
@@ -194,8 +184,7 @@ class Cocycle:
                 hit = self._tabulate(*key)
             else:
                 hit = Twist([self(*g.split(la, key[0])) for la in g.paths(dg.add(*key))])
-            if dg.total(key[0]) + dg.total(key[1]) <= _MEMO_TOTAL_CAP:
-                self._twist_memo[key] = hit
+            self._twist_memo[key] = hit
         return hit
 
     def __repr__(self) -> str:
@@ -593,7 +582,9 @@ def are_cohomologous(c1: Cocycle, c2: Cocycle, cap):
     eps = 0.0 if (c1.mode == EXACT and c2.mode == EXACT) else 1e-9
 
     def q(la, mu):
-        return c1(la, mu) * c2(la, mu).conj()
+        m, n = la.degree, mu.degree
+        i = g.path_index(dg.add(m, n))[g.compose(la, mu)]
+        return c1.twist(m, n).phases[i] * c2.twist(m, n).phases[i].conj()
 
     b_edge: dict[str, Phase] = {e.ident: ONE for e in g.edges(1)}
     for j in range(2, g.k + 1):

@@ -361,7 +361,8 @@ def random_cocycle(seed, g: KGraph) -> Cocycle:
     """
     rng = np.random.default_rng(seed)
     c = _sample_cocycle(rng, g, depth=1)
-    return Cocycle(g, c.evaluator, c.mode, f"random[{seed}]:{c.name}")
+    c.name = f"random[{seed}]:{c.name}"
+    return c
 
 
 # -- default instance battery ------------------------------------------------
@@ -543,10 +544,6 @@ def _fock_caps(g: KGraph, cfg: SuiteConfig, inst: Instance):
         N = tuple(min(1, x) for x in cap)
     margin = 1 if g.k <= 2 else 0  # one extra cylinder level at rank <= 2
     return N, g.clip(dg.add(N, (margin,) * g.k))
-
-
-def _twist(c: Cocycle, la: Path, mu: Path) -> complex:
-    return complex(c(la, mu))
 
 
 def _composable_pairs(g: KGraph, cap):
@@ -1109,9 +1106,10 @@ def _chk_x_product(inst, cfg, rng):
         f = _rand_xelem(g, m, rng)
         h = _rand_xelem(g, n, rng)
         prod = x_tmul(c, f, h)
-        for la in g.paths(dg.add(m, n)):
+        tw = c.twist(m, n).values
+        for i, la in enumerate(g.paths(dg.add(m, n))):
             mu, nu = g.split(la, m)
-            want = _twist(c, mu, nu) * f(mu) * h(nu)
+            want = tw[i] * f(mu) * h(nu)
             if abs(prod(la) - want) > cfg.tolerance:
                 return ("pointwise-formula", la, (m, n))
         extra = _unit_cap(g, cfg)
@@ -1140,11 +1138,12 @@ def _chk_y_product(inst, cfg, rng):
         h = _rand_cyl(g, n, n, rng)
         prod = y_tmul(c, f, h)
         fidx, hidx = g.path_index(f.depth), g.path_index(h.depth)
+        tw, mnidx = c.twist(m, n).values, g.path_index(dg.add(m, n))
         for j, la in enumerate(g.paths(prod.depth)):
             mu = g.split(la, m)[0]
             nu = g.segment(la, m, dg.add(m, n))
             want = (
-                _twist(c, mu, nu)
+                tw[mnidx[g.compose(mu, nu)]]
                 * f.coeffs[fidx[g.split(la, f.depth)[0]]]
                 * h.coeffs[hidx[g.segment(la, m, dg.add(m, h.depth))]]
             )
@@ -1424,6 +1423,7 @@ def _chk_section_lookup(inst, cfg, rng):
             if w != 0:
                 lam_of[la.source] = la
         hidx = g.path_index(j)
+        tw = c.twist(m, dg.sub(j, m)).values
         for iz, z in enumerate(g.paths(got.depth)):
             zm = g.split(z, m)[0]
             lam = lam_of.get(zm.source)
@@ -1432,8 +1432,8 @@ def _chk_section_lookup(inst, cfg, rng):
             else:
                 beta = g.segment(z, m, j)
                 want = (
-                    _twist(c, zm, beta)
-                    * np.conj(_twist(c, lam, beta))
+                    tw[hidx[g.compose(zm, beta)]]
+                    * np.conj(tw[hidx[g.compose(lam, beta)]])
                     * f(zm)
                     * np.conj(gsec(lam))
                     * h.coeffs[hidx[g.compose(lam, beta)]]

@@ -352,7 +352,8 @@ def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
     that the twisted products of basis vectors span X_(m+n).
 
     The identity: <f1 g1, f2 g2> = <g1, <f1, f2> g2> for all basis choices
-    f from X_m, g from X_n.  Phases of unit modulus drop out; a corrupted
+    f from X_m, g from X_n.  The multipliers are read from c.twist(m, n).values,
+    unit modulus or not: phases of unit modulus drop out, and a corrupted
     multiplier with |value| != 1 fails immediately.
     """
     g = c.graph
@@ -363,15 +364,11 @@ def x_tensor_iso_check(c: Cocycle, m, n, tol: float = 1e-9) -> ModuleReport:
     rep = ModuleReport()
 
     pre, suf = g.factor_indices(m, n)
-    # c is called pair by pair, not through c.twist: any callable with a
-    # graph and a mode can be checked, unit modulus or not
-    twist = np.array([complex(c(pm[i], pn[j])) for i, j in zip(pre, suf)])
 
     # products[i, j, :] = coefficients of delta_i * delta_j in X_total
     a, b, P = len(pm), len(pn), len(pt)
     products = np.zeros((a, b, P), dtype=np.complex128)
-    for col in range(P):
-        products[pre[col], suf[col], col] = twist[col]
+    products[pre, suf, np.arange(P)] = c.twist(m, n).values
 
     vsrc_t = {v: list(ix) for v, ix in g.by_source(total).items()}
     vsrc_n = {v: list(ix) for v, ix in g.by_source(n).items()}

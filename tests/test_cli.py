@@ -1,6 +1,7 @@
 """Command line interface: documents, exit codes, pipelines."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,32 @@ def test_cocycle_table_round_trip_is_bit_exact():
     c = load_cocycle(doc, fixture_f1())
     assert c.mode == "exact-angle"
     assert emit_cocycle_doc(c, (2, 2)) == doc
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param([["zz"], ["e"]], id="unknown-edge"),
+        pytest.param([[], ["e"]], id="vertex-leg"),
+        pytest.param([["e", "e"], ["e"]], id="past-cap"),
+        pytest.param([["f", "e"], ["e"]], id="not-normal-form"),
+    ],
+)
+def test_table_entries_no_twist_reads_are_refused(entry):
+    doc = _ctheta_doc()
+    doc["entries"].insert(3, entry + ["0 turn"])
+    pair = re.escape(repr(entry))
+    with pytest.raises(ParseError, match=rf"^entries\[3\]: no twist reads the pair {pair}:") as err:
+        load_cocycle(doc, fixture_f1())
+    assert err.value.witness == entry + ["0 turn"]
+
+
+def test_table_entry_that_is_not_composable_exits_2(files, capsys):
+    _, write = files
+    doc = {"kind": "table", "cap": [2], "entries": [[["a"], ["b"], "0 turn"], [["b"], ["a"], "0 turn"]]}
+    doc["entries"].append([["a"], ["a"], "1/3 turn"])
+    assert main(["fock", write("f2.json", _f2_doc()), write("c.json", doc), "--N", "1"]) == 2
+    assert "ParseError: entries[2]: no twist reads the pair [['a'], ['a']]" in capsys.readouterr().err
 
 
 def test_unknown_graph_fields_rejected():

@@ -298,6 +298,13 @@ def test_c_theta_not_cohomologous_to_trivial_by_propagation():
     assert isinstance(out, CohomologyCounterexample)
 
 
+def test_c_theta_counterexample_names_the_over_determined_edge():
+    # the square e.f = f.e asks b(f) = b(f) * c(e, f) conj(c(f, e)), and c(f, e) = 1 rad
+    out = are_cohomologous(c_theta(F1, ONE_RAD), trivial_cocycle(F1), (2, 2))
+    assert out.reason == "square relations over-determine an edge value"
+    assert out.witness == ("f", ONE, ONE_RAD)
+
+
 def test_report_counts_are_plausible():
     rep = check_cocycle(trivial_cocycle(F2), (3,))
     # 2 paths per length, times the 1, 3, 6, 10 splits of lengths 0..3 into 3 parts

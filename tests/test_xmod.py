@@ -1,6 +1,7 @@
 """Finite-path module fibers: inner products, twisted products, compacts."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,8 +264,9 @@ def test_tensor_iso_check_catches_nonunitary_twist():
         graph = F1
         mode = "float"
 
-        def __call__(self, la, mu):
-            return 2.0  # not unit modulus
+        def twist(self, m, n):
+            # not unit modulus
+            return SimpleNamespace(values=np.full(len(F1.paths(dg.add(m, n))), 2.0))
 
     rep = x_tensor_iso_check(Corrupt(), (1, 0), (0, 1))
     assert not rep.ok
