@@ -231,17 +231,31 @@ def load_graph(path: str) -> KGraph:
     return validate_skeleton(parse_graph_doc(_read_json(path)))
 
 
-_BUILTIN_COCYCLES = ("trivial", "c_f", "c_omega", "c_sigma", "skew_lift", "product", "coboundary")
+# each builtin cocycle -> the fields of its params
+_BUILTIN_COCYCLES = {
+    "trivial": set(),
+    "c_f": {"f"},
+    "c_omega": {"generators"},
+    "c_sigma": {"theta"},
+    "skew_lift": {"base"},
+    "product": {"left", "right"},
+    "coboundary": {"edge_phases", "degree_form"},
+}
+
+
+def _angle_rows(rows, where: str) -> list[list[Phase]]:
+    """A matrix of angles: a list of lists."""
+    rows = _typed(rows, list, where)
+    return [[parse_angle(x) for x in _typed(row, list, f"{where}[{i}]")] for i, row in enumerate(rows)]
 
 
 def _coboundary_from_params(g: KGraph, params: dict) -> Cocycle:
-    _as_object(params, {"edge_phases", "degree_form"}, "coboundary params")
     label = {e.ident: Phase.one() for e in g.all_edges}
-    for ident, ang in params.get("edge_phases", {}).items():
+    for ident, ang in _typed(params.get("edge_phases", {}), dict, "params.edge_phases").items():
         if ident not in label:
             raise ParseError(f"coboundary params: unknown edge {ident!r}", ident)
         label[ident] = parse_angle(ang)
-    form = [[parse_angle(x) for x in row] for row in params.get("degree_form", [])]
+    form = _angle_rows(params.get("degree_form", []), "params.degree_form")
     if form and (len(form) != g.k or any(len(row) != g.k for row in form)):
         raise ParseError(f"coboundary params: degree_form must be {g.k}x{g.k}", form)
 
@@ -314,7 +328,9 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
         raise ParseError(f"cocycle document: unknown kind {kind!r}", kind)
     _as_object(doc, {"kind", "name", "params"}, "cocycle document")
     name = _field(doc, "name", "cocycle document")
-    params = doc.get("params", {})
+    if not isinstance(name, str) or name not in _BUILTIN_COCYCLES:
+        raise ParseError(f"cocycle document: unknown builtin {name!r}; know {tuple(_BUILTIN_COCYCLES)}", name)
+    params = _as_object(doc.get("params", {}), _BUILTIN_COCYCLES[name], "params")
     if name == "trivial":
         c = trivial_cocycle(g)
     elif name == "coboundary":
@@ -327,27 +343,24 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
                 name,
             )
         if name == "c_f":
-            table = {e: parse_angle(v) for e, v in _field(params, "f", "params").items()}
-            c = c_f(g, table)
+            f = _typed(_field(params, "f", "params"), dict, "params.f")
+            c = c_f(g, {e: parse_angle(v) for e, v in f.items()})
         elif name == "c_omega":
-            c = c_omega(g, [parse_angle(x) for x in _field(params, "generators", "params")])
+            gens = _typed(_field(params, "generators", "params"), list, "params.generators")
+            c = c_omega(g, [parse_angle(x) for x in gens])
         else:
-            c = c_sigma(g, [[parse_angle(x) for x in row] for row in _field(params, "theta", "params")])
+            c = c_sigma(g, _angle_rows(_field(params, "theta", "params"), "params.theta"))
     elif name == "skew_lift":
         if not isinstance(g, SkewProductGraph):
             raise ParseError("skew_lift needs a group-labelled graph built in the same invocation", name)
         c = skew_lift(load_cocycle(_field(params, "base", "params"), g.base), g)
-    elif name == "product":
+    else:  # product
         if not isinstance(g, CartesianProductGraph):
             raise ParseError("product needs a product graph built in the same invocation", name)
         c = product_cocycle(
             load_cocycle(_field(params, "left", "params"), g.left),
             load_cocycle(_field(params, "right", "params"), g.right),
             g,
-        )
-    else:
-        raise ParseError(
-            f"cocycle document: unknown builtin {name!r}; know {_BUILTIN_COCYCLES}", name
         )
     rep = check_cocycle(c, g.clip((2,) * g.k))
     if not rep.ok:

@@ -14,9 +14,10 @@ Cocycle.twist(m, n) tabulates c once on every composable pair of degrees
 (m, n), indexed by the composite path in Lambda^(m+n).  An exact table is
 integer-encoded: turn numerators mod a shared denominator L and radian
 numerators over a shared denominator, so exact equality of phases is
-equality of integers.  A table cocycle (from_table) fills a twist by
-gathering the codes of its entries; any other cocycle asks its evaluator
-one pair at a time.  (C2) holds by construction (Cocycle.__call__ answers
+equality of integers.  A twist computes its fields once per distinct
+value object.  A table cocycle (from_table) fills a twist with the value
+objects of its entries; any other cocycle asks its evaluator one pair at a
+time.  (C2) holds by construction (Cocycle.__call__ answers
 vertex legs itself), and check_cocycle tests (C1) on Lambda^(m+n+p) as the
 one array identity
 
@@ -82,21 +83,28 @@ class Twist:
 
     `phases` holds the Phase values.  `ints` encodes them as integers when
     every value is exact and the encoding fits int64; `values` and `modulus`
-    are their complex values and moduli.
+    are their complex values and moduli.  Entries are coded once, by object
+    identity (so float values keep their exact bits), as indices `_codes`
+    into the distinct objects `_distinct`; each field is computed on the
+    distinct objects and gathered through the codes.
     """
 
     def __init__(self, phases: list[Phase]):
-        arr = np.empty(len(phases), dtype=object)
-        arr[:] = phases
-        self.phases = _read_only(arr)
+        first = {id(p): p for p in phases}
+        code_of = {key: i for i, key in enumerate(first)}
+        self._distinct = np.empty(len(first), dtype=object)
+        self._distinct[:] = list(first.values())
+        self._codes = _read_only(np.array([code_of[id(p)] for p in phases], dtype=np.intp))
+        self.phases = _read_only(self._distinct[self._codes])
 
     @cached_property
     def ints(self) -> tuple[np.ndarray, int, np.ndarray, int] | None:
         """(turns, turn_den, rads, rad_den): entry i is turns[i] / turn_den
         turns (reduced mod 1) plus rads[i] / rad_den radians, in int64
-        arrays.  None when a value is inexact or a denominator or numerator
-        exceeds the int64-safe bound."""
-        ps = self.phases.tolist()
+        arrays, over the denominators of the values the twist holds.  None
+        when a value is inexact or a denominator or numerator exceeds the
+        int64-safe bound."""
+        ps = self._distinct.tolist()
         if not all(p.is_exact for p in ps):
             return None
         turn_den = math.lcm(*(p.turns.denominator for p in ps))
@@ -105,51 +113,21 @@ class Twist:
         rads = [p.rads.numerator * (rad_den // p.rads.denominator) for p in ps]
         if turn_den > _INT64_SAFE or max(map(abs, rads), default=0) > _INT64_SAFE:
             return None
-        turns = _read_only(np.array(turns, dtype=np.int64))
-        return turns, turn_den, _read_only(np.array(rads, dtype=np.int64)), rad_den
+        turns = _read_only(np.array(turns, dtype=np.int64)[self._codes])
+        return turns, turn_den, _read_only(np.array(rads, dtype=np.int64)[self._codes]), rad_den
 
     @cached_property
     def values(self) -> np.ndarray:
         """complex(c) per entry."""
-        return _read_only(np.array([complex(p) for p in self.phases], dtype=np.complex128))
+        return _read_only(np.array([complex(p) for p in self._distinct], dtype=np.complex128)[self._codes])
 
     @cached_property
     def modulus(self) -> np.ndarray:
         """abs(complex(c)) per entry."""
-        return _read_only(np.array([abs(complex(p)) for p in self.phases], dtype=np.float64))
+        return _read_only(np.array([abs(complex(p)) for p in self._distinct], dtype=np.float64)[self._codes])
 
     def __len__(self) -> int:
         return len(self.phases)
-
-
-class _CodedTwist(Twist):
-    """A Twist whose entry i is entry codes[i] of `distinct`, the Twist of a
-    table's distinct values: each field is computed on the distinct values
-    and gathered through the codes, and equals the field of
-    Twist(list(self.phases)).  The integer encoding is that of the values
-    the codes use, so its denominators are theirs alone."""
-
-    def __init__(self, distinct: Twist, codes: np.ndarray):
-        self._distinct = distinct
-        self._codes = _read_only(codes)
-        self.phases = _read_only(distinct.phases[codes])
-
-    @cached_property
-    def ints(self) -> tuple[np.ndarray, int, np.ndarray, int] | None:
-        used, inverse = np.unique(self._codes, return_inverse=True)
-        enc = Twist(self._distinct.phases[used].tolist()).ints
-        if enc is None:
-            return None
-        turns, turn_den, rads, rad_den = enc
-        return _read_only(turns[inverse]), turn_den, _read_only(rads[inverse]), rad_den
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return _read_only(self._distinct.values[self._codes])
-
-    @cached_property
-    def modulus(self) -> np.ndarray:
-        return _read_only(self._distinct.modulus[self._codes])
 
 
 class Cocycle:
@@ -354,29 +332,23 @@ def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle
     Pairs with a vertex leg are served by (C2).  Lookups beyond the stored cap
     raise CapTooSmallForRequestedDegree.
 
-    Each entry is coded once, as an index into the distinct value objects
-    (distinct by identity, so float values keep their exact bits), and a
-    twist table gathers the codes of its pairs.  A twist that meets a pair
-    past the cap or without an entry asks ev for every pair in paths(m+n)
-    order, so it raises where a pair-by-pair twist would.
+    A twist table looks up the value object of each of its pairs, so it
+    shares the entries' objects and computes its fields once per distinct
+    value.  A twist that meets a pair past the cap or without an entry asks
+    ev for every pair in paths(m+n) order, so it raises where a pair-by-pair
+    twist would.
     """
     cap = dg.as_degree(cap, g.k)
-    codes, code_of, distinct = {}, {}, []
-    for (le, me), val in entries.items():
-        p = as_phase(val)
-        code = codes[(tuple(le), tuple(me))] = code_of.setdefault(id(p), len(distinct))
-        if code == len(distinct):
-            distinct.append(p)
-    table = Twist(distinct)
+    table = {(tuple(le), tuple(me)): as_phase(val) for (le, me), val in entries.items()}
 
     def tabulate_twist(m, n) -> Twist:
         pm, pn = g.paths(m), g.paths(n)
         pre, suf = g.factor_indices(m, n)
-        got = [codes.get((pm[i].edges, pn[j].edges)) for i, j in zip(pre.tolist(), suf.tolist())]
-        if None in got or not dg.leq(dg.add(m, n), cap):
+        got = [table.get((pm[i].edges, pn[j].edges)) for i, j in zip(pre.tolist(), suf.tolist())]
+        if any(p is None for p in got) or not dg.leq(dg.add(m, n), cap):
             for la in g.paths(dg.add(m, n)):
                 ev(*g.split(la, m))
-        return _CodedTwist(table, np.array(got, dtype=np.intp))
+        return Twist(got)
 
     def ev(la: Path, mu: Path) -> Phase:
         if not dg.leq(dg.add(la.degree, mu.degree), cap):
@@ -385,7 +357,7 @@ def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle
                 (la, mu),
             )
         try:
-            return distinct[codes[(la.edges, mu.edges)]]
+            return table[(la.edges, mu.edges)]
         except KeyError:
             raise CapTooSmallForRequestedDegree(
                 f"no table entry for {(la, mu)}", (la, mu)

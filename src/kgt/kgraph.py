@@ -171,26 +171,21 @@ class KGraph:
 
     def by_range(self, n) -> dict[str, tuple[int, ...]]:
         """Vertex v -> indices (into paths(n)) of v.Lambda^n."""
-        n = dg.as_degree(n, self.k)
-        hit = self._ranges.get(n)
-        if hit is None:
-            table = {v: [] for v in self.vertices}
-            for i, p in enumerate(self.paths(n)):
-                table[p.range].append(i)
-            hit = {v: tuple(ix) for v, ix in table.items()}
-            self._ranges[n] = hit
-        return hit
+        return self._fibers(n, self._ranges, "range")
 
     def by_source(self, n) -> dict[str, tuple[int, ...]]:
         """Vertex v -> indices (into paths(n)) of Lambda^n.v."""
+        return self._fibers(n, self._sources, "source")
+
+    def _fibers(self, n, cache: dict, end: str) -> dict[str, tuple[int, ...]]:
+        """Vertex v -> indices of the paths(n) whose `end` is v; cached in `cache`."""
         n = dg.as_degree(n, self.k)
-        hit = self._sources.get(n)
+        hit = cache.get(n)
         if hit is None:
             table = {v: [] for v in self.vertices}
             for i, p in enumerate(self.paths(n)):
-                table[p.source].append(i)
-            hit = {v: tuple(ix) for v, ix in table.items()}
-            self._sources[n] = hit
+                table[getattr(p, end)].append(i)
+            hit = cache[n] = {v: tuple(ix) for v, ix in table.items()}
         return hit
 
     def clip(self, d) -> dg.Degree:

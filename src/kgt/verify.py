@@ -517,16 +517,11 @@ def _section_paths(g: KGraph, n, rng):
     return out
 
 
-def _rand_xop(g: KGraph, n, rng) -> XOp:
+def _rand_xop(g: KGraph, n, rng, elem=_rand_xelem) -> XOp:
+    """A sum of two rank-one compacts Theta(f, h), f and h drawn by `elem`."""
     S = XOp.zeros(g, n)
     for _ in range(2):
-        S = S + x_theta(_rand_xelem(g, n, rng), _rand_xelem(g, n, rng))
-    return S
-
-def _rand_section_xop(g: KGraph, n, rng) -> XOp:
-    S = XOp.zeros(g, n)
-    for _ in range(2):
-        S = S + x_theta(_rand_section_elem(g, n, rng), _rand_section_elem(g, n, rng))
+        S = S + x_theta(elem(g, n, rng), elem(g, n, rng))
     return S
 
 
@@ -1516,8 +1511,8 @@ def _chk_transport_interchange(inst, cfg, rng):
     tol = cfg.tolerance
     for m, n in _degree_pairs(g, cfg, rng)[:3]:
         j = dg.join(m, n)
-        S = _rand_section_xop(g, m, rng)
-        T = _rand_section_xop(g, n, rng)
+        S = _rand_xop(g, m, rng, _rand_section_elem)
+        T = _rand_xop(g, n, rng, _rand_section_elem)
         lhs = alpha_k(x_compact_align(c, S, T))
         rhs = y_iota(c, alpha_k(S), j) @ y_iota(c, alpha_k(T), j)
         if not lhs.close(rhs, tol):
@@ -1537,8 +1532,8 @@ def _chk_nica(inst, cfg, rng):
     for m, n in _degree_pairs(g, cfg, rng)[:3]:
         if not (dg.leq(m, N) and dg.leq(n, N)):
             continue
-        S = _rand_section_xop(g, m, rng)
-        T = _rand_section_xop(g, n, rng)
+        S = _rand_xop(g, m, rng, _rand_section_elem)
+        T = _rand_xop(g, n, rng, _rand_section_elem)
         rep = nica_check(space, c, S, T, tol=cfg.tolerance)
         if not rep.ok:
             return rep.first_failure

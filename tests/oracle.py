@@ -6,8 +6,14 @@ them against it, independent of KGraph's cached tables.  `point_creations`
 builds every point-mass creation of a degree as a dense operator, for the
 dense loops that the Fock point tables replaced, and `creation_pairs` sums
 dense creation pairs C(f) C(g)*, the definition that the images of compacts
-built by `fock_compacts_x` are checked against.
+built by `fock_compacts_x` are checked against.  `twist_fields` computes
+the fields of a cocycle twist table entry by entry, the definition that
+`Twist`, which computes them once per distinct value, is checked against.
 """
+
+import math
+
+import numpy as np
 
 from kgt import degrees as dg
 from kgt.fock import FockOp, creation_x
@@ -57,3 +63,22 @@ def creation_pairs(space, c, pairs):
     for f, g in pairs:
         out = out + creation_x(space, c, f) @ creation_x(space, c, g).adjoint()
     return out
+
+
+def twist_fields(phases):
+    """(values, modulus, ints) of the twist entries `phases`, entry by entry:
+    complex(p), abs(complex(p)), and the integer encoding (turns, turn_den,
+    rads, rad_den) over the lcm of every entry's denominators, or None when
+    an entry is inexact or the encoding passes the int64-safe bound 2**60."""
+    ps = list(phases)
+    values = np.array([complex(p) for p in ps], dtype=np.complex128)
+    modulus = np.array([abs(complex(p)) for p in ps], dtype=np.float64)
+    if not all(p.is_exact for p in ps):
+        return values, modulus, None
+    turn_den = math.lcm(*(p.turns.denominator for p in ps))
+    rad_den = math.lcm(*(p.rads.denominator for p in ps))
+    turns = [p.turns.numerator * turn_den // p.turns.denominator for p in ps]
+    rads = [p.rads.numerator * rad_den // p.rads.denominator for p in ps]
+    if turn_den > 2**60 or any(abs(r) > 2**60 for r in rads):
+        return values, modulus, None
+    return values, modulus, (np.array(turns, dtype=np.int64), turn_den, np.array(rads, dtype=np.int64), rad_den)

@@ -8,7 +8,7 @@ import pytest
 
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_graph_doc
 from kgt.cocycle import EXACT, FLOAT, c_theta
-from kgt.constructions import cartesian
+from kgt.constructions import cartesian, crossed_product, identity_action
 from kgt.errors import ParseError
 from kgt.kgraph import fixture_f1, fixture_f2, validate_skeleton
 from kgt.phases import Phase, parse_angle
@@ -100,6 +100,43 @@ def test_structured_builtins_need_a_structured_graph():
     doc = {"kind": "builtin", "name": "c_omega", "params": {"generators": ["1/4 turn"]}}
     with pytest.raises(ParseError, match="adjoined-lattice"):
         load_cocycle(doc, fixture_f2())
+
+
+@pytest.mark.parametrize(
+    "name, params, where",
+    [
+        pytest.param("c_omega", {"generators": 5}, r"params\.generators: expected a list", id="c_omega-generators-int"),
+        pytest.param("c_omega", 5, "params: expected an object", id="c_omega-params-int"),
+        pytest.param("c_f", {"f": ["a"]}, r"params\.f: expected an object", id="c_f-f-list"),
+        pytest.param("c_sigma", {"theta": [1]}, r"params\.theta\[0\]: expected a list", id="c_sigma-row-int"),
+        pytest.param("trivial", 7, "params: expected an object", id="trivial-params-int"),
+        pytest.param("trivial", {"theta": [[0]]}, r"params: unknown field\(s\) \['theta'\]", id="trivial-field"),
+        pytest.param("c_omega", {"generators": [], "f": {}}, r"unknown field\(s\) \['f'\]", id="c_omega-field"),
+        pytest.param("product", {"left": {}, "base": {}}, r"unknown field\(s\) \['base'\]", id="product-field"),
+        pytest.param(
+            "coboundary", {"edge_phases": []}, r"params\.edge_phases: expected an object", id="coboundary-phases-list"
+        ),
+        pytest.param(
+            "coboundary", {"degree_form": [0]}, r"params\.degree_form\[0\]: expected a list", id="coboundary-row-int"
+        ),
+    ],
+)
+def test_malformed_builtin_params_are_parse_errors(name, params, where):
+    """Each builtin takes its own params fields, each of its own type."""
+    f2 = fixture_f2()
+    g = crossed_product(f2, identity_action(f2), (2,))
+    with pytest.raises(ParseError, match=where):
+        load_cocycle({"kind": "builtin", "name": name, "params": params}, g)
+
+
+def test_build_with_malformed_builtin_params_exits_2(files, capsys):
+    _, write = files
+    f2 = write("f2.json", _f2_doc())
+    comega = write("comega.json", {"kind": "builtin", "name": "c_omega", "params": {"generators": 5}})
+    params = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}, "cap": [2]}
+    argv = ["build", f2, "--op", "crossed", "--params", json.dumps(params), "--cocycle", comega]
+    assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_coboundary_builtin_loads_and_is_exact():

@@ -1,9 +1,11 @@
-"""Coded twist tables of table cocycles against the per-pair twists.
+"""Twist tables against their definitions.
 
-A table cocycle (`from_table`) builds twist(m, n) by gathering the codes of
-its entries.  The oracle is the same evaluator in a Cocycle built without
-that hook, whose twist asks for one pair at a time; every field of every
-twist, and every refusal, must agree with it.
+A Twist computes its fields once per distinct value object and gathers them
+through codes; every field must equal, bit for bit, the entry-by-entry
+definition `oracle.twist_fields`.  A table cocycle (`from_table`) builds
+twist(m, n) from the value objects of its entries.  Its entries, and every
+refusal, must agree with the same evaluator in a Cocycle built without that
+hook, whose twist asks for one pair at a time.
 """
 
 import json
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt import degrees as dg
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main
@@ -19,6 +23,7 @@ from kgt.cocycle import (
     EXACT,
     FLOAT,
     Cocycle,
+    Twist,
     bicharacter_cocycle,
     c_theta,
     check_cocycle,
@@ -27,9 +32,10 @@ from kgt.cocycle import (
     trivial_cocycle,
 )
 from kgt.errors import CapTooSmallForRequestedDegree, ParseError
-from kgt.kgraph import fixture_f1, fixture_f2, make_skeleton, single_vertex, validate_skeleton
+from kgt.kgraph import KGraph, fixture_f1, fixture_f2, make_skeleton, single_vertex, validate_skeleton
 from kgt.phases import ONE, Phase, parse_angle
 from kgt.verify import SuiteConfig, default_instances, random_cocycle, random_kgraph
+from oracle import twist_fields
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -46,23 +52,29 @@ def _bits(arr):
     return arr.view(np.uint8).tobytes()
 
 
-def assert_same_twist(got, want):
-    assert type(want).__name__ == "Twist"
-    assert list(got.phases) == list(want.phases)
-    assert [p.is_exact for p in got.phases] == [p.is_exact for p in want.phases]
-    assert got.values.dtype == want.values.dtype and _bits(got.values) == _bits(want.values)
-    assert got.modulus.dtype == want.modulus.dtype and _bits(got.modulus) == _bits(want.modulus)
-    if want.ints is None:
-        assert got.ints is None
+def assert_fields(t, phases):
+    """t's fields equal, bit for bit, the entry-by-entry fields of `phases`."""
+    values, modulus, ints = twist_fields(phases)
+    assert t.values.dtype == values.dtype and _bits(t.values) == _bits(values)
+    assert t.modulus.dtype == modulus.dtype and _bits(t.modulus) == _bits(modulus)
+    if ints is None:
+        assert t.ints is None
     else:
-        (gt, gtd, gr, grd), (wt, wtd, wr, wrd) = got.ints, want.ints
+        (gt, gtd, gr, grd), (wt, wtd, wr, wrd) = t.ints, ints
         assert (gtd, grd) == (wtd, wrd)
         assert gt.dtype == gr.dtype == np.int64
         assert np.array_equal(gt, wt) and np.array_equal(gr, wr)
 
 
+def assert_same_twist(got, want):
+    """got holds want's entries, and its fields are their definitions."""
+    assert list(got.phases) == list(want.phases)
+    assert [p.is_exact for p in got.phases] == [p.is_exact for p in want.phases]
+    assert_fields(got, want.phases)
+
+
 def assert_same_twists(c, cap):
-    """Every twist(m, n) with m + n <= cap, the coded one against the per-pair one."""
+    """Every twist(m, n) with m + n <= cap against the per-pair one."""
     oracle = per_pair(c)
     for total in dg.degrees_upto(dg.as_degree(cap, c.graph.k)):
         for m, n in dg.splits(total, 2):
@@ -110,13 +122,43 @@ def test_battery_table_twists_equal_the_per_pair_twists():
         assert_same_twists(as_table(inst.cocycle, cap), cap)
 
 
-def test_table_twists_are_coded_and_cached():
+def test_table_twists_are_coded_and_cached(monkeypatch):
+    """A table twist reads its entries through factor_indices, never split."""
     c = as_table(c_theta(F1, Phase.from_turns(Fraction(1, 8))), (2, 2))
+    split, calls = KGraph.split, []
+    monkeypatch.setattr(KGraph, "split", lambda g, *args: calls.append(args) or split(g, *args))
     t = c.twist((1, 0), (0, 1))
-    assert type(t).__name__ == "_CodedTwist"
+    assert len(c.twist((1, 1), (1, 0))) > 0
+    assert calls == []
     assert c.twist((1, 0), (0, 1)) is t
     # a vertex leg is (C2)'s, not the table's
     assert list(c.twist((0, 0), (1, 1)).phases) == [ONE]
+
+
+# a new Phase object per draw, so that equal values can be distinct objects
+FRESH_PHASES = st.one_of(
+    st.fractions(max_denominator=12).map(Phase.from_turns),
+    st.fractions(max_denominator=12).map(Phase.exact_radians),
+    st.sampled_from(BIG_PRIMES).map(lambda p: Phase.from_turns(Fraction(1, p))),
+    st.just(Fraction(2**64 + 1, 3)).map(Phase.exact_radians),
+    st.sampled_from([1.0, -1.0]).flatmap(
+        lambda re: st.sampled_from([0.0, -0.0]).map(lambda im: Phase(None, None, complex(re, im)))
+    ),
+    st.floats(-10, 10).map(Phase.from_radians),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FRESH_PHASES, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=24)
+))
+def test_twist_fields_equal_their_definition(phases):
+    """Repeated objects, equal but distinct objects (signed zeros, equal
+    fractions), exact and float mixes and big-prime denominators: each field
+    is the entry-by-entry one, and the entries are the objects given."""
+    t = Twist(phases)
+    assert len(t) == len(phases) and all(a is b for a, b in zip(t.phases, phases))
+    assert_fields(t, phases)
 
 
 def test_signed_zero_imaginary_parts_keep_their_bits():
