@@ -19,11 +19,13 @@ value object.  A table cocycle (from_table) fills a twist with the value
 objects of its entries; any other cocycle asks its evaluator one pair at a
 time.  (C2) holds by construction (Cocycle.__call__ answers
 vertex legs itself), and check_cocycle tests (C1) on Lambda^(m+n+p) as the
-one array identity
+array identity
 
     T(m,n)[pre] + T(m+n,p)  =  T(m,n+p) + T(n,p)[suf]   (turns mod 1)
 
-per degree split, with pre and suf from KGraph.factor_indices.  Integer
+with pre and suf from KGraph.factor_indices, once per batch: the splits
+(m, n, p) of one total degree with the same first leg m, concatenated,
+each twist scaled once to the batch's shared denominators.  Integer
 equality decides when every table is exact and the encoding fits int64;
 otherwise, and for the entries it rejects in float mode with a positive
 tolerance, the Phase products are compared with Phase.close, as a check
@@ -32,6 +34,7 @@ of one triple at a time would compare them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -426,68 +429,67 @@ class CocycleReport:
         return self.first_failure is None
 
 
-def _phase_products(terms: list, rows) -> np.ndarray:
-    """Elementwise Phase product of the terms at the common positions `rows`
-    (all when None)."""
-    out = None
-    for t, idx in terms:
-        sel = rows if idx is None else (idx if rows is None else idx[rows])
-        x = t.phases if sel is None else t.phases[sel]
-        out = x if out is None else out * x
-    return out
-
-
 _close = np.frompyfunc(Phase.close, 3, 1)
 
 
-def _int_agree(lhs: list, rhs: list) -> np.ndarray | None:
-    """Exact elementwise equality of the two products from the tables'
-    integer encodings; None when a table has none or a scaled numerator
-    would exceed the int64-safe bound."""
-    ints = [t.ints for t, _ in lhs + rhs]
+def _gather(column, read) -> np.ndarray:
+    """One term of (C1) over a batch: read(twist) of each split's term,
+    gathered by its index array (whole when None), concatenated."""
+    return np.concatenate([read(t) if ix is None else read(t)[ix] for t, ix in column])
+
+
+def _int_agree(columns) -> np.ndarray | None:
+    """Exact elementwise equality of the two sides of (C1) from the twists'
+    integer encodings, each twist scaled once to the batch's shared
+    denominators; None when a twist has none or a scaled numerator would
+    exceed the int64-safe bound."""
+    twists = dict.fromkeys(t for column in columns for t, _ in column)
+    ints = [t.ints for t in twists]
     if any(e is None for e in ints):
         return None
     den_t = math.lcm(*(e[1] for e in ints))
     den_r = math.lcm(*(e[3] for e in ints))
     if den_t > _INT64_SAFE or any(
-        int(np.abs(e[2]).max(initial=0)) * (den_r // e[3]) > _INT64_SAFE for e in ints
+        den_r > e[3] and int(np.abs(e[2]).max(initial=0)) * (den_r // e[3]) > _INT64_SAFE for e in ints
     ):
         return None
-
-    def sums(terms):
-        turns = rads = 0
-        for t, idx in terms:
-            tn, td, rn, rd = t.ints
-            turns = turns + (tn if idx is None else tn[idx]) * (den_t // td)
-            rads = rads + (rn if idx is None else rn[idx]) * (den_r // rd)
-        return turns, rads
-
-    (lt, lr), (rt, rr) = sums(lhs), sums(rhs)
-    return np.asarray(((lt - rt) % den_t == 0) & (lr == rr), dtype=bool)
+    turns = {t: tn if td == den_t else tn * (den_t // td) for t, (tn, td, _, _) in zip(twists, ints)}
+    rads = {t: rn if rd == den_r else rn * (den_r // rd) for t, (_, _, rn, rd) in zip(twists, ints)}
+    t1, t2, t3, t4 = (_gather(column, turns.__getitem__) for column in columns)
+    r1, r2, r3, r4 = (_gather(column, rads.__getitem__) for column in columns)
+    return ((t1 + t2 - t3 - t4) % den_t == 0) & (r1 + r2 == r3 + r4)
 
 
-def _agree(lhs: list, rhs: list, eps: float) -> np.ndarray:
-    """Elementwise Phase.close(product of the `lhs` terms, product of the
-    `rhs` terms, eps).
+def _agree(columns, eps: float) -> np.ndarray:
+    """Elementwise Phase.close(first * second, third * fourth, eps) of the
+    four (C1) terms over a batch.
 
-    A term is (Twist, index array or None); the index array maps the common
-    path set onto the table's paths.  Exactly equal products are close at
-    any eps, so integer equality settles every entry it accepts; only the
-    entries it rejects at eps > 0, and every entry when a table has no
-    integer encoding, are judged on the Phase products.
+    Exactly equal products are close at any eps, so integer equality
+    settles every entry it accepts; only the entries it rejects at eps > 0,
+    and every entry when a twist has no integer encoding, are judged on the
+    Phase products.
     """
-    ok = _int_agree(lhs, rhs)
+    ok = _int_agree(columns)
+    if ok is not None and (eps == 0 or ok.all()):
+        return ok
+    rows = slice(None) if ok is None else np.flatnonzero(~ok)
+    a, b, c, d = (_gather(column, lambda t: t.phases)[rows] for column in columns)
+    close = np.asarray(_close(a * b, c * d, eps), dtype=bool)
     if ok is None:
-        return np.asarray(_close(_phase_products(lhs, None), _phase_products(rhs, None), eps), dtype=bool)
-    if eps > 0 and not ok.all():
-        rows = np.flatnonzero(~ok)
-        ok[rows] = np.asarray(_close(_phase_products(lhs, rows), _phase_products(rhs, rows), eps), dtype=bool)
+        return close
+    ok[rows] = close
     return ok
 
 
 def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     """Exhaustively verify (C1) on composable triples with total degree <= cap
     ((C2) holds by construction).  Exact mode uses zero tolerance.
+
+    The identity runs once per batch: the splits (m, n, p) of one total
+    degree with the same first leg m, contiguous in dg.splits order, which
+    share T(m, n+p) and suf.  Their gathers are concatenated, so a batch
+    holds at most prod(t - m + 1) |Lambda^t| entries, and the first failing
+    entry is the split and path divmod(entry, |Lambda^t|).
 
     Triples are visited, and counted up to the first failure, in the order
     total degree, then dg.splits(total, 3), then g.paths(total); each
@@ -498,28 +500,31 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     eps = 0.0 if c.mode == EXACT else tol
     rep = CocycleReport()
     for total in dg.degrees_upto(cap):
-        for m, n, p in dg.splits(total, 3):
-            mn, nq = dg.add(m, n), dg.add(n, p)
-            pre, _ = g.factor_indices(mn, p)  # la -> la(0, m+n)
+        for m, batch in itertools.groupby(dg.splits(total, 3), key=lambda split: split[0]):
+            nq = dg.sub(total, m)
             _, suf = g.factor_indices(m, nq)  # la -> la(m, m+n+p)
-            first = c.twist(m, n)
-            c1_ok = _agree(
-                [(first, pre), (c.twist(mn, p), None)],
-                [(c.twist(m, nq), None), (c.twist(n, p), suf)],
-                eps,
-            )
+            whole = c.twist(m, nq)
+            legs, rows = [], []
+            for _, n, p in batch:
+                mn = dg.add(m, n)
+                pre, _ = g.factor_indices(mn, p)  # la -> la(0, m+n)
+                legs.append(n)
+                rows.append(((c.twist(m, n), pre), (c.twist(mn, p), None), (whole, None), (c.twist(n, p), suf)))
+            columns = list(zip(*rows))
+            c1_ok = _agree(columns, eps)
             bad = ~c1_ok
             if c.mode == FLOAT:
-                bad = bad | (np.abs(first.modulus[pre] - 1.0) > tol)
+                bad = bad | (np.abs(_gather(columns[0], lambda t: t.modulus) - 1.0) > tol)
             hits = np.flatnonzero(bad)
             if not hits.size:
-                rep.triples_checked += len(pre)
+                rep.triples_checked += bad.size
                 continue
-            i = int(hits[0])
-            rep.triples_checked += i + 1
+            hit = int(hits[0])
+            rep.triples_checked += hit + 1
+            j, i = divmod(hit, len(g.paths(total)))
             l1, rest = g.split(g.paths(total)[i], m)
-            l2, l3 = g.split(rest, n)
-            if not c1_ok[i]:
+            l2, l3 = g.split(rest, legs[j])
+            if not c1_ok[hit]:
                 lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
                 rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
                 rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))

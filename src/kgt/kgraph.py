@@ -198,18 +198,17 @@ class KGraph:
     def compose(self, la: Path, mu: Path) -> Path:
         if la.source != mu.range:
             raise NotComposable(f"s({la!r}) = {la.source} != r({mu!r}) = {mu.range}", (la, mu))
-        seq = list(la.edges + mu.edges)
-        # gnome sort by color; each backward swap applies one square
-        i = 0
-        while i < len(seq) - 1:
-            a, b = seq[i], seq[i + 1]
-            if self._color[a] > self._color[b]:
-                seq[i], seq[i + 1] = self._sq_inv[(a, b)]
-                if i:
-                    i -= 1
-            else:
-                i += 1
-        return Path(dg.add(la.degree, mu.degree), tuple(seq), la.range, mu.source)
+        return Path(dg.add(la.degree, mu.degree), self._normal_form(la.edges + mu.edges), la.range, mu.source)
+
+    def _normal_form(self, edges: tuple[str, ...]) -> tuple[str, ...]:
+        """A composable edge sequence in ascending color blocks: an insertion
+        sort by color, each backward swap applying one square."""
+        seq, color = list(edges), self._color
+        for j in range(1, len(seq)):
+            while j and color[seq[j - 1]] > color[seq[j]]:
+                seq[j - 1], seq[j] = self._sq_inv[seq[j - 1], seq[j]]
+                j -= 1
+        return tuple(seq)
 
     def split(self, la: Path, m) -> tuple[Path, Path]:
         """The unique factorization la = mu.nu with d(mu) = m, read from
@@ -222,7 +221,7 @@ class KGraph:
         if min(n, default=0) < 0:
             raise DegreeOutOfRange(f"{m} is not <= d({la!r}) = {d}", (la, m))
         pre, suf = self._factor.get((m, n)) or self.factor_indices(m, n)
-        i = self._index[d][la]
+        i = self.path_index(d)[la]
         return self._paths[m][pre[i]], self._paths[n][suf[i]]
 
     def segment(self, la: Path, m, n) -> Path:
@@ -239,19 +238,21 @@ class KGraph:
         """Read-only prefix and suffix index arrays, cached: path i of
         paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]].
 
-        The only stored factorization: built in one pass that composes each
-        mu in Lambda^m with each nu in s(mu).Lambda^n."""
+        The only stored factorization: built in one pass that brings the
+        edges of each mu in Lambda^m followed by each nu in s(mu).Lambda^n
+        into normal form, as compose does, and finds the composite by its
+        Path.sort_key."""
         m = dg.as_degree(m, self.k)
         n = dg.as_degree(n, self.k)
         key = (m, n)
         hit = self._factor.get(key)
         if hit is None:
-            index = self.path_index(dg.add(m, n))
+            index = {p.sort_key(): t for t, p in enumerate(self.paths(dg.add(m, n)))}
             pn, ranged = self.paths(n), self.by_range(n)
             pre, suf = [0] * len(index), [0] * len(index)
             for i, mu in enumerate(self.paths(m)):
                 for j in ranged[mu.source]:
-                    t = index[self.compose(mu, pn[j])]
+                    t = index[self._normal_form(mu.edges + pn[j].edges) or (mu.range,)]
                     pre[t], suf[t] = i, j
             hit = (np.array(pre, dtype=np.intp), np.array(suf, dtype=np.intp))
             for arr in hit:

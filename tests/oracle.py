@@ -9,6 +9,8 @@ dense creation pairs C(f) C(g)*, the definition that the images of compacts
 built by `fock_compacts_x` are checked against.  `twist_fields` computes
 the fields of a cocycle twist table entry by entry, the definition that
 `Twist`, which computes them once per distinct value, is checked against.
+`check_by_triples` walks (C1) one composable triple at a time, the
+definition of `check_cocycle`, which checks it in batches of degree splits.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from kgt import degrees as dg
+from kgt.cocycle import EXACT, FLOAT, CocycleReport
 from kgt.fock import FockOp, creation_x
 from kgt.kgraph import Path
 from kgt.xmod import XElem
@@ -82,3 +85,30 @@ def twist_fields(phases):
     if turn_den > 2**60 or any(abs(r) > 2**60 for r in rads):
         return values, modulus, None
     return values, modulus, (np.array(turns, dtype=np.int64), turn_den, np.array(rads, dtype=np.int64), rad_den)
+
+
+def check_by_triples(c, cap, tol=1e-9):
+    """The definition of check_cocycle: (C1), and in float mode the modulus
+    of c(l1, l2), one triple at a time, in the order total degree, then
+    dg.splits(total, 3), then g.paths(total)."""
+    g = c.graph
+    cap = dg.as_degree(cap, g.k)
+    eps = 0.0 if c.mode == EXACT else tol
+    rep = CocycleReport()
+    for total in dg.degrees_upto(cap):
+        for m, n, p in dg.splits(total, 3):
+            for la in g.paths(total):
+                l1, rest = split_by_squares(g, la, m)
+                l2, l3 = split_by_squares(g, rest, n)
+                lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
+                rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
+                rep.triples_checked += 1
+                if not lhs.close(rhs, eps):
+                    rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
+                    return rep
+                if c.mode == FLOAT:
+                    val = abs(complex(c(l1, l2)))
+                    if abs(val - 1.0) > tol:
+                        rep.first_failure = ("modulus", (l1, l2), val)
+                        return rep
+    return rep

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_graph_doc
-from kgt.cocycle import EXACT, FLOAT, c_theta
+from kgt.cocycle import EXACT, FLOAT, c_theta, from_table, trivial_cocycle
 from kgt.constructions import cartesian, crossed_product, identity_action
 from kgt.errors import ParseError
 from kgt.kgraph import fixture_f1, fixture_f2, validate_skeleton
 from kgt.phases import Phase, parse_angle
+from oracle import check_by_triples
 
 
 @pytest.fixture
@@ -76,6 +77,24 @@ def test_table_entry_that_is_not_composable_exits_2(files, capsys):
     doc["entries"].append([["a"], ["a"], "1/3 turn"])
     assert main(["fock", write("f2.json", _f2_doc()), write("c.json", doc), "--N", "1"]) == 2
     assert "ParseError: entries[2]: no twist reads the pair [['a'], ['a']]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fock", "--N", "1"], ["check", "--suite", "def-3.1"]], ids=["fock", "check"])
+def test_table_failing_c1_exits_3_with_the_first_failing_triple(files, capsys, argv):
+    """A table document that fails (C1) is refused on loading; the
+    counterexample is the first failure of the triple-by-triple walk."""
+    _, write = files
+    g = fixture_f1()
+    doc = emit_cocycle_doc(trivial_cocycle(g), (2, 2))
+    doc["entries"][5][2] = "1/3 turn"
+    entries = {(tuple(le), tuple(me)): parse_angle(angle) for le, me, angle in doc["entries"]}
+    want = check_by_triples(from_table(g, entries, (2, 2), check=False), (2, 2)).first_failure
+    assert repr(want) == "('C1', (<e>, <e>, <f>), (Phase(1/3 turn), Phase(0 turn)))"
+    command, *options = argv
+    assert main([command, write("f1.json", _f1_doc()), write("c.json", doc), *options]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("NotACocycle: ")
+    assert err[1] == f"counterexample: {want!r}"
 
 
 def test_unknown_graph_fields_rejected():

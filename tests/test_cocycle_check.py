@@ -1,7 +1,7 @@
 """The array form of check_cocycle and tabulate against the per-triple loop.
 
-`check_by_triples` and `tabulate_by_split` are the definitions: they walk
-every composable triple (pair), factored through the squares by
+`oracle.check_by_triples` and `tabulate_by_split` are the definitions: they
+walk every composable triple (pair), factored through the squares by
 `oracle.split_by_squares`, and call the cocycle on it; (C2) holds by
 construction, so there is no pair loop for it.  The library
 checks the same identities on cached twist tables; every report field,
@@ -24,19 +24,19 @@ from kgt.cocycle import (
     FLOAT,
     Coboundary,
     Cocycle,
-    CocycleReport,
     bicharacter_cocycle,
     c_theta,
     check_cocycle,
     from_table,
     tabulate,
 )
+from kgt.constructions import crossed_product, identity_action
 from kgt.errors import CapTooSmallForRequestedDegree, DegreeOutOfRange, NotComposable
 from kgt.fock import FockSpace
-from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
+from kgt.kgraph import KGraph, fixture_f1, fixture_f2, single_vertex
 from kgt.phases import ONE, Phase, format_angle
 from kgt.verify import SuiteConfig, default_instances, random_cocycle, random_kgraph
-from oracle import split_by_squares
+from oracle import check_by_triples, split_by_squares
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -47,30 +47,6 @@ BIG_PRIMES = (1099511627791, 1099511627803, 1099511627831, 1099511627873)
 
 
 # -- the per-triple definitions ----------------------------------------------
-
-
-def check_by_triples(c, cap, tol=1e-9):
-    g = c.graph
-    cap = dg.as_degree(cap, g.k)
-    eps = 0.0 if c.mode == EXACT else tol
-    rep = CocycleReport()
-    for total in dg.degrees_upto(cap):
-        for m, n, p in dg.splits(total, 3):
-            for la in g.paths(total):
-                l1, rest = split_by_squares(g, la, m)
-                l2, l3 = split_by_squares(g, rest, n)
-                lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
-                rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
-                rep.triples_checked += 1
-                if not lhs.close(rhs, eps):
-                    rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
-                    return rep
-                if c.mode == FLOAT:
-                    val = abs(complex(c(l1, l2)))
-                    if abs(val - 1.0) > tol:
-                        rep.first_failure = ("modulus", (l1, l2), val)
-                        return rep
-    return rep
 
 
 def tabulate_by_split(c, cap):
@@ -172,6 +148,22 @@ def test_corrupted_tables_report_the_same_first_failure(seed, mode):
         for tol in (1e-9, 0.0):
             rep = assert_same(bad, cap, tol)
             assert not rep.ok
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("g, count", [(F1, 19), (SV, 61)], ids=["F1", "SV"])
+def test_every_moved_entry_reports_the_same_first_failure(g, count, mode):
+    """Each entry of the table moved in turn, so the first failure falls at
+    every offset of the batches of splits, past a batch's first split too."""
+    entries = tabulate_by_split(c_theta(g, Phase.from_turns(Fraction(1, 8))), (2, 2))
+    assert len(entries) == count
+    shift = Phase.from_turns(Fraction(1, 3))
+    if mode == FLOAT:
+        entries, shift = as_float_entries(entries), Phase.from_radians(1.0)
+    for key in sorted(entries):
+        bad = table_cocycle(g, (2, 2), {**entries, key: entries[key] * shift}, mode)
+        for tol in (1e-9, 0.0):
+            assert not assert_same(bad, (2, 2), tol).ok
 
 
 def test_float_table_entry_off_the_unit_circle():
@@ -334,6 +326,29 @@ def test_factor_indices_are_cached_read_only_arrays():
     for arr in (pre, suf):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_factor_indices_compose_no_paths(monkeypatch):
+    """factor_indices brings edge tuples into normal form and builds no Path
+    per pair; a crossed product still refuses a lattice degree past its
+    window, through paths."""
+
+    def refuse(*args):
+        raise AssertionError("factor_indices composed a Path")
+
+    monkeypatch.setattr(KGraph, "compose", refuse)
+    g = single_vertex(2, (2, 2))
+    for total in dg.degrees_upto((3, 3)):
+        for m, n in dg.splits(total, 2):
+            pre, suf = g.factor_indices(m, n)
+            pm, pn = g.paths(m), g.paths(n)
+            assert [split_by_squares(g, la, m) for la in g.paths(total)] == [
+                (pm[i], pn[j]) for i, j in zip(pre, suf)
+            ]
+    gamma = crossed_product(F2, identity_action(F2), (1,))
+    assert len(gamma.factor_indices((1, 1), (0, 0))[0]) == len(gamma.paths((1, 1)))
+    with pytest.raises(CapTooSmallForRequestedDegree, match=r"lattice degree \(2,\) exceeds cap \(1,\)"):
+        gamma.factor_indices((0, 1), (1, 1))
 
 
 # -- degree coercion ---------------------------------------------------------
