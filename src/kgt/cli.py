@@ -429,7 +429,17 @@ def _env_seed() -> int:
         raise ParseError(f"KGT_SEED: expected an integer seed, got {text!r}", text) from err
 
 
+def _check_tolerance(tol: float) -> None:
+    """--tolerance is a finite number >= 0; NaN would pass no comparison and
+    an infinite one every comparison."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParseError(f"--tolerance: need a finite number >= 0, got {tol!r}", tol)
+
+
 def cmd_check(args) -> int:
+    if args.cap < 0:
+        raise ParseError(f"--cap: need a non-negative degree window, got {args.cap}", args.cap)
+    _check_tolerance(args.tolerance)
     seed = _env_seed() if args.seed is None else args.seed
     g, c = _load_pair(args)
     cfg = SuiteConfig(
@@ -561,6 +571,7 @@ def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
 
 
 def cmd_fock(args) -> int:
+    _check_tolerance(args.tolerance)
     g, c = _load_pair(args)
     N = _parse_degree(args.N, g.k)
     if (args.system == "Y") != (args.D is not None):

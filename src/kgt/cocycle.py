@@ -15,11 +15,14 @@ Cocycle.twist(m, n) tabulates c once on every composable pair of degrees
 integer-encoded: turn numerators mod a shared denominator L and radian
 numerators over a shared denominator, so exact equality of phases is
 equality of integers.  A twist computes its fields once per distinct
-value object.  A table cocycle (from_table) fills a twist with the value
-objects of its entries; any other cocycle asks its evaluator one pair at a
-time.  (C2) holds by construction (Cocycle.__call__ answers
-vertex legs itself), and check_cocycle tests (C1) on Lambda^(m+n+p) as the
-array identity
+value object.  The builtin cocycles fill their own twists: a cocycle whose
+value depends only on the degrees repeats one value, a coboundary combines
+per-degree tables of its path function, a pointwise product combines its
+factors' twists, and a table cocycle (from_table) gathers the value objects
+of its entries; the twists of any other cocycle, and every twist with a
+vertex leg, are read one pair at a time.  (C2) holds by construction
+(Cocycle.__call__ answers vertex legs itself), and check_cocycle tests (C1)
+on Lambda^(m+n+p) as the array identity
 
     T(m,n)[pre] + T(m+n,p)  =  T(m,n+p) + T(n,p)[suf]   (turns mod 1)
 
@@ -38,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,15 +92,19 @@ class Twist:
     are their complex values and moduli.  Entries are coded once, by object
     identity (so float values keep their exact bits), as indices `_codes`
     into the distinct objects `_distinct`; each field is computed on the
-    distinct objects and gathered through the codes.
+    distinct objects and gathered through the codes.  Given `codes`, the
+    entries are already coded: `phases` lists the objects the codes index.
     """
 
-    def __init__(self, phases: list[Phase]):
-        first = {id(p): p for p in phases}
-        code_of = {key: i for i, key in enumerate(first)}
-        self._distinct = np.empty(len(first), dtype=object)
-        self._distinct[:] = list(first.values())
-        self._codes = _read_only(np.array([code_of[id(p)] for p in phases], dtype=np.intp))
+    def __init__(self, phases: list[Phase], codes: np.ndarray | None = None):
+        if codes is None:
+            first = {id(p): p for p in phases}
+            code_of = {key: i for i, key in enumerate(first)}
+            codes = np.array([code_of[id(p)] for p in phases], dtype=np.intp)
+            phases = list(first.values())
+        self._distinct = np.empty(len(phases), dtype=object)
+        self._distinct[:] = phases
+        self._codes = _read_only(codes)
         self.phases = _read_only(self._distinct[self._codes])
 
     @cached_property
@@ -133,10 +140,33 @@ class Twist:
         return len(self.phases)
 
 
+def _combined(fn, legs) -> Twist:
+    """The twist whose entry i is fn(*(t.phases[ix[i]] for t, ix in legs)),
+    an ix of None reading t.phases[i]; fn runs once per distinct tuple of
+    the legs' codes, and its results are gathered back."""
+    codes = [t._codes if ix is None else t._codes[ix] for t, ix in legs]
+    dims = [len(t._distinct) for t, _ in legs]
+    keys, inverse = np.unique(np.ravel_multi_index(codes, dims), return_inverse=True)
+    rows = zip(*(col.tolist() for col in np.unravel_index(keys, dims)))
+    return Twist([fn(*(t._distinct[i] for (t, _), i in zip(legs, row))) for row in rows], inverse)
+
+
+def _one_value(c: "Cocycle", m, n) -> Twist:
+    """twist(m, n) of a cocycle whose value depends only on the degrees: the
+    evaluator's value at the first factorization, one object repeated."""
+    g = c.graph
+    paths = g.paths(dg.add(m, n))
+    if not paths:
+        return Twist([])
+    return Twist([c.evaluator(*g.split(paths[0], m))], np.zeros(len(paths), dtype=np.intp))
+
+
 class Cocycle:
     """Evaluator plus twist tables, its only cache; construct via the functions
-    below.  `_tabulate`, when given, builds twist(m, n) for nonzero m and n in
-    place of asking the evaluator one pair at a time; from_table passes one."""
+    below.  `_tabulate(c, m, n)`, when given, builds twist(m, n) of c for
+    nonzero m and n in place of asking the evaluator one pair at a time,
+    with the same values: the degree-only families, coboundaries, pointwise
+    products and table cocycles pass one."""
 
     def __init__(self, graph: KGraph, evaluator, mode: str = EXACT, name: str = "cocycle", *, _tabulate=None):
         self.graph = graph
@@ -162,7 +192,7 @@ class Cocycle:
         hit = self._twist_memo.get(key)
         if hit is None:
             if self._tabulate is not None and any(key[0]) and any(key[1]):
-                hit = self._tabulate(*key)
+                hit = self._tabulate(self, *key)
             else:
                 hit = Twist([self(*g.split(la, key[0])) for la in g.paths(dg.add(*key))])
             self._twist_memo[key] = hit
@@ -173,7 +203,7 @@ class Cocycle:
 
 
 def trivial_cocycle(g: KGraph) -> Cocycle:
-    return Cocycle(g, lambda la, mu: ONE, EXACT, "trivial")
+    return Cocycle(g, lambda la, mu: ONE, EXACT, "trivial", _tabulate=_one_value)
 
 
 # -- degree bicharacters -----------------------------------------------------
@@ -197,7 +227,7 @@ def bicharacter_cocycle(g: KGraph, theta, mode=None, name="bicharacter") -> Cocy
             if la.degree[i] and mu.degree[j]
         )
 
-    return Cocycle(g, ev, mode or (EXACT if exact else FLOAT), name)
+    return Cocycle(g, ev, mode or (EXACT if exact else FLOAT), name, _tabulate=_one_value)
 
 
 def c_theta(g: KGraph, theta) -> Cocycle:
@@ -271,7 +301,7 @@ def c_omega(gamma: CrossedProductGraph, generators) -> Cocycle:
         omega_m = product(p**mi for p, mi in zip(gens, m))
         return omega_m ** dg.total(nu.degree)
 
-    return Cocycle(gamma, ev, EXACT if exact else FLOAT, "c_omega")
+    return Cocycle(gamma, ev, EXACT if exact else FLOAT, "c_omega", _tabulate=_one_value)
 
 
 def c_sigma(gamma: CrossedProductGraph, theta) -> Cocycle:
@@ -326,6 +356,20 @@ def product_cocycle(c1: Cocycle, c2: Cocycle, prod: CartesianProductGraph) -> Co
     return Cocycle(prod, ev, mode, f"product({c1.name},{c2.name})")
 
 
+def pointwise_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
+    """c1 * c2 on their common graph; twist(m, n) is T1 * T2 of the factors'
+    twists, multiplied once per distinct pair of codes."""
+    if c1.graph is not c2.graph:
+        raise GraphMismatch("cocycles live on different graphs", (c1.graph, c2.graph))
+
+    def tabulate_twist(_, m, n) -> Twist:
+        return _combined(Phase.__mul__, [(c1.twist(m, n), None), (c2.twist(m, n), None)])
+
+    mode = EXACT if c1.mode == EXACT and c2.mode == EXACT else FLOAT
+    name = f"product({c1.name},{c2.name})"
+    return Cocycle(c1.graph, lambda la, mu: c1(la, mu) * c2(la, mu), mode, name, _tabulate=tabulate_twist)
+
+
 # -- table-backed cocycles ---------------------------------------------------
 
 
@@ -344,7 +388,7 @@ def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle
     cap = dg.as_degree(cap, g.k)
     table = {(tuple(le), tuple(me)): as_phase(val) for (le, me), val in entries.items()}
 
-    def tabulate_twist(m, n) -> Twist:
+    def tabulate_twist(_, m, n) -> Twist:
         pm, pn = g.paths(m), g.paths(n)
         pre, suf = g.factor_indices(m, n)
         got = [table.get((pm[i].edges, pn[j].edges)) for i, j in zip(pre.tolist(), suf.tolist())]
@@ -397,7 +441,9 @@ def tabulate(c: Cocycle, cap) -> dict:
 
 
 class Coboundary:
-    """A path function b with b = 1 on vertices; delta() is its 2-coboundary."""
+    """A path function b with b = 1 on vertices; delta() is its 2-coboundary,
+    whose twist(m, n) is B(m)[pre] * B(n)[suf] * conj(B(m+n)), B(d) being b
+    tabulated once over paths(d), multiplied once per distinct triple of codes."""
 
     def __init__(self, graph: KGraph, fn, name: str = "b"):
         self.graph = graph
@@ -410,10 +456,21 @@ class Coboundary:
         return self._fn(la)
 
     def delta(self, mode=EXACT) -> Cocycle:
-        def ev(la: Path, mu: Path) -> Phase:
-            return self(la) * self(mu) * self(self.graph.compose(la, mu)).conj()
+        g = self.graph
 
-        return Cocycle(self.graph, ev, mode, f"delta({self.name})")
+        @cache
+        def b_table(d) -> Twist:
+            return Twist([self(la) for la in g.paths(d)])
+
+        def ev(la: Path, mu: Path) -> Phase:
+            return self(la) * self(mu) * self(g.compose(la, mu)).conj()
+
+        def tabulate_twist(_, m, n) -> Twist:
+            pre, suf = g.factor_indices(m, n)
+            legs = [(b_table(m), pre), (b_table(n), suf), (b_table(dg.add(m, n)), None)]
+            return _combined(lambda x, y, z: x * y * z.conj(), legs)
+
+        return Cocycle(g, ev, mode, f"delta({self.name})", _tabulate=tabulate_twist)
 
 
 # -- exhaustive checking -----------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import degrees as dg
 from .cocycle import (
-    EXACT,
     Coboundary,
     Cocycle,
     are_cohomologous,
@@ -30,6 +29,7 @@ from .cocycle import (
     c_sigma,
     c_theta,
     check_cocycle,
+    pointwise_product,
     product_cocycle,
     skew_lift,
     trivial_cocycle,
@@ -344,12 +344,7 @@ def _sample_cocycle(rng, g: KGraph, depth: int) -> Cocycle:
         return _random_coboundary(rng, g).delta()
     c1 = _sample_cocycle(rng, g, depth - 1)
     c2 = _sample_cocycle(rng, g, depth - 1)
-    return Cocycle(
-        g,
-        lambda la, mu: c1(la, mu) * c2(la, mu),
-        EXACT,
-        f"product({c1.name},{c2.name})",
-    )
+    return pointwise_product(c1, c2)
 
 
 def random_cocycle(seed, g: KGraph) -> Cocycle:

@@ -381,6 +381,29 @@ def test_check_refuses_a_malformed_environment_seed(files, monkeypatch, capsys):
     assert json.loads(out.read_text())["config"]["seed"] == 3
 
 
+def test_check_refuses_a_negative_cap(files, capsys):
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    for suite in ("def-3.1", "all"):
+        assert main(["check", g, c, "--cap", "-1", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ParseError: --cap") and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["check", "fock"])
+def test_tolerance_must_be_finite_and_non_negative(files, capsys, command, tol):
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    extra = ["--suite", "def-3.1"] if command == "check" else ["--N", "1"]
+    assert main([command, g, c, *extra, f"--tolerance={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ParseError: --tolerance") and captured.out == ""
+    assert main([command, g, c, *extra, "--tolerance", "0"]) == 0
+
+
 def test_only_check_reads_the_environment_seed(files, monkeypatch):
     tmp, write = files
     g = write("f1.json", _f1_doc())

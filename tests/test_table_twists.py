@@ -3,9 +3,11 @@
 A Twist computes its fields once per distinct value object and gathers them
 through codes; every field must equal, bit for bit, the entry-by-entry
 definition `oracle.twist_fields`.  A table cocycle (`from_table`) builds
-twist(m, n) from the value objects of its entries.  Its entries, and every
-refusal, must agree with the same evaluator in a Cocycle built without that
-hook, whose twist asks for one pair at a time.
+twist(m, n) from the value objects of its entries; the degree-only builtins
+repeat one value, and coboundaries and pointwise products combine the codes
+of other twists.  Their entries, and every refusal, must agree with the same
+evaluator in a Cocycle built without that hook, whose twist asks for one
+pair at a time.
 """
 
 import json
@@ -22,18 +24,23 @@ from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main
 from kgt.cocycle import (
     EXACT,
     FLOAT,
+    Coboundary,
     Cocycle,
     Twist,
     bicharacter_cocycle,
+    c_omega,
+    c_sigma,
     c_theta,
     check_cocycle,
     from_table,
+    pointwise_product,
     tabulate,
     trivial_cocycle,
 )
+from kgt.constructions import crossed_product, identity_action
 from kgt.errors import CapTooSmallForRequestedDegree, ParseError
 from kgt.kgraph import KGraph, fixture_f1, fixture_f2, make_skeleton, single_vertex, validate_skeleton
-from kgt.phases import ONE, Phase, parse_angle
+from kgt.phases import ONE, Phase, parse_angle, product
 from kgt.verify import SuiteConfig, default_instances, random_cocycle, random_kgraph
 from oracle import twist_fields
 
@@ -117,8 +124,10 @@ def test_coded_twists_equal_the_per_pair_twists(subject):
 
 
 def test_battery_table_twists_equal_the_per_pair_twists():
+    """Every battery cocycle, through its own hook and as a table."""
     for inst in default_instances(SuiteConfig()):
         cap = (2,) * inst.graph.k if inst.graph.k <= 2 else (1,) * inst.graph.k
+        assert_same_twists(inst.cocycle, cap)
         assert_same_twists(as_table(inst.cocycle, cap), cap)
 
 
@@ -191,6 +200,68 @@ def test_integer_encoding_uses_only_the_values_a_twist_holds():
     assert c.twist((0, 1), (0, 1)).ints is None
     assert c.twist((1, 1), (1, 1)).ints is None
     assert_same_twists(c, (2, 2))
+
+
+# -- builtin hooks -----------------------------------------------------------
+
+
+def _edge_labels(g, angle):
+    """A different phase on every edge: the i-th edge gets angle(i)."""
+    return {e.ident: angle(i) for i, e in enumerate(g.all_edges)}
+
+
+def _edge_coboundary(g, labels, name="b"):
+    return Coboundary(g, lambda la: product(labels[e] for e in la.edges), name)
+
+
+def _hooked_subjects():
+    exact = _edge_labels(SV, lambda i: Phase.from_turns(Fraction(1, 3 + 2 * i)))
+    floats = _edge_labels(SV, lambda i: Phase.from_radians(0.3 + 0.7 * i))
+    cob = {"kind": "builtin", "name": "coboundary", "params": {"edge_phases": {"e": 0.3, "f": 1.1}}}
+    float_theta = c_theta(SV, parse_angle(0.7))
+    gamma = crossed_product(F2, identity_action(F2, 1), (2,))
+    return [
+        (c_theta(F1, parse_angle(0.7)), (3, 3)),
+        (float_theta, (2, 2)),
+        (c_sigma(gamma, [[parse_angle(0.4)]]), (2, 2)),
+        (c_omega(gamma, [Phase.from_turns(Fraction(1, 5))]), (2, 2)),
+        (load_cocycle(cob, F1), (3, 3)),
+        (_edge_coboundary(SV, exact).delta(), (2, 2)),
+        (_edge_coboundary(SV, floats).delta(FLOAT), (2, 2)),
+        (pointwise_product(_edge_coboundary(SV, exact).delta(), float_theta), (2, 2)),
+        (pointwise_product(float_theta, random_cocycle(11, SV)), (2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("subject", range(9))
+def test_hooked_twists_equal_the_per_pair_twists(subject):
+    """Float radians, the CLI's float coboundary on F1, per-edge path
+    functions and a product with a float factor: each hooked twist holds the
+    per-pair entries, bit for bit."""
+    c, cap = _hooked_subjects()[subject]
+    assert c._tabulate is not None
+    assert_same_twists(c, cap)
+
+
+def test_degree_only_twists_repeat_one_evaluation():
+    c = c_theta(SV, parse_angle(0.7))
+    calls = []
+    ev = c.evaluator
+    c.evaluator = lambda la, mu: calls.append((la, mu)) or ev(la, mu)
+    t = c.twist((1, 1), (1, 0))
+    assert len(t) == len(SV.paths((2, 1))) > 1 and len(calls) == 1
+    assert len({id(p) for p in t.phases}) == 1
+    assert calls == [SV.split(SV.paths((2, 1))[0], (1, 1))]
+
+
+def test_products_multiply_once_per_distinct_pair_of_codes():
+    labels = _edge_labels(SV, lambda i: Phase.from_turns(Fraction(i % 2, 4)))
+    theta = c_theta(SV, Phase.from_turns(Fraction(1, 8)))
+    flat = bicharacter_cocycle(SV, [[ONE, ONE], [ONE, ONE]])
+    for c1, c2 in [(_edge_coboundary(SV, labels).delta(), theta), (theta, flat)]:
+        t, t1, t2 = (c.twist((1, 1), (1, 1)) for c in (pointwise_product(c1, c2), c1, c2))
+        assert len(t) == 16 and len(t._distinct) == len(set(zip(t1._codes.tolist(), t2._codes.tolist())))
+    assert len(t._distinct) == 1
 
 
 # -- refusals ----------------------------------------------------------------
