@@ -443,7 +443,9 @@ def tabulate(c: Cocycle, cap) -> dict:
 class Coboundary:
     """A path function b with b = 1 on vertices; delta() is its 2-coboundary,
     whose twist(m, n) is B(m)[pre] * B(n)[suf] * conj(B(m+n)), B(d) being b
-    tabulated once over paths(d), multiplied once per distinct triple of codes."""
+    tabulated once over paths(d), multiplied once per distinct triple of codes.
+    B(d) codes exact values by value, so a b that depends only on the degree
+    gives each twist one product; float values keep their own objects."""
 
     def __init__(self, graph: KGraph, fn, name: str = "b"):
         self.graph = graph
@@ -460,7 +462,9 @@ class Coboundary:
 
         @cache
         def b_table(d) -> Twist:
-            return Twist([self(la) for la in g.paths(d)])
+            first: dict[tuple[Fraction, Fraction], Phase] = {}
+            values = (self(la) for la in g.paths(d))
+            return Twist([first.setdefault((p.turns, p.rads), p) if p.is_exact else p for p in values])
 
         def ev(la: Path, mu: Path) -> Phase:
             return self(la) * self(mu) * self(g.compose(la, mu)).conj()

@@ -42,33 +42,49 @@ def test_cp_covariance_sees_the_cylinder_compacts(bent_cylinder_compacts):
     assert witness("eq-for-cp-covariance-of-zeta", 2) == ("cp-identity", (1,), None)
 
 
-def test_prop_5_1_sees_the_cylinder_compacts(bent_cylinder_compacts):
+def bend_cylinder_rank_ones(monkeypatch, degrees):
+    """psi_check's cylinder side of Prop 5.1, with its entries on the block
+    of the operator's own degree m scaled by 1 + 1e-6, for m in `degrees`."""
+    real = fock._cylinder_rank_ones
+
+    def bent(space, c, m, a, b):
+        rows, phases = real(space, c, m, a, b)
+        if degrees(m):
+            phases[:, space.block_slice(m)] *= 1 + 1e-6
+        return rows, phases
+
+    monkeypatch.setattr(fock, "_cylinder_rank_ones", bent)
+
+
+def test_prop_5_1_sees_the_cylinder_compacts(monkeypatch):
+    bend_cylinder_rank_ones(monkeypatch, lambda m: True)
     label, pair, _ = witness("prop-5.1", 1)
     assert label == "psi-compacts"  # so psi-multiplicative passed
     assert len(pair) == 2
 
 
-@pytest.fixture
-def bent_nonzero_cylinder_compacts(monkeypatch):
-    """bent_cylinder_compacts, for operators of nonzero degree only."""
-    real = fock.fock_compacts_y
-
-    def bent(space, c, S):
-        out = real(space, c, S)
-        if any(S.module_degree):
-            sl = space.block_slice(S.module_degree)
-            out.matrix[sl, sl] *= 1 + 1e-6
-        return out
-
-    monkeypatch.setattr(fock, "fock_compacts_y", bent)
-
-
-def test_prop_5_1_sees_nonzero_degree_cylinder_compacts(bent_nonzero_cylinder_compacts):
+def test_prop_5_1_sees_nonzero_degree_cylinder_compacts(monkeypatch):
+    bend_cylinder_rank_ones(monkeypatch, any)
     # psi-compacts compares the degree-m compacts on interior(m), the blocks
     # q <= N - m, and they act only on the blocks q >= m; at cap 1, N = (1,)
     # and interior((1,)) is block 0, so only cap 2 sees a nonzero degree
     a = F2.edge_path("a")
     assert witness("prop-5.1", 2) == ("psi-compacts", (a, a), None)
+
+
+def test_prop_5_1_sees_a_missing_cylinder_entry(monkeypatch):
+    """A column the cylinder side leaves empty, where the point tables put an
+    entry, fails."""
+    real = fock._cylinder_rank_ones
+
+    def dropped(space, c, m, a, b):
+        rows, phases = real(space, c, m, a, b)
+        rows[:, space.block_slice(m)], phases[:, space.block_slice(m)] = -1, 0
+        return rows, phases
+
+    monkeypatch.setattr(fock, "_cylinder_rank_ones", dropped)
+    u = F2.vertex_path(F2.vertices[0])
+    assert witness("prop-5.1", 1) == ("psi-compacts", (u, u), None)
 
 
 @pytest.fixture

@@ -264,6 +264,21 @@ def test_products_multiply_once_per_distinct_pair_of_codes():
     assert len(t._distinct) == 1
 
 
+def test_coboundary_tables_code_exact_values_by_value():
+    """A b that depends only on the degree, with a new Phase on every path:
+    its exact values share one code per degree, so each twist is one
+    product; float values stay coded by identity, and exact values that
+    differ only in their radians keep apart."""
+    exact = Coboundary(SV, lambda la: Phase.from_turns(Fraction(dg.total(la.degree), 7))).delta()
+    floats = Coboundary(SV, lambda la: Phase.from_radians(0.1 * dg.total(la.degree))).delta(FLOAT)
+    rads = Coboundary(SV, lambda la: Phase.exact_radians(SV.path_index(la.degree)[la])).delta()
+    t, f = (c.twist((1, 1), (1, 0)) for c in (exact, floats))
+    assert len(t) == len(SV.paths((2, 1))) > 1 and len(t._distinct) == 1
+    assert len(f._distinct) == len(f)
+    for c in (exact, floats, rads):
+        assert_same_twists(c, (2, 2))
+
+
 # -- refusals ----------------------------------------------------------------
 
 
