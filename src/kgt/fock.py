@@ -39,6 +39,7 @@ from .xmod import (
     XOp,
     arrays_close,
     phi_x,
+    times,
     x_act,
     x_compact_align,
     x_inner,
@@ -156,11 +157,6 @@ class FockSpace:
             self._interior[d] = mask
         return mask
 
-    def embed(self, n, coeffs) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.complex128)
-        out[self.block_slice(n)] = coeffs
-        return out
-
     def __repr__(self) -> str:
         return f"FockSpace(N={self.N}, D={self.D}, dim={self.dim})"
 
@@ -211,9 +207,6 @@ class FockOp:
     def adjoint(self) -> "FockOp":
         return FockOp(self.space, tuple(-x for x in self.shift), self.matrix.conj().T)
 
-    def __call__(self, vec) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=np.complex128)
-
     def on_interior(self, d) -> np.ndarray:
         """Columns restricted to interior vectors: the action tested by identities."""
         return self.matrix[:, self.space.interior_mask(d)]
@@ -241,16 +234,6 @@ def gauge_unitary(space: FockSpace, z) -> FockOp:
     return FockOp(space, (0,) * space.graph.k, np.diag(diag))
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b entrywise, broadcast, rounded as a Python complex product:
-    numpy's vector loop for complex multiplication may fuse multiply-adds,
-    which moves the last bit of some entries."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _create(space: FockSpace, c: Cocycle, d, depth, coeffs: np.ndarray) -> FockOp:
     """The creation by coeffs, of coefficient depth `depth`: the point
     creations of the table (d, depth), weighted by coeffs, in one scatter."""
@@ -258,7 +241,7 @@ def _create(space: FockSpace, c: Cocycle, d, depth, coeffs: np.ndarray) -> FockO
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
     w = coeffs[t.k]
     (i,) = np.nonzero(w)
-    M[t.row[i], t.col[i]] = _times(t.phase[t.k[i], t.col[i]], w[i])
+    M[t.row[i], t.col[i]] = times(t.phase[t.k[i], t.col[i]], w[i])
     return FockOp(space, d, M)
 
 
@@ -283,12 +266,6 @@ def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
             f"depth {h.depth} cannot act within working depth {space.D}", (h.depth, space.D)
         )
     return _create(space, c, d, h.depth, h.coeffs)
-
-
-def _creation(space: FockSpace, c: Cocycle, x) -> FockOp:
-    if isinstance(x, XElem):
-        return creation_x(space, c, x)
-    return creation_y(space, c, x)
 
 
 # -- point creations as index tables -----------------------------------------
@@ -367,7 +344,7 @@ def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
     """The tables of a[i[p]] b[j[p]], pair by pair: one gather."""
     mid = b.target[j]
     rows = np.asarray(i)[:, None]
-    return _PointTable(a.target[rows, mid], _times(a.phase[rows, mid], b.phase[j]))
+    return _PointTable(a.target[rows, mid], times(a.phase[rows, mid], b.phase[j]))
 
 
 def _rows_close(a: np.ndarray, b: np.ndarray, tol) -> np.ndarray:
@@ -379,30 +356,134 @@ def _rows_close(a: np.ndarray, b: np.ndarray, tol) -> np.ndarray:
     return ok
 
 
-def _close_to(space: FockSpace, c: Cocycle, lhs: _PointTable, x, tol, d=None) -> np.ndarray:
-    """Per pair p, whether the operator whose table is row p of lhs is close
-    to the creation by element p of the batched module element x, on
-    interior(d), or everywhere when d is None.
+class _Stack(NamedTuple):
+    """The point tables of several (shift, depth) keys as one table, row
+    after row, with their entries listed: composition reads its rows, and
+    a batch of creations by elements of any of those keys is compared
+    against it at once."""
 
-    The creation is read in column-entry form: the value at each entry of
-    its point table is the entry's phase times the entry's coefficient of
-    x, as _create scatters it.  Both sides are compared at every entry of
-    that table and at every entry of lhs off it; everywhere else both are
-    zero.  So the answer is arrays_close's on the dense matrices, in
-    O(pairs * dim) memory.
+    table: _PointTable
+    index: dict  # key -> its position in the stack
+    rows: np.ndarray  # per position, its first row; then the row count
+    entries: np.ndarray  # per position, its first listed entry; then the entry count
+    col_of: np.ndarray  # per position, the column of its entry at each row, or -1
+
+    def rows_of(self, key) -> np.ndarray:
+        i = self.index[key]
+        return np.arange(self.rows[i], self.rows[i + 1])
+
+
+def _stack(space: FockSpace, c: Cocycle, keys) -> _Stack:
+    keys = list(dict.fromkeys(keys))
+    tables = [_point_table(space, c, *key) for key in keys]
+    rows = np.cumsum([0] + [len(t.target) for t in tables])
+    entries = np.cumsum([0] + [len(t.k) for t in tables])
+    table = _PointTable(
+        np.concatenate([t.target for t in tables]),
+        np.concatenate([t.phase for t in tables]),
+        np.concatenate([t.k + r for t, r in zip(tables, rows)]),
+        np.concatenate([t.col for t in tables]),
+        np.concatenate([t.row for t in tables]),
+    )
+    col_of = np.full((len(keys), space.dim + 1), -1, dtype=np.intp)
+    col_of[np.repeat(np.arange(len(keys)), np.diff(entries)), table.row] = table.col
+    return _Stack(table, {key: i for i, key in enumerate(keys)}, rows, entries, col_of)
+
+
+def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, tol) -> np.ndarray:
+    """Per row p of lhs, whether the operator whose table is row p is close
+    to the creation by its module element, on interior(d), or everywhere
+    when d is None.  Each (x, d) in parts gives the next rows their
+    elements, x batched, and the stack holds the point table of every x.
+
+    A creation is read in column-entry form: the value at each entry of its
+    point table is the entry's phase times the entry's coefficient of its
+    element, as _create scatters it.  Both sides are compared at every
+    entry of that table inside interior(d), and lhs must vanish at its
+    entries off it; everywhere else both are zero.  So the answer is
+    arrays_close's on the dense matrices, in O(rows * dim) memory, with one
+    gather per table and one comparison for the batch.
     """
-    dim = space.dim
-    key = (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)  # as _creation reads
-    t = _point_table(space, c, *key)
-    want = _times(x.coeffs[:, t.k], t.phase[t.k, t.col])
-    got = np.where(lhs.target[:, t.col] == t.row, lhs.phase[:, t.col], 0)
-    col_of = np.full(dim + 1, -1, dtype=np.intp)  # the table's column at each row; one per row
-    col_of[t.row] = t.col
-    off = np.where(col_of[lhs.target[:, :dim]] != np.arange(dim), lhs.phase[:, :dim], 0)
-    if d is not None:
-        inside = space.interior_mask(d)
-        got, want, off = got[:, inside[t.col]], want[:, inside[t.col]], off[:, inside]
-    return _rows_close(np.hstack([got, off]), np.hstack([want, np.zeros_like(off)]), tol)
+    dim, size, t = space.dim, len(lhs.target), stack.table
+    inside = np.ones((size, dim + 1), dtype=bool)
+    which = np.empty(size, dtype=np.intp)  # per row, the position of its table in the stack
+    groups = {}  # per table position, its rows and their coefficients
+    at = 0
+    for x, d in parts:
+        rows = np.arange(at, at + len(x.coeffs))
+        if d is not None:
+            inside[rows, :dim] = space.interior_mask(d)
+        # the table that creation_x or creation_y reads for x
+        i = stack.index[(x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)]
+        which[rows] = i
+        groups.setdefault(i, []).append((rows, x.coeffs))
+        at += len(rows)
+
+    # each row's table entries, filled table by table into rows as wide as the widest table
+    got = np.zeros((size, int(np.diff(stack.entries)[list(groups)].max(initial=0))), dtype=np.complex128)
+    want = np.zeros(got.shape, dtype=np.complex128)
+    for i, group in groups.items():
+        rows = np.concatenate([r for r, _ in group])[:, None]
+        e = slice(stack.entries[i], stack.entries[i + 1])
+        k, col, row = t.k[e], t.col[e], t.row[e]
+        keep = inside[rows, col]
+        coeffs = np.concatenate([x for _, x in group])[:, k - stack.rows[i]]
+        at = np.arange(len(k))
+        want[rows, at] = np.where(keep, times(coeffs, t.phase[k, col]), 0)
+        got[rows, at] = np.where(keep & (lhs.target[rows, col] == row), lhs.phase[rows, col], 0)
+    off = inside[:, :dim] & (stack.col_of[which[:, None], lhs.target[:, :dim]] != np.arange(dim))
+    return _rows_close(got, want, tol) & ((np.abs(lhs.phase[:, :dim]) <= tol) | ~off).all(axis=1)
+
+
+def _products_close(space: FockSpace, stack: _Stack, a: _PointTable, b: _PointTable, left, right, parts, tol):
+    """Per pair, whether the composite a[i] b[j] is close to the creation by
+    its module element: part r of parts gives the elements of the pairs
+    (left[r], right[r]), as _creations_close reads them.  Every pair is
+    composed and compared in one batch."""
+    if not parts:
+        return np.zeros(0, dtype=bool)
+    lhs = _compose(a, np.concatenate(left), b, np.concatenate(right))
+    return _creations_close(space, stack, lhs, parts, tol)
+
+
+def _entries(t: _PointTable, w: np.ndarray, owner: np.ndarray, cols: np.ndarray):
+    """(owner, column, row, value) of every entry of the operators in t on
+    the columns cols: operator p is row p of t weighted by w[p], and
+    belongs to owner[p]."""
+    p, at = np.nonzero(t.target[:, cols] >= 0)
+    col = cols[at]
+    return owner[p], col, t.target[p, col], times(t.phase[p, col], w[p])
+
+
+def _sums_close(space: FockSpace, owners: int, lhs, rhs, tol) -> np.ndarray:
+    """Per owner o < owners, whether two sums of weighted point operators
+    agree: lhs and rhs list their entries as _entries does, and entries at
+    one (owner, column, row) add up.  The answer is arrays_close's on the
+    two sums as dense matrices, one pair per owner, without them: each
+    owner's distinct positions are laid out as one row of _rows_close."""
+    o, col, row = (np.concatenate([x, y]) for x, y in zip(lhs[:3], rhs[:3]))
+    if not len(o):
+        return np.ones(owners, dtype=bool)
+    a = np.concatenate([lhs[3], np.zeros(len(rhs[3]), dtype=np.complex128)])
+    b = np.concatenate([np.zeros(len(lhs[3]), dtype=np.complex128), rhs[3]])
+    key = (o * (space.dim + 1) + col) * (space.dim + 1) + row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    who = o[order[first]]
+    counts = np.bincount(who, minlength=owners)
+    at = np.arange(len(first)) - (np.cumsum(counts) - counts)[who]  # the position's place in its owner's row
+    A = np.zeros((owners, counts.max()), dtype=np.complex128)
+    B = np.zeros(A.shape, dtype=np.complex128)
+    A[who, at] = np.add.reduceat(a[order], first)
+    B[who, at] = np.add.reduceat(b[order], first)
+    return _rows_close(A, B, tol)
+
+
+def _nonzeros(S: np.ndarray, sign: float = 1.0) -> list:
+    """(i, j, sign * S[i, j]) for every nonzero entry of the matrix S."""
+    i, j = np.nonzero(S)
+    return list(zip(i, j, sign * S[i, j]))
 
 
 def _tally(rep: ModuleReport, ok: np.ndarray):
@@ -420,6 +501,14 @@ def _rank(s: np.ndarray, size: int) -> int:
     """np.linalg.matrix_rank of a matrix with singular values s and larger
     side `size`, by its default threshold."""
     return int(np.count_nonzero(s > s.max() * size * np.finfo(np.float64).eps)) if s.size else 0
+
+
+def _acted_on(space: FockSpace, m) -> np.ndarray:
+    """The columns of interior(m) in the blocks q >= m: the only columns of
+    interior(m) on which an image of compacts of degree m, or a product of
+    such images, can act, since C(delta_b)* vanishes on every block that
+    does not dominate m."""
+    return np.flatnonzero(space.interior_mask(m) & np.all(space._deg >= np.asarray(m), axis=1))
 
 
 def _rank_ones(space: FockSpace, c: Cocycle, m, i, j) -> _PointTable:
@@ -449,7 +538,7 @@ def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
         part = _rank_ones(space, c, m, i[at : at + step], j[at : at + step])
         rows = part.target[:, :-1]
         hit = rows >= 0
-        vals = part.phase[:, :-1] * w[at : at + step, None]
+        vals = times(part.phase[:, :-1], w[at : at + step, None])
         np.add.at(M, (rows[hit], np.broadcast_to(cols, rows.shape)[hit]), vals[hit])
     return FockOp(space, dg.zero(space.graph.k), M)
 
@@ -482,7 +571,7 @@ def _cylinder_rank_ones(space: FockSpace, c: Cocycle, m, a, b) -> tuple[np.ndarr
         hit = (pre == b) & (row >= 0)
         sl = space.block_slice(q)
         target[:, sl] = np.where(hit, sl.start + row, -1)
-        phase[:, sl] = np.where(hit, _times(tw[row], np.conj(tw)), 0)
+        phase[:, sl] = np.where(hit, times(tw[row], np.conj(tw)), 0)
     return target, phase
 
 
@@ -553,26 +642,29 @@ def _first_pairs(a, b, cap: int):
     return islice(product(a, b), cap)
 
 
-def _multiplicativity(space: FockSpace, c: Cocycle, system: str, tables, rep: ModuleReport, tol, pair_cap):
+def _multiplicativity(space: FockSpace, c: Cocycle, system: str, stack: _Stack, rep: ModuleReport, tol, pair_cap):
     """C(x) C(y) against C(x y) for the first pair_cap pairs (x, y) of point
-    masses of `system` in each degree pair (m, n) with m + n <= N, where
-    tables[m] holds the point creations of degree m; counts each case into
+    masses of `system` in each degree pair (m, n) with m + n <= N, where the
+    stack holds the point creations of every block; counts each case into
     rep and returns the first failing (m, n, i, j), or None.  The products
-    x y come from the module layer, one batch per degree pair."""
+    x y come from the module layer, one batch per degree pair; every degree
+    pair is composed and compared in one batch."""
+    rows = {n: stack.rows_of((n, _depth(space, n, system))) for n in space.blocks}
+    left, right, parts, where = [], [], [], []
     for m in space.blocks:
         for n in space.blocks:
             if not dg.leq(dg.add(m, n), space.N):
                 continue
-            rm, rn = range(len(tables[m].target)), range(len(tables[n].target))
-            pairs = list(_first_pairs(rm, rn, pair_cap))
+            pairs = list(_first_pairs(range(len(rows[m])), range(len(rows[n])), pair_cap))
             if not pairs:
                 continue
             i, j = np.array(pairs).T
-            prods = _mul(c, _points_at(space, m, system, i), _points_at(space, n, system, j))
-            bad = _tally(rep, _close_to(space, c, _compose(tables[m], i, tables[n], j), prods, tol))
-            if bad is not None:
-                return (m, n) + pairs[bad]
-    return None
+            left.append(rows[m][i])
+            right.append(rows[n][j])
+            parts.append((_mul(c, _points_at(space, m, system, i), _points_at(space, n, system, j)), None))
+            where += [(m, n) + pair for pair in pairs]
+    bad = _tally(rep, _products_close(space, stack, stack.table, stack.table, left, right, parts, tol))
+    return None if bad is None else where[bad]
 
 
 def rep_axioms_check(
@@ -583,61 +675,90 @@ def rep_axioms_check(
 
     `system` names the module the creations take: "X" (path functions of
     degree n) or "Y" (cylinders of depth D-N+n in the fiber of degree n).
-    Linearity creates densely; the other axioms compare point tables, one
-    block or degree pair at a time."""
+    Every axiom compares in column-entry form, on the point tables of all
+    blocks stacked, with all its blocks or degree pairs in one batch."""
     if system not in ("X", "Y"):
         raise ValueError(f"system must be 'X' or 'Y', got {system!r}")
     g = space.graph
     rep = ModuleReport()
-    tables = {n: _point_table(space, c, n, _depth(space, n, system)) for n in space.blocks}
-    size = {n: len(tables[n].target) for n in space.blocks}
+    stack = _stack(space, c, [(n, _depth(space, n, system)) for n in space.blocks])
+    rows = {n: stack.rows_of((n, _depth(space, n, system))) for n in space.blocks}
+    t = stack.table
 
-    for n in space.blocks:
-        if size[n] >= 2:
-            e0, e1 = (_points_at(space, n, system, k) for k in (0, 1))
-            want = _creation(space, c, e0) + 2.0j * _creation(space, c, e1)
-            rep.cases_checked += 1
-            if not _creation(space, c, e0 + 2.0j * e1).close(want, tol):
-                return rep.fail(("linearity", n, None))
+    # C(e0 + 2i e1) against C(e0) + 2i C(e1), one row per block of two or
+    # more point masses, at every entry of its table
+    lin = [n for n in space.blocks if len(rows[n]) >= 2]
+    at = np.array([stack.index[(n, _depth(space, n, system))] for n in lin], dtype=np.intp)
+    begin, end = stack.entries[at], stack.entries[at + 1]
+    e = begin[:, None] + np.arange(int((end - begin).max(initial=0)))
+    e = np.where(e < end[:, None], e, len(t.k))  # each block's entries, padded with an empty one
+    k = np.append(t.k, -1)[e] - stack.rows[at][:, None]  # the point mass within its block
+    phases = np.append(t.phase[t.k, t.col], 0)[e]
+    e0, e1 = (k == 0).astype(np.complex128), (k == 1).astype(np.complex128)
+    bad = _tally(rep, _rows_close(times(phases, e0 + 2.0j * e1), times(phases, e0) + 2.0j * times(phases, e1), tol))
+    if bad is not None:
+        return rep.fail(("linearity", lin[bad], None))
 
     z = dg.zero(g.k)
     vertices = _point_table(space, c, z, z)  # creation by each vertex indicator, in vertex order
+    left, vs, parts, where = [], [], [], []
     for n in space.blocks:
-        pairs = list(product(range(min(pair_cap, size[n])), range(len(g.vertices))))
+        pairs = list(product(range(min(pair_cap, len(rows[n]))), range(len(g.vertices))))
         if not pairs:
             continue
         i, v = np.array(pairs).T
-        xa = _right(c, _points_at(space, n, system, i), VertexFn(g, np.eye(len(g.vertices))[v]))
-        bad = _tally(rep, _close_to(space, c, _compose(tables[n], i, vertices, v), xa, tol))
-        if bad is not None:
-            a, b = pairs[bad]
-            return rep.fail(("right-action", (n, a, g.vertices[b]), None))
+        left.append(rows[n][i])
+        vs.append(v)
+        parts.append((_right(c, _points_at(space, n, system, i), VertexFn(g, np.eye(len(g.vertices))[v])), None))
+        where += [(n, a, g.vertices[b]) for a, b in pairs]
+    bad = _tally(rep, _products_close(space, stack, t, vertices, left, vs, parts, tol))
+    if bad is not None:
+        return rep.fail(("right-action", where[bad], None))
 
+    left, right, parts, where = [], [], [], []
     for n in space.blocks:
-        pairs = list(_first_pairs(range(size[n]), range(size[n]), pair_cap))
+        pairs = list(_first_pairs(range(len(rows[n])), range(len(rows[n])), pair_cap))
         if not pairs:
             continue
         i, j = np.array(pairs).T
-        inner = _inner0(_points_at(space, n, system, i), _points_at(space, n, system, j))
-        lhs = _compose(_adjoint(tables[n]), i, tables[n], j)
-        bad = _tally(rep, _close_to(space, c, lhs, inner, tol, n))
-        if bad is not None:
-            return rep.fail(("inner-product", (n,) + pairs[bad], None))
+        left.append(rows[n][i])
+        right.append(rows[n][j])
+        parts.append((_inner0(_points_at(space, n, system, i), _points_at(space, n, system, j)), n))
+        where += [(n,) + pair for pair in pairs]
+    bad = _tally(rep, _products_close(space, stack, _adjoint(t), t, left, right, parts, tol))
+    if bad is not None:
+        return rep.fail(("inner-product", where[bad], None))
 
-    bad = _multiplicativity(space, c, system, tables, rep, tol, pair_cap)
+    bad = _multiplicativity(space, c, system, stack, rep, tol, pair_cap)
     if bad is not None:
         return rep.fail(("multiplicativity", bad, None))
     return rep
 
 
 def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) -> ModuleReport:
-    """psi-hat(S) psi-hat(T) against psi-hat of the aligned compact product."""
+    """psi-hat(S) psi-hat(T) against psi-hat of the aligned compact product,
+    on interior(m v n), in column-entry form: the rank-one tables of S and
+    T composed pair by pair and weighted by S[i, j] T[k, l], against the
+    rank-one tables of the aligned compact weighted by its entries.
+
+    Both sides act only on the blocks q >= m v n, so they are compared on
+    the columns of interior(m v n) in those blocks; where there are none
+    (2 (m v n) <= N fails), both are zero there, and nothing is built."""
     m, n = S.degree, T.degree
     j = dg.join(m, n)
-    lhs = fock_compacts_x(space, c, S) @ fock_compacts_x(space, c, T)
-    rhs = fock_compacts_x(space, c, x_compact_align(c, S, T))
     rep = ModuleReport(cases_checked=1)
-    if not lhs.close_on_interior(rhs, j, tol):
+    cols = _acted_on(space, j)
+    if not cols.size:
+        return rep
+    A = x_compact_align(c, S, T)
+    (si, sj), (ti, tj), (ai, aj) = (np.nonzero(X.matrix) for X in (S, T, A))
+    s, t = (ix.ravel() for ix in np.indices((len(si), len(ti))))
+    lhs = _compose(_rank_ones(space, c, m, si, sj), s, _rank_ones(space, c, n, ti, tj), t)
+    rhs = _rank_ones(space, c, j, ai, aj)
+    w = times(S.matrix[si, sj][s], T.matrix[ti, tj][t])
+    got = _entries(lhs, w, np.zeros(len(w), dtype=np.intp), cols)  # one owner
+    want = _entries(rhs, A.matrix[ai, aj], np.zeros(len(ai), dtype=np.intp), cols)
+    if not _sums_close(space, 1, got, want, tol)[0]:
         return rep.fail(("nica", (m, n), None))
     return rep
 
@@ -665,7 +786,8 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     (iii) the exhaustion sum at degree n, asserted on the blocks whose degree
     dominates n; the uncompressed defect is the projection onto the
     complementary low-degree corner, and is reported, not ignored.  Every
-    relation is checked on the point tables, one degree or split at a time.
+    relation is checked on the point tables; the compositions and isometries
+    of every degree are composed and compared in one batch.
     """
     g = space.graph
     n = dg.as_degree(n, g.k)
@@ -677,34 +799,43 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     vtx = tables[z]
     at = {p.range: i for i, p in enumerate(g.paths(z))}  # vertex -> its projection in vtx
 
+    stack = _stack(space, c, [(m, m) for m in tables])
     pairs = list(product(g.vertices, g.vertices))
     i, j = np.array([(at[v], at[w]) for v, w in pairs]).T
     want = XElem(g, z, np.eye(len(at))[i] * (i == j)[:, None])  # S_v S_w = [v = w] S_v
-    bad = _tally(rep, _close_to(space, c, _compose(vtx, i, vtx, j), want, tol))
+    vertex = stack.rows_of((z, z))
+    bad = _tally(rep, _products_close(space, stack, stack.table, stack.table, [vertex[i]], [vertex[j]], [(want, None)], tol))
     if bad is not None:
         return rep.fail(("vertex", pairs[bad], None))
 
-    for m in dg.degrees_upto(n):
+    cl, cr, cparts, cwhere = [], [], [], []  # S_mu S_nu = c(mu, nu) S_la for la = mu nu
+    il, iparts, iwhere = [], [], []  # S_la* S_la = S_s(la)
+    for mi, m in enumerate(tables):
         paths = g.paths(m)
         if not any(m) or not paths:
             continue
-        ks = np.arange(len(paths))
-        cuts = [p for p, _ in dg.splits(m, 2)]
-        oks = []
-        for p in cuts:  # S_mu S_nu = c(mu, nu) S_la for la = mu nu
-            q = dg.sub(m, p)
+        cuts = dg.splits(m, 2)
+        for s, (p, q) in enumerate(cuts):
             pre, suf = g.factor_indices(p, q)
-            lhs = _compose(tables[p], pre, tables[q], suf)
-            oks.append(_close_to(space, c, lhs, XElem(g, m, np.diag(c.twist(p, q).values)), tol, m))
-        want = XElem(g, z, np.eye(len(at))[[at[la.source] for la in paths]])  # S_la* S_la = S_s(la)
-        lhs = _compose(_adjoint(tables[m]), ks, tables[m], ks)
-        oks.append(_close_to(space, c, lhs, want, tol, m))
-        bad = _tally(rep, np.column_stack(oks).ravel())  # path by path: its splits, then its isometry
-        if bad is not None:
-            k, s = divmod(bad, len(oks))
-            if s < len(cuts):
-                return rep.fail(("compose", tuple(g.split(paths[k], cuts[s])), None))
-            return rep.fail(("isometry", paths[k], None))
+            cl.append(stack.rows_of((p, p))[pre])
+            cr.append(stack.rows_of((q, q))[suf])
+            cparts.append((XElem(g, m, np.diag(c.twist(p, q).values)), m))
+            cwhere += [(mi, k, s, la, p) for k, la in enumerate(paths)]
+        il.append(stack.rows_of((m, m)))
+        iparts.append((XElem(g, z, np.eye(len(at))[[at[la.source] for la in paths]]), m))
+        iwhere += [(mi, k, len(cuts), la, None) for k, la in enumerate(paths)]
+    ok = np.concatenate([
+        _products_close(space, stack, stack.table, stack.table, cl, cr, cparts, tol),
+        _products_close(space, stack, _adjoint(stack.table), stack.table, il, il, iparts, tol),
+    ])
+    where = cwhere + iwhere
+    order = sorted(range(len(where)), key=lambda r: where[r][:3])  # path by path: its splits, then its isometry
+    bad = _tally(rep, ok[order])
+    if bad is not None:
+        _, _, _, la, p = where[order[bad]]
+        if p is None:
+            return rep.fail(("isometry", la, None))
+        return rep.fail(("compose", tuple(g.split(la, p)), None))
 
     # every operator below is diagonal: a range projection of a point
     # creation, or a vertex projection
@@ -713,7 +844,7 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     top = tables[n]
     ranges = np.zeros((len(top.target), dim), dtype=np.complex128)  # diagonal of S_la S_la*
     phases = top.phase[top.k, top.col]
-    ranges[top.k, top.row] = _times(phases, np.conj(phases))
+    ranges[top.k, top.row] = times(phases, np.conj(phases))
     projs = np.zeros((len(vtx.target), dim), dtype=np.complex128)  # diagonal of S_v
     projs[vtx.k, vtx.row] = vtx.phase[vtx.k, vtx.col]
     for v in g.vertices:
@@ -743,7 +874,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
     rep = ModuleReport()
     tables = {m: _point_table(space, c, m, m) for m in space.blocks}
 
-    bad = _multiplicativity(space, c, "X", tables, rep, tol, pair_cap)
+    bad = _multiplicativity(space, c, "X", _stack(space, c, [(m, m) for m in space.blocks]), rep, tol, pair_cap)
     if bad is not None:
         m, n, i, j = bad
         return rep.fail(("psi-multiplicative", (g.paths(m)[i], g.paths(n)[j]), None))
@@ -753,10 +884,13 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         pairs = list(_first_pairs(range(size), range(size), pair_cap))
         if not pairs:
             continue
+        cols = _acted_on(space, m)
+        if not cols.size:  # both sides vanish on interior(m)
+            rep.cases_checked += len(pairs)
+            continue
         a, b = np.array(pairs).T
         lhs = _rank_ones(space, c, m, a, b)
         rows, phases = _cylinder_rank_ones(space, c, m, a, b)
-        cols = np.flatnonzero(space.interior_mask(m))
         got, want = lhs.phase[:, cols], phases[:, cols]
         same = lhs.target[:, cols] == rows[:, cols]  # else each entry is compared with a zero
         got = np.hstack([np.where(same, got, 0), np.where(same, 0, got)])
@@ -774,11 +908,12 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
             return rep.fail(("psi-injective", m, None))
 
     nonzero = [m for m in space.blocks if any(m)]
-    for m, n in _first_pairs(nonzero, nonzero, pair_cap):
-        # the rank-one compact from the last point mass of each degree to the first
-        S = x_theta(_points_at(space, m, "X", 0), _points_at(space, m, "X", -1))
-        T = x_theta(_points_at(space, n, "X", 0), _points_at(space, n, "X", -1))
-        sub = nica_check(space, c, S, T, tol)
+    pairs = list(_first_pairs(nonzero, nonzero, pair_cap))
+    rank_one = {}  # per sampled degree, the rank-one compact from its last point mass to its first
+    for m in dict.fromkeys(sum(pairs, ())):
+        rank_one[m] = x_theta(_points_at(space, m, "X", 0), _points_at(space, m, "X", -1))
+    for m, n in pairs:
+        sub = nica_check(space, c, rank_one[m], rank_one[n], tol)
         rep.cases_checked += sub.cases_checked
         if not sub.ok:
             return rep.fail(("psi-nica", (m, n), None))
@@ -789,40 +924,63 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
     """Rebuild every degree-n basis cylinder from point-mass section data.
 
     For each depth-(D-N+n) path la, split the point mass at la into prefix
-    sections, a tail function, and tail sections; assemble the creation
-    products minus the covariance defect; and compare with direct creation by
-    the cylinder, both as operators on interior(n) and on a seed vector.
+    sections xi, a tail function f~ and tail sections eta; assemble
+    sum_xi C(xi) (psi^(p)(sum_eta Theta(f~, eta)) - [psi^(p)(phi_Y(tail)) -
+    C_Y(tail)]); and compare it with direct creation by the cylinder, both
+    as operators on interior(n) and by its column at la's tail, which must
+    be the basis vector at la.
+
+    Each term of the assembled side is a composed table: C(xi) after a
+    rank-one of degree p, weighted by an entry of a compact, or after the
+    point creation of C_Y(tail), weighted by the tail's coefficient.  Every
+    la of degree n is one owner in a batch of _sums_close, one for each
+    half, with no dense operator.
     """
     g = space.graph
     n = dg.as_degree(n, g.k)
     if not dg.leq(n, space.N):
         raise DegreeExceedsTruncation(f"degree {n} exceeds {space.N}", n)
     rep = ModuleReport()
+    z = dg.zero(g.k)
     depth = space.block_depth(n)
     p = dg.sub(depth, n)
-    for la in g.paths(depth):
+    paths = g.paths(depth)
+    # the terms of the assembled side, each C(delta_xi) after a rank-one
+    # (i, j) of degree p or after the point creation i of C_Y(tail):
+    # (la, xi's point mass, weight, i, j) and (la, xi's point mass, weight, i)
+    ones, points = [], []
+    for at, la in enumerate(paths):
         dec = alpha_decompose(XElem.delta(g, la), n)
-        tail = alpha(dg.zero(g.k), p, dec.f_tilde)
-
-        thetas = sum((x_theta(dec.f_tilde, eta) for eta in dec.eta), XOp.zeros(g, p))
-        inner_sum = fock_compacts_x(space, c, thetas)
-        defect = fock_compacts_x(space, c, XOp(g, p, phi_y(tail, p).matrix)) - creation_y(space, c, tail)
-
-        assembled = FockOp.zeros(space, n)
+        tail = alpha(z, p, dec.f_tilde)
+        # inner_sum - defect: the images of the compacts Theta(f~, eta) and
+        # phi_Y(tail) on X_p, and the creation by the tail
+        compacts = [e for eta in dec.eta for e in _nonzeros(x_theta(dec.f_tilde, eta).matrix)]
+        compacts += _nonzeros(phi_y(tail, p).matrix, -1.0)
         for xi in dec.xi:
-            cxi = creation_x(space, c, xi)
-            assembled = assembled + cxi @ (inner_sum - defect)
+            for k in np.flatnonzero(xi.coeffs):
+                ones += [(at, k, xi.coeffs[k] * w, i, j) for i, j, w in compacts]
+                points += [(at, k, xi.coeffs[k] * tail.coeffs[i], i) for i in np.flatnonzero(tail.coeffs)]
+    term = [("at", np.intp), ("xi", np.intp), ("w", np.complex128), ("i", np.intp)]
+    ones, points = np.array(ones, dtype=term + [("j", np.intp)]), np.array(points, dtype=term)
+    tn = _point_table(space, c, n, n)
+    a = _compose(tn, ones["xi"], _rank_ones(space, c, p, ones["i"], ones["j"]), np.arange(len(ones)))
+    b = _compose(tn, points["xi"], _point_table(space, c, z, p), points["i"])
+    lhs = _PointTable(np.vstack([a.target, b.target]), np.vstack([a.phase, b.phase]))
+    cols = np.flatnonzero(space.interior_mask(n))
+    got = _entries(lhs, np.concatenate([ones["w"], points["w"]]), np.concatenate([ones["at"], points["at"]]), cols)
+    target = _point_table(space, c, n, depth)  # the creation by the cylinder at la is its row la
+    owner = np.arange(len(paths))
+    one = np.ones(len(paths), dtype=np.complex128)
+    operator = _sums_close(space, len(paths), got, _entries(target, one, owner, cols), tol)
 
-        target = creation_y(space, c, CylElem.delta(g, la, n))
-        rep.cases_checked += 1
-        if not assembled.close_on_interior(target, n, tol):
-            return rep.fail(("operator", la, None))
+    # the column at la's tail, in block 0, against the basis vector at la in block n
+    seed = space.block_slice(z).start + g.factor_indices(n, p)[1]
+    on_seed = got[1] == seed[got[0]]
+    basis = (owner, seed, space.block_slice(n).start + owner, one)
+    vector = _sums_close(space, len(paths), [x[on_seed] for x in got], basis, tol)
 
-        tail_path = g.split(la, n)[1]
-        seed = space.embed(dg.zero(g.k), np.eye(len(g.paths(p)))[g.path_index(p)[tail_path]])
-        got = assembled(seed)
-        want = space.embed(n, np.eye(len(g.paths(depth)))[g.path_index(depth)[la]])
-        rep.cases_checked += 1
-        if not arrays_close(got, want, tol):
-            return rep.fail(("vector", la, None))
+    bad = _tally(rep, np.column_stack([operator, vector]).ravel())
+    if bad is not None:
+        at, half = divmod(bad, 2)
+        return rep.fail((("operator", "vector")[half], paths[at], None))
     return rep

@@ -42,6 +42,18 @@ def arrays_close(a, b, tol: float) -> bool:
     return bool(np.allclose(a, b, atol=tol, rtol=0.0))
 
 
+def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entrywise, broadcast, rounded as a Python complex product:
+    numpy's vector loop for complex multiplication may fuse multiply-adds,
+    which moves the last bit of some entries.  The one rounding of complex
+    products that compared tables share."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    re, im, tmp = out.real, out.imag, np.empty(out.shape)
+    np.subtract(np.multiply(a.real, b.real, out=re), np.multiply(a.imag, b.imag, out=tmp), out=re)
+    np.add(np.multiply(a.real, b.imag, out=im), np.multiply(a.imag, b.real, out=tmp), out=im)
+    return out
+
+
 class VertexFn:
     """A complex function on the vertex set, the degree-zero coefficient algebra."""
 

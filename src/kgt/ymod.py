@@ -27,7 +27,7 @@ from .errors import (
     NotSectionDecomposable,
 )
 from .kgraph import KGraph, Path
-from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close
+from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close, times
 
 
 class CylElem:
@@ -319,7 +319,7 @@ def y_iota(c: Cocycle, S: YOp, n) -> YOp:
     lifted = S.lift(depth)
     pre_n, _ = g.factor_indices(n, dg.sub(depth, n))
     twist = c.twist(m, dg.sub(n, m)).values[pre_n]
-    mat = lifted.matrix * np.outer(twist, np.conj(twist))
+    mat = times(lifted.matrix, times(twist[:, None], np.conj(twist)))
     return YOp(g, n, depth, mat)
 
 

@@ -11,6 +11,11 @@ the fields of a cocycle twist table entry by entry, the definition that
 `Twist`, which computes them once per distinct value, is checked against.
 `check_by_triples` walks (C1) one composable triple at a time, the
 definition of `check_cocycle`, which checks it in batches of degree splits.
+`zeta_dense` and `nica_dense` are the dense routes of
+`zeta_surjectivity_check` and `nica_check`, which compare the same sides in
+column-entry form: every image a dense operator, every product one `@`;
+`nica_dense` sums its images of compacts from `point_creations`, and
+`creation` is the dense creation by an element of either module.
 """
 
 import math
@@ -18,10 +23,12 @@ import math
 import numpy as np
 
 from kgt import degrees as dg
+from kgt import fock
 from kgt.cocycle import EXACT, FLOAT, CocycleReport
-from kgt.fock import FockOp, creation_x
+from kgt.fock import FockOp, creation_x, creation_y
 from kgt.kgraph import Path
-from kgt.xmod import XElem
+from kgt.xmod import ModuleReport, XElem, XOp, arrays_close, x_compact_align, x_theta
+from kgt.ymod import CylElem, alpha, alpha_decompose, phi_y
 
 
 def _pull_front(g, seq, color):
@@ -49,6 +56,13 @@ def split_by_squares(g, la, m):
     rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
     mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
     return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu
+
+
+def creation(space, c, x):
+    """The dense creation by a path function or a cylinder element."""
+    if isinstance(x, XElem):
+        return creation_x(space, c, x)
+    return creation_y(space, c, x)
 
 
 def point_creations(space, c, n):
@@ -111,4 +125,65 @@ def check_by_triples(c, cap, tol=1e-9):
                     if abs(val - 1.0) > tol:
                         rep.first_failure = ("modulus", (l1, l2), val)
                         return rep
+    return rep
+
+
+def zeta_dense(space, c, n, tol=1e-9):
+    """zeta_surjectivity_check with dense operators: per depth-(D-N+n) path
+    la, sum_xi C(xi) @ (inner_sum - defect) from fock_compacts_x and dense
+    creations, against the creation by the cylinder on interior(n), and
+    applied to the basis vector at la's tail."""
+    g = space.graph
+    n = dg.as_degree(n, g.k)
+    rep = ModuleReport()
+    depth = space.block_depth(n)
+    p = dg.sub(depth, n)
+    for la in g.paths(depth):
+        dec = alpha_decompose(XElem.delta(g, la), n)
+        tail = alpha(dg.zero(g.k), p, dec.f_tilde)
+
+        thetas = sum((x_theta(dec.f_tilde, eta) for eta in dec.eta), XOp.zeros(g, p))
+        inner_sum = fock.fock_compacts_x(space, c, thetas)
+        defect = fock.fock_compacts_x(space, c, XOp(g, p, phi_y(tail, p).matrix)) - creation_y(space, c, tail)
+
+        assembled = FockOp.zeros(space, n)
+        for xi in dec.xi:
+            assembled = assembled + creation_x(space, c, xi) @ (inner_sum - defect)
+
+        target = creation_y(space, c, CylElem.delta(g, la, n))
+        rep.cases_checked += 1
+        if not assembled.close_on_interior(target, n, tol):
+            return rep.fail(("operator", la, None))
+
+        seed, want = np.zeros(space.dim), np.zeros(space.dim)  # the basis vectors at la's tail and at la
+        seed[space.block_slice(dg.zero(g.k)).start + g.path_index(p)[g.split(la, n)[1]]] = 1.0
+        want[space.block_slice(n).start + g.path_index(depth)[la]] = 1.0
+        rep.cases_checked += 1
+        if not arrays_close(assembled.matrix @ seed, want, tol):
+            return rep.fail(("vector", la, None))
+    return rep
+
+
+def compacts_x_dense(space, ops, S):
+    """psi(S), the sum of S[i, j] ops[i] @ ops[j]* over the nonzero entries
+    of S, for the dense point creations ops of S's degree."""
+    out = FockOp.zeros(space)
+    for (i, j), w in np.ndenumerate(S.matrix):
+        if w != 0:
+            out = out + w * (ops[i] @ ops[j].adjoint())
+    return out
+
+
+def nica_dense(space, c, S, T, tol=1e-9):
+    """nica_check with dense operators: psi(S) @ psi(T) against psi of the
+    aligned compact, each image summed from dense point creations, on
+    interior(m v n)."""
+    m, n = S.degree, T.degree
+    j = dg.join(m, n)
+    ops = {d: point_creations(space, c, d) for d in {m, n, j}}
+    lhs = compacts_x_dense(space, ops[m], S) @ compacts_x_dense(space, ops[n], T)
+    rhs = compacts_x_dense(space, ops[j], x_compact_align(c, S, T))
+    rep = ModuleReport(cases_checked=1)
+    if not lhs.close_on_interior(rhs, j, tol):
+        return rep.fail(("nica", (m, n), None))
     return rep

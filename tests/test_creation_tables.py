@@ -21,7 +21,7 @@ from kgt.fock import FockSpace, creation_x, creation_y
 from kgt.kgraph import fixture_f1, omega
 from kgt.phases import Phase
 from kgt.verify import SuiteConfig, _fock_caps, default_instances
-from kgt.xmod import XElem
+from kgt.xmod import XElem, times
 from kgt.ymod import CylElem, YOp, alpha, y_iota, y_tmul
 
 F1 = fixture_f1()
@@ -191,7 +191,7 @@ def test_y_tmul_and_y_iota_twists_match_entries():
                 # y_iota from Y_m to Y_(m+n), at working depth m+n
                 _, tails = g.factor_indices(m, dg.zero(g.k))
                 S = YOp(g, m, m, rng.normal(size=(tails.size,) * 2) * (tails[:, None] == tails) + 0j)
-                mat = S.lift(depth).matrix * np.outer(twist, np.conj(twist))
+                mat = times(S.lift(depth).matrix, times(twist[:, None], np.conj(twist)))  # y_iota's rounding
                 assert same_bits(y_iota(c, S, depth).matrix, mat), inst.label
 
 

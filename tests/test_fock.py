@@ -201,6 +201,21 @@ def test_pair_caps_sample_the_same_cases(pair_cap, rep_x, rep_y, psi):
     assert psi_check(FockSpace(F2, (2,), (3,)), c, pair_cap=pair_cap).cases_checked == psi
 
 
+def test_fock_checks_count_their_cases():
+    """The number of cases every column-entry Fock check counts, pinned on
+    F2 at the cap-2 suite configuration N = (2,), D = (3,): def-4.4's two
+    entry points at its pair cap, zeta_surjectivity_check at every degree
+    (one operator and one vector case per path) and nica_check (one)."""
+    c = trivial_cocycle(F2)
+    sx, sy = FockSpace(F2, (2,)), FockSpace(F2, (2,), (3,))
+    assert rep_axioms_check(sx, c, pair_cap=24).cases_checked == 51
+    assert rep_axioms_check(sy, c, pair_cap=24, system="Y").cases_checked == 51
+    assert [ck_relations_check(sx, c, n).cases_checked for n in fock.relation_degrees((2,))] == [14, 22]
+    assert [zeta_surjectivity_check(sy, c, n).cases_checked for n in sy.blocks] == [4, 4, 4]
+    a = XElem.delta(F2, F2.paths((1,))[0])
+    assert nica_check(sy, c, x_theta(a, a), x_theta(a, a)).cases_checked == 1
+
+
 def test_vertex_point_creations_are_the_vertex_cylinder_creations():
     """At degree 0 the point-mass creations are the creations by the vertex
     indicators read as cylinders, bit for bit, on the deeper spaces of the
@@ -244,7 +259,9 @@ def test_nica_check_exhaustive_small_graph():
 
 def test_nica_check_creates_each_degree_once(monkeypatch):
     """nica_check builds the point table of each distinct degree once and
-    builds no dense point creation."""
+    builds no dense operator.  At N = (2, 2) each pair is compared on a
+    nonempty part of interior(m v n); at N = (1, 1) neither side acts
+    there, and nothing is built."""
     g = single_vertex(2, (2, 2))
     made = []
     real = fock._point_table
@@ -256,10 +273,13 @@ def test_nica_check_creates_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(fock, "_point_table", counted)
     monkeypatch.setattr(fock, "creation_x", None)
+    monkeypatch.setattr(fock.FockOp, "__matmul__", None)
     rank_one = lambda n: x_theta(XElem.delta(g, g.paths(n)[0]), XElem.delta(g, g.paths(n)[-1]))
     for m, n in (((1, 1), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 1)), ((1, 0), (1, 0))):
         made.clear()
         assert nica_check(FockSpace(g, (1, 1)), trivial_cocycle(g), rank_one(m), rank_one(n)).ok
+        assert made == []
+        assert nica_check(FockSpace(g, (2, 2)), trivial_cocycle(g), rank_one(m), rank_one(n)).ok
         assert sorted(made) == sorted({m, n, dg.join(m, n)})
 
 

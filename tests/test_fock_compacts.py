@@ -1,9 +1,10 @@
 """psi^(n), the Fock image of a compact, against the dense creation pairs.
 
-`cp_identity_check` and `zeta_surjectivity_check` build every image of a
-compact with `fock_compacts_x`.  Each call is recorded here and compared with
-the sum of dense creation pairs C(g) C(h)* over the frame the paper writes:
-the square-root singletons of phi_x and phi_y, and the tail sections of an
+`cp_identity_check` and `oracle.zeta_dense`, the dense route of
+`zeta_surjectivity_check`, build every image of a compact with
+`fock_compacts_x`.  Each call is recorded here and compared with the sum of
+dense creation pairs C(g) C(h)* over the frame the paper writes: the
+square-root singletons of phi_x and phi_y, and the tail sections of an
 alpha decomposition.  `psi_check` compares Prop 5.1's two sides in
 column-entry form; its cylinder side is compared here with the dense
 `fock_compacts_y` it replaced.
@@ -28,10 +29,10 @@ from kgt.fock import (
 )
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import Phase, parse_angle
-from kgt.verify import SuiteConfig, _fock_caps, _rand_vertexfn, default_instances
+from kgt.verify import SuiteConfig, _fock_caps, _rand_vertexfn, default_instances, run_suite
 from kgt.xmod import XElem, arrays_close, phi_x_decompose, x_theta
 from kgt.ymod import CylElem, alpha, alpha_decompose, alpha_k, phi_y_decompose
-from oracle import creation_pairs
+from oracle import creation_pairs, zeta_dense
 
 TOL = 1e-12
 
@@ -82,8 +83,9 @@ def test_covariance_images_agree_with_the_creation_pairs(images):
             continue
         zeta_seen += 1
         for n in degrees:
-            images.clear()
             assert zeta_surjectivity_check(sy, c, n).ok, (inst.label, n)
+            images.clear()
+            assert zeta_dense(sy, c, n).ok, (inst.label, n)
             depth = sy.block_depth(n)
             p = dg.sub(depth, n)
             paths = g.paths(depth)
@@ -157,3 +159,14 @@ def test_psi_check_builds_no_dense_cylinder_compacts(monkeypatch):
     assert psi_check(FockSpace(F2, (2,), (3,)), trivial_cocycle(F2)).cases_checked == 43
     F1 = fixture_f1()
     assert psi_check(FockSpace(F1, (2, 2), (3, 3)), c_theta(F1, Phase.from_turns(Fraction(1, 7)))).ok
+
+
+def test_cp_identity_is_exact_at_tolerance_zero():
+    """fock_compacts_x and y_iota round every complex product as
+    xmod.times does, so on F1/delta(rand-b) at cap 2 the two covariance
+    defects agree bit for bit; with numpy's complex loop in y_iota they
+    differed by 3.1e-17 at degree (1, 0)."""
+    cfg = SuiteConfig(seed=0, degree_entry_cap=2, tolerance=0)
+    insts = [inst for inst in default_instances(cfg) if inst.label == "F1/delta(rand-b)"]
+    (result,) = run_suite("eq-for-cp-covariance-of-zeta", cfg, instances=insts).results
+    assert result.status == "pass", result.witness

@@ -1,9 +1,10 @@
 """The Fock relation checks on point tables, against the dense loops they replaced.
 
-`rep_axioms_check`, `ck_relations_check`, `psi_check` and `nica_check`
-compare point creations as index tables, one block, split or degree pair at
-a time.  The functions below are the per-pair loops they replaced: every
-point creation is a dense matrix, every relation one `@` and one `close`.
+`rep_axioms_check`, `ck_relations_check`, `psi_check`, `nica_check` and
+`zeta_surjectivity_check` compare point creations as index tables, in
+batches.  The functions below, and `nica_dense` and `zeta_dense` in
+`oracle`, are the per-pair loops they replaced: every point creation is a
+dense matrix, every relation one `@` and one `close`.
 Both must report the same `ok`, the same first failure (in the loop order,
 with the same witness) and the same number of cases, on valid input and
 under corruptions that the checks must catch.
@@ -27,12 +28,13 @@ from kgt.fock import (
     nica_check,
     psi_check,
     rep_axioms_check,
+    zeta_surjectivity_check,
 )
 from kgt.phases import Phase
-from kgt.verify import SuiteConfig, _fock_caps, default_instances
-from kgt.xmod import ModuleReport, VertexFn, XElem, arrays_close, x_compact_align, x_theta
+from kgt.verify import SuiteConfig, _fock_caps, _rand_section_elem, _rand_xop, default_instances
+from kgt.xmod import ModuleReport, VertexFn, XElem, arrays_close, x_theta
 from kgt.ymod import CylElem, alpha_k
-from oracle import point_creations
+from oracle import creation, nica_dense, point_creations, zeta_dense
 
 F1 = builtin_fixtures("f1")
 
@@ -55,7 +57,7 @@ def multiplicativity_dense(space, c, elems, cre, rep, tol, pair_cap):
                 continue
             for (i, x), (j, y) in fock._first_pairs(enumerate(elems[m]), enumerate(elems[n]), pair_cap):
                 rep.cases_checked += 1
-                if not (cre[m][i] @ cre[n][j]).close(fock._creation(space, c, fock._mul(c, x, y)), tol):
+                if not (cre[m][i] @ cre[n][j]).close(creation(space, c, fock._mul(c, x, y)), tol):
                     return (m, n, i, j)
     return None
 
@@ -64,14 +66,14 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
     g = space.graph
     rep = ModuleReport()
     elems = {n: block_elems(space, n, system) for n in space.blocks}
-    cre = {n: [fock._creation(space, c, x) for x in elems[n]] for n in space.blocks}
+    cre = {n: [creation(space, c, x) for x in elems[n]] for n in space.blocks}
 
     for n in space.blocks:
         if len(elems[n]) >= 2:
             combo = elems[n][0] + 2.0j * elems[n][1]
             want = cre[n][0] + 2.0j * cre[n][1]
             rep.cases_checked += 1
-            if not fock._creation(space, c, combo).close(want, tol):
+            if not creation(space, c, combo).close(want, tol):
                 return ModuleReport(rep.cases_checked, ("linearity", n, None))
 
     indicators = [VertexFn.indicator(g, v) for v in g.vertices]
@@ -81,14 +83,14 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
             for v, (a, ca) in enumerate(right):
                 xa = fock._right(c, x, a)
                 rep.cases_checked += 1
-                if not fock._creation(space, c, xa).close(cre[n][i] @ ca, tol):
+                if not creation(space, c, xa).close(cre[n][i] @ ca, tol):
                     witness = ("right-action", (n, i, g.vertices[v]), None)
                     return ModuleReport(rep.cases_checked, witness)
 
     for n in space.blocks:
         for i, j in fock._first_pairs(range(len(elems[n])), range(len(elems[n])), pair_cap):
             lhs = cre[n][i].adjoint() @ cre[n][j]
-            rhs = fock._creation(space, c, fock._inner0(elems[n][i], elems[n][j]))
+            rhs = creation(space, c, fock._inner0(elems[n][i], elems[n][j]))
             rep.cases_checked += 1
             if not lhs.close_on_interior(rhs, n, tol):
                 return ModuleReport(rep.cases_checked, ("inner-product", (n, i, j), None))
@@ -150,25 +152,6 @@ def ck_relations_dense(space, c, n, tol=1e-9):
         if got_rank != want_rank:
             return ModuleReport(rep.cases_checked, ("defect-rank", v, (got_rank, want_rank)))
     return rep
-
-
-def compacts_x_dense(space, ops, S):
-    out = FockOp.zeros(space)
-    for (i, j), w in np.ndenumerate(S.matrix):
-        if w != 0:
-            out = out + w * (ops[i] @ ops[j].adjoint())
-    return out
-
-
-def nica_dense(space, c, S, T, tol=1e-9):
-    m, n = S.degree, T.degree
-    j = dg.join(m, n)
-    ops = {d: point_creations(space, c, d) for d in {m, n, j}}
-    lhs = compacts_x_dense(space, ops[m], S) @ compacts_x_dense(space, ops[n], T)
-    rhs = compacts_x_dense(space, ops[j], x_compact_align(c, S, T))
-    if not lhs.close_on_interior(rhs, j, tol):
-        return ModuleReport(1, ("nica", (m, n), None))
-    return ModuleReport(1)
 
 
 def psi_dense(space, c, tol=1e-9, pair_cap=32):
@@ -261,6 +244,48 @@ def test_fast_checks_match_the_dense_loops_on_the_battery():
         assert all(fast.ok for _, fast, _ in rows), inst.label
 
 
+def assembly_reports(g, c, N, D, source_free):
+    """(label, fast, dense) for zeta_surjectivity_check at the degrees the
+    suite checks on the cylinder space at (N, D), when it creates within the
+    truncation, and
+    for nica_check on the pairs of the first and the last relation degree:
+    on the rank-ones of point masses that psi_check passes, on the cylinder
+    space, and on random section compacts, as eq-nica-cov-for-nice-thetas
+    passes them, on the finite-path space."""
+    sx, sy = FockSpace(g, N), FockSpace(g, N, D)
+    out = []
+    if source_free and dg.leq(dg.sub(D, N), N):
+        for n in [dg.unit(g.k, 1), N] if any(N) else [N]:
+            out.append((("zeta", n), zeta_surjectivity_check(sy, c, n), zeta_dense(sy, c, n)))
+    rng = np.random.default_rng(13)
+    point = lambda d: x_theta(XElem.delta(g, g.paths(d)[0]), XElem.delta(g, g.paths(d)[-1]))
+    degrees = [d for d in fock.relation_degrees(N) if g.paths(d)]
+    ends = sorted({degrees[0], degrees[-1]}) if degrees else []
+    for m, n in product(ends, ends):
+        S, T = point(m), point(n)
+        out.append((("nica-points", m, n), nica_check(sy, c, S, T), nica_dense(sy, c, S, T)))
+        S, T = _rand_xop(g, m, rng, _rand_section_elem), _rand_xop(g, n, rng, _rand_section_elem)
+        out.append((("nica-sections", m, n), nica_check(sx, c, S, T), nica_dense(sx, c, S, T)))
+    return out
+
+
+@pytest.mark.parametrize("cap, include_random", [(1, True), (2, False)])
+def test_assembly_and_nica_match_the_dense_routes(cap, include_random):
+    """The column-entry zeta_surjectivity_check and nica_check against their
+    dense routes: the cap-1 default battery and the cap-2 fixtures, where
+    N = (2,) on F2 puts the degree-(1,) comparisons on a nonzero block."""
+    cfg = SuiteConfig(degree_entry_cap=cap, include_random=include_random)
+    compared = set()
+    for inst in default_instances(cfg):
+        g = inst.graph
+        N, D = _fock_caps(g, cfg, inst)
+        rows = assembly_reports(g, inst.cocycle, N, D, g.is_source_free()[0])
+        assert_agree(inst.label, rows)
+        assert all(fast.ok for _, fast, _ in rows), inst.label
+        compared.update(name[0] for name, _, _ in rows)
+    assert compared == {"zeta", "nica-points", "nica-sections"}
+
+
 def test_a_non_cocycle_fails_alike():
     """c(la, mu) = |la|^2 |mu| / 8 turn breaks (C1) only on triples of
     non-vertex legs, which fit a truncation whose entries sum to 3 or more."""
@@ -313,7 +338,7 @@ def test_point_tables_are_the_dense_point_creations():
             for n in space.blocks:
                 table = fock._point_table(space, c, n, fock._depth(space, n, system))
                 for k in range(len(table.target)):
-                    op = fock._creation(space, c, fock._points_at(space, n, system, k))
+                    op = creation(space, c, fock._points_at(space, n, system, k))
                     assert np.all(np.count_nonzero(op.matrix, axis=0) <= 1)
                     assert np.all(np.count_nonzero(op.matrix, axis=1) <= 1)
                     M = np.zeros_like(op.matrix)
@@ -351,15 +376,20 @@ def test_table_algebra_is_the_matrix_algebra():
 
 
 def test_entries_off_the_plan_are_compared():
-    """_close_to compares every entry of the table side, also where the
-    creation it is compared with has no entry: S_e against C(delta_e) is
+    """_creations_close compares every entry of the table side, also where
+    the creation it is compared with has no entry: S_e against C(delta_e) is
     close; against C(delta_f), whose entries all lie elsewhere, and against
     the zero creations of degrees (1, 0) and (0, 1) it is not."""
     c = c_theta(F1, Phase.exact_radians(1))
     space = FockSpace(F1, (2, 2))
     e = fock._point_table(space, c, (1, 0), (1, 0))
     lhs = fock._compose(e, [0], fock._point_table(space, c, (0, 0), (0, 0)), [0])  # S_e S_v = S_e
-    assert fock._close_to(space, c, lhs, XElem(F1, (1, 0), [[1.0]]), 1e-9).tolist() == [True]
-    assert fock._close_to(space, c, lhs, XElem(F1, (0, 1), [[1.0]]), 1e-9).tolist() == [False]
+
+    def close(x):
+        stack = fock._stack(space, c, [(x.degree, x.degree)])
+        return fock._creations_close(space, stack, lhs, [(x, None)], 1e-9).tolist()
+
+    assert close(XElem(F1, (1, 0), [[1.0]])) == [True]
+    assert close(XElem(F1, (0, 1), [[1.0]])) == [False]
     for n in ((1, 0), (0, 1)):
-        assert fock._close_to(space, c, lhs, XElem(F1, n, [[0.0]]), 1e-9).tolist() == [False]
+        assert close(XElem(F1, n, [[0.0]])) == [False]
