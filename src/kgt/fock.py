@@ -38,6 +38,7 @@ from .xmod import (
     XElem,
     XOp,
     arrays_close,
+    compare,
     phi_x,
     times,
     x_act,
@@ -347,15 +348,6 @@ def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
     return _PointTable(a.target[rows, mid], times(a.phase[rows, mid], b.phase[j]))
 
 
-def _rows_close(a: np.ndarray, b: np.ndarray, tol) -> np.ndarray:
-    """arrays_close(a[p], b[p], tol) for every row p."""
-    with np.errstate(invalid="ignore"):
-        ok = (np.abs(a - b) <= tol).all(axis=1)
-    for p in np.flatnonzero(~ok):
-        ok[p] = arrays_close(a[p], b[p], tol)
-    return ok
-
-
 class _Stack(NamedTuple):
     """The point tables of several (shift, depth) keys as one table, row
     after row, with their entries listed: composition reads its rows, and
@@ -399,8 +391,8 @@ def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, t
     A creation is read in column-entry form: the value at each entry of its
     point table is the entry's phase times the entry's coefficient of its
     element, as _create scatters it.  Both sides are compared at every
-    entry of that table inside interior(d), and lhs must vanish at its
-    entries off it; everywhere else both are zero.  So the answer is
+    entry of that table inside interior(d), and each nonzero of lhs off it
+    is compared with zero; everywhere else both are zero.  So the answer is
     arrays_close's on the dense matrices, in O(rows * dim) memory, with one
     gather per table and one comparison for the batch.
     """
@@ -419,8 +411,13 @@ def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, t
         groups.setdefault(i, []).append((rows, x.coeffs))
         at += len(rows)
 
-    # each row's table entries, filled table by table into rows as wide as the widest table
-    got = np.zeros((size, int(np.diff(stack.entries)[list(groups)].max(initial=0))), dtype=np.complex128)
+    # the nonzeros of lhs off the table, in the columns that hold any
+    off = inside[:, :dim] & (stack.col_of[which[:, None], lhs.target[:, :dim]] != np.arange(dim)) & (lhs.phase[:, :dim] != 0)
+    spill = np.flatnonzero(off.any(axis=0))
+    # each row's table entries, as wide as the widest table, then those nonzeros
+    width = int(np.diff(stack.entries)[list(groups)].max(initial=0))
+    got = np.zeros((size, width + len(spill)), dtype=np.complex128)
+    got[:, width:] = np.where(off[:, spill], lhs.phase[:, spill], 0)
     want = np.zeros(got.shape, dtype=np.complex128)
     for i, group in groups.items():
         rows = np.concatenate([r for r, _ in group])[:, None]
@@ -431,8 +428,7 @@ def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, t
         at = np.arange(len(k))
         want[rows, at] = np.where(keep, times(coeffs, t.phase[k, col]), 0)
         got[rows, at] = np.where(keep & (lhs.target[rows, col] == row), lhs.phase[rows, col], 0)
-    off = inside[:, :dim] & (stack.col_of[which[:, None], lhs.target[:, :dim]] != np.arange(dim))
-    return _rows_close(got, want, tol) & ((np.abs(lhs.phase[:, :dim]) <= tol) | ~off).all(axis=1)
+    return compare(got, want, tol).ok
 
 
 def _products_close(space: FockSpace, stack: _Stack, a: _PointTable, b: _PointTable, left, right, parts, tol):
@@ -460,7 +456,7 @@ def _sums_close(space: FockSpace, owners: int, lhs, rhs, tol) -> np.ndarray:
     agree: lhs and rhs list their entries as _entries does, and entries at
     one (owner, column, row) add up.  The answer is arrays_close's on the
     two sums as dense matrices, one pair per owner, without them: each
-    owner's distinct positions are laid out as one row of _rows_close."""
+    owner's distinct positions are laid out as one case of compare."""
     o, col, row = (np.concatenate([x, y]) for x, y in zip(lhs[:3], rhs[:3]))
     if not len(o):
         return np.ones(owners, dtype=bool)
@@ -477,7 +473,7 @@ def _sums_close(space: FockSpace, owners: int, lhs, rhs, tol) -> np.ndarray:
     B = np.zeros(A.shape, dtype=np.complex128)
     A[who, at] = np.add.reduceat(a[order], first)
     B[who, at] = np.add.reduceat(b[order], first)
-    return _rows_close(A, B, tol)
+    return compare(A, B, tol).ok
 
 
 def _nonzeros(S: np.ndarray, sign: float = 1.0) -> list:
@@ -695,7 +691,7 @@ def rep_axioms_check(
     k = np.append(t.k, -1)[e] - stack.rows[at][:, None]  # the point mass within its block
     phases = np.append(t.phase[t.k, t.col], 0)[e]
     e0, e1 = (k == 0).astype(np.complex128), (k == 1).astype(np.complex128)
-    bad = _tally(rep, _rows_close(times(phases, e0 + 2.0j * e1), times(phases, e0) + 2.0j * times(phases, e1), tol))
+    bad = _tally(rep, compare(times(phases, e0 + 2.0j * e1), times(phases, e0) + 2.0j * times(phases, e1), tol).ok)
     if bad is not None:
         return rep.fail(("linearity", lin[bad], None))
 
@@ -894,7 +890,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         got, want = lhs.phase[:, cols], phases[:, cols]
         same = lhs.target[:, cols] == rows[:, cols]  # else each entry is compared with a zero
         got = np.hstack([np.where(same, got, 0), np.where(same, 0, got)])
-        bad = _tally(rep, _rows_close(got, np.hstack([want, np.zeros_like(want)]), tol))
+        bad = _tally(rep, compare(got, np.hstack([want, np.zeros_like(want)]), tol).ok)
         if bad is not None:
             a, b = pairs[bad]
             return rep.fail(("psi-compacts", (g.paths(m)[a], g.paths(m)[b]), None))

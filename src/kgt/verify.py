@@ -64,6 +64,7 @@ from .xmod import (
     XElem,
     XOp,
     arrays_close,
+    compare,
     phi_x,
     phi_x_decompose,
     x_act,
@@ -675,11 +676,11 @@ def _chk_shifts(inst, cfg, rng):
         hidx = g.path_index(q)
         for i in range(1, g.k + 1):
             p = dg.unit(g.k, i)
-            sh = shift_pullback(h, p)
-            for j, la in enumerate(g.paths(dg.add(p, q))):
-                want = h.coeffs[hidx[g.segment(la, p, dg.add(p, q))]]
-                if abs(sh.coeffs[j] - want) > cfg.tolerance:
-                    return ("shift-segment", la, p)
+            sh, paths = shift_pullback(h, p), g.paths(dg.add(p, q))
+            want = [h.coeffs[hidx[g.segment(la, p, dg.add(p, q))]] for la in paths]
+            bad = np.flatnonzero(~compare(sh.coeffs, want, cfg.tolerance).ok)
+            if bad.size:
+                return ("shift-segment", paths[bad[0]], p)
             ppq = dg.add(dg.add(p, p), q)
             if g.clip(ppq) == ppq:
                 again = shift_pullback(sh, p)
@@ -1008,13 +1009,11 @@ def _chk_inner(inst, cfg, rng):
         brute = {v: 0.0 + 0.0j for v in g.vertices}
         for la, a, b in zip(g.paths(n), f.coeffs, h.coeffs):
             brute[la.source] += np.conj(a) * b
-        for v in g.vertices:
-            if abs(got(v) - brute[v]) > cfg.tolerance:
-                return ("direct-sum", v, n)
-        self_inner = x_inner(f, f)
-        if np.any(np.abs(self_inner.values.imag) > cfg.tolerance) or np.any(
-            self_inner.values.real < -cfg.tolerance
-        ):
+        bad = np.flatnonzero(~compare(got.values, [brute[v] for v in g.vertices], cfg.tolerance).ok)
+        if bad.size:
+            return ("direct-sum", g.vertices[bad[0]], n)
+        self_inner = x_inner(f, f).values  # real and at least -tolerance
+        if not arrays_close([self_inner.imag, np.minimum(self_inner.real, 0)], 0, cfg.tolerance):
             return ("positivity", n)
         if not x_inner(h, f).close(got.conj(), cfg.tolerance):
             return ("conjugate-symmetry", n)
@@ -1051,10 +1050,8 @@ def _chk_rank_ones(inst, cfg, rng):
         mat[sources[:, None] != sources[None, :]] = 0.0
         S = XOp(g, n, mat)
         T = XOp.zeros(g, n)
-        for i in range(len(paths)):
-            for j in range(len(paths)):
-                if mat[i, j] != 0:
-                    T = T + mat[i, j] * x_theta(XElem.delta(g, paths[i]), XElem.delta(g, paths[j]))
+        for i, j in zip(*np.nonzero(mat)):
+            T = T + mat[i, j] * x_theta(XElem.delta(g, paths[i]), XElem.delta(g, paths[j]))
         if not T.close(S, tol):
             return ("span", n)
     return None
@@ -1073,10 +1070,9 @@ def _chk_edge_fibers(inst, cfg, rng):
         if {p.edges[0] for p in paths} != {e.ident for e in g.edges(i)}:
             return ("edge-fiber-mismatch", i)
         a = _rand_vertexfn(g, rng)
-        act = phi_x(a, n)
-        for j, p in enumerate(paths):
-            if abs(act.matrix[j, j] - a(p.range)) > cfg.tolerance:
-                return ("range-action", p)
+        bad = np.flatnonzero(~compare(np.diag(phi_x(a, n).matrix), [a(p.range) for p in paths], cfg.tolerance).ok)
+        if bad.size:
+            return ("range-action", paths[bad[0]])
         if paths:
             e0 = XElem.delta(g, paths[0])
             want = VertexFn.indicator(g, paths[0].source)
@@ -1096,12 +1092,11 @@ def _chk_x_product(inst, cfg, rng):
         f = _rand_xelem(g, m, rng)
         h = _rand_xelem(g, n, rng)
         prod = x_tmul(c, f, h)
-        tw = c.twist(m, n).values
-        for i, la in enumerate(g.paths(dg.add(m, n))):
-            mu, nu = g.split(la, m)
-            want = tw[i] * f(mu) * h(nu)
-            if abs(prod(la) - want) > cfg.tolerance:
-                return ("pointwise-formula", la, (m, n))
+        tw, paths = c.twist(m, n).values, g.paths(dg.add(m, n))
+        want = [tw[i] * f(mu) * h(nu) for i, (mu, nu) in enumerate(g.split(la, m) for la in paths)]
+        bad = np.flatnonzero(~compare(prod.coeffs, want, cfg.tolerance).ok)
+        if bad.size:
+            return ("pointwise-formula", paths[bad[0]], (m, n))
         extra = _unit_cap(g, cfg)
         deeper = dg.add(dg.add(m, n), extra)
         if g.clip(deeper) == deeper:
@@ -1128,17 +1123,16 @@ def _chk_y_product(inst, cfg, rng):
         h = _rand_cyl(g, n, n, rng)
         prod = y_tmul(c, f, h)
         fidx, hidx = g.path_index(f.depth), g.path_index(h.depth)
-        tw, mnidx = c.twist(m, n).values, g.path_index(dg.add(m, n))
-        for j, la in enumerate(g.paths(prod.depth)):
-            mu = g.split(la, m)[0]
-            nu = g.segment(la, m, dg.add(m, n))
-            want = (
-                tw[mnidx[g.compose(mu, nu)]]
-                * f.coeffs[fidx[g.split(la, f.depth)[0]]]
-                * h.coeffs[hidx[g.segment(la, m, dg.add(m, h.depth))]]
-            )
-            if abs(prod.coeffs[j] - want) > cfg.tolerance:
-                return ("segment-formula", la, (m, n))
+        tw, mnidx, paths = c.twist(m, n).values, g.path_index(dg.add(m, n)), g.paths(prod.depth)
+        want = [
+            tw[mnidx[g.compose(g.split(la, m)[0], g.segment(la, m, dg.add(m, n)))]]
+            * f.coeffs[fidx[g.split(la, f.depth)[0]]]
+            * h.coeffs[hidx[g.segment(la, m, dg.add(m, h.depth))]]
+            for la in paths
+        ]
+        bad = np.flatnonzero(~compare(prod.coeffs, want, cfg.tolerance).ok)
+        if bad.size:
+            return ("segment-formula", paths[bad[0]], (m, n))
         lifted = y_tmul(c, y_lift(f, dg.add(f.depth, _unit_cap(g, cfg))), h)
         if not lifted.close(prod, cfg.tolerance):
             return ("depth-coherence", (m, n))
@@ -1390,7 +1384,8 @@ def _chk_compact_transport(inst, cfg, rng):
         if not alpha_k(S @ T).close(alpha_k(S) @ alpha_k(T), tol):
             return ("multiplicativity", n)
         deeper = dg.add(n, _unit_cap(g, cfg))
-        if g.clip(deeper) == deeper and alpha_k(S).lift(deeper).norm() > S.norm() + tol:
+        # the lift's norm exceeds S's by at most tol
+        if g.clip(deeper) == deeper and not arrays_close(np.maximum(alpha_k(S).lift(deeper).norm() - S.norm(), 0), 0, tol):
             return ("norm-grows", n)
     return None
 
@@ -1414,22 +1409,23 @@ def _chk_section_lookup(inst, cfg, rng):
                 lam_of[la.source] = la
         hidx = g.path_index(j)
         tw = c.twist(m, dg.sub(j, m)).values
-        for iz, z in enumerate(g.paths(got.depth)):
+        paths = g.paths(got.depth)
+        want = np.zeros(len(paths), dtype=np.complex128)  # zero where no section path lam has zm's source
+        for iz, z in enumerate(paths):
             zm = g.split(z, m)[0]
             lam = lam_of.get(zm.source)
-            if lam is None:
-                want = 0.0 + 0.0j
-            else:
+            if lam is not None:
                 beta = g.segment(z, m, j)
-                want = (
+                want[iz] = (
                     tw[hidx[g.compose(zm, beta)]]
                     * np.conj(tw[hidx[g.compose(lam, beta)]])
                     * f(zm)
                     * np.conj(gsec(lam))
                     * h.coeffs[hidx[g.compose(lam, beta)]]
                 )
-            if abs(got.coeffs[iz] - want) > cfg.tolerance:
-                return ("section-lookup", z, (m, n))
+        bad = np.flatnonzero(~compare(got.coeffs, want, cfg.tolerance).ok)
+        if bad.size:
+            return ("section-lookup", paths[bad[0]], (m, n))
     return None
 
 
@@ -1454,7 +1450,6 @@ def _aligned_rank_ones(g: KGraph, cfg: SuiteConfig, rng):
 )
 def _chk_theta_expansion_x(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
-    tol = cfg.tolerance
     for m, n, j, (f1, f2, g1, g2), C, tails_m, tails_n in _aligned_rank_ones(g, cfg, rng):
         lhs = x_compact_align(c, x_theta(f1, f2), x_theta(g1, g2))
         rhs = XOp.zeros(g, j)
@@ -1465,7 +1460,7 @@ def _chk_theta_expansion_x(inst, cfg, rng):
                 a_ij = x_tmul(c, f1, x_act(w, gi, side="right"))
                 b_j = x_tmul(c, g2, gj)
                 rhs = rhs + x_theta(a_ij, b_j)
-        if not lhs.close(rhs, tol):
+        if not lhs.close(rhs, cfg.tolerance):
             return ("expansion", (m, n), len(C))
     return None
 
@@ -1477,7 +1472,6 @@ def _chk_theta_expansion_x(inst, cfg, rng):
 )
 def _chk_theta_expansion_y(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
-    tol = cfg.tolerance
     for m, n, j, (f1, f2, g1, g2), C, tails_m, tails_n in _aligned_rank_ones(g, cfg, rng):
         am = lambda x: alpha(x.degree, x.degree, x)
         lhs = y_iota(c, y_theta(am(f1), am(f2)), j) @ y_iota(c, y_theta(am(g1), am(g2)), j)
@@ -1491,7 +1485,7 @@ def _chk_theta_expansion_y(inst, cfg, rng):
                 c_ij = y_tmul(c, am(f1), y_tmul(c, xi_i, w0))
                 d_j = y_tmul(c, am(g2), xi_j)
                 rhs = rhs + y_theta(c_ij, d_j)
-        if not lhs.close(rhs, tol):
+        if not lhs.close(rhs, cfg.tolerance):
             return ("expansion", (m, n), len(C))
     return None
 
@@ -1503,14 +1497,13 @@ def _chk_theta_expansion_y(inst, cfg, rng):
 )
 def _chk_transport_interchange(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
-    tol = cfg.tolerance
     for m, n in _degree_pairs(g, cfg, rng)[:3]:
         j = dg.join(m, n)
         S = _rand_xop(g, m, rng, _rand_section_elem)
         T = _rand_xop(g, n, rng, _rand_section_elem)
         lhs = alpha_k(x_compact_align(c, S, T))
         rhs = y_iota(c, alpha_k(S), j) @ y_iota(c, alpha_k(T), j)
-        if not lhs.close(rhs, tol):
+        if not lhs.close(rhs, cfg.tolerance):
             return ("interchange", (m, n))
     return None
 
@@ -1692,9 +1685,9 @@ def _chk_action_decomp(inst, cfg, rng):
             return ("product-reassembly", n)
         if not _tail_acts_as_compacts(dec, tol):
             return ("product-tail-compacts", n)
-        for nu, t in t_of.items():
-            if abs(dec.f_tilde(nu) - t) > tol:
-                return ("tail-values", nu)
+        bad = np.flatnonzero(~compare([dec.f_tilde(nu) for nu in t_of], list(t_of.values()), tol).ok)
+        if bad.size:
+            return ("tail-values", list(t_of)[bad[0]])
     return None
 
 
@@ -1705,14 +1698,13 @@ def _chk_action_decomp(inst, cfg, rng):
 )
 def _chk_tail_compacts(inst, cfg, rng):
     g = inst.graph
-    tol = cfg.tolerance
     for m in _some_degrees(g, cfg, rng, count=2):
         paths = g.paths(m)
         if not paths:
             continue
         la = paths[int(rng.integers(0, len(paths)))]
         for n in {dg.zero(g.k), m}:
-            if not _tail_acts_as_compacts(alpha_decompose(XElem.delta(g, la), n), tol):
+            if not _tail_acts_as_compacts(alpha_decompose(XElem.delta(g, la), n), cfg.tolerance):
                 return ("tail-compacts", la, n)
     return None
 

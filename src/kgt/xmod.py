@@ -14,6 +14,7 @@ block-diagonal over the source vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +32,30 @@ def _as_coeffs(values, size: int) -> np.ndarray:
     return arr
 
 
+class Verdict(NamedTuple):
+    """What compare saw, one entry per case."""
+
+    ok: np.ndarray  # every entry of the case is close
+    worst: np.ndarray  # the largest |a - b|; NaN if any difference is, as inf - inf is
+    seen: np.ndarray  # either side has a nonzero entry
+
+
+def compare(a, b, tol: float) -> Verdict:
+    """The one float comparison behind every identity check.  Axis 0 of a and
+    b, broadcast together, indexes cases.  An entry is close when |a - b| <= tol
+    or a == b: only absolute differences count, equal infinities are close and
+    NaN is close to nothing, as in numpy's closeness test at atol=tol, rtol=0."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        diff = np.abs(a - b)
+    at = tuple(range(1, diff.ndim))  # the axes of one case
+    return Verdict(np.logical_and.reduce((diff <= tol) | (a == b), at), np.maximum.reduce(diff, at, initial=0.0),
+                   np.logical_or.reduce((a != 0) | (b != 0), at))
+
+
 def arrays_close(a, b, tol: float) -> bool:
-    """Every entry of a - b has absolute value at most tol: the comparison
-    behind every `close`.  Only absolute differences count.  The answer is
-    np.allclose(a, b, atol=tol, rtol=0.0)'s, NaN and infinities included;
-    isclose runs only when the plain test fails."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, and fails the test
-        if (np.abs(a - b) <= tol).all():
-            return True
-    return bool(np.allclose(a, b, atol=tol, rtol=0.0))
+    """compare for a single case: the comparison behind every `close`."""
+    return bool(compare(np.asarray(a)[None], np.asarray(b)[None], tol).ok[0])
 
 
 def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,7 +112,7 @@ class VertexFn:
         return arrays_close(self.values, other.values, tol)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.values) <= tol))
+        return arrays_close(self.values, 0, tol)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{v}: {x:.3g}" for v, x in zip(self.graph.vertices, self.values))
@@ -185,24 +201,21 @@ class XOp:
                 f"matrix shape {self.matrix.shape} does not match |paths| = {size}",
                 self.matrix.shape,
             )
-        if require_block and not self._is_block(1e-12):
-            raise ValueError("matrix couples different source vertices; not adjointable here")
-
-    def _is_block(self, tol: float) -> bool:
-        sources = np.array([p.source for p in self.graph.paths(self.degree)])
-        mask = sources[:, None] != sources[None, :]
-        return bool(np.all(np.abs(self.matrix[mask]) <= tol)) if mask.any() else True
+        if require_block:
+            sources = np.array([p.source for p in graph.paths(self.degree)])
+            if not arrays_close(self.matrix[sources[:, None] != sources[None, :]], 0, 1e-12):
+                raise ValueError("matrix couples different source vertices; not adjointable here")
 
     @classmethod
     def identity(cls, graph: KGraph, degree) -> "XOp":
         degree = dg.as_degree(degree, graph.k)
-        return cls(graph, degree, np.eye(len(graph.paths(degree))))
+        return cls(graph, degree, np.eye(len(graph.paths(degree))), require_block=False)
 
     @classmethod
     def zeros(cls, graph: KGraph, degree) -> "XOp":
         degree = dg.as_degree(degree, graph.k)
         n = len(graph.paths(degree))
-        return cls(graph, degree, np.zeros((n, n)))
+        return cls(graph, degree, np.zeros((n, n)), require_block=False)
 
     def __call__(self, f: XElem) -> XElem:
         if f.degree != self.degree:
@@ -285,7 +298,7 @@ def x_theta(f: XElem, g: XElem) -> XOp:
     sources = np.array([p.source for p in paths])
     mat = np.outer(f.coeffs, np.conj(g.coeffs))
     mat[sources[:, None] != sources[None, :]] = 0.0
-    return XOp(graph, f.degree, mat)
+    return XOp(graph, f.degree, mat, require_block=False)
 
 
 def phi_x(a: VertexFn, n) -> XOp:
@@ -293,7 +306,7 @@ def phi_x(a: VertexFn, n) -> XOp:
     graph = a.graph
     vidx = graph.vertex_index
     diag = np.array([a.values[vidx[p.range]] for p in graph.paths(n)])
-    return XOp(graph, n, np.diag(diag))
+    return XOp(graph, n, np.diag(diag), require_block=False)
 
 
 def x_iota(c: Cocycle, S: XOp, n) -> XOp:
@@ -313,7 +326,7 @@ def x_iota(c: Cocycle, S: XOp, n) -> XOp:
     pre, suf = g.factor_indices(m, diff)
     twist = c.twist(m, diff).values
     out = S.matrix[np.ix_(pre, pre)] * (suf[:, None] == suf[None, :]) * np.outer(twist, np.conj(twist))
-    return XOp(g, n, out)
+    return XOp(g, n, out, require_block=False)
 
 
 def phi_x_decompose(a: VertexFn, n) -> list[XElem]:

@@ -27,7 +27,7 @@ from .errors import (
     NotSectionDecomposable,
 )
 from .kgraph import KGraph, Path
-from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close, times
+from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close, compare, times
 
 
 class CylElem:
@@ -205,7 +205,7 @@ class YOp:
         if require_block and size:
             _, suf = graph.factor_indices(self.module_degree, dg.sub(self.depth, self.module_degree))
             off = suf[:, None] != suf[None, :]
-            if off.any() and not np.all(np.abs(self.matrix[off]) <= 1e-12):
+            if not arrays_close(self.matrix[off], 0, 1e-12):
                 raise ValueError("matrix mixes tails; not an adjointable operator on this fiber")
 
     @classmethod
@@ -213,7 +213,7 @@ class YOp:
         module_degree = dg.as_degree(module_degree, graph.k)
         depth = module_degree if depth is None else dg.as_degree(depth, graph.k)
         n = len(graph.paths(depth))
-        return cls(graph, module_degree, depth, np.zeros((n, n)))
+        return cls(graph, module_degree, depth, np.zeros((n, n)), require_block=False)
 
     def lift(self, depth) -> "YOp":
         g = self.graph
@@ -289,7 +289,7 @@ def y_theta(f: CylElem, g_: CylElem) -> YOp:
     n = f.module_degree
     _, suf = g.factor_indices(n, dg.sub(f.depth, n))
     mat = np.outer(f.coeffs, np.conj(g_.coeffs)) * (suf[:, None] == suf[None, :])
-    return YOp(g, n, f.depth, mat)
+    return YOp(g, n, f.depth, mat, require_block=False)
 
 
 def phi_y(a: CylElem, n) -> YOp:
@@ -300,7 +300,7 @@ def phi_y(a: CylElem, n) -> YOp:
     n = dg.as_degree(n, g.k)
     depth = dg.join(a.depth, n)
     lifted = y_lift(a, depth)
-    return YOp(g, n, depth, np.diag(lifted.coeffs))
+    return YOp(g, n, depth, np.diag(lifted.coeffs), require_block=False)
 
 
 def y_iota(c: Cocycle, S: YOp, n) -> YOp:
@@ -442,9 +442,8 @@ def sup_norm_check(f: CylElem, U, tol: float = 1e-9) -> ModuleReport:
     for la, w in zip(g.paths(f.depth), f.coeffs):
         if w != 0 and g.split(la, n)[0] not in uset:
             return rep.fail(("support-outside-sections", la, w))
-    sup = f.sup_norm()
-    mod = f.norm()
+    sup, mod = f.sup_norm(), f.norm()
     rep.cases_checked = 1
-    if abs(sup - mod) > tol:
+    if not compare([sup], [mod], tol).ok[0]:
         return rep.fail(("norms-differ", None, (sup, mod)))
     return rep

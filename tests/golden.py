@@ -1,5 +1,5 @@
 """Golden results: sha256 digests of the Fock relation reports and of the
-suite lines of the Fock checks.
+lines of every registered check in the whole suite.
 
     PYTHONPATH=src python tests/golden.py
 
@@ -32,15 +32,8 @@ FOCK_RUNS = {
     "fock Y N=1,1 D=2,2": ["--system", "Y", "--N", "1,1", "--D", "2,2"],
     "fock Y N=1,1 D=3,3": ["--system", "Y", "--N", "1,1", "--D", "3,3"],
 }
-# every registered check that builds a Fock space
-FOCK_CHECKS = (
-    "def-4.4",
-    "remark-4.6ii",
-    "prop-5.1",
-    "eq-nica-cov-for-nice-thetas",
-    "eq-for-cp-covariance-of-zeta",
-    "zeta-surjectivity",
-)
+# the (seed, degree cap) runs of the whole suite
+SUITE_RUNS = ((0, 1), (7919, 1), (0, 2))
 
 
 def _sha(lines) -> str:
@@ -82,14 +75,15 @@ def fock_digests(workdir) -> dict:
 
 
 def suite_digests() -> dict:
-    """The (id, subject, seed, status, witness, skip reason) lines of each
-    Fock check on the builtin fixtures at seed 0, degree cap 1."""
-    rep = run_suite(list(FOCK_CHECKS), SuiteConfig(seed=0, degree_entry_cap=1, include_random=False))
-    lines = {cid: [] for cid in FOCK_CHECKS}
-    for r in rep.results:
-        c = r.case
-        lines[c.check_id].append(f"{c.check_id}|{c.subject}|{c.seed}|{r.status}|{r.witness!r}|{r.reason!r}")
-    return {f"suite {cid}": _sha(lines[cid]) for cid in FOCK_CHECKS}
+    """One digest per check id, over its (id, subject, seed, status,
+    witness, skip reason) lines in every run of SUITE_RUNS."""
+    lines = {}
+    for seed, cap in SUITE_RUNS:
+        for r in run_suite("all", SuiteConfig(seed=seed, degree_entry_cap=cap)).results:
+            c = r.case
+            line = f"{seed},{cap}|{c.check_id}|{c.subject}|{c.seed}|{r.status}|{r.witness!r}|{r.reason!r}"
+            lines.setdefault(c.check_id, []).append(line)
+    return {f"suite {cid}": _sha(found) for cid, found in lines.items()}
 
 
 def digests(workdir) -> dict:

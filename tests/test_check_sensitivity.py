@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kgt import fock, ymod
+from kgt import fock, verify, ymod
 from kgt.cocycle import trivial_cocycle
 from kgt.kgraph import fixture_f2
 from kgt.verify import Instance, SuiteConfig, run_suite
@@ -129,3 +129,32 @@ def test_zeta_surjectivity_sees_the_tail_function(monkeypatch):
     label, la, _ = witness("zeta-surjectivity", 1)
     assert label == "operator"
     assert la in F2.paths(la.degree)
+
+
+def test_edge_correspondences_see_a_nan_in_the_range_action(monkeypatch):
+    real = verify.phi_x
+
+    def nan_corner(a, n):
+        out = real(a, n)
+        out.matrix[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "phi_x", nan_corner)
+    # |NaN - x| > tol is false, so a per-entry test written that way passes a NaN
+    label, p = witness("lemma-edge-correspondences", 1)
+    assert label == "range-action"
+    assert p == F2.paths(p.degree)[0]
+
+
+def test_katsura_inner_product_sees_a_nan_at_its_first_vertex(monkeypatch):
+    real = verify.x_inner
+
+    def nan_first(f, g):
+        out = real(f, g)
+        out.values[..., 0] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "x_inner", nan_first)
+    # the NaN once passed the direct-sum and positivity tests, and was first
+    # seen by conjugate symmetry
+    assert witness("eq-katsura-inner-product", 1)[:2] == ("direct-sum", F2.vertices[0])

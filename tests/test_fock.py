@@ -29,7 +29,7 @@ from kgt.fock import (
 from kgt.kgraph import omega, single_vertex
 from kgt.phases import ONE, Phase
 from kgt.verify import SuiteConfig, _fock_caps, default_instances
-from kgt.xmod import VertexFn, XElem, XOp, arrays_close, x_theta
+from kgt.xmod import VertexFn, XElem, XOp, arrays_close, compare, x_theta
 from kgt.ymod import CylElem, YOp, alpha, alpha_k
 from oracle import point_creations
 
@@ -389,6 +389,19 @@ def allclose(a, b, tol):
     return bool(np.allclose(a, b, atol=tol, rtol=0.0))
 
 
+def assert_verdict(a, b, tol):
+    """compare(a, b, tol) row by row: ok is allclose's, worst the largest
+    |a - b| (NaN included), seen whether either side has a nonzero entry."""
+    v = compare(a, b, tol)
+    assert len(v.ok) == len(v.worst) == len(v.seen) == len(a)
+    with np.errstate(invalid="ignore"):
+        for p in range(len(a)):
+            assert v.ok[p] == allclose(a[p], b[p], tol)
+            worst = np.max(np.abs(a[p] - b[p]), initial=0.0)
+            assert v.worst[p] == worst or (np.isnan(v.worst[p]) and np.isnan(worst))
+            assert v.seen[p] == bool(np.any(a[p] != 0) or np.any(b[p] != 0))
+
+
 CLOSE_ARGS = dict(
     seed=st.integers(0, 2**32 - 1),
     tol=st.sampled_from([0.0, 1e-9, 0.25, 1.0]),
@@ -407,6 +420,7 @@ def test_close_agrees_with_allclose(name, seed, tol, count, noise):
     B = FockOp(space, (0,) * space.graph.k, b)
     assert arrays_close(a, b, tol) == allclose(a, b, tol)
     assert A.close(B, tol) == allclose(a, b, tol)
+    assert_verdict(a, b, tol)
     degrees = [n for n, _ in space.basis()]
     for d in space.blocks:
         mask = np.array([dg.leq(n, dg.sub(space.N, d)) for n in degrees], dtype=bool).reshape(-1)
@@ -429,12 +443,25 @@ def test_module_close_agrees_with_allclose(seed, tol, count, noise):
     assert arrays_close(a, b, tol) == want
     assert XElem(SV, n, a).close(XElem(SV, n, b), tol) == want
     assert CylElem(SV, n, n, a).close(CylElem(SV, n, n, b), tol) == want
+    assert_verdict(a[None], b[None], tol)
     a, b = noisy_pair(rng, (size, size), noise, count, tol)
     want = allclose(a, b, tol)
     assert arrays_close(a, b, tol) == want
+    assert_verdict(a, b, tol)
     assert XOp(SV, n, a, require_block=False).close(XOp(SV, n, b, require_block=False), tol) == want
     Ya, Yb = YOp(SV, n, n, a, require_block=False), YOp(SV, n, n, b, require_block=False)
     assert Ya.close(Yb, tol) == want
+
+
+def test_compare_fails_only_the_row_that_differs():
+    a = np.array([[1.0, np.inf, 0.0], [1.0, 2.0, 3.0]])
+    b = np.array([[1.0, np.inf, -0.0], [1.0, 2.0 + 1e-6, 3.0]])
+    v = compare(a, b, 1e-9)
+    assert v.ok.tolist() == [True, False]
+    assert np.isnan(v.worst[0])  # inf - inf: equal infinities are close, but have no finite difference
+    assert v.worst[1] == pytest.approx(1e-6)
+    assert v.seen.tolist() == [True, True]
+    assert_verdict(a, b, 1e-9)
 
 
 def test_interior_mask_is_cached_read_only():

@@ -1,4 +1,4 @@
-"""The Fock relation reports and the Fock checks' suite lines match the
+"""The Fock relation reports and the suite lines of every check match the
 committed digests in tests/golden.json (regenerated by tests/golden.py)."""
 
 import json
