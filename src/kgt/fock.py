@@ -351,14 +351,13 @@ def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
 class _Stack(NamedTuple):
     """The point tables of several (shift, depth) keys as one table, row
     after row, with their entries listed: composition reads its rows, and
-    a batch of creations by elements of any of those keys is compared
-    against it at once."""
+    _creations_close reads a key's listed entries as the creations by the
+    elements of that key."""
 
     table: _PointTable
     index: dict  # key -> its position in the stack
     rows: np.ndarray  # per position, its first row; then the row count
     entries: np.ndarray  # per position, its first listed entry; then the entry count
-    col_of: np.ndarray  # per position, the column of its entry at each row, or -1
 
     def rows_of(self, key) -> np.ndarray:
         i = self.index[key]
@@ -377,9 +376,7 @@ def _stack(space: FockSpace, c: Cocycle, keys) -> _Stack:
         np.concatenate([t.col for t in tables]),
         np.concatenate([t.row for t in tables]),
     )
-    col_of = np.full((len(keys), space.dim + 1), -1, dtype=np.intp)
-    col_of[np.repeat(np.arange(len(keys)), np.diff(entries)), table.row] = table.col
-    return _Stack(table, {key: i for i, key in enumerate(keys)}, rows, entries, col_of)
+    return _Stack(table, {key: i for i, key in enumerate(keys)}, rows, entries)
 
 
 def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, tol) -> np.ndarray:
@@ -388,47 +385,29 @@ def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, t
     when d is None.  Each (x, d) in parts gives the next rows their
     elements, x batched, and the stack holds the point table of every x.
 
-    A creation is read in column-entry form: the value at each entry of its
-    point table is the entry's phase times the entry's coefficient of its
-    element, as _create scatters it.  Both sides are compared at every
-    entry of that table inside interior(d), and each nonzero of lhs off it
-    is compared with zero; everywhere else both are zero.  So the answer is
-    arrays_close's on the dense matrices, in O(rows * dim) memory, with one
-    gather per table and one comparison for the batch.
+    Both sides are listed as entries, one owner per row, and compared by
+    _sums_close: lhs's entries in the row's columns, and the creation's, of
+    value times(coefficient, phase) at each entry of x's point table in
+    those columns, as _create scatters it.  A creation entry of value zero
+    is left out, since a left-out entry is a zero.
     """
-    dim, size, t = space.dim, len(lhs.target), stack.table
-    inside = np.ones((size, dim + 1), dtype=bool)
-    which = np.empty(size, dtype=np.intp)  # per row, the position of its table in the stack
-    groups = {}  # per table position, its rows and their coefficients
-    at = 0
+    t = stack.table
+    inside = np.ones((len(lhs.target), space.dim), dtype=bool)
+    want, at = [], 0
     for x, d in parts:
-        rows = np.arange(at, at + len(x.coeffs))
+        s = slice(at, at + len(x.coeffs))
         if d is not None:
-            inside[rows, :dim] = space.interior_mask(d)
-        # the table that creation_x or creation_y reads for x
+            inside[s] = space.interior_mask(d)
+        # the entries of the table that creation_x or creation_y reads for x
         i = stack.index[(x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)]
-        which[rows] = i
-        groups.setdefault(i, []).append((rows, x.coeffs))
-        at += len(rows)
-
-    # the nonzeros of lhs off the table, in the columns that hold any
-    off = inside[:, :dim] & (stack.col_of[which[:, None], lhs.target[:, :dim]] != np.arange(dim)) & (lhs.phase[:, :dim] != 0)
-    spill = np.flatnonzero(off.any(axis=0))
-    # each row's table entries, as wide as the widest table, then those nonzeros
-    width = int(np.diff(stack.entries)[list(groups)].max(initial=0))
-    got = np.zeros((size, width + len(spill)), dtype=np.complex128)
-    got[:, width:] = np.where(off[:, spill], lhs.phase[:, spill], 0)
-    want = np.zeros(got.shape, dtype=np.complex128)
-    for i, group in groups.items():
-        rows = np.concatenate([r for r, _ in group])[:, None]
         e = slice(stack.entries[i], stack.entries[i + 1])
         k, col, row = t.k[e], t.col[e], t.row[e]
-        keep = inside[rows, col]
-        coeffs = np.concatenate([x for _, x in group])[:, k - stack.rows[i]]
-        at = np.arange(len(k))
-        want[rows, at] = np.where(keep, times(coeffs, t.phase[k, col]), 0)
-        got[rows, at] = np.where(keep & (lhs.target[rows, col] == row), lhs.phase[rows, col], 0)
-    return compare(got, want, tol).ok
+        value = times(x.coeffs[:, k - stack.rows[i]], t.phase[k, col])
+        p, q = np.nonzero(inside[s][:, col] & (value != 0))
+        want.append((at + p, col[q], row[q], value[p, q]))
+        at = s.stop
+    got = _entries(lhs, np.ones(at, dtype=np.complex128), np.arange(at), inside)
+    return _sums_close(space, at, got, [np.concatenate(x) for x in zip(*want)], tol)
 
 
 def _products_close(space: FockSpace, stack: _Stack, a: _PointTable, b: _PointTable, left, right, parts, tol):
@@ -442,12 +421,12 @@ def _products_close(space: FockSpace, stack: _Stack, a: _PointTable, b: _PointTa
     return _creations_close(space, stack, lhs, parts, tol)
 
 
-def _entries(t: _PointTable, w: np.ndarray, owner: np.ndarray, cols: np.ndarray):
+def _entries(t: _PointTable, w: np.ndarray, owner: np.ndarray, inside: np.ndarray):
     """(owner, column, row, value) of every entry of the operators in t on
-    the columns cols: operator p is row p of t weighted by w[p], and
-    belongs to owner[p]."""
-    p, at = np.nonzero(t.target[:, cols] >= 0)
-    col = cols[at]
+    the columns where the mask inside holds, one mask for every operator or
+    one row each: operator p is row p of t weighted by w[p], and belongs to
+    owner[p]."""
+    p, col = np.nonzero((t.target[:, : inside.shape[-1]] >= 0) & inside)
     return owner[p], col, t.target[p, col], times(t.phase[p, col], w[p])
 
 
@@ -493,18 +472,19 @@ def _tally(rep: ModuleReport, ok: np.ndarray):
     return None
 
 
-def _rank(s: np.ndarray, size: int) -> int:
-    """np.linalg.matrix_rank of a matrix with singular values s and larger
-    side `size`, by its default threshold."""
-    return int(np.count_nonzero(s > s.max() * size * np.finfo(np.float64).eps)) if s.size else 0
+def _rank(s: np.ndarray, size: int):
+    """np.linalg.matrix_rank of a matrix with singular values s (the last
+    axis; earlier axes are a batch) and larger side `size`, by its default
+    threshold."""
+    return np.count_nonzero(s > s.max(axis=-1, initial=0, keepdims=True) * size * np.finfo(np.float64).eps, axis=-1)
 
 
 def _acted_on(space: FockSpace, m) -> np.ndarray:
-    """The columns of interior(m) in the blocks q >= m: the only columns of
-    interior(m) on which an image of compacts of degree m, or a product of
-    such images, can act, since C(delta_b)* vanishes on every block that
-    does not dominate m."""
-    return np.flatnonzero(space.interior_mask(m) & np.all(space._deg >= np.asarray(m), axis=1))
+    """The mask of the columns of interior(m) in the blocks q >= m: the only
+    columns of interior(m) on which an image of compacts of degree m, or a
+    product of such images, can act, since C(delta_b)* vanishes on every
+    block that does not dominate m."""
+    return space.interior_mask(m) & np.all(space._deg >= np.asarray(m), axis=1)
 
 
 def _rank_ones(space: FockSpace, c: Cocycle, m, i, j) -> _PointTable:
@@ -744,7 +724,7 @@ def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) 
     j = dg.join(m, n)
     rep = ModuleReport(cases_checked=1)
     cols = _acted_on(space, j)
-    if not cols.size:
+    if not cols.any():
         return rep
     A = x_compact_align(c, S, T)
     (si, sj), (ti, tj), (ai, aj) = (np.nonzero(X.matrix) for X in (S, T, A))
@@ -783,7 +763,8 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     dominates n; the uncompressed defect is the projection onto the
     complementary low-degree corner, and is reported, not ignored.  Every
     relation is checked on the point tables; the compositions and isometries
-    of every degree are composed and compared in one batch.
+    of every degree are composed and compared in one batch, and (iii) is
+    decided for every vertex at once.
     """
     g = space.graph
     n = dg.as_degree(n, g.k)
@@ -834,29 +815,30 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
         return rep.fail(("compose", tuple(g.split(la, p)), None))
 
     # every operator below is diagonal: a range projection of a point
-    # creation, or a vertex projection
+    # creation, or a vertex projection; one row per vertex, as in vtx
     dim = space.dim
     low = ~np.all(space._deg >= np.asarray(n), axis=1)  # blocks not dominating n
     top = tables[n]
-    ranges = np.zeros((len(top.target), dim), dtype=np.complex128)  # diagonal of S_la S_la*
     phases = top.phase[top.k, top.col]
-    ranges[top.k, top.row] = times(phases, np.conj(phases))
-    projs = np.zeros((len(vtx.target), dim), dtype=np.complex128)  # diagonal of S_v
-    projs[vtx.k, vtx.row] = vtx.phase[vtx.k, vtx.col]
+    ranges = np.array([at[la.range] for la in g.paths(n)], dtype=np.intp)  # per path of degree n, its range's row
+    total = np.zeros((len(vtx.target), dim), dtype=np.complex128)  # diagonal of the sum of S_la S_la* over r(la) = v
+    total[ranges[top.k], top.row] = times(phases, np.conj(phases))  # distinct paths have disjoint ranges
+    proj = np.zeros(total.shape, dtype=np.complex128)  # diagonal of S_v
+    proj[vtx.k, vtx.row] = vtx.phase[vtx.k, vtx.col]
+    ck_sum = compare(total[:, ~low], proj[:, ~low], tol).ok
+    defect = proj - total
+    shape = compare(defect, proj * low, tol).ok
+    got_rank, want_rank = _rank(np.abs(defect), dim), np.sum(np.abs(proj) * low > 0.5, axis=1)
     for v in g.vertices:
-        total = ranges[list(g.by_range(n)[v])].sum(axis=0)
-        proj = projs[at[v]]
+        r = at[v]
         rep.cases_checked += 1
-        if not arrays_close(total[~low], proj[~low], tol):
+        if not ck_sum[r]:
             return rep.fail(("ck-sum", v, None))
-        defect = proj - total
         rep.cases_checked += 1
-        if not arrays_close(defect, proj * low, tol):
+        if not shape[r]:
             return rep.fail(("defect-shape", v, None))
-        got_rank = _rank(np.abs(defect), dim)
-        want_rank = int(np.sum(np.abs(proj) * low > 0.5))
-        if got_rank != want_rank:
-            return rep.fail(("defect-rank", v, (got_rank, want_rank)))
+        if got_rank[r] != want_rank[r]:
+            return rep.fail(("defect-rank", v, (int(got_rank[r]), int(want_rank[r]))))
     return rep
 
 
@@ -881,16 +863,14 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         if not pairs:
             continue
         cols = _acted_on(space, m)
-        if not cols.size:  # both sides vanish on interior(m)
+        if not cols.any():  # both sides vanish on interior(m)
             rep.cases_checked += len(pairs)
             continue
         a, b = np.array(pairs).T
-        lhs = _rank_ones(space, c, m, a, b)
-        rows, phases = _cylinder_rank_ones(space, c, m, a, b)
-        got, want = lhs.phase[:, cols], phases[:, cols]
-        same = lhs.target[:, cols] == rows[:, cols]  # else each entry is compared with a zero
-        got = np.hstack([np.where(same, got, 0), np.where(same, 0, got)])
-        bad = _tally(rep, compare(got, np.hstack([want, np.zeros_like(want)]), tol).ok)
+        owner, one = np.arange(len(pairs)), np.ones(len(pairs), dtype=np.complex128)
+        got = _entries(_rank_ones(space, c, m, a, b), one, owner, cols)
+        want = _entries(_PointTable(*_cylinder_rank_ones(space, c, m, a, b)), one, owner, cols)
+        bad = _tally(rep, _sums_close(space, len(pairs), got, want, tol))
         if bad is not None:
             a, b = pairs[bad]
             return rep.fail(("psi-compacts", (g.paths(m)[a], g.paths(m)[b]), None))
@@ -962,7 +942,7 @@ def zeta_surjectivity_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) 
     a = _compose(tn, ones["xi"], _rank_ones(space, c, p, ones["i"], ones["j"]), np.arange(len(ones)))
     b = _compose(tn, points["xi"], _point_table(space, c, z, p), points["i"])
     lhs = _PointTable(np.vstack([a.target, b.target]), np.vstack([a.phase, b.phase]))
-    cols = np.flatnonzero(space.interior_mask(n))
+    cols = space.interior_mask(n)
     got = _entries(lhs, np.concatenate([ones["w"], points["w"]]), np.concatenate([ones["at"], points["at"]]), cols)
     target = _point_table(space, c, n, depth)  # the creation by the cylinder at la is its row la
     owner = np.arange(len(paths))

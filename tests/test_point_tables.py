@@ -19,7 +19,7 @@ import pytest
 from kgt import builtin_fixtures
 from kgt import degrees as dg
 from kgt import fock
-from kgt.cocycle import Cocycle, c_theta
+from kgt.cocycle import Cocycle, c_theta, trivial_cocycle
 from kgt.fock import (
     FockOp,
     FockSpace,
@@ -30,6 +30,7 @@ from kgt.fock import (
     rep_axioms_check,
     zeta_surjectivity_check,
 )
+from kgt.kgraph import single_vertex
 from kgt.phases import Phase
 from kgt.verify import SuiteConfig, _fock_caps, _rand_section_elem, _rand_xop, default_instances
 from kgt.xmod import ModuleReport, VertexFn, XElem, arrays_close, x_theta
@@ -379,17 +380,24 @@ def test_entries_off_the_plan_are_compared():
     """_creations_close compares every entry of the table side, also where
     the creation it is compared with has no entry: S_e against C(delta_e) is
     close; against C(delta_f), whose entries all lie elsewhere, and against
-    the zero creations of degrees (1, 0) and (0, 1) it is not."""
-    c = c_theta(F1, Phase.exact_radians(1))
-    space = FockSpace(F1, (2, 2))
-    e = fock._point_table(space, c, (1, 0), (1, 0))
-    lhs = fock._compose(e, [0], fock._point_table(space, c, (0, 0), (0, 0)), [0])  # S_e S_v = S_e
+    the zero creations of degrees (1, 0) and (0, 1) it is not.  Nor is it
+    close to a creation by a NaN or an infinite coefficient, or, on a graph
+    with two edges e0, e1 of color 1, to the creation by delta_e1, which is
+    zero exactly where S_e0 has its entries."""
 
-    def close(x):
+    def close(space, c, x):
+        e = fock._point_table(space, c, (1, 0), (1, 0))
+        lhs = fock._compose(e, [0], fock._point_table(space, c, (0, 0), (0, 0)), [0])  # S_e S_v = S_e
         stack = fock._stack(space, c, [(x.degree, x.degree)])
         return fock._creations_close(space, stack, lhs, [(x, None)], 1e-9).tolist()
 
-    assert close(XElem(F1, (1, 0), [[1.0]])) == [True]
-    assert close(XElem(F1, (0, 1), [[1.0]])) == [False]
+    c, space = c_theta(F1, Phase.exact_radians(1)), FockSpace(F1, (2, 2))
+    assert close(space, c, XElem(F1, (1, 0), [[1.0]])) == [True]
+    assert close(space, c, XElem(F1, (0, 1), [[1.0]])) == [False]
     for n in ((1, 0), (0, 1)):
-        assert close(XElem(F1, n, [[0.0]])) == [False]
+        assert close(space, c, XElem(F1, n, [[0.0]])) == [False]
+    with np.errstate(invalid="ignore"):  # inf times a zero part of a phase is NaN
+        for bad in (np.nan, np.inf):
+            assert close(space, c, XElem(F1, (1, 0), [[bad]])) == [False]
+    g = single_vertex(2, (2, 1))
+    assert close(FockSpace(g, (2, 2)), trivial_cocycle(g), XElem(g, (1, 0), [[0.0, 1.0]])) == [False]
