@@ -544,8 +544,9 @@ def _creations(space: FockSpace, c: Cocycle):
     return out
 
 
-def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
-    """Measured scalar in S_f S_e = z * S_e S_f on the interior, per edge pair."""
+def _commutation_table(space: FockSpace, c: Cocycle):
+    """Measured scalar in S_f S_e = z * S_e S_f on the interior, per edge pair
+    where S_e S_f is nonzero there: its entries are unit phases or 0."""
     g = space.graph
     ops = dict(_creations(space, c))
     rows = []
@@ -562,7 +563,7 @@ def _commutation_table(space: FockSpace, c: Cocycle, tol: float):
             A = (Sf @ Se).matrix[:, mask]
             B = (Se @ Sf).matrix[:, mask]
             nb = float(np.vdot(B, B).real)
-            if nb < tol:
+            if nb == 0:
                 continue
             z = complex(np.vdot(B, A) / nb)
             residual = float(np.linalg.norm(A - z * B))
@@ -617,7 +618,7 @@ def cmd_fock(args) -> int:
             rep = ck_relations_check(space, c, n, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} generator relations at degree {n}")
             failed = failed or not rep.ok
-        for fid, eid, z, residual in _commutation_table(space, c, args.tolerance):
+        for fid, eid, z, residual in _commutation_table(space, c):
             lines.append(
                 f"commutation S_{fid} S_{eid} = z S_{eid} S_{fid}: z = {z.real:+.12f}{z.imag:+.12f}i"
                 f" (residual {residual:.3g})"

@@ -240,9 +240,9 @@ def _create(space: FockSpace, c: Cocycle, d, depth, coeffs: np.ndarray) -> FockO
     creations of the table (d, depth), weighted by coeffs, in one scatter."""
     t = _point_table(space, c, d, depth)
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    w = coeffs[t.k]
-    (i,) = np.nonzero(w)
-    M[t.row[i], t.col[i]] = times(t.phase[t.k[i], t.col[i]], w[i])
+    (k,) = np.nonzero(coeffs)
+    _, col, row, value = _entries(_PointTable(t.target[k], t.phase[k]), coeffs[k], k, np.ones(space.dim, dtype=bool))
+    M[row, col] = value
     return FockOp(space, d, M)
 
 
@@ -281,17 +281,12 @@ class _PointTable(NamedTuple):
     is -1: a point creation has at most one nonzero entry in each row and
     each column.  Column dim is a zero column, so a gather through a target
     of -1 lands on it.  Composition is then a gather, the adjoint is the
-    inverse index map, and a range projection is a diagonal.
-
-    The entries, one per (k, col) with a target, are listed in k, col and
-    row; a composite built by _compose does not list them.
+    inverse index map, and a range projection is a diagonal.  The entries
+    are the (k, col) with target[k, col] >= 0.
     """
 
     target: np.ndarray  # (K, dim + 1) target rows, -1 for none
     phase: np.ndarray  # (K, dim + 1) phases, 0 where target is -1
-    k: np.ndarray | None = None  # per entry: the coefficient
-    col: np.ndarray | None = None  # per entry: the source column
-    row: np.ndarray | None = None  # per entry: the target row, target[k, col]
 
 
 def _point_table(space: FockSpace, c: Cocycle, d, depth) -> _PointTable:
@@ -307,7 +302,6 @@ def _point_table(space: FockSpace, c: Cocycle, d, depth) -> _PointTable:
     g, dim = space.graph, space.dim
     target = np.full((len(g.paths(depth)), dim + 1), -1, dtype=np.intp)
     phase = np.zeros(target.shape, dtype=np.complex128)
-    ks, cols, rows = [], [], []
     for q in space.blocks:
         t = dg.add(q, d)
         if not dg.leq(t, space.N):
@@ -323,12 +317,7 @@ def _point_table(space: FockSpace, c: Cocycle, d, depth) -> _PointTable:
         row = space.block_slice(t).start + np.arange(len(suf))
         target[k, col] = row
         phase[k, col] = c.twist(d, q).values[tw]
-        ks.append(k)
-        cols.append(col)
-        rows.append(row)
-    entries = (np.concatenate([np.zeros(0, np.intp), *parts]) for parts in (ks, cols, rows))
-    table = space._tables[(c, d, depth)] = _PointTable(target, phase, *entries)
-    return table
+    return space._tables.setdefault((c, d, depth), _PointTable(target, phase))
 
 
 def _adjoint(t: _PointTable) -> _PointTable:
@@ -336,9 +325,11 @@ def _adjoint(t: _PointTable) -> _PointTable:
     conjugate phases."""
     target = np.full(t.target.shape, -1, dtype=np.intp)
     phase = np.zeros(t.phase.shape, dtype=np.complex128)
-    target[t.k, t.row] = t.col
-    phase[t.k, t.row] = np.conj(t.phase[t.k, t.col])
-    return _PointTable(target, phase, t.k, t.row, t.col)
+    k, col = np.nonzero(t.target[:, :-1] >= 0)
+    row = t.target[k, col]
+    target[k, row] = col
+    phase[k, row] = np.conj(t.phase[k, col])
+    return _PointTable(target, phase)
 
 
 def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
@@ -350,75 +341,51 @@ def _compose(a: _PointTable, i, b: _PointTable, j) -> _PointTable:
 
 class _Stack(NamedTuple):
     """The point tables of several (shift, depth) keys as one table, row
-    after row, with their entries listed: composition reads its rows, and
-    _creations_close reads a key's listed entries as the creations by the
-    elements of that key."""
+    after row: composition reads its rows, and _products_close reads a
+    key's rows as the creations by the elements of that key."""
 
     table: _PointTable
-    index: dict  # key -> its position in the stack
-    rows: np.ndarray  # per position, its first row; then the row count
-    entries: np.ndarray  # per position, its first listed entry; then the entry count
-
-    def rows_of(self, key) -> np.ndarray:
-        i = self.index[key]
-        return np.arange(self.rows[i], self.rows[i + 1])
+    rows: dict  # key -> the indices of its rows in the stack
 
 
 def _stack(space: FockSpace, c: Cocycle, keys) -> _Stack:
     keys = list(dict.fromkeys(keys))
     tables = [_point_table(space, c, *key) for key in keys]
-    rows = np.cumsum([0] + [len(t.target) for t in tables])
-    entries = np.cumsum([0] + [len(t.k) for t in tables])
-    table = _PointTable(
-        np.concatenate([t.target for t in tables]),
-        np.concatenate([t.phase for t in tables]),
-        np.concatenate([t.k + r for t, r in zip(tables, rows)]),
-        np.concatenate([t.col for t in tables]),
-        np.concatenate([t.row for t in tables]),
-    )
-    return _Stack(table, {key: i for i, key in enumerate(keys)}, rows, entries)
-
-
-def _creations_close(space: FockSpace, stack: _Stack, lhs: _PointTable, parts, tol) -> np.ndarray:
-    """Per row p of lhs, whether the operator whose table is row p is close
-    to the creation by its module element, on interior(d), or everywhere
-    when d is None.  Each (x, d) in parts gives the next rows their
-    elements, x batched, and the stack holds the point table of every x.
-
-    Both sides are listed as entries, one owner per row, and compared by
-    _sums_close: lhs's entries in the row's columns, and the creation's, of
-    value times(coefficient, phase) at each entry of x's point table in
-    those columns, as _create scatters it.  A creation entry of value zero
-    is left out, since a left-out entry is a zero.
-    """
-    t = stack.table
-    inside = np.ones((len(lhs.target), space.dim), dtype=bool)
-    want, at = [], 0
-    for x, d in parts:
-        s = slice(at, at + len(x.coeffs))
-        if d is not None:
-            inside[s] = space.interior_mask(d)
-        # the entries of the table that creation_x or creation_y reads for x
-        i = stack.index[(x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)]
-        e = slice(stack.entries[i], stack.entries[i + 1])
-        k, col, row = t.k[e], t.col[e], t.row[e]
-        value = times(x.coeffs[:, k - stack.rows[i]], t.phase[k, col])
-        p, q = np.nonzero(inside[s][:, col] & (value != 0))
-        want.append((at + p, col[q], row[q], value[p, q]))
-        at = s.stop
-    got = _entries(lhs, np.ones(at, dtype=np.complex128), np.arange(at), inside)
-    return _sums_close(space, at, got, [np.concatenate(x) for x in zip(*want)], tol)
+    ends = np.cumsum([len(t.target) for t in tables])
+    table = _PointTable(np.concatenate([t.target for t in tables]), np.concatenate([t.phase for t in tables]))
+    return _Stack(table, {key: np.arange(end - len(t.target), end) for key, t, end in zip(keys, tables, ends)})
 
 
 def _products_close(space: FockSpace, stack: _Stack, a: _PointTable, b: _PointTable, left, right, parts, tol):
     """Per pair, whether the composite a[i] b[j] is close to the creation by
-    its module element: part r of parts gives the elements of the pairs
-    (left[r], right[r]), as _creations_close reads them.  Every pair is
-    composed and compared in one batch."""
+    its module element, on interior(d), or everywhere when d is None: each
+    (x, d) in parts gives the pairs (left[r], right[r]) their elements, x
+    batched, and the stack holds the point table of every x.
+
+    Every pair is composed and compared in one batch by _sums_close, both
+    sides as entries, one owner per pair: the composite's, and the
+    creation's, the entries of the stacked rows of x's nonzero coefficients
+    weighted by them, as _create scatters it."""
     if not parts:
         return np.zeros(0, dtype=bool)
     lhs = _compose(a, np.concatenate(left), b, np.concatenate(right))
-    return _creations_close(space, stack, lhs, parts, tol)
+    inside = np.ones((len(lhs.target), space.dim), dtype=bool)
+    rows, w, owner, at = [], [], [], 0
+    for x, d in parts:
+        s = slice(at, at + len(x.coeffs))
+        if d is not None:
+            inside[s] = space.interior_mask(d)
+        # the rows of the table that creation_x or creation_y reads for x
+        key = (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)
+        p, k = np.nonzero(x.coeffs)
+        rows.append(stack.rows[key][k])
+        w.append(x.coeffs[p, k])
+        owner.append(at + p)
+        at = s.stop
+    rows, w, owner = (np.concatenate(x) for x in (rows, w, owner))
+    want = _entries(_PointTable(stack.table.target[rows], stack.table.phase[rows]), w, owner, inside[owner])
+    got = _entries(lhs, np.ones(at, dtype=np.complex128), np.arange(at), inside)
+    return _sums_close(space, at, got, want, tol)
 
 
 def _entries(t: _PointTable, w: np.ndarray, owner: np.ndarray, inside: np.ndarray):
@@ -508,14 +475,12 @@ def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
     i, j = np.nonzero(S.matrix)
     w = S.matrix[i, j]
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    cols = np.arange(space.dim)
+    everywhere = np.ones(space.dim, dtype=bool)
     step = max(space.dim, 1)
     for at in range(0, len(i), step):
-        part = _rank_ones(space, c, m, i[at : at + step], j[at : at + step])
-        rows = part.target[:, :-1]
-        hit = rows >= 0
-        vals = times(part.phase[:, :-1], w[at : at + step, None])
-        np.add.at(M, (rows[hit], np.broadcast_to(cols, rows.shape)[hit]), vals[hit])
+        s = slice(at, at + step)
+        _, col, row, value = _entries(_rank_ones(space, c, m, i[s], j[s]), w[s], i[s], everywhere)
+        np.add.at(M, (row, col), value)
     return FockOp(space, dg.zero(space.graph.k), M)
 
 
@@ -625,7 +590,7 @@ def _multiplicativity(space: FockSpace, c: Cocycle, system: str, stack: _Stack, 
     rep and returns the first failing (m, n, i, j), or None.  The products
     x y come from the module layer, one batch per degree pair; every degree
     pair is composed and compared in one batch."""
-    rows = {n: stack.rows_of((n, _depth(space, n, system))) for n in space.blocks}
+    rows = {n: stack.rows[(n, _depth(space, n, system))] for n in space.blocks}
     left, right, parts, where = [], [], [], []
     for m in space.blocks:
         for n in space.blocks:
@@ -658,19 +623,14 @@ def rep_axioms_check(
     g = space.graph
     rep = ModuleReport()
     stack = _stack(space, c, [(n, _depth(space, n, system)) for n in space.blocks])
-    rows = {n: stack.rows_of((n, _depth(space, n, system))) for n in space.blocks}
+    rows = {n: stack.rows[(n, _depth(space, n, system))] for n in space.blocks}
     t = stack.table
 
-    # C(e0 + 2i e1) against C(e0) + 2i C(e1), one row per block of two or
-    # more point masses, at every entry of its table
+    # C(e0 + 2i e1) against C(e0) + 2i C(e1), one case per block of two or
+    # more point masses, on the phases of its first two point creations
     lin = [n for n in space.blocks if len(rows[n]) >= 2]
-    at = np.array([stack.index[(n, _depth(space, n, system))] for n in lin], dtype=np.intp)
-    begin, end = stack.entries[at], stack.entries[at + 1]
-    e = begin[:, None] + np.arange(int((end - begin).max(initial=0)))
-    e = np.where(e < end[:, None], e, len(t.k))  # each block's entries, padded with an empty one
-    k = np.append(t.k, -1)[e] - stack.rows[at][:, None]  # the point mass within its block
-    phases = np.append(t.phase[t.k, t.col], 0)[e]
-    e0, e1 = (k == 0).astype(np.complex128), (k == 1).astype(np.complex128)
+    phases = t.phase[np.array([rows[n][:2] for n in lin], dtype=np.intp).reshape(-1, 2)]
+    e0, e1 = np.array([[1.0], [0.0]], dtype=np.complex128), np.array([[0.0], [1.0]], dtype=np.complex128)
     bad = _tally(rep, compare(times(phases, e0 + 2.0j * e1), times(phases, e0) + 2.0j * times(phases, e1), tol).ok)
     if bad is not None:
         return rep.fail(("linearity", lin[bad], None))
@@ -780,7 +740,7 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     pairs = list(product(g.vertices, g.vertices))
     i, j = np.array([(at[v], at[w]) for v, w in pairs]).T
     want = XElem(g, z, np.eye(len(at))[i] * (i == j)[:, None])  # S_v S_w = [v = w] S_v
-    vertex = stack.rows_of((z, z))
+    vertex = stack.rows[(z, z)]
     bad = _tally(rep, _products_close(space, stack, stack.table, stack.table, [vertex[i]], [vertex[j]], [(want, None)], tol))
     if bad is not None:
         return rep.fail(("vertex", pairs[bad], None))
@@ -794,11 +754,11 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
         cuts = dg.splits(m, 2)
         for s, (p, q) in enumerate(cuts):
             pre, suf = g.factor_indices(p, q)
-            cl.append(stack.rows_of((p, p))[pre])
-            cr.append(stack.rows_of((q, q))[suf])
+            cl.append(stack.rows[(p, p)][pre])
+            cr.append(stack.rows[(q, q)][suf])
             cparts.append((XElem(g, m, np.diag(c.twist(p, q).values)), m))
             cwhere += [(mi, k, s, la, p) for k, la in enumerate(paths)]
-        il.append(stack.rows_of((m, m)))
+        il.append(stack.rows[(m, m)])
         iparts.append((XElem(g, z, np.eye(len(at))[[at[la.source] for la in paths]]), m))
         iwhere += [(mi, k, len(cuts), la, None) for k, la in enumerate(paths)]
     ok = np.concatenate([
@@ -819,12 +779,14 @@ def ck_relations_check(space: FockSpace, c: Cocycle, n, tol: float = 1e-9) -> Mo
     dim = space.dim
     low = ~np.all(space._deg >= np.asarray(n), axis=1)  # blocks not dominating n
     top = tables[n]
-    phases = top.phase[top.k, top.col]
+    k, col = np.nonzero(top.target[:, :-1] >= 0)
+    phases = top.phase[k, col]
     ranges = np.array([at[la.range] for la in g.paths(n)], dtype=np.intp)  # per path of degree n, its range's row
     total = np.zeros((len(vtx.target), dim), dtype=np.complex128)  # diagonal of the sum of S_la S_la* over r(la) = v
-    total[ranges[top.k], top.row] = times(phases, np.conj(phases))  # distinct paths have disjoint ranges
+    total[ranges[k], top.target[k, col]] = times(phases, np.conj(phases))  # distinct paths have disjoint ranges
     proj = np.zeros(total.shape, dtype=np.complex128)  # diagonal of S_v
-    proj[vtx.k, vtx.row] = vtx.phase[vtx.k, vtx.col]
+    k, col = np.nonzero(vtx.target[:, :-1] >= 0)
+    proj[k, vtx.target[k, col]] = vtx.phase[k, col]
     ck_sum = compare(total[:, ~low], proj[:, ~low], tol).ok
     defect = proj - total
     shape = compare(defect, proj * low, tol).ok

@@ -97,9 +97,10 @@ def bent_point_tables(monkeypatch):
         t = real(space, c, d, depth)
         if not any(d):
             return t
-        hit = space._deg[t.col].any(axis=1)
+        k, col = np.nonzero(t.target[:, :-1] >= 0)
+        hit = space._deg[col].any(axis=1)
         phase = t.phase.copy()
-        phase[t.k[hit], t.col[hit]] *= np.exp(0.1j)
+        phase[k[hit], col[hit]] *= np.exp(0.1j)
         return t._replace(phase=phase)
 
     monkeypatch.setattr(fock, "_point_table", bent)

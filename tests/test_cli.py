@@ -10,7 +10,7 @@ from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_
 from kgt.cocycle import EXACT, FLOAT, c_theta, from_table, trivial_cocycle
 from kgt.constructions import cartesian, crossed_product, identity_action
 from kgt.errors import ParseError
-from kgt.kgraph import fixture_f1, fixture_f2, validate_skeleton
+from kgt.kgraph import fixture_f1, fixture_f2, omega, validate_skeleton
 from kgt.phases import Phase, parse_angle
 from oracle import check_by_triples
 
@@ -528,6 +528,21 @@ def test_fock_relations_report_commutation_phase(files, capsys):
     text = capsys.readouterr().out
     assert "generator relations" in text
     assert "+1.000000000000i" in text
+
+
+def test_commutation_table_at_tolerance_zero(files, capsys):
+    """A pair whose S_e S_f vanishes on the interior is skipped at every
+    tolerance, so tolerance 0 prints the commutation lines of 1e-9 and no NaN."""
+    _, write = files
+    g = write("omega.json", emit_graph_doc(omega(2, (1, 1))))
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    lines = {}
+    for tol in ("0", "1e-9"):
+        assert main(["fock", g, c, "--N", "1,1", "--tolerance", tol]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        lines[tol] = [x for x in out.splitlines() if x.startswith("commutation ")]
+    assert lines["0"] == lines["1e-9"] != []
 
 
 def test_fock_y_relations_pass(files):

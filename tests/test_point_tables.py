@@ -310,8 +310,9 @@ def bent_fock_twist(monkeypatch):
         built = (c, d, depth) not in space._tables
         t = real(space, c, d, depth)
         if built and any(d):
-            e = np.flatnonzero(space._deg[t.col].any(axis=1))  # entries with a nonzero source block
-            t.phase[t.k[e], t.col[e]] *= np.exp(0.1j * t.row[e])
+            k, col = np.nonzero(t.target[:, :-1] >= 0)
+            e = np.flatnonzero(space._deg[col].any(axis=1))  # entries with a nonzero source block
+            t.phase[k[e], col[e]] *= np.exp(0.1j * t.target[k[e], col[e]])
         return t
 
     monkeypatch.setattr(fock, "_point_table", bent)
@@ -352,7 +353,7 @@ def test_point_tables_are_the_dense_point_creations():
 def test_table_algebra_is_the_matrix_algebra():
     """Composition is a gather and the adjoint the inverse index map: on
     F1's cylinder space, for point creations of the listed degrees, S_i S_j,
-    S_i* and S_i S_j* agree with the dense products."""
+    S_i*, S_i S_j* and (S_i S_j)* agree with the dense products."""
     c = c_theta(F1, Phase.exact_radians(1))
     space = FockSpace(F1, (2, 2), (3, 3))
 
@@ -368,16 +369,18 @@ def test_table_algebra_is_the_matrix_algebra():
         pairs = [(i, j) for i in range(len(A)) for j in range(len(B))]
         i, j = np.array(pairs).T
         prod, star = fock._compose(a, i, b, j), fock._compose(a, i, fock._adjoint(b), j)
+        prod_star = fock._adjoint(prod)
         for p, (x, y) in enumerate(pairs):
             assert np.allclose(dense(prod, p), (A[x] @ B[y]).matrix, atol=1e-15, rtol=0)
             assert np.allclose(dense(star, p), (A[x] @ B[y].adjoint()).matrix, atol=1e-15, rtol=0)
+            assert np.allclose(dense(prod_star, p), (A[x] @ B[y]).adjoint().matrix, atol=1e-15, rtol=0)
         adj = fock._adjoint(a)
         for x in range(len(A)):
             assert np.array_equal(dense(adj, x), A[x].adjoint().matrix)
 
 
 def test_entries_off_the_plan_are_compared():
-    """_creations_close compares every entry of the table side, also where
+    """_products_close compares every entry of the table side, also where
     the creation it is compared with has no entry: S_e against C(delta_e) is
     close; against C(delta_f), whose entries all lie elsewhere, and against
     the zero creations of degrees (1, 0) and (0, 1) it is not.  Nor is it
@@ -387,9 +390,9 @@ def test_entries_off_the_plan_are_compared():
 
     def close(space, c, x):
         e = fock._point_table(space, c, (1, 0), (1, 0))
-        lhs = fock._compose(e, [0], fock._point_table(space, c, (0, 0), (0, 0)), [0])  # S_e S_v = S_e
+        v = fock._point_table(space, c, (0, 0), (0, 0))  # S_e S_v = S_e
         stack = fock._stack(space, c, [(x.degree, x.degree)])
-        return fock._creations_close(space, stack, lhs, [(x, None)], 1e-9).tolist()
+        return fock._products_close(space, stack, e, v, [[0]], [[0]], [(x, None)], 1e-9).tolist()
 
     c, space = c_theta(F1, Phase.exact_radians(1)), FockSpace(F1, (2, 2))
     assert close(space, c, XElem(F1, (1, 0), [[1.0]])) == [True]
