@@ -88,76 +88,102 @@ def _write_json(doc, path: str | None):
     """Write json.dumps(doc, indent=2) and a newline to path, or to stdout.
 
     A numpy array in doc is written as its .tolist() would be.  The text goes
-    out in pieces, one per array, so the whole document is never held at once.
+    out in pieces: a float array as slices of a zero template with its other
+    entries spliced in between.  One template per array shape and indentation
+    is held for the length of the call, so the whole document is never held
+    at once.
     """
+    templates: dict = {}
     if path:
         with open(path, "w") as fh:
-            fh.writelines(_json_chunks(doc, ""))
+            fh.writelines(_json_chunks(doc, "", templates))
             fh.write("\n")
     else:
-        sys.stdout.writelines(_json_chunks(doc, ""))
+        sys.stdout.writelines(_json_chunks(doc, "", templates))
         sys.stdout.write("\n")
 
 
-def _json_chunks(obj, pad: str):
-    """The text of json.dumps(obj, indent=2), nested at indentation pad."""
+def _holds_array(obj) -> bool:
+    if isinstance(obj, dict):
+        return any(map(_holds_array, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_holds_array, obj))
+    return isinstance(obj, np.ndarray)
+
+
+def _json_chunks(obj, pad: str, templates: dict):
+    """The text of json.dumps(obj, indent=2), nested at indentation pad.
+
+    A value that holds no numpy array is one json.dumps call, re-indented:
+    json escapes every newline inside a string, so each newline it writes
+    starts a line of its layout.
+    """
     if isinstance(obj, np.ndarray):
-        yield _array_json(obj, pad)
-    elif isinstance(obj, dict) and obj:
+        yield from _array_json(obj, pad, templates)
+    elif not _holds_array(obj):
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    elif isinstance(obj, dict):
         inner = pad + "  "
         sep = "{\n" + inner
         for key, value in obj.items():
             # json's own key text: non-str keys become strings as json makes them
             yield sep + json.dumps({key: 0})[1:-4] + ": "
-            yield from _json_chunks(value, inner)
+            yield from _json_chunks(value, inner, templates)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
+    else:
         inner = pad + "  "
         sep = "[\n" + inner
         for item in obj:
             yield sep
-            yield from _json_chunks(item, inner)
+            yield from _json_chunks(item, inner, templates)
             sep = ",\n" + inner
         yield "\n" + pad + "]"
-    else:
-        yield json.dumps(obj)
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _array_json(arr: np.ndarray, pad: str) -> str:
-    """json.dumps(arr.tolist(), indent=2), nested at indentation pad.
+def _zero_template(shape: tuple, pad: str):
+    """(text, head, steps): json.dumps of the all-0.0 array of this shape at
+    indentation pad, and where its entries start.  Every entry is 3
+    characters, so entry (i_0, ..., i_{d-1}) starts at head + Σ i_t steps[t]."""
+    d = len(shape)
+    ind = ["\n" + pad + "  " * t for t in range(d + 1)]
+    text, steps = "0.0", [0] * d
+    for t in range(d - 1, -1, -1):
+        steps[t] = len(text) + 1 + len(ind[t + 1])
+        # brackets go on the end parts, so the outermost text is built once
+        parts = [text] * shape[t]
+        parts[0] = "[" + ind[t + 1] + parts[0]
+        parts[-1] += ind[t] + "]"
+        text = ("," + ind[t + 1]).join(parts)
+    return text, sum(1 + len(ind[t + 1]) for t in range(d)), steps
 
-    A float array's text is one join over a slot array: element i at slot
-    2i, and at slot 2i+1 the text json puts after it, which closes and
-    reopens one list per trailing axis whose index wraps there.  Zeros, most
-    entries of a creation matrix, are written without a repr call each.
+
+def _array_json(arr: np.ndarray, pad: str, templates: dict):
+    """The text of json.dumps(arr.tolist(), indent=2), nested at indentation pad.
+
+    A float array is its shape's zero template (kept in templates) with every
+    entry that is not +0.0 spliced in: its repr, or NaN, Infinity or -Infinity.
     """
     if arr.dtype.kind != "f" or arr.ndim == 0 or arr.size == 0:
-        return json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + pad)
+        yield json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + pad)
+        return
+    key = (arr.shape, pad)
+    if key not in templates:
+        templates[key] = _zero_template(arr.shape, pad)
+    text, head, steps = templates[key]
     flat = arr.ravel()
-    d = arr.ndim
-    ind = ["\n" + pad + "  " * j for j in range(d + 1)]
-    slots = np.empty(2 * arr.size - 1, dtype=object)
-    slots[0::2] = "0.0"
-    slots[2 * np.flatnonzero((flat == 0) & np.signbit(flat))] = "-0.0"
-    nonzero = np.flatnonzero(flat)
-    reprs = [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, flat[nonzero].tolist())]
-    slots[2 * nonzero] = np.array(reprs, dtype=object)
-    for t in range(d):
-        # after each element where the last t axes wrap around
-        stride = math.prod(arr.shape[d - t:])
-        slots[2 * stride - 1::2 * stride] = (
-            "".join(ind[d - 1 - j] + "]" for j in range(t))
-            + ","
-            + "".join(ind[d - t + j] + "[" for j in range(t))
-            + ind[d]
-        )
-    head = "[" + "".join(ind[j] + "[" for j in range(1, d)) + ind[d]
-    tail = "".join(ind[j] + "]" for j in range(d - 1, -1, -1))
-    return head + "".join(slots.tolist()) + tail
+    spliced = np.flatnonzero((flat != 0) | np.signbit(flat))
+    starts = sum((i * s for i, s in zip(np.unravel_index(spliced, arr.shape), steps)), head)
+    reprs = map(float.__repr__, flat[spliced].tolist())
+    end = 0
+    for start, entry in zip(starts.tolist(), reprs):
+        yield text[end:start]
+        yield _JSON_NONFINITE.get(entry, entry)
+        end = start + 3
+    yield text[end:]
 
 
 _KINDS = {dict: "an object", list: "a list", int: "an integer"}
@@ -545,11 +571,13 @@ def _creations(space: FockSpace, c: Cocycle):
 
 
 def _commutation_table(space: FockSpace, c: Cocycle):
-    """Measured scalar in S_f S_e = z * S_e S_f on the interior, per edge pair
-    where S_e S_f is nonzero there: its entries are unit phases or 0."""
+    """Report lines on the edge pairs e, f of colors i < j whose degree fits N:
+    the measured scalar z in S_f S_e = z * S_e S_f on the interior where both
+    products are nonzero there (their entries are unit phases or 0), a line
+    naming the product that vanishes where only one does, none where both do."""
     g = space.graph
     ops = dict(_creations(space, c))
-    rows = []
+    lines = []
     for e in g.all_edges:
         for f in g.all_edges:
             if not e.color < f.color:
@@ -562,13 +590,17 @@ def _commutation_table(space: FockSpace, c: Cocycle):
             mask = space.interior_mask(d)
             A = (Sf @ Se).matrix[:, mask]
             B = (Se @ Sf).matrix[:, mask]
-            nb = float(np.vdot(B, B).real)
-            if nb == 0:
+            na, nb = float(np.vdot(A, A).real), float(np.vdot(B, B).real)
+            fe, ef = f"S_{f.ident} S_{e.ident}", f"S_{e.ident} S_{f.ident}"
+            if na == nb == 0:
+                continue
+            if na == 0 or nb == 0:
+                lines.append(f"no commutation scalar for {fe}: {fe if na == 0 else ef} vanishes on the interior")
                 continue
             z = complex(np.vdot(B, A) / nb)
             residual = float(np.linalg.norm(A - z * B))
-            rows.append((f.ident, e.ident, z, residual))
-    return rows
+            lines.append(f"commutation {fe} = z {ef}: z = {z.real:+.12f}{z.imag:+.12f}i (residual {residual:.3g})")
+    return lines
 
 
 def cmd_fock(args) -> int:
@@ -618,11 +650,7 @@ def cmd_fock(args) -> int:
             rep = ck_relations_check(space, c, n, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} generator relations at degree {n}")
             failed = failed or not rep.ok
-        for fid, eid, z, residual in _commutation_table(space, c):
-            lines.append(
-                f"commutation S_{fid} S_{eid} = z S_{eid} S_{fid}: z = {z.real:+.12f}{z.imag:+.12f}i"
-                f" (residual {residual:.3g})"
-            )
+        lines += _commutation_table(space, c)
     else:
         rep = psi_check(space, c, tol=args.tolerance)
         lines.append(f"{'ok' if rep.ok else 'FAIL'} cylinder representation ({rep.cases_checked} cases)")

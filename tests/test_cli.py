@@ -531,8 +531,8 @@ def test_fock_relations_report_commutation_phase(files, capsys):
 
 
 def test_commutation_table_at_tolerance_zero(files, capsys):
-    """A pair whose S_e S_f vanishes on the interior is skipped at every
-    tolerance, so tolerance 0 prints the commutation lines of 1e-9 and no NaN."""
+    """The commutation table does not depend on the tolerance, so tolerance 0
+    prints the commutation lines of 1e-9 and no NaN."""
     _, write = files
     g = write("omega.json", emit_graph_doc(omega(2, (1, 1))))
     c = write("c.json", {"kind": "builtin", "name": "trivial"})
@@ -541,8 +541,23 @@ def test_commutation_table_at_tolerance_zero(files, capsys):
         assert main(["fock", g, c, "--N", "1,1", "--tolerance", tol]) == 0
         out = capsys.readouterr().out
         assert "nan" not in out
-        lines[tol] = [x for x in out.splitlines() if x.startswith("commutation ")]
+        lines[tol] = [x for x in out.splitlines() if "commutation " in x]
     assert lines["0"] == lines["1e-9"] != []
+
+
+def test_commutation_table_names_a_vanishing_product(files, capsys):
+    """On omega(2, (1, 1)) at N = (1, 1), each pair has one product that
+    vanishes on the interior: no scalar z is printed for it, and the line
+    names the product that vanishes."""
+    _, write = files
+    g = write("omega.json", emit_graph_doc(omega(2, (1, 1))))
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    assert main(["fock", g, c, "--N", "1,1"]) == 0
+    lines = [x for x in capsys.readouterr().out.splitlines() if not x.startswith("ok ")]
+    assert lines == [
+        "no commutation scalar for S_c2:1,0 S_c1:0,0: S_c2:1,0 S_c1:0,0 vanishes on the interior",
+        "no commutation scalar for S_c2:0,0 S_c1:0,1: S_c1:0,1 S_c2:0,0 vanishes on the interior",
+    ]
 
 
 def test_fock_y_relations_pass(files):

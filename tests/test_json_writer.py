@@ -9,6 +9,7 @@ from nested lists, which is how the document was built before.
 import json
 import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +20,14 @@ from hypothesis.extra import numpy as hnp
 from kgt.cli import _creations, _path_str, _write_json, emit_cocycle_doc, emit_graph_doc, load_cocycle, load_graph, main
 from kgt.cocycle import FLOAT, bicharacter_cocycle, c_theta
 from kgt.fock import FockSpace
-from kgt.kgraph import fixture_f1, fixture_f2
+from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import Phase
 
 F1 = fixture_f1()
 F2 = fixture_f2()
+# the benchmark's `kgt fock` graph, with an exact bicharacter of odd eighths of a turn
+SV = single_vertex(2, (2, 2))
+SV_C = bicharacter_cocycle(SV, [[Phase.from_turns(Fraction(t, 8)) for t in row] for row in ((1, 3), (5, 7))])
 
 
 def tolist_document(g_path, c_path, N, system="X", D=None):
@@ -97,6 +101,11 @@ def test_float_table_matrices(tmp_path):
     assert any(len(s) > 15 for s in text.split())
 
 
+def test_benchmark_graph_matrices(tmp_path):
+    text = assert_matrices_bytes(tmp_path, SV, SV_C, (2, 2), (2, 2))
+    assert json.loads(text)["dim"] == 49
+
+
 def test_matrices_to_stdout(tmp_path, capsys):
     c = c_theta(F1, Phase.from_turns(Fraction(1, 8)))
     g_doc, c_doc = write_pair(tmp_path, F1, c, (3, 3))
@@ -139,6 +148,41 @@ def test_special_floats_and_empty_arrays(tmp_path):
     assert text == json.dumps(tolists(doc), indent=2) + "\n"
     for word in ("NaN", "Infinity", "-Infinity", "-0.0", "[]"):
         assert word in text
+
+
+def test_templates_are_kept_per_shape_and_indentation(tmp_path):
+    """Arrays of one shape at two indentations, and of one size in two
+    shapes, with a signed zero or a non-finite value at each end."""
+
+    def marked(shape, first, last):
+        arr = np.arange(math.prod(shape)).reshape(shape) % 3 * 0.5
+        arr.flat[0], arr.flat[-1] = first, last
+        return arr
+
+    doc = {
+        "wide": marked((2, 3), -0.0, math.nan),
+        "deeper": {"m": [marked((2, 3), math.inf, -math.inf)]},
+        "tall": marked((3, 2), math.nan, -0.0),
+        "tall again": marked((3, 2), -math.inf, math.inf),
+    }
+    assert written(doc, tmp_path) == json.dumps(tolists(doc), indent=2) + "\n"
+
+
+def test_writer_holds_less_than_two_matrices(tmp_path):
+    """The writer never holds the whole text: at N = (3, 3) its peak stays
+    under twice the text of one of the five matrices."""
+    space = FockSpace(SV, (3, 3))
+    doc = {"operators": [{"matrix": np.stack((op.matrix.real, op.matrix.imag), -1)} for _, op in _creations(space, SV_C)]}
+    # each matrix sits at indentation 6, as in the --emit matrices document
+    one = len(json.dumps(doc["operators"][0]["matrix"].tolist(), indent=2).replace("\n", "\n" + " " * 6))
+    tracemalloc.start()
+    try:
+        _write_json(doc, str(tmp_path / "m.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(doc["operators"]) == 5 and (tmp_path / "m.json").stat().st_size > 5 * one
+    assert peak < 2 * one
 
 
 def test_plain_documents_are_json_dumps(tmp_path):
