@@ -297,11 +297,20 @@ def _coboundary_from_params(g: KGraph, params: dict) -> Cocycle:
     return Coboundary(g, b, name="coboundary").delta(EXACT if exact else FLOAT)
 
 
-def _edge_ids(path, where: str) -> tuple[str, ...]:
-    """A path of a table entry: a list of edge-id strings."""
+def _edge_ids(path, where: str, seen: dict) -> tuple[str, ...]:
+    """A path of a table entry: a list of edge-id strings.  `seen` maps each
+    leg the document has already passed to its tuple, so a leg listed again
+    is not checked again."""
+    if isinstance(path, list):
+        key = tuple(path)
+        try:
+            return seen[key]
+        except (KeyError, TypeError):  # a new leg, or one holding an unhashable id
+            pass
     if not isinstance(path, list) or not all(isinstance(e, str) for e in path):
         raise ParseError(f"{where}: expected a list of edge ids, got {path!r}", path)
-    return tuple(path)
+    seen[key] = key
+    return key
 
 
 def load_cocycle(doc, g: KGraph) -> Cocycle:
@@ -320,12 +329,13 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
         # per entry, as 1, 1.0, 0.0 and -0.0 are equal keys but give
         # different phases or different bits
         angles: dict[str, Phase] = {}
+        legs: dict[tuple, tuple[str, ...]] = {}
         entries = {}
         for i, ent in enumerate(_typed(_field(doc, "entries", "cocycle document"), list, "entries")):
             if not isinstance(ent, list) or len(ent) != 3:
                 raise ParseError(f"entries[{i}]: need [first, second, angle]", ent)
             le, me, ang = ent
-            key = (_edge_ids(le, f"entries[{i}][0]"), _edge_ids(me, f"entries[{i}][1]"))
+            key = (_edge_ids(le, f"entries[{i}][0]", legs), _edge_ids(me, f"entries[{i}][1]", legs))
             if key in entries:
                 raise ParseError(f"entries[{i}]: the pair {[list(p) for p in key]} is listed twice", key)
             p = angles.get(ang) if isinstance(ang, str) else None

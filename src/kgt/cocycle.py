@@ -26,9 +26,10 @@ on Lambda^(m+n+p) as the array identity
 
     T(m,n)[pre] + T(m+n,p)  =  T(m,n+p) + T(n,p)[suf]   (turns mod 1)
 
-with pre and suf from KGraph.factor_indices, once per batch: the splits
-(m, n, p) of one total degree with the same first leg m, concatenated,
-each twist scaled once to the batch's shared denominators.  Integer
+with pre and suf from KGraph.factor_indices, once per chunk: the splits
+(m, n, p) of consecutive batches, each batch the splits of one total
+degree with the same first leg m, concatenated until they hold _CHUNK
+triples, each twist scaled once to the chunk's shared denominators.  Integer
 equality decides when every table is exact and the encoding fits int64;
 otherwise, and for the entries it rejects in float mode with a positive
 tolerance, the Phase products are compared with Phase.close, as a check
@@ -64,6 +65,9 @@ FLOAT = "float"
 # Bound on every scaled numerator in an int64 identity, so that a sum of four
 # of them cannot overflow; past it the identities run on Python ints.
 _INT64_SAFE = 2**60
+
+# check_cocycle compares (C1) once per chunk of at least this many triples.
+_CHUNK = 2**15
 
 
 def as_phase(x) -> Phase:
@@ -546,53 +550,93 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     """Exhaustively verify (C1) on composable triples with total degree <= cap
     ((C2) holds by construction).  Exact mode uses zero tolerance.
 
-    The identity runs once per batch: the splits (m, n, p) of one total
-    degree with the same first leg m, contiguous in dg.splits order, which
-    share T(m, n+p) and suf.  Their gathers are concatenated, so a batch
-    holds at most prod(t - m + 1) |Lambda^t| entries, and the first failing
-    entry is the split and path divmod(entry, |Lambda^t|).
-
     Triples are visited, and counted up to the first failure, in the order
     total degree, then dg.splits(total, 3), then g.paths(total); each
     failure is reported with the Phase values the evaluator gives there.
+
+    The twists are built one batch at a time: the splits (m, n, p) of one
+    total degree with the same first leg m, contiguous in dg.splits order,
+    which share T(m, n+p) and suf.  Consecutive batches are gathered into a
+    chunk, and the identity runs once per chunk, as soon as it holds
+    _CHUNK triples, and on what is left at the end; a batch of at least
+    _CHUNK triples is a chunk of its own.  So a chunk holds fewer than
+    2 * _CHUNK triples or one batch, and memory does not grow with the cap.
+    When building a twist raises, the batches gathered before it are
+    checked first: their failure is reported, and otherwise the error
+    propagates, as a check of one batch at a time would do.
     """
     g = c.graph
     cap = dg.as_degree(cap, g.k)
     eps = 0.0 if c.mode == EXACT else tol
     rep = CocycleReport()
+    chunk: list[tuple] = []  # per split (m, n, p): total, m, n and the four (twist, index) terms of (C1)
+    held = 0  # the triples in chunk
     for total in dg.degrees_upto(cap):
         for m, batch in itertools.groupby(dg.splits(total, 3), key=lambda split: split[0]):
-            nq = dg.sub(total, m)
-            _, suf = g.factor_indices(m, nq)  # la -> la(m, m+n+p)
-            whole = c.twist(m, nq)
-            legs, rows = [], []
-            for _, n, p in batch:
-                mn = dg.add(m, n)
-                pre, _ = g.factor_indices(mn, p)  # la -> la(0, m+n)
-                legs.append(n)
-                rows.append(((c.twist(m, n), pre), (c.twist(mn, p), None), (whole, None), (c.twist(n, p), suf)))
-            columns = list(zip(*rows))
-            c1_ok = _agree(columns, eps)
-            bad = ~c1_ok
-            if c.mode == FLOAT:
-                bad = bad | (np.abs(_gather(columns[0], lambda t: t.modulus) - 1.0) > tol)
-            hits = np.flatnonzero(bad)
-            if not hits.size:
-                rep.triples_checked += bad.size
-                continue
-            hit = int(hits[0])
-            rep.triples_checked += hit + 1
-            j, i = divmod(hit, len(g.paths(total)))
-            l1, rest = g.split(g.paths(total)[i], m)
-            l2, l3 = g.split(rest, legs[j])
-            if not c1_ok[hit]:
-                lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
-                rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
-                rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
-            else:
-                rep.first_failure = ("modulus", (l1, l2), abs(complex(c(l1, l2))))
-            return rep
+            try:
+                size = len(g.paths(total))
+                nq = dg.sub(total, m)
+                _, suf = g.factor_indices(m, nq)  # la -> la(m, m+n+p)
+                whole = c.twist(m, nq)
+                gathered = []
+                for _, n, p in batch:
+                    mn = dg.add(m, n)
+                    pre, _ = g.factor_indices(mn, p)  # la -> la(0, m+n)
+                    terms = ((c.twist(m, n), pre), (c.twist(mn, p), None), (whole, None), (c.twist(n, p), suf))
+                    gathered.append((total, m, n, terms))
+            except Exception:
+                if _failed(c, chunk, eps, tol, rep):
+                    return rep
+                raise
+            triples = size * len(gathered)
+            if triples >= _CHUNK:  # a chunk of its own
+                if _failed(c, chunk, eps, tol, rep):
+                    return rep
+                held = 0
+            chunk += gathered
+            held += triples
+            if held >= _CHUNK:
+                if _failed(c, chunk, eps, tol, rep):
+                    return rep
+                held = 0
+    _failed(c, chunk, eps, tol, rep)
     return rep
+
+
+def _failed(c: Cocycle, chunk: list, eps: float, tol: float, rep: CocycleReport) -> bool:
+    """Check (C1), and in float mode the modulus, on the splits gathered in
+    chunk, and empty it.  Adds the triples checked to rep, up to and
+    including the first failure, which it records; True on a failure."""
+    g = c.graph
+    splits = chunk.copy()
+    chunk.clear()
+    if not splits:
+        return False
+    columns = list(zip(*(terms for *_, terms in splits)))
+    c1_ok = _agree(columns, eps)
+    bad = ~c1_ok
+    if c.mode == FLOAT:
+        bad = bad | (np.abs(_gather(columns[0], lambda t: t.modulus) - 1.0) > tol)
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        rep.triples_checked += bad.size
+        return False
+    hit = int(hits[0])
+    rep.triples_checked += hit + 1
+    i = hit
+    for total, m, n, _ in splits:
+        if i < len(g.paths(total)):
+            break
+        i -= len(g.paths(total))
+    l1, rest = g.split(g.paths(total)[i], m)
+    l2, l3 = g.split(rest, n)
+    if not c1_ok[hit]:
+        lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
+        rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
+        rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
+    else:
+        rep.first_failure = ("modulus", (l1, l2), abs(complex(c(l1, l2))))
+    return True
 
 
 # -- cohomology comparison ---------------------------------------------------

@@ -238,16 +238,33 @@ class KGraph:
         """Read-only prefix and suffix index arrays, cached: path i of
         paths(m+n) factors as paths(m)[pre[i]] . paths(n)[suf[i]].
 
-        The only stored factorization: built in one pass that brings the
-        edges of each mu in Lambda^m followed by each nu in s(mu).Lambda^n
-        into normal form, as compose does, and finds the composite by its
-        Path.sort_key."""
+        The only stored factorization.  When m is 0 or n is at most one
+        edge, it is built in one pass that brings the edges of each mu in
+        Lambda^m followed by each nu in s(mu).Lambda^n into normal form
+        through the squares, as compose does, and finds the composite by its
+        Path.sort_key; no Path is built per pair.  A longer n is n1 + e, with
+        e the unit of its highest color, and by unique factorization the
+        table is composed from three cached ones: la(0, m) is
+        la(0, m+n1)(0, m), and la(m, m+n) is la(m, m+n1) . la(m+n1, m+n),
+        found in an inverse of factor_indices(n1, e)."""
         m = dg.as_degree(m, self.k)
         n = dg.as_degree(n, self.k)
         key = (m, n)
         hit = self._factor.get(key)
-        if hit is None:
-            index = {p.sort_key(): t for t, p in enumerate(self.paths(dg.add(m, n)))}
+        if hit is not None:
+            return hit
+        paths = self.paths(dg.add(m, n))  # a crossed product refuses a degree past its lattice cap here
+        if any(m) and dg.total(n) > 1:
+            e = dg.unit(self.k, max(i for i, x in enumerate(n, 1) if x))
+            n1 = dg.sub(n, e)
+            pre_m, suf_m = self.factor_indices(m, n1)
+            pre_e, suf_e = self.factor_indices(dg.add(m, n1), e)
+            pre_n, suf_n = self.factor_indices(n1, e)
+            inverse = np.zeros((len(self.paths(n1)), len(self.paths(e))), dtype=np.intp)
+            inverse[pre_n, suf_n] = np.arange(len(pre_n))
+            hit = (pre_m[pre_e], inverse[suf_m[pre_e], suf_e])
+        else:
+            index = {p.sort_key(): t for t, p in enumerate(paths)}
             pn, ranged = self.paths(n), self.by_range(n)
             pre, suf = [0] * len(index), [0] * len(index)
             for i, mu in enumerate(self.paths(m)):
@@ -255,9 +272,9 @@ class KGraph:
                     t = index[self._normal_form(mu.edges + pn[j].edges) or (mu.range,)]
                     pre[t], suf[t] = i, j
             hit = (np.array(pre, dtype=np.intp), np.array(suf, dtype=np.intp))
-            for arr in hit:
-                arr.flags.writeable = False
-            self._factor[key] = hit
+        for arr in hit:
+            arr.flags.writeable = False
+        self._factor[key] = hit
         return hit
 
     # -- predicates and set operations ------------------------------------

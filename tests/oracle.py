@@ -2,7 +2,9 @@
 
 `split_by_squares` walks the squares of the skeleton one edge at a time, so
 tests can check KGraph.split, KGraph.factor_indices and everything built on
-them against it, independent of KGraph's cached tables.  `point_creations`
+them against it, independent of KGraph's cached tables.  `factor_walk` is
+the normal-form walk over every composable pair, the definition of the
+factor_indices tables that KGraph composes from one-edge tables.  `point_creations`
 builds every point-mass creation of a degree as a dense operator, for the
 dense loops that the Fock point tables replaced, and `creation_pairs` sums
 dense creation pairs C(f) C(g)*, the definition that the images of compacts
@@ -10,7 +12,7 @@ built by `fock_compacts_x` are checked against.  `twist_fields` computes
 the fields of a cocycle twist table entry by entry, the definition that
 `Twist`, which computes them once per distinct value, is checked against.
 `check_by_triples` walks (C1) one composable triple at a time, the
-definition of `check_cocycle`, which checks it in batches of degree splits.
+definition of `check_cocycle`, which checks it in chunks of degree splits.
 `zeta_dense` and `nica_dense` are the dense routes of
 `zeta_surjectivity_check` and `nica_check`, which compare the same sides in
 column-entry form: every image a dense operator, every product one `@`;
@@ -56,6 +58,21 @@ def split_by_squares(g, la, m):
     rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
     mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
     return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu
+
+
+def factor_walk(g, m, n):
+    """The definition of factor_indices(m, n): bring the edges of each mu in
+    Lambda^m followed by each nu in s(mu).Lambda^n into normal form, and find
+    the composite by its Path.sort_key; as lists (pre, suf)."""
+    m, n = dg.as_degree(m, g.k), dg.as_degree(n, g.k)
+    index = {p.sort_key(): t for t, p in enumerate(g.paths(dg.add(m, n)))}
+    pre, suf = [0] * len(index), [0] * len(index)
+    for i, mu in enumerate(g.paths(m)):
+        for j, nu in enumerate(g.paths(n)):
+            if nu.range == mu.source:
+                t = index[g._normal_form(mu.edges + nu.edges) or (mu.range,)]
+                pre[t], suf[t] = i, j
+    return pre, suf
 
 
 def creation(space, c, x):

@@ -71,6 +71,24 @@ def test_table_entries_no_twist_reads_are_refused(entry):
     assert err.value.witness == entry + ["0 turn"]
 
 
+@pytest.mark.parametrize(
+    "leg", ["ab", "ef", [1], [["a"]], {}], ids=["string", "string-of-a-listed-leg", "int-id", "list-id", "object"]
+)
+@pytest.mark.parametrize("side", [0, 1])
+def test_table_legs_that_are_not_lists_of_edge_ids_are_refused(leg, side):
+    """Each distinct leg is checked once per document; a bad leg is refused
+    with the same text in the first entry and after valid legs repeat,
+    also the string "ef" after the leg ["e", "f"]."""
+    for i in (0, 9):
+        doc = _ctheta_doc()
+        assert doc["entries"][9][side] in [ent[side] for ent in doc["entries"][:9]]
+        doc["entries"][i][side] = leg
+        where = re.escape(f"entries[{i}][{side}]: expected a list of edge ids, got {leg!r}")
+        with pytest.raises(ParseError, match=rf"^{where}$") as err:
+            load_cocycle(doc, fixture_f1())
+        assert err.value.witness == leg
+
+
 def test_table_entry_that_is_not_composable_exits_2(files, capsys):
     _, write = files
     doc = {"kind": "table", "cap": [2], "entries": [[["a"], ["b"], "0 turn"], [["b"], ["a"], "0 turn"]]}

@@ -10,6 +10,7 @@ including the first failing triple and its Phase values, must agree.
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgt import cocycle
 from kgt import degrees as dg
 from kgt.cli import _creations, emit_cocycle_doc, emit_graph_doc, main
 from kgt.cocycle import (
@@ -33,7 +35,7 @@ from kgt.cocycle import (
 from kgt.constructions import crossed_product, identity_action
 from kgt.errors import CapTooSmallForRequestedDegree, DegreeOutOfRange, NotComposable
 from kgt.fock import FockSpace
-from kgt.kgraph import KGraph, fixture_f1, fixture_f2, single_vertex
+from kgt.kgraph import KGraph, fixture_f1, fixture_f2, omega, single_vertex
 from kgt.phases import ONE, Phase, format_angle
 from kgt.verify import SuiteConfig, default_instances, random_cocycle, random_kgraph
 from oracle import check_by_triples, split_by_squares
@@ -269,6 +271,134 @@ def test_evaluator_errors_keep_their_type():
         check_cocycle(Cocycle(F1, ev), (2, 2))
 
 
+# -- chunks of batches --------------------------------------------------------
+
+
+def _chunk_sizes(monkeypatch):
+    """The triples of each chunk that check_cocycle compares, in a list that
+    fills as it runs."""
+    sizes = []
+    agree = cocycle._agree
+
+    def spy(columns, eps):
+        ok = agree(columns, eps)
+        sizes.append(ok.size)
+        return ok
+
+    monkeypatch.setattr(cocycle, "_agree", spy)
+    return sizes
+
+
+def _c_theta_table(cap, mode=EXACT, moved=None):
+    """The c_theta(1/8) table of single_vertex(2, (2, 2)) at cap, with the
+    entry `moved` multiplied by 1/3 turn, or by 1 radian in float mode."""
+    g = single_vertex(2, (2, 2))
+    entries = tabulate(c_theta(g, Phase.from_turns(Fraction(1, 8))), cap)
+    if mode == FLOAT:
+        entries = as_float_entries(entries)
+    if moved is not None:
+        entries[moved] = entries[moved] * (Phase.from_turns(Fraction(1, 3)) if mode == EXACT else Phase.from_radians(1.0))
+    return g, entries
+
+
+def test_a_failure_before_a_missing_entry_is_reported_first():
+    """One unit pair moved and one degree-(3, 3) entry deleted: the batches
+    gathered before the twist that raises are checked first, so the report
+    names the moved pair's first failure, as a check of one batch at a time
+    does, not the missing entry."""
+    g, entries = _c_theta_table((3, 3), moved=(("c1x0",), ("c1x1",)))
+    del entries[next(key for key in sorted(entries) if len(key[0]) + len(key[1]) == 6)]
+    rep = assert_same(table_cocycle(g, (3, 3), entries, EXACT), (3, 3))
+    assert rep.first_failure[0] == "C1" and rep.triples_checked == 380
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_failure_in_the_second_chunk(mode, monkeypatch):
+    """A corrupted (4, 4) table, 123,201 triples, whose first failure falls
+    in the second chunk: the report of a check with one batch per chunk.
+    The witness and count are those of check_by_triples, which takes
+    seconds here."""
+    g, entries = _c_theta_table((4, 4), mode, moved=(("c1x0",), ("c1x0", "c1x0", "c2x0", "c2x0", "c2x0", "c2x0")))
+    with monkeypatch.context() as patch:
+        patch.setattr(cocycle, "_CHUNK", 1)
+        per_batch = check_cocycle(table_cocycle(g, (4, 4), entries, mode), (4, 4))
+    sizes = _chunk_sizes(monkeypatch)
+    rep = check_cocycle(table_cocycle(g, (4, 4), entries, mode), (4, 4))
+    assert _fields(rep) == _fields(per_batch)
+    assert len(sizes) == 2 and cocycle._CHUNK <= sizes[0] < rep.triples_checked <= sum(sizes)
+    assert rep.triples_checked == 35010
+    assert repr(rep.first_failure[1]) == "(<c1x0>, <c2x0>, <c1x0.c1x0.c2x0.c2x0.c2x0>)"
+    if mode == EXACT:
+        assert repr(rep.first_failure[2]) == "(Phase(1/4 turn), Phase(7/12 turn))"
+
+
+@pytest.mark.parametrize("bound", [1, 2**15])
+def test_degrees_without_paths(bound, monkeypatch):
+    """omega(2, (2, 1)) has no path of degree (0, 2), (1, 2) or (2, 2), the
+    last degrees of the window, so their batches are empty; with a bound of
+    one triple the last chunk holds only empty batches."""
+    monkeypatch.setattr(cocycle, "_CHUNK", bound)
+    sizes = _chunk_sizes(monkeypatch)
+    g = omega(2, (2, 1))
+    entries = tabulate_by_split(random_cocycle(4, g), (2, 2))
+    rep = assert_same(table_cocycle(g, (2, 2), entries, EXACT), (2, 2))
+    assert rep.ok and sizes[-1] == (0 if bound == 1 else rep.triples_checked)
+    shift = Phase.from_turns(Fraction(1, 3))
+    failures = 0
+    for key in sorted(entries):
+        bad = table_cocycle(g, (2, 2), {**entries, key: entries[key] * shift}, EXACT)
+        failures += not assert_same(bad, (2, 2)).ok
+    assert failures > 0
+
+
+def test_a_chunk_past_the_int64_bound_falls_back_to_phases(monkeypatch):
+    """Turns 1/P1 on color 1 and 1/P2 on color 2, with P1, P2 just above
+    2**40: a batch of total degree (2, 0) or (0, 2) fits int64, but the
+    shared denominator P1 P2 of their chunk does not, so the chunk compares
+    Phase products, with the result of one batch at a time."""
+    p1, p2 = (Phase.from_turns(Fraction(1, p)) for p in BIG_PRIMES[:2])
+    c = bicharacter_cocycle(F1, [[p1, ONE], [ONE, p2]])
+    assert c.twist((1, 0), (1, 0)).ints is not None and c.twist((0, 1), (0, 1)).ints is not None
+    encoded = []  # per chunk: whether the integer encoding decided it
+    int_agree = cocycle._int_agree
+
+    def spy(columns):
+        ok = int_agree(columns)
+        encoded.append(ok is not None)
+        return ok
+
+    monkeypatch.setattr(cocycle, "_int_agree", spy)
+    assert assert_same(c, (2, 2)).ok and encoded == [False]
+    encoded.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cocycle, "_CHUNK", 1)
+        assert check_cocycle(c, (2, 2)).ok
+    assert any(encoded) and not all(encoded)
+    entries = tabulate_by_split(c, (2, 2))
+    key = (("f",), ("f",))
+    entries[key] = entries[key] * Phase.from_turns(Fraction(1, BIG_PRIMES[1]))
+    for bound in (1, 2**15):
+        monkeypatch.setattr(cocycle, "_CHUNK", bound)
+        rep = assert_same(table_cocycle(F1, (2, 2), entries, EXACT), (2, 2))
+        assert rep.first_failure[0] == "C1"
+
+
+def test_check_cocycle_memory_stays_bounded():
+    """The README's promise: memory does not grow with the cap.  The peak
+    of the (4, 4) check, its twists included, is about 4 MiB; one window
+    over all 123,201 triples took 11 MiB."""
+    g, entries = _c_theta_table((4, 4))
+    c = table_cocycle(g, (4, 4), entries, EXACT)
+    tracemalloc.start()
+    try:
+        rep = check_cocycle(c, (4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.triples_checked == 123201
+    assert peak < 6 * 2**20
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     subject=st.integers(0, 3),
@@ -349,6 +479,18 @@ def test_factor_indices_compose_no_paths(monkeypatch):
     assert len(gamma.factor_indices((1, 1), (0, 0))[0]) == len(gamma.paths((1, 1)))
     with pytest.raises(CapTooSmallForRequestedDegree, match=r"lattice degree \(2,\) exceeds cap \(1,\)"):
         gamma.factor_indices((0, 1), (1, 1))
+    # every pair past the cap is refused, before and after the tables within it are built
+    for fresh in (crossed_product(F2, identity_action(F2), (1,)), gamma):
+        for total in dg.degrees_upto((3, 3)):
+            for m, n in dg.splits(total, 2):
+                if total[1] <= 1:
+                    _, suf = fresh.factor_indices(m, n)
+                    assert len(suf) == len(fresh.paths(total))
+                    continue
+                with pytest.raises(CapTooSmallForRequestedDegree) as err:
+                    fresh.factor_indices(m, n)
+                assert str(err.value) == f"lattice degree {total[1:]} exceeds cap (1,)"
+                assert err.value.witness == total[1:]
 
 
 # -- degree coercion ---------------------------------------------------------

@@ -24,7 +24,7 @@ from kgt.kgraph import (
     validate_skeleton,
 )
 from kgt.verify import builtin_suite_graphs, random_kgraph
-from oracle import split_by_squares
+from oracle import factor_walk, split_by_squares
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -226,16 +226,32 @@ def _oracle_graphs():
 
 
 def test_factor_indices_consistent_with_split():
-    for label, g in _oracle_graphs():
-        for d in dg.degrees_upto(g.clip((2,) * g.k if g.k <= 2 else (2, 1, 1))):
+    """factor_indices equals the normal-form walk over every pair and the
+    factorization through the squares, and split reads it.  Up to (3, 3)
+    or (2, 2, 1), n has two or more edges in mixed colors, so most tables
+    are composed from one-edge tables; omega(2, (1, 1)) has sources and
+    uneven in-degrees."""
+    for label, g in [*_oracle_graphs(), ("omega(2,(1,1))", omega(2, (1, 1)))]:
+        for d in dg.degrees_upto(g.clip((3,) * g.k if g.k <= 2 else (2, 2, 1))):
             for m in dg.degrees_upto(d):
                 n = dg.sub(d, m)
                 pre, suf = g.factor_indices(m, n)
-                assert len(pre) == len(suf) == len(g.paths(d)), label
+                assert (pre.tolist(), suf.tolist()) == factor_walk(g, m, n), (label, m, n)
                 for la, i, j in zip(g.paths(d), pre.tolist(), suf.tolist()):
                     want = split_by_squares(g, la, m)
                     assert (g.paths(m)[i], g.paths(n)[j]) == want, (label, la, m)
                     assert g.split(la, m) == want, (label, la, m)
+
+
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_factor_indices_match_the_walk_on_random_graphs(seed, k, data):
+    g = random_kgraph(seed, k=k)
+    top = (3,) * k if k <= 2 else (2, 2, 1)
+    m = tuple(data.draw(st.integers(0, x)) for x in top)
+    n = tuple(data.draw(st.integers(0, x - y)) for x, y in zip(top, m))
+    pre, suf = g.factor_indices(m, n)
+    assert (pre.tolist(), suf.tolist()) == factor_walk(g, m, n)
 
 
 # -- predicates and set operations ------------------------------------------
