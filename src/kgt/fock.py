@@ -10,6 +10,10 @@ stage.  Identities that survive truncation do so on interior(d), the span of
 blocks of degree <= N-d; everything asserted here is asserted at that
 compression, and defects are reported rather than dropped.
 
+A point creation sends each basis vector to at most one basis vector, so
+every check here compares entries of index maps and phases, the point
+tables; only creation_x and creation_y build a dense operator.
+
 Adjoints are plain conjugate transposes: each block's pairing is the counting
 l2 product of coefficient vectors, which is the module inner product summed
 with weight one over the base.
@@ -177,11 +181,6 @@ class FockOp:
         if self.matrix.shape != (space.dim, space.dim):
             raise DegreeMismatch(f"matrix shape {self.matrix.shape}, expected {space.dim}", None)
 
-    @classmethod
-    def zeros(cls, space: FockSpace, shift=None) -> "FockOp":
-        shift = (0,) * space.graph.k if shift is None else shift
-        return cls(space, shift, np.zeros((space.dim, space.dim)))
-
     def _same(self, other: "FockOp") -> None:
         if self.space is not other.space:
             raise DegreeMismatch("operators on different spaces", None)
@@ -224,26 +223,30 @@ class FockOp:
         return f"FockOp(shift {self.shift}, dim {self.space.dim})"
 
 
-def gauge_unitary(space: FockSpace, z) -> FockOp:
-    """Diagonal unitary acting by prod z_i^(n_i) on the degree-n block."""
-    z = tuple(complex(x) for x in z)
-    if len(z) != space.graph.k:
-        raise DegreeMismatch(f"need {space.graph.k} circle coordinates", z)
-    diag = np.ones(space.dim, dtype=np.complex128)
-    for i, zi in enumerate(z):
-        diag *= zi ** space._deg[:, i]
-    return FockOp(space, (0,) * space.graph.k, np.diag(diag))
+def _key(x) -> tuple:
+    """The (shift, depth) of the point table that the creation by x reads."""
+    return (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)
 
 
-def _create(space: FockSpace, c: Cocycle, d, depth, coeffs: np.ndarray) -> FockOp:
-    """The creation by coeffs, of coefficient depth `depth`: the point
-    creations of the table (d, depth), weighted by coeffs, in one scatter."""
+def _creation_entries(space: FockSpace, c: Cocycle, x):
+    """(column, row, value) of every entry of the creation by x: the rows of
+    its point table at x's nonzero coefficients, weighted by them."""
+    d, depth = _key(x)
+    if not dg.leq(d, space.N):
+        raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
+    if not dg.leq(depth, space.block_depth(d)):
+        raise DepthOverflow(f"depth {depth} cannot act within working depth {space.D}", (depth, space.D))
     t = _point_table(space, c, d, depth)
+    (k,) = np.nonzero(x.coeffs)
+    return _entries(_PointTable(t.target[k], t.phase[k]), x.coeffs[k], k, np.ones(space.dim, dtype=bool))[1:]
+
+
+def _create(space: FockSpace, c: Cocycle, x) -> FockOp:
+    """The dense creation by x: its entries in one scatter."""
+    col, row, value = _creation_entries(space, c, x)
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    (k,) = np.nonzero(coeffs)
-    _, col, row, value = _entries(_PointTable(t.target[k], t.phase[k]), coeffs[k], k, np.ones(space.dim, dtype=bool))
     M[row, col] = value
-    return FockOp(space, d, M)
+    return FockOp(space, _key(x)[0], M)
 
 
 def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
@@ -251,22 +254,12 @@ def creation_x(space: FockSpace, c: Cocycle, f: XElem) -> FockOp:
 
     On a space with D > N this is the canonical map X_d -> L(F_Y): f acts as
     the cylinder alpha(d, d, f)."""
-    d = f.degree
-    if not dg.leq(d, space.N):
-        raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
-    return _create(space, c, d, d, f.coeffs)
+    return _create(space, c, f)
 
 
 def creation_y(space: FockSpace, c: Cocycle, h: CylElem) -> FockOp:
     """Left twisted multiplication by h on the cylinder blocks."""
-    d = h.module_degree
-    if not dg.leq(d, space.N):
-        raise DegreeExceedsTruncation(f"degree {d} exceeds {space.N}", d)
-    if not dg.leq(h.depth, space.block_depth(d)):
-        raise DepthOverflow(
-            f"depth {h.depth} cannot act within working depth {space.D}", (h.depth, space.D)
-        )
-    return _create(space, c, d, h.depth, h.coeffs)
+    return _create(space, c, h)
 
 
 # -- point creations as index tables -----------------------------------------
@@ -375,10 +368,8 @@ def _products_close(space: FockSpace, stack: _Stack, a: _PointTable, b: _PointTa
         s = slice(at, at + len(x.coeffs))
         if d is not None:
             inside[s] = space.interior_mask(d)
-        # the rows of the table that creation_x or creation_y reads for x
-        key = (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)
         p, k = np.nonzero(x.coeffs)
-        rows.append(stack.rows[key][k])
+        rows.append(stack.rows[_key(x)][k])
         w.append(x.coeffs[p, k])
         owner.append(at + p)
         at = s.stop
@@ -464,26 +455,6 @@ def _rank_ones(space: FockSpace, c: Cocycle, m, i, j) -> _PointTable:
     return out._replace(phase=np.where(out.target >= 0, out.phase, 0))
 
 
-def fock_compacts_x(space: FockSpace, c: Cocycle, S: XOp) -> FockOp:
-    """psi^(m)(S), the degree-shift-zero image of a compact S on X_m: the sum
-    of S[i, j] C(delta_i) C(delta_j)* over the nonzero entries of S,
-    scattered from _rank_ones, dim terms at a time.  The one builder of
-    this image: by bilinearity, C(f) C(g)* is the image of x_theta(f, g)."""
-    m = S.degree
-    if not dg.leq(m, space.N):
-        raise DegreeExceedsTruncation(f"degree {m} exceeds {space.N}", m)
-    i, j = np.nonzero(S.matrix)
-    w = S.matrix[i, j]
-    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    everywhere = np.ones(space.dim, dtype=bool)
-    step = max(space.dim, 1)
-    for at in range(0, len(i), step):
-        s = slice(at, at + step)
-        _, col, row, value = _entries(_rank_ones(space, c, m, i[s], j[s]), w[s], i[s], everywhere)
-        np.add.at(M, (row, col), value)
-    return FockOp(space, dg.zero(space.graph.k), M)
-
-
 def _cylinder_rank_ones(space: FockSpace, c: Cocycle, m, a, b) -> tuple[np.ndarray, np.ndarray]:
     """psi_Y(alpha_k(x_theta(delta_a[p], delta_b[p]))), the cylinder side of
     Prop 5.1, on interior(m), for every pair p: (pairs, dim) target rows and
@@ -516,17 +487,24 @@ def _cylinder_rank_ones(space: FockSpace, c: Cocycle, m, a, b) -> tuple[np.ndarr
     return target, phase
 
 
-def fock_compacts_y(space: FockSpace, c: Cocycle, S) -> FockOp:
-    """The image of an adjointable operator on Y_n: extend to every block above n."""
+def _cylinder_compacts(space: FockSpace, c: Cocycle, S) -> tuple:
+    """The entries (owner 0, column, row, value) of the image of an
+    adjointable operator S on Y_n, on interior(n): the nonzeros of y_iota(S)
+    lifted to the depth of each block q >= n that interior(n) holds, where
+    it acts.  The cylinder side of the covariance identity, read from ymod
+    alone, never from a point table."""
     n = S.module_degree
-    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    top = dg.sub(space.N, n)
+    empty = np.zeros(0, dtype=np.intp)
+    entries = [(empty, empty, np.zeros(0, dtype=np.complex128))]
     for q in space.blocks:
-        if not dg.leq(n, q):
-            continue
-        block = y_iota(c, S, q).lift(space.block_depth(q)).matrix
-        sl = space.block_slice(q)
-        M[sl, sl] = block
-    return FockOp(space, (0,) * space.graph.k, M)
+        if dg.leq(n, q) and dg.leq(q, top):
+            block = y_iota(c, S, q).lift(space.block_depth(q)).matrix
+            r, k = np.nonzero(block)
+            at = space.block_slice(q).start
+            entries.append((at + k, at + r, block[r, k]))
+    col, row, value = (np.concatenate(x) for x in zip(*entries))
+    return np.zeros(len(col), dtype=np.intp), col, row, value
 
 
 # -- relation suites ---------------------------------------------------------
@@ -705,13 +683,37 @@ def cp_identity_check(space: FockSpace, c: Cocycle, a: VertexFn, n, tol: float =
 
     Both defects subtract the same creation by a from an image of a's left
     action on the degree-n module, and only absolute differences count, so
-    the two images of compacts are compared directly."""
+    the two images are compared directly, as entries with one owner: the
+    rank-ones of degree n weighted by phi_x(a, n), against
+    _cylinder_compacts of phi_y(a, n)."""
     n = dg.as_degree(n, space.graph.k)
-    lhs = fock_compacts_x(space, c, phi_x(a, n))
-    rhs = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n))
+    inside = space.interior_mask(n)
+    S = phi_x(a, n).matrix
+    i, j = np.nonzero(S)
+    lhs = _entries(_rank_ones(space, c, n, i, j), S[i, j], np.zeros(len(i), dtype=np.intp), inside)
+    rhs = _cylinder_compacts(space, c, phi_y(CylElem.from_vertex_fn(a), n))
     rep = ModuleReport(cases_checked=1)
-    if not lhs.close_on_interior(rhs, n, tol):
+    if not _sums_close(space, 1, lhs, rhs, tol)[0]:
         return rep.fail(("cp-identity", n, None))
+    return rep
+
+
+def gauge_check(space: FockSpace, c: Cocycle, z, x, tol: float = 1e-9) -> ModuleReport:
+    """Remark 4.6(ii): the gauge unitary U of z, which acts by
+    prod z_i^(q_i) on the block q, conjugates the creation C by x, of
+    degree d, to z^d C.  U is diagonal, so U C U* is u[row] value
+    conj(u[col]) on each entry that the creation scatters."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.shape != (space.graph.k,):
+        raise DegreeMismatch(f"need {space.graph.k} circle coordinates", tuple(z))
+    u = np.ones(space.dim, dtype=np.complex128)
+    for i, zi in enumerate(z):
+        u *= zi ** space._deg[:, i]
+    d = _key(x)[0]
+    col, row, value = _creation_entries(space, c, x)
+    rep = ModuleReport(cases_checked=1)
+    if not arrays_close(u[row] * value * np.conj(u[col]), complex(np.prod(z ** np.asarray(d))) * value, tol):
+        return rep.fail(("degree-character", d, None))
     return rep
 
 

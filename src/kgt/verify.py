@@ -48,9 +48,7 @@ from .fock import (
     FockSpace,
     ck_relations_check,
     cp_identity_check,
-    creation_x,
-    creation_y,
-    gauge_unitary,
+    gauge_check,
     nica_check,
     psi_check,
     relation_degrees,
@@ -1236,17 +1234,12 @@ def _chk_gauge(inst, cfg, rng):
     z = np.exp(2j * np.pi * rng.random(size=g.k))
     for system, depth in (("X", N), ("Y", D)):
         space = FockSpace(g, N, depth)
-        u = np.diag(gauge_unitary(space, z).matrix)  # U is diagonal: U C U* is u_r C[r, s] conj(u_s)
         for i in range(1, g.k + 1):
             n = dg.unit(g.k, i)
             if not dg.leq(n, N):
                 continue
-            if system == "X":
-                C = creation_x(space, c, _rand_xelem(g, n, rng))
-            else:
-                C = creation_y(space, c, _rand_cyl(g, n, n, rng))
-            scaled = complex(np.prod(z**np.asarray(n))) * C
-            if not arrays_close(u[:, None] * C.matrix * np.conj(u), scaled.matrix, cfg.tolerance):
+            x = _rand_xelem(g, n, rng) if system == "X" else _rand_cyl(g, n, n, rng)
+            if not gauge_check(space, c, z, x, cfg.tolerance).ok:
                 return ("degree-character", system, n)
     return None
 

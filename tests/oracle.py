@@ -8,7 +8,10 @@ factor_indices tables that KGraph composes from one-edge tables.  `point_creatio
 builds every point-mass creation of a degree as a dense operator, for the
 dense loops that the Fock point tables replaced, and `creation_pairs` sums
 dense creation pairs C(f) C(g)*, the definition that the images of compacts
-built by `fock_compacts_x` are checked against.  `twist_fields` computes
+built by `fock_compacts_x` are checked against.  `fock_compacts_x`,
+`fock_compacts_y` and `gauge_unitary` are the dense images of compacts of X
+and Y and the dense gauge unitary, which the Fock checks replaced by entry
+lists of the point tables and of `y_iota`.  `twist_fields` computes
 the fields of a cocycle twist table entry by entry, the definition that
 `Twist`, which computes them once per distinct value, is checked against.
 `check_by_triples` walks (C1) one composable triple at a time, the
@@ -27,10 +30,11 @@ import numpy as np
 from kgt import degrees as dg
 from kgt import fock
 from kgt.cocycle import EXACT, FLOAT, CocycleReport
+from kgt.errors import DegreeExceedsTruncation, DegreeMismatch
 from kgt.fock import FockOp, creation_x, creation_y
 from kgt.kgraph import Path
 from kgt.xmod import ModuleReport, XElem, XOp, arrays_close, x_compact_align, x_theta
-from kgt.ymod import CylElem, alpha, alpha_decompose, phi_y
+from kgt.ymod import CylElem, alpha, alpha_decompose, phi_y, y_iota
 
 
 def _pull_front(g, seq, color):
@@ -75,6 +79,57 @@ def factor_walk(g, m, n):
     return pre, suf
 
 
+def zeros(space, shift=None):
+    """The zero operator of degree shift (default 0) on the Fock space."""
+    shift = (0,) * space.graph.k if shift is None else shift
+    return FockOp(space, shift, np.zeros((space.dim, space.dim)))
+
+
+def gauge_unitary(space, z):
+    """Diagonal unitary acting by prod z_i^(n_i) on the degree-n block."""
+    z = tuple(complex(x) for x in z)
+    if len(z) != space.graph.k:
+        raise DegreeMismatch(f"need {space.graph.k} circle coordinates", z)
+    diag = np.ones(space.dim, dtype=np.complex128)
+    for i, zi in enumerate(z):
+        diag *= zi ** space._deg[:, i]
+    return FockOp(space, (0,) * space.graph.k, np.diag(diag))
+
+
+def fock_compacts_x(space, c, S):
+    """psi^(m)(S), the degree-shift-zero image of a compact S on X_m: the sum
+    of S[i, j] C(delta_i) C(delta_j)* over the nonzero entries of S,
+    scattered from fock._rank_ones, dim terms at a time; by bilinearity,
+    C(f) C(g)* is the image of x_theta(f, g)."""
+    m = S.degree
+    if not dg.leq(m, space.N):
+        raise DegreeExceedsTruncation(f"degree {m} exceeds {space.N}", m)
+    i, j = np.nonzero(S.matrix)
+    w = S.matrix[i, j]
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    everywhere = np.ones(space.dim, dtype=bool)
+    step = max(space.dim, 1)
+    for at in range(0, len(i), step):
+        s = slice(at, at + step)
+        _, col, row, value = fock._entries(fock._rank_ones(space, c, m, i[s], j[s]), w[s], i[s], everywhere)
+        np.add.at(M, (row, col), value)
+    return FockOp(space, dg.zero(space.graph.k), M)
+
+
+def fock_compacts_y(space, c, S):
+    """The image of an adjointable operator on Y_n: y_iota(S) lifted into
+    every block above n."""
+    n = S.module_degree
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for q in space.blocks:
+        if not dg.leq(n, q):
+            continue
+        block = y_iota(c, S, q).lift(space.block_depth(q)).matrix
+        sl = space.block_slice(q)
+        M[sl, sl] = block
+    return FockOp(space, (0,) * space.graph.k, M)
+
+
 def creation(space, c, x):
     """The dense creation by a path function or a cylinder element."""
     if isinstance(x, XElem):
@@ -93,7 +148,7 @@ def creation_pairs(space, c, pairs):
     """The sum of C(f) C(g)* over the pairs (f, g) of path functions, as
     dense creations; a frame gs gives its covariance sum through the pairs
     (g, conj g)."""
-    out = FockOp.zeros(space)
+    out = zeros(space)
     for f, g in pairs:
         out = out + creation_x(space, c, f) @ creation_x(space, c, g).adjoint()
     return out
@@ -160,10 +215,10 @@ def zeta_dense(space, c, n, tol=1e-9):
         tail = alpha(dg.zero(g.k), p, dec.f_tilde)
 
         thetas = sum((x_theta(dec.f_tilde, eta) for eta in dec.eta), XOp.zeros(g, p))
-        inner_sum = fock.fock_compacts_x(space, c, thetas)
-        defect = fock.fock_compacts_x(space, c, XOp(g, p, phi_y(tail, p).matrix)) - creation_y(space, c, tail)
+        inner_sum = fock_compacts_x(space, c, thetas)
+        defect = fock_compacts_x(space, c, XOp(g, p, phi_y(tail, p).matrix)) - creation_y(space, c, tail)
 
-        assembled = FockOp.zeros(space, n)
+        assembled = zeros(space, n)
         for xi in dec.xi:
             assembled = assembled + creation_x(space, c, xi) @ (inner_sum - defect)
 
@@ -184,7 +239,7 @@ def zeta_dense(space, c, n, tol=1e-9):
 def compacts_x_dense(space, ops, S):
     """psi(S), the sum of S[i, j] ops[i] @ ops[j]* over the nonzero entries
     of S, for the dense point creations ops of S's degree."""
-    out = FockOp.zeros(space)
+    out = zeros(space)
     for (i, j), w in np.ndenumerate(S.matrix):
         if w != 0:
             out = out + w * (ops[i] @ ops[j].adjoint())

@@ -25,16 +25,17 @@ def witness(check_id, cap):
 
 @pytest.fixture
 def bent_cylinder_compacts(monkeypatch):
-    """fock_compacts_y with its block at the operator's own degree scaled by 1 + 1e-6."""
-    real = fock.fock_compacts_y
+    """The cylinder side of cp_identity_check, with its entries inside the
+    block of the operator's own degree scaled by 1 + 1e-6."""
+    real = fock._cylinder_compacts
 
     def bent(space, c, S):
-        out = real(space, c, S)
+        owner, col, row, value = real(space, c, S)
         sl = space.block_slice(S.module_degree)
-        out.matrix[sl, sl] *= 1 + 1e-6
-        return out
+        inside = (sl.start <= row) & (row < sl.stop)
+        return owner, col, row, np.where(inside, value * (1 + 1e-6), value)
 
-    monkeypatch.setattr(fock, "fock_compacts_y", bent)
+    monkeypatch.setattr(fock, "_cylinder_compacts", bent)
 
 
 def test_cp_covariance_sees_the_cylinder_compacts(bent_cylinder_compacts):
@@ -104,6 +105,26 @@ def bent_point_tables(monkeypatch):
         return t._replace(phase=phase)
 
     monkeypatch.setattr(fock, "_point_table", bent)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_gauge_check_sees_creations_that_keep_their_block(monkeypatch, cap):
+    """Point tables of every nonzero shift that map each entry's column to
+    itself, so that no creation leaves its block and the gauge unitary
+    conjugates it to itself, not to z^d times it."""
+    real = fock._point_table
+
+    def kept(space, c, d, depth):
+        t = real(space, c, d, depth)
+        if not any(d):
+            return t
+        k, col = np.nonzero(t.target[:, :-1] >= 0)
+        target = t.target.copy()
+        target[k, col] = col
+        return t._replace(target=target)
+
+    monkeypatch.setattr(fock, "_point_table", kept)
+    assert witness("remark-4.6ii", cap) == ("degree-character", "X", (1,))
 
 
 def test_generator_relations_see_the_point_tables(bent_point_tables):

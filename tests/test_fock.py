@@ -10,7 +10,7 @@ from kgt import builtin_fixtures
 from kgt import degrees as dg
 from kgt import fock
 from kgt.cocycle import Cocycle, c_theta, trivial_cocycle
-from kgt.errors import DegreeExceedsTruncation, DepthOverflow, FockSpaceTooLarge
+from kgt.errors import DegreeExceedsTruncation, DegreeMismatch, DepthOverflow, FockSpaceTooLarge
 from kgt.fock import (
     MAX_OP_BYTES,
     FockOp,
@@ -19,8 +19,7 @@ from kgt.fock import (
     cp_identity_check,
     creation_x,
     creation_y,
-    fock_compacts_y,
-    gauge_unitary,
+    gauge_check,
     nica_check,
     psi_check,
     rep_axioms_check,
@@ -31,7 +30,7 @@ from kgt.phases import ONE, Phase
 from kgt.verify import SuiteConfig, _fock_caps, default_instances
 from kgt.xmod import VertexFn, XElem, XOp, arrays_close, compare, x_theta
 from kgt.ymod import CylElem, YOp, alpha, alpha_k
-from oracle import point_creations
+from oracle import fock_compacts_y, gauge_unitary, point_creations
 
 F1 = builtin_fixtures("f1")
 F2 = builtin_fixtures("f2")
@@ -113,6 +112,9 @@ def test_gauge_grading_scales_creations():
         U = gauge_unitary(F, z)
         scaled = (z[0] ** 1) * (z[1] ** 1) * op
         assert (U @ op @ U.adjoint()).close(scaled, tol=1e-12)
+        assert gauge_check(F, c, z, f, tol=1e-12).ok
+    with pytest.raises(DegreeMismatch):
+        gauge_check(F, c, (1j,), f)
 
 
 def test_rep_axioms_pass_on_fixtures():

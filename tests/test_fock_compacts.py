@@ -1,13 +1,14 @@
 """psi^(n), the Fock image of a compact, against the dense creation pairs.
 
-`cp_identity_check` and `oracle.zeta_dense`, the dense route of
-`zeta_surjectivity_check`, build every image of a compact with
-`fock_compacts_x`.  Each call is recorded here and compared with the sum of
-dense creation pairs C(g) C(h)* over the frame the paper writes: the
+`cp_identity_check` lists the entries of psi^(n)(phi_x(a, n)) from the
+point tables, and `oracle.zeta_dense`, the dense route of
+`zeta_surjectivity_check`, builds every image of a compact with the
+oracle's `fock_compacts_x`.  Each is recorded here and compared with the
+sum of dense creation pairs C(g) C(h)* over the frame the paper writes: the
 square-root singletons of phi_x and phi_y, and the tail sections of an
-alpha decomposition.  `psi_check` compares Prop 5.1's two sides in
-column-entry form; its cylinder side is compared here with the dense
-`fock_compacts_y` it replaced.
+alpha decomposition.  The cylinder sides, `fock._cylinder_compacts` of
+`cp_identity_check` and `fock._cylinder_rank_ones` of `psi_check`, are
+compared with the dense `fock_compacts_y` they replaced.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from kgt import degrees as dg
 from kgt import fock
 from kgt.cocycle import FLOAT, Coboundary, c_theta, trivial_cocycle
@@ -23,33 +25,40 @@ from kgt.fock import (
     FockSpace,
     cp_identity_check,
     creation_y,
-    fock_compacts_y,
     psi_check,
     zeta_surjectivity_check,
 )
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import Phase, parse_angle
 from kgt.verify import SuiteConfig, _fock_caps, _rand_vertexfn, default_instances, run_suite
-from kgt.xmod import XElem, arrays_close, phi_x_decompose, x_theta
-from kgt.ymod import CylElem, alpha, alpha_decompose, alpha_k, phi_y_decompose
-from oracle import creation_pairs, zeta_dense
+from kgt.xmod import VertexFn, XElem, arrays_close, phi_x_decompose, x_theta
+from kgt.ymod import CylElem, alpha, alpha_decompose, alpha_k, phi_y, phi_y_decompose
+from oracle import creation_pairs, fock_compacts_y, zeta_dense
 
 TOL = 1e-12
 
 
-@pytest.fixture
-def images(monkeypatch):
-    """Every operator fock_compacts_x returns, in call order."""
+def recorder(monkeypatch, module, name):
+    """Every call of module.name, as its arguments and its result, in call
+    order."""
     seen = []
-    real = fock.fock_compacts_x
+    real = getattr(module, name)
 
-    def record(space, c, S):
-        out = real(space, c, S)
-        seen.append(out)
+    def record(*args):
+        out = real(*args)
+        seen.append((args, out))
         return out
 
-    monkeypatch.setattr(fock, "fock_compacts_x", record)
+    monkeypatch.setattr(module, name, record)
     return seen
+
+
+def scatter(space, entries):
+    """The dense sum of a list of entries (owner, column, row, value)."""
+    _, col, row, value = entries
+    M = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    np.add.at(M, (row, col), value)
+    return M
 
 
 def frame_pairs(frame):
@@ -60,7 +69,12 @@ def assert_close(got, want, where):
     assert arrays_close(got.matrix, want.matrix, TOL), where
 
 
-def test_covariance_images_agree_with_the_creation_pairs(images):
+def test_covariance_images_agree_with_the_creation_pairs(monkeypatch):
+    """The X side of cp_identity_check, scattered densely, is the sum of the
+    creation pairs over phi_x's frame on interior(n), where it lists its
+    entries; the images of zeta_dense are the sums over their frames."""
+    sums = recorder(monkeypatch, fock, "_sums_close")
+    images = recorder(monkeypatch, oracle, "fock_compacts_x")
     cfg = SuiteConfig(degree_entry_cap=1)
     rng = np.random.default_rng(5)
     zeta_seen = 0
@@ -71,13 +85,14 @@ def test_covariance_images_agree_with_the_creation_pairs(images):
         degrees = [dg.unit(g.k, 1), N] if any(N) else [N]
 
         a = _rand_vertexfn(g, rng)
-        psi0 = creation_y(sy, c, CylElem.from_vertex_fn(a))
         for n in degrees:
-            images.clear()
+            sums.clear()
             assert cp_identity_check(sy, c, a, n).ok, (inst.label, n)
-            (image,) = images
-            want = creation_pairs(sy, c, frame_pairs(phi_x_decompose(a, n))) - psi0
-            assert_close(image - psi0, want, (inst.label, "cp-identity", n))
+            (((_, _, lhs, _, _), _),) = sums
+            inside = sy.interior_mask(n)
+            assert inside[lhs[1]].all(), (inst.label, n)
+            want = creation_pairs(sy, c, frame_pairs(phi_x_decompose(a, n))).matrix
+            assert arrays_close(scatter(sy, lhs)[:, inside], want[:, inside], TOL), (inst.label, "cp-identity", n)
 
         if not g.is_source_free()[0] or not dg.leq(dg.sub(D, N), N):
             continue
@@ -89,8 +104,9 @@ def test_covariance_images_agree_with_the_creation_pairs(images):
             depth = sy.block_depth(n)
             p = dg.sub(depth, n)
             paths = g.paths(depth)
-            assert len(images) == 2 * len(paths)
-            for la, inner_sum, compacts in zip(paths, images[::2], images[1::2]):
+            outs = [out for _, out in images]
+            assert len(outs) == 2 * len(paths)
+            for la, inner_sum, compacts in zip(paths, outs[::2], outs[1::2]):
                 dec = alpha_decompose(XElem.delta(g, la), n)
                 want = creation_pairs(sy, c, [(dec.f_tilde, eta) for eta in dec.eta])
                 assert_close(inner_sum, want, (inst.label, "inner-sum", la))
@@ -149,11 +165,34 @@ def test_cylinder_rank_ones_are_the_dense_cylinder_compacts():
                     assert arrays_close(got[:, inside], want, 1e-15), where
 
 
+def test_cylinder_compacts_are_the_dense_cylinder_compacts():
+    """On every degree n <= N, at D = N and at D > N, the entries that
+    cp_identity_check lists for a cylinder image are fock_compacts_y's on
+    interior(n), and none lies outside it: for phi_y of a vertex function,
+    whose image the check compares, and for alpha_k of a rank-one, which
+    moves entries between paths."""
+    rng = np.random.default_rng(11)
+    for g, c in _cylinder_subjects():
+        N = (2,) * g.k
+        a = CylElem.from_vertex_fn(VertexFn(g, rng.normal(size=len(g.vertices)) + 1j * rng.normal(size=len(g.vertices))))
+        for D in (N, (3,) * g.k):
+            space = FockSpace(g, N, D)
+            for n in space.blocks:
+                inside = space.interior_mask(n)
+                paths = g.paths(n)
+                rank_one = alpha_k(x_theta(XElem.delta(g, paths[0]), XElem.delta(g, paths[-1])))
+                for S in (phi_y(a, n), rank_one):
+                    entries = fock._cylinder_compacts(space, c, S)
+                    where = (c.name, D, n)
+                    assert (entries[0] == 0).all() and inside[entries[1]].all(), where
+                    assert np.array_equal(scatter(space, entries)[:, inside], fock_compacts_y(space, c, S).matrix[:, inside]), where
+
+
 def test_psi_check_builds_no_dense_cylinder_compacts(monkeypatch):
     def refuse(*args):
         raise AssertionError("psi_check built a dense cylinder compact")
 
-    monkeypatch.setattr(fock, "fock_compacts_y", refuse)
+    monkeypatch.setattr(fock, "_cylinder_compacts", refuse)
     monkeypatch.setattr(fock, "y_iota", refuse)
     F2 = fixture_f2()
     assert psi_check(FockSpace(F2, (2,), (3,)), trivial_cocycle(F2)).cases_checked == 43
@@ -162,10 +201,10 @@ def test_psi_check_builds_no_dense_cylinder_compacts(monkeypatch):
 
 
 def test_cp_identity_is_exact_at_tolerance_zero():
-    """fock_compacts_x and y_iota round every complex product as
-    xmod.times does, so on F1/delta(rand-b) at cap 2 the two covariance
-    defects agree bit for bit; with numpy's complex loop in y_iota they
-    differed by 3.1e-17 at degree (1, 0)."""
+    """The rank-one entries of the X side and y_iota round every complex
+    product as xmod.times does, so on F1/delta(rand-b) at cap 2 the two
+    covariance defects agree bit for bit; with numpy's complex loop in
+    y_iota they differed by 3.1e-17 at degree (1, 0)."""
     cfg = SuiteConfig(seed=0, degree_entry_cap=2, tolerance=0)
     insts = [inst for inst in default_instances(cfg) if inst.label == "F1/delta(rand-b)"]
     (result,) = run_suite("eq-for-cp-covariance-of-zeta", cfg, instances=insts).results
