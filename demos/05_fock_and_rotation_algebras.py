@@ -33,7 +33,7 @@ for turns in [Fraction(0), Fraction(1, 6), Fraction(1, 4)]:
 # the standard relations hold wherever the truncation has room
 c = c_theta(g, Phase.from_turns(Fraction(1, 4)))
 print("\nrepresentation axioms:", rep_axioms_check(sp, c).ok)
-print("gauge-fixed relations at (1,1):", ck_relations_check(sp, c, (1, 1)).ok)
+print("generator relations on the truncation (2,2):", ck_relations_check(sp, c).ok)
 
 # same machinery on a graph with two vertices: creations track sources
 g2 = fixture_f2()

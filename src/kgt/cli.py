@@ -93,14 +93,23 @@ def _write_json(doc, path: str | None):
     is held for the length of the call, so the whole document is never held
     at once.
     """
-    templates: dict = {}
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(_json_chunks(doc, "", templates))
-            fh.write("\n")
-    else:
-        sys.stdout.writelines(_json_chunks(doc, "", templates))
+    _write_text(_json_chunks(doc, "", {}), path)
+
+
+def _write_text(chunks, path: str | None):
+    """Write the pieces of text in chunks and a newline to path, or to
+    stdout.  An OSError from opening path is a ParseError, as for inputs."""
+    if not path:
+        sys.stdout.writelines(chunks)
         sys.stdout.write("\n")
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as err:
+        raise ParseError(f"{path}: {err}", path) from err
+    with fh:
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
 def _holds_array(obj) -> bool:
@@ -496,12 +505,7 @@ def cmd_check(args) -> int:
         for r in rep.results:
             mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[r.status]
             lines.append(f"{mark} {r.case.check_id:40s} {r.millis:8.1f} ms")
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_text(["\n".join(lines)], args.out)
     return 0 if rep.ok else 1
 
 
@@ -614,12 +618,20 @@ def _commutation_table(space: FockSpace, c: Cocycle):
 
 
 def cmd_fock(args) -> int:
+    """Dense creation matrices, or a relation report: the representation
+    axioms, then under X one `ok generator relations at degree n` line per
+    degree of relation_degrees(N), or one `FAIL generator relations:` line
+    with the first failure, and the commutation table; under Y the cylinder
+    representation and one covariance line per vertex."""
     _check_tolerance(args.tolerance)
     g, c = _load_pair(args)
     N = _parse_degree(args.N, g.k)
     if (args.system == "Y") != (args.D is not None):
         raise ParseError("--system Y needs --D, the cylinder depth, and only --system Y takes it", args.D)
-    space = FockSpace(g, N, depth=None if args.D is None else _parse_degree(args.D, g.k))
+    D = None if args.D is None else _parse_degree(args.D, g.k)
+    if D is not None and not dg.leq(N, D):
+        raise ParseError(f"--D {D} must dominate --N {N}", (N, D))
+    space = FockSpace(g, N, depth=D)
 
     if args.emit == "matrices":
         basis = [
@@ -650,33 +662,23 @@ def cmd_fock(args) -> int:
         _write_json(doc, args.out)
         return 0
 
-    lines = []
-    failed = False
     rep = rep_axioms_check(space, c, tol=args.tolerance, system=args.system)
-    lines.append(f"{'ok' if rep.ok else 'FAIL'} representation axioms ({rep.cases_checked} cases)")
-    failed = failed or not rep.ok
+    lines = [f"{'ok' if rep.ok else 'FAIL'} representation axioms ({rep.cases_checked} cases)"]
     if args.system == "X":
-        for n in relation_degrees(space.N):
-            rep = ck_relations_check(space, c, n, tol=args.tolerance)
-            lines.append(f"{'ok' if rep.ok else 'FAIL'} generator relations at degree {n}")
-            failed = failed or not rep.ok
+        rep = ck_relations_check(space, c, tol=args.tolerance)
+        if rep.ok:
+            lines += [f"ok generator relations at degree {n}" for n in relation_degrees(space.N)]
+        else:
+            lines.append(f"FAIL generator relations: {rep.first_failure!r}")
         lines += _commutation_table(space, c)
     else:
         rep = psi_check(space, c, tol=args.tolerance)
         lines.append(f"{'ok' if rep.ok else 'FAIL'} cylinder representation ({rep.cases_checked} cases)")
-        failed = failed or not rep.ok
-        for i, v in enumerate(g.vertices):
-            a = VertexFn.indicator(g, v)
-            rep = cp_identity_check(space, c, a, space.N, tol=args.tolerance)
+        for v in g.vertices:
+            rep = cp_identity_check(space, c, VertexFn.indicator(g, v), space.N, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} covariance defect match at vertex {v}")
-            failed = failed or not rep.ok
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 1 if failed else 0
+    _write_text(["\n".join(lines)], args.out)
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 # -- argument parsing --------------------------------------------------------

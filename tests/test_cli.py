@@ -4,8 +4,10 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from kgt import fock
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_graph_doc
 from kgt.cocycle import EXACT, FLOAT, c_theta, from_table, trivial_cocycle
 from kgt.constructions import cartesian, crossed_product, identity_action
@@ -598,6 +600,56 @@ def test_relations_are_checked_once_per_degree(files, capsys):
     # at the zero truncation no unit degree fits, so there is no relation to check
     assert main(["check", f2, c, "--cap", "0", "--suite", "def-4.4"]) == 0
     assert "1 passed, 0 failed" in capsys.readouterr().out
+
+
+def test_a_failing_relation_prints_one_line_with_its_witness(files, capsys, monkeypatch):
+    """With the phases of every point table of nonzero shift bent on the
+    columns of nonzero blocks, S_e S_f no longer composes to c(e, f) S_ef:
+    the report names that first failure on one line, and no degree reads ok."""
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    real = fock._point_table
+
+    def bent(space, c, d, depth):
+        t = real(space, c, d, depth)
+        if not any(d):
+            return t
+        hit = space._deg.any(axis=1)
+        phase = t.phase.copy()
+        phase[:, :-1][:, hit] *= np.exp(0.1j)
+        return t._replace(phase=phase)
+
+    monkeypatch.setattr(fock, "_point_table", bent)
+    f2 = fixture_f2()
+    witness = fock.ck_relations_check(fock.FockSpace(f2, (2,)), trivial_cocycle(f2)).first_failure
+    assert witness[0] == "compose"
+    assert main(["fock", g, c, "--N", "2"]) == 1
+    lines = [x for x in capsys.readouterr().out.splitlines() if "generator relations" in x]
+    assert lines == [f"FAIL generator relations: {witness!r}"]
+
+
+@pytest.mark.parametrize("command", ["check", "fock", "build"])
+def test_an_unwritable_output_path_is_usage_error(files, capsys, command):
+    tmp, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    out = str(tmp / "missing" / "x.txt")
+    argv = {
+        "check": ["check", g, c, "--suite", "def-3.1", "--out", out],
+        "fock": ["fock", g, c, "--N", "1", "--out", out],
+        "build": ["build", g, g, "--op", "cartesian", "--out-graph", out],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {out}: ")
+
+
+def test_fock_depth_below_the_truncation_is_usage_error(files, capsys):
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    assert main(["fock", g, c, "--system", "Y", "--N", "2", "--D", "1"]) == 2
+    assert capsys.readouterr().err == "ParseError: --D (1,) must dominate --N (2,)\n"
 
 
 def test_fock_oversized_truncation_exits_2(files, capsys):

@@ -27,7 +27,7 @@ from kgt.fock import (
 )
 from kgt.kgraph import omega, single_vertex
 from kgt.phases import ONE, Phase
-from kgt.verify import SuiteConfig, _fock_caps, default_instances
+from kgt.verify import Instance, SuiteConfig, _fock_caps, default_instances, run_suite
 from kgt.xmod import VertexFn, XElem, XOp, arrays_close, compare, x_theta
 from kgt.ymod import CylElem, YOp, alpha, alpha_k
 from oracle import fock_compacts_y, gauge_unitary, point_creations
@@ -151,9 +151,8 @@ def test_x_relations_hold_on_deeper_spaces():
         deeper += 1
         space = FockSpace(g, N, D)
         degrees = fock.relation_degrees(N)
-        for n in degrees:
-            rep = ck_relations_check(space, c, n)
-            assert rep.ok, (inst.label, n, rep.first_failure)
+        rep = ck_relations_check(space, c)
+        assert rep.ok, (inst.label, rep.first_failure)
         for m in degrees:
             for n in degrees:
                 rep = nica_check(space, c, rank_one(g, m), rank_one(g, n))
@@ -206,16 +205,34 @@ def test_pair_caps_sample_the_same_cases(pair_cap, rep_x, rep_y, psi):
 def test_fock_checks_count_their_cases():
     """The number of cases every column-entry Fock check counts, pinned on
     F2 at the cap-2 suite configuration N = (2,), D = (3,): def-4.4's two
-    entry points at its pair cap, zeta_surjectivity_check at every degree
-    (one operator and one vector case per path) and nica_check (one)."""
+    entry points at its pair cap, ck_relations_check over the whole
+    truncation (four vertex pairs, three compose and isometry cases per
+    path of degree (1,) and four per path of degree (2,), and two ck-sum
+    cases per vertex at each relation degree), zeta_surjectivity_check at
+    every degree (one operator and one vector case per path) and nica_check
+    (one)."""
     c = trivial_cocycle(F2)
     sx, sy = FockSpace(F2, (2,)), FockSpace(F2, (2,), (3,))
     assert rep_axioms_check(sx, c, pair_cap=24).cases_checked == 51
     assert rep_axioms_check(sy, c, pair_cap=24, system="Y").cases_checked == 51
-    assert [ck_relations_check(sx, c, n).cases_checked for n in fock.relation_degrees((2,))] == [14, 22]
+    assert ck_relations_check(sx, c).cases_checked == 26
     assert [zeta_surjectivity_check(sy, c, n).cases_checked for n in sy.blocks] == [4, 4, 4]
     a = XElem.delta(F2, F2.paths((1,))[0])
     assert nica_check(sy, c, x_theta(a, a), x_theta(a, a)).cases_checked == 1
+
+
+def test_generator_relations_compose_each_relation_once(monkeypatch):
+    """def-4.4 on F1 at cap 1, N = (1, 1), compares three batches of
+    products each for the finite-path axioms, the relations (the vertex
+    pairs, and the compositions and isometries of every degree) and the
+    cylinder axioms."""
+    calls = []
+    real = fock._products_close
+    monkeypatch.setattr(fock, "_products_close", lambda *args: calls.append(1) or real(*args))
+    inst = Instance("F1/trivial", F1, trivial_cocycle(F1))
+    (result,) = run_suite("def-4.4", SuiteConfig(degree_entry_cap=1), instances=[inst]).results
+    assert result.status == "pass"
+    assert len(calls) == 9
 
 
 def test_vertex_point_creations_are_the_vertex_cylinder_creations():
@@ -297,13 +314,17 @@ def test_cp_identity_on_fixtures():
 
 
 def test_ck_relations_untwisted_cycle():
-    rep = ck_relations_check(FockSpace(F2, (2,)), trivial_cocycle(F2), (1,))
+    rep = ck_relations_check(FockSpace(F2, (2,)), trivial_cocycle(F2))
     assert rep.ok and rep.cases_checked > 4
+    # at N = 0 there is no relation degree, and nothing is checked
+    rep = ck_relations_check(FockSpace(F2, (0,)), trivial_cocycle(F2))
+    assert rep.ok and rep.cases_checked == 0
 
 
 def test_ck_relations_twisted_torus():
+    """At N = (2, 2) the relations are checked at (1, 0), (0, 1) and (2, 2)."""
     c = c_theta(F1, Phase.exact_radians(1))
-    rep = ck_relations_check(FockSpace(F1, (2, 2)), c, (1, 1))
+    rep = ck_relations_check(FockSpace(F1, (2, 2)), c)
     assert rep.ok
 
 
