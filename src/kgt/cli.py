@@ -17,10 +17,12 @@ an error to its exit code, through _EXIT_CODES.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .fock import (
     FockSpace,
     ck_relations_check,
     cp_identity_check,
+    creation_entries,
     creation_x,
     psi_check,
     relation_degrees,
@@ -84,32 +87,69 @@ def _read_json(path: str):
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}", path) from err
 
 
-def _write_json(doc, path: str | None):
-    """Write json.dumps(doc, indent=2) and a newline to path, or to stdout.
+def _write_json(doc, out):
+    """Write json.dumps(doc, indent=2) and a newline to the text stream out.
 
-    A numpy array in doc is written as its .tolist() would be.  The text goes
-    out in pieces: a float array as slices of a zero template with its other
-    entries spliced in between.  One template per array shape and indentation
-    is held for the length of the call, so the whole document is never held
-    at once.
+    A numpy array in doc is written as its .tolist() would be, and an
+    _ArrayEntries as the .tolist() of its dense array.  The text goes out in
+    pieces: a float array one outer row at a time, each row the zero
+    template of the row shape with the row's other entries spliced in.  One
+    template per row shape and indentation is held for the length of the
+    call, so neither the document's text nor an array's is held whole.
     """
-    _write_text(_json_chunks(doc, "", {}), path)
+    _write_text(_json_chunks(doc, "", {}), out)
 
 
-def _write_text(chunks, path: str | None):
-    """Write the pieces of text in chunks and a newline to path, or to
-    stdout.  An OSError from opening path is a ParseError, as for inputs."""
+def _write_text(chunks, out):
+    """Write the pieces of text in chunks and a newline to the text stream out."""
+    out.writelines(chunks)
+    out.write("\n")
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream to path, opened (so truncated) at once, or stdout when
+    path is None.  An OSError from opening path is a ParseError, as for
+    inputs.  Each command opens its outputs before it reads a document."""
     if not path:
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
+        yield sys.stdout
         return
     try:
         fh = open(path, "w")
     except OSError as err:
         raise ParseError(f"{path}: {err}", path) from err
     with fh:
-        fh.writelines(chunks)
-        fh.write("\n")
+        yield fh
+
+
+@dataclass(frozen=True)
+class _ArrayEntries:
+    """A float array in the form the JSON writer reads: its shape, and the
+    flat positions, ascending, and the values of its entries that are not
+    +0.0.  Every other entry is 0.0."""
+
+    shape: tuple
+    flat: np.ndarray
+    values: np.ndarray
+
+
+def _spliced(values: np.ndarray) -> np.ndarray:
+    """The positions in the flat float array values of the entries that are
+    not +0.0, the only float whose bits are all zero: one np.flatnonzero,
+    with no temporary array."""
+    return np.flatnonzero(values.view(f"u{values.itemsize}"))
+
+
+def _matrix_entries(dim: int, col, row, value) -> _ArrayEntries:
+    """The [re, im] pairs of the complex dim x dim matrix with the given
+    entries, at distinct positions, and zeros elsewhere: the entries form of
+    np.stack((M.real, M.imag), -1)."""
+    pos = 2 * (row * dim + col)
+    order = np.argsort(pos)
+    flat = np.stack((pos, pos + 1), -1)[order].ravel()
+    values = np.stack((value.real, value.imag), -1)[order].ravel()
+    keep = _spliced(values)
+    return _ArrayEntries((dim, dim, 2), flat[keep], values[keep])
 
 
 def _holds_array(obj) -> bool:
@@ -117,17 +157,17 @@ def _holds_array(obj) -> bool:
         return any(map(_holds_array, obj.values()))
     if isinstance(obj, (list, tuple)):
         return any(map(_holds_array, obj))
-    return isinstance(obj, np.ndarray)
+    return isinstance(obj, (np.ndarray, _ArrayEntries))
 
 
 def _json_chunks(obj, pad: str, templates: dict):
     """The text of json.dumps(obj, indent=2), nested at indentation pad.
 
-    A value that holds no numpy array is one json.dumps call, re-indented:
-    json escapes every newline inside a string, so each newline it writes
-    starts a line of its layout.
+    A value that holds no array is one json.dumps call, re-indented: json
+    escapes every newline inside a string, so each newline it writes starts
+    a line of its layout.
     """
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, _ArrayEntries)):
         yield from _array_json(obj, pad, templates)
     elif not _holds_array(obj):
         yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
@@ -156,7 +196,8 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _zero_template(shape: tuple, pad: str):
     """(text, head, steps): json.dumps of the all-0.0 array of this shape at
     indentation pad, and where its entries start.  Every entry is 3
-    characters, so entry (i_0, ..., i_{d-1}) starts at head + Σ i_t steps[t]."""
+    characters, so entry (i_0, ..., i_{d-1}) starts at head + Σ i_t steps[t].
+    The writer builds one per row shape, shape () being the entry "0.0"."""
     d = len(shape)
     ind = ["\n" + pad + "  " * t for t in range(d + 1)]
     text, steps = "0.0", [0] * d
@@ -170,29 +211,48 @@ def _zero_template(shape: tuple, pad: str):
     return text, sum(1 + len(ind[t + 1]) for t in range(d)), steps
 
 
-def _array_json(arr: np.ndarray, pad: str, templates: dict):
-    """The text of json.dumps(arr.tolist(), indent=2), nested at indentation pad.
+def _array_json(arr, pad: str, templates: dict):
+    """The text of json.dumps(arr.tolist(), indent=2), nested at indentation
+    pad, for an ndarray or the dense array of an _ArrayEntries.
 
-    A float array is its shape's zero template (kept in templates) with every
-    entry that is not +0.0 spliced in: its repr, or NaN, Infinity or -Infinity.
+    A float ndarray is first put in entries form.  Each outer row is then
+    the zero template of the row shape at the row's indentation (kept in
+    templates) with the row's entries spliced in: their repr, or NaN,
+    Infinity or -Infinity.  Every entry's offset in its row is computed in
+    one pass, and searchsorted cuts the entries by row.
     """
-    if arr.dtype.kind != "f" or arr.ndim == 0 or arr.size == 0:
-        yield json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + pad)
+    if isinstance(arr, np.ndarray):
+        if arr.dtype.kind != "f" or arr.ndim == 0:
+            yield json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + pad)
+            return
+        values = arr.ravel()
+        flat = _spliced(values)
+        arr = _ArrayEntries(arr.shape, flat, values[flat])
+    if not math.prod(arr.shape):
+        yield json.dumps(np.zeros(arr.shape).tolist(), indent=2).replace("\n", "\n" + pad)
         return
-    key = (arr.shape, pad)
+    rows, rest = arr.shape[0], arr.shape[1:]
+    inner = pad + "  "
+    key = (rest, inner)
     if key not in templates:
-        templates[key] = _zero_template(arr.shape, pad)
+        templates[key] = _zero_template(rest, inner)
     text, head, steps = templates[key]
-    flat = arr.ravel()
-    spliced = np.flatnonzero((flat != 0) | np.signbit(flat))
-    starts = sum((i * s for i, s in zip(np.unravel_index(spliced, arr.shape), steps)), head)
-    reprs = map(float.__repr__, flat[spliced].tolist())
-    end = 0
-    for start, entry in zip(starts.tolist(), reprs):
-        yield text[end:start]
-        yield _JSON_NONFINITE.get(entry, entry)
-        end = start + 3
-    yield text[end:]
+    size = math.prod(rest)
+    index = np.unravel_index(arr.flat % size, rest) if rest else ()
+    starts = sum((i * s for i, s in zip(index, steps)), np.full(len(arr.flat), head)).tolist()
+    cuts = np.searchsorted(arr.flat, np.arange(rows + 1) * size).tolist()
+    reprs = [_JSON_NONFINITE.get(r, r) for r in map(float.__repr__, arr.values.tolist())]
+    sep = "[\n" + inner
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield sep
+        end = 0
+        for j in range(lo, hi):
+            yield text[end : starts[j]]
+            yield reprs[j]
+            end = starts[j] + 3
+        yield text[end:]
+        sep = ",\n" + inner
+    yield "\n" + pad + "]"
 
 
 _KINDS = {dict: "an object", list: "a list", int: "an integer"}
@@ -486,26 +546,27 @@ def cmd_check(args) -> int:
         raise ParseError(f"--cap: need a non-negative degree window, got {args.cap}", args.cap)
     _check_tolerance(args.tolerance)
     seed = _env_seed() if args.seed is None else args.seed
-    g, c = _load_pair(args)
-    cfg = SuiteConfig(
-        seed=seed,
-        degree_entry_cap=args.cap,
-        tolerance=args.tolerance,
-    )
-    label = f"{os.path.basename(args.graph)}/{os.path.basename(args.cocycle)}"
-    inst = Instance(label, g, c, is_fixture=True)
-    selector = [s.strip() for s in args.suite.split(",") if s.strip()]
-    rep = run_suite(selector, cfg, instances=[inst])
-    if args.format == "machine":
-        doc = rep.to_dict()
-        doc["schema"] = REPORT_SCHEMA
-        _write_json(doc, args.out)
-    else:
-        lines = [rep.summary()]
-        for r in rep.results:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[r.status]
-            lines.append(f"{mark} {r.case.check_id:40s} {r.millis:8.1f} ms")
-        _write_text(["\n".join(lines)], args.out)
+    with _output(args.out) as out:
+        g, c = _load_pair(args)
+        cfg = SuiteConfig(
+            seed=seed,
+            degree_entry_cap=args.cap,
+            tolerance=args.tolerance,
+        )
+        label = f"{os.path.basename(args.graph)}/{os.path.basename(args.cocycle)}"
+        inst = Instance(label, g, c, is_fixture=True)
+        selector = [s.strip() for s in args.suite.split(",") if s.strip()]
+        rep = run_suite(selector, cfg, instances=[inst])
+        if args.format == "machine":
+            doc = rep.to_dict()
+            doc["schema"] = REPORT_SCHEMA
+            _write_json(doc, out)
+        else:
+            lines = [rep.summary()]
+            for r in rep.results:
+                mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[r.status]
+                lines.append(f"{mark} {r.case.check_id:40s} {r.millis:8.1f} ms")
+            _write_text(["\n".join(lines)], out)
     return 0 if rep.ok else 1
 
 
@@ -529,59 +590,70 @@ def cmd_build(args) -> int:
         raise ParseError(f"--params:{err.lineno}:{err.colno}: {err.msg}", args.params) from err
     if not isinstance(params, dict):
         raise ParseError("--params must be a JSON object", args.params)
-    graphs = [load_graph(p) for p in args.graphs]
-    if args.op == "cartesian":
-        if len(graphs) != 2:
-            raise ParseError("cartesian needs two graph files", args.graphs)
-        _as_object(params, set(), "params")
-        built = cartesian(*graphs)
-    elif args.op == "skew":
-        if len(graphs) != 1:
-            raise ParseError("skew needs one graph file", args.graphs)
-        _as_object(params, {"group", "labels"}, "params")
-        grp = cyclic_group(_typed(_field(params, "group", "params"), int, "params.group"))
-        labels = _typed(_field(params, "labels", "params"), dict, "params.labels")
-        labels = {str(e): str(a) for e, a in labels.items()}
-        built = skew_product(graphs[0], grp, labels)
-    elif args.op == "crossed":
-        if len(graphs) != 1:
-            raise ParseError("crossed needs one graph file", args.graphs)
-        _as_object(params, {"action", "cap"}, "params")
-        beta = _action_from_params(graphs[0], _field(params, "action", "params"))
-        cap = _typed(_field(params, "cap", "params"), list, "params.cap")
-        cap = tuple(_typed(x, int, "params.cap") for x in cap)
-        if min(cap, default=0) < 0:
-            raise ParseError(f"params.cap: degrees are non-negative, got {list(cap)}", cap)
-        built = crossed_product(graphs[0], beta, cap)
-    else:  # argparse choices guard this
-        raise ParseError(f"unknown op {args.op!r}", args.op)
-    _write_json(emit_graph_doc(built), args.out_graph)
-    if args.cocycle:
-        cap = _parse_degree(args.table_cap, built.k) if args.table_cap else _default_table_cap(built)
-        lift_on = built
-        if isinstance(built, CrossedProductGraph):
-            # the emitted graph document drops the lattice window, so `check`
-            # re-reads it as a graph whose lattice edges compose freely; the
-            # table must then cover the full cap, which can exceed the window
-            # requested at build time.  The skeleton does not depend on the
-            # window, so re-lift the cocycle on a wide enough copy.
-            kb = built.base.k
-            need = tuple(max(a, b) for a, b in zip(cap[kb:], built.cap))
-            if need != built.cap:
-                lift_on = crossed_product(built.base, built.action, need)
-        c = load_cocycle(_read_json(args.cocycle), lift_on)
-        _write_json(emit_cocycle_doc(c, cap), args.out_cocycle)
+    if args.cocycle and args.out_graph and args.out_graph == args.out_cocycle:
+        # both are opened before the work, so one would overwrite the other
+        raise ParseError(f"--out-graph and --out-cocycle are the same file {args.out_graph!r}", args.out_graph)
+    cocycle_output = _output(args.out_cocycle) if args.cocycle else contextlib.nullcontext()
+    with _output(args.out_graph) as out_graph, cocycle_output as out_cocycle:
+        graphs = [load_graph(p) for p in args.graphs]
+        if args.op == "cartesian":
+            if len(graphs) != 2:
+                raise ParseError("cartesian needs two graph files", args.graphs)
+            _as_object(params, set(), "params")
+            built = cartesian(*graphs)
+        elif args.op == "skew":
+            if len(graphs) != 1:
+                raise ParseError("skew needs one graph file", args.graphs)
+            _as_object(params, {"group", "labels"}, "params")
+            grp = cyclic_group(_typed(_field(params, "group", "params"), int, "params.group"))
+            labels = _typed(_field(params, "labels", "params"), dict, "params.labels")
+            labels = {str(e): str(a) for e, a in labels.items()}
+            built = skew_product(graphs[0], grp, labels)
+        elif args.op == "crossed":
+            if len(graphs) != 1:
+                raise ParseError("crossed needs one graph file", args.graphs)
+            _as_object(params, {"action", "cap"}, "params")
+            beta = _action_from_params(graphs[0], _field(params, "action", "params"))
+            cap = _typed(_field(params, "cap", "params"), list, "params.cap")
+            cap = tuple(_typed(x, int, "params.cap") for x in cap)
+            if min(cap, default=0) < 0:
+                raise ParseError(f"params.cap: degrees are non-negative, got {list(cap)}", cap)
+            built = crossed_product(graphs[0], beta, cap)
+        else:  # argparse choices guard this
+            raise ParseError(f"unknown op {args.op!r}", args.op)
+        _write_json(emit_graph_doc(built), out_graph)
+        if args.cocycle:
+            cap = _parse_degree(args.table_cap, built.k) if args.table_cap else _default_table_cap(built)
+            lift_on = built
+            if isinstance(built, CrossedProductGraph):
+                # the emitted graph document drops the lattice window, so `check`
+                # re-reads it as a graph whose lattice edges compose freely; the
+                # table must then cover the full cap, which can exceed the window
+                # requested at build time.  The skeleton does not depend on the
+                # window, so re-lift the cocycle on a wide enough copy.
+                kb = built.base.k
+                need = tuple(max(a, b) for a, b in zip(cap[kb:], built.cap))
+                if need != built.cap:
+                    lift_on = crossed_product(built.base, built.action, need)
+            c = load_cocycle(_read_json(args.cocycle), lift_on)
+            _write_json(emit_cocycle_doc(c, cap), out_cocycle)
     return 0
 
 
-def _creations(space: FockSpace, c: Cocycle):
-    """Degree-zero vertex generators plus one creation per edge that fits."""
+def _generators(space: FockSpace) -> list:
+    """(name, point mass) of the degree-zero vertex generators, then of each
+    edge whose degree fits the truncation."""
     g = space.graph
-    out = [(f"vertex:{v}", creation_x(space, c, XElem.delta(g, g.vertex_path(v)))) for v in g.vertices]
+    out = [(f"vertex:{v}", XElem.delta(g, g.vertex_path(v))) for v in g.vertices]
     for e in g.all_edges:
         if dg.leq(dg.unit(g.k, e.color), space.N):
-            out.append((f"edge:{e.ident}", creation_x(space, c, XElem.delta(g, g.edge_path(e.ident)))))
+            out.append((f"edge:{e.ident}", XElem.delta(g, g.edge_path(e.ident))))
     return out
+
+
+def _creations(space: FockSpace, c: Cocycle):
+    """(name, dense creation) of each generator."""
+    return [(name, creation_x(space, c, x)) for name, x in _generators(space)]
 
 
 def _commutation_table(space: FockSpace, c: Cocycle):
@@ -618,66 +690,65 @@ def _commutation_table(space: FockSpace, c: Cocycle):
 
 
 def cmd_fock(args) -> int:
-    """Dense creation matrices, or a relation report: the representation
-    axioms, then under X one `ok generator relations at degree n` line per
-    degree of relation_degrees(N), or one `FAIL generator relations:` line
-    with the first failure, and the commutation table; under Y the cylinder
-    representation and one covariance line per vertex."""
+    """Creation matrices, or a relation report: the representation axioms,
+    then under X one `ok generator relations at degree n` line per degree of
+    relation_degrees(N), or one `FAIL generator relations:` line with the
+    first failure, and the commutation table; under Y the cylinder
+    representation and one covariance line per vertex.  A matrix is written
+    from its creation's entries, and no dense operator is built for it."""
     _check_tolerance(args.tolerance)
-    g, c = _load_pair(args)
-    N = _parse_degree(args.N, g.k)
     if (args.system == "Y") != (args.D is not None):
         raise ParseError("--system Y needs --D, the cylinder depth, and only --system Y takes it", args.D)
-    D = None if args.D is None else _parse_degree(args.D, g.k)
-    if D is not None and not dg.leq(N, D):
-        raise ParseError(f"--D {D} must dominate --N {N}", (N, D))
-    space = FockSpace(g, N, depth=D)
+    with _output(args.out) as out:
+        g, c = _load_pair(args)
+        N = _parse_degree(args.N, g.k)
+        D = None if args.D is None else _parse_degree(args.D, g.k)
+        if D is not None and not dg.leq(N, D):
+            raise ParseError(f"--D {D} must dominate --N {N}", (N, D))
+        space = FockSpace(g, N, depth=D)
 
-    if args.emit == "matrices":
-        basis = [
-            {
-                "index": i,
-                "degree": list(n),
-                "path": _path_str(p),
-                "depth": list(space.block_depth(n)),
+        if args.emit == "matrices":
+            basis = [
+                {
+                    "index": i,
+                    "degree": list(n),
+                    "path": _path_str(p),
+                    "depth": list(space.block_depth(n)),
+                }
+                for i, (n, p) in enumerate(space.basis())
+            ]
+            ops = [
+                {"generator": name, "matrix": _matrix_entries(space.dim, *creation_entries(space, c, x))}
+                for name, x in _generators(space)
+            ]
+            doc = {
+                "schema": FOCK_SCHEMA,
+                "system": args.system,
+                "N": list(space.N),
+                "D": list(space.D) if args.system == "Y" else None,
+                "dim": space.dim,
+                "basis": basis,
+                "operators": ops,
             }
-            for i, (n, p) in enumerate(space.basis())
-        ]
-        ops = [
-            {
-                "generator": name,
-                "matrix": np.stack((op.matrix.real, op.matrix.imag), -1),
-            }
-            for name, op in _creations(space, c)
-        ]
-        doc = {
-            "schema": FOCK_SCHEMA,
-            "system": args.system,
-            "N": list(space.N),
-            "D": list(space.D) if args.system == "Y" else None,
-            "dim": space.dim,
-            "basis": basis,
-            "operators": ops,
-        }
-        _write_json(doc, args.out)
-        return 0
+            _write_json(doc, out)
+            return 0
 
-    rep = rep_axioms_check(space, c, tol=args.tolerance, system=args.system)
-    lines = [f"{'ok' if rep.ok else 'FAIL'} representation axioms ({rep.cases_checked} cases)"]
-    if args.system == "X":
-        rep = ck_relations_check(space, c, tol=args.tolerance)
-        if rep.ok:
-            lines += [f"ok generator relations at degree {n}" for n in relation_degrees(space.N)]
+        rep = rep_axioms_check(space, c, tol=args.tolerance, system=args.system)
+        lines = [f"{'ok' if rep.ok else 'FAIL'} representation axioms ({rep.cases_checked} cases)"]
+        if args.system == "X":
+            rep = ck_relations_check(space, c, tol=args.tolerance)
+            if rep.ok:
+                lines += [f"ok generator relations at degree {n}" for n in relation_degrees(space.N)]
+            else:
+                lines.append(f"FAIL generator relations: {rep.first_failure!r}")
+            lines += _commutation_table(space, c)
         else:
-            lines.append(f"FAIL generator relations: {rep.first_failure!r}")
-        lines += _commutation_table(space, c)
-    else:
-        rep = psi_check(space, c, tol=args.tolerance)
-        lines.append(f"{'ok' if rep.ok else 'FAIL'} cylinder representation ({rep.cases_checked} cases)")
-        for v in g.vertices:
-            rep = cp_identity_check(space, c, VertexFn.indicator(g, v), space.N, tol=args.tolerance)
-            lines.append(f"{'ok' if rep.ok else 'FAIL'} covariance defect match at vertex {v}")
-    _write_text(["\n".join(lines)], args.out)
+            rep = psi_check(space, c, tol=args.tolerance)
+            lines.append(f"{'ok' if rep.ok else 'FAIL'} cylinder representation ({rep.cases_checked} cases)")
+            for v in g.vertices:
+                rep = cp_identity_check(space, c, VertexFn.indicator(g, v), space.N, tol=args.tolerance)
+                lines.append(f"{'ok' if rep.ok else 'FAIL'} covariance defect match at vertex {v}")
+        _write_text(["\n".join(lines)], out)
     return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 

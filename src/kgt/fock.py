@@ -228,7 +228,7 @@ def _key(x) -> tuple:
     return (x.degree, x.degree) if isinstance(x, XElem) else (x.module_degree, x.depth)
 
 
-def _creation_entries(space: FockSpace, c: Cocycle, x):
+def creation_entries(space: FockSpace, c: Cocycle, x):
     """(column, row, value) of every entry of the creation by x: the rows of
     its point table at x's nonzero coefficients, weighted by them."""
     d, depth = _key(x)
@@ -243,7 +243,7 @@ def _creation_entries(space: FockSpace, c: Cocycle, x):
 
 def _create(space: FockSpace, c: Cocycle, x) -> FockOp:
     """The dense creation by x: its entries in one scatter."""
-    col, row, value = _creation_entries(space, c, x)
+    col, row, value = creation_entries(space, c, x)
     M = np.zeros((space.dim, space.dim), dtype=np.complex128)
     M[row, col] = value
     return FockOp(space, _key(x)[0], M)
@@ -710,7 +710,7 @@ def gauge_check(space: FockSpace, c: Cocycle, z, x, tol: float = 1e-9) -> Module
     for i, zi in enumerate(z):
         u *= zi ** space._deg[:, i]
     d = _key(x)[0]
-    col, row, value = _creation_entries(space, c, x)
+    col, row, value = creation_entries(space, c, x)
     rep = ModuleReport(cases_checked=1)
     if not arrays_close(u[row] * value * np.conj(u[col]), complex(np.prod(z ** np.asarray(d))) * value, tol):
         return rep.fail(("degree-character", d, None))

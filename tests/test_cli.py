@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kgt import fock
+from kgt import cli, fock
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_graph_doc
 from kgt.cocycle import EXACT, FLOAT, c_theta, from_table, trivial_cocycle
 from kgt.constructions import cartesian, crossed_product, identity_action
@@ -629,8 +629,9 @@ def test_a_failing_relation_prints_one_line_with_its_witness(files, capsys, monk
     assert lines == [f"FAIL generator relations: {witness!r}"]
 
 
-@pytest.mark.parametrize("command", ["check", "fock", "build"])
-def test_an_unwritable_output_path_is_usage_error(files, capsys, command):
+@pytest.mark.parametrize("command", ["check", "fock", "build", "build-cocycle"])
+def test_an_unwritable_output_path_is_usage_error(files, capsys, monkeypatch, command):
+    """Every output path is opened before any document is read."""
     tmp, write = files
     g = write("f2.json", _f2_doc())
     c = write("c.json", {"kind": "builtin", "name": "trivial"})
@@ -639,9 +640,24 @@ def test_an_unwritable_output_path_is_usage_error(files, capsys, command):
         "check": ["check", g, c, "--suite", "def-3.1", "--out", out],
         "fock": ["fock", g, c, "--N", "1", "--out", out],
         "build": ["build", g, g, "--op", "cartesian", "--out-graph", out],
+        "build-cocycle": ["build", g, g, "--op", "cartesian", "--cocycle", c, "--out-cocycle", out],
     }[command]
+
+    def unread(path):
+        raise AssertionError(f"{path} was read before the output was opened")
+
+    monkeypatch.setattr(cli, "load_graph", unread)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"ParseError: {out}: ")
+
+
+def test_build_refuses_one_file_for_both_outputs(files, capsys):
+    tmp, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    out = str(tmp / "both.json")
+    assert main(["build", g, g, "--op", "cartesian", "--cocycle", c, "--out-graph", out, "--out-cocycle", out]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: --out-graph and --out-cocycle")
 
 
 def test_fock_depth_below_the_truncation_is_usage_error(files, capsys):
