@@ -90,12 +90,12 @@ def _read_json(path: str):
 def _write_json(doc, out):
     """Write json.dumps(doc, indent=2) and a newline to the text stream out.
 
-    A numpy array in doc is written as its .tolist() would be, and an
-    _ArrayEntries as the .tolist() of its dense array.  The text goes out in
-    pieces: a float array one outer row at a time, each row the zero
-    template of the row shape with the row's other entries spliced in.  One
-    template per row shape and indentation is held for the length of the
-    call, so neither the document's text nor an array's is held whole.
+    An _ArrayEntries in doc is written as the .tolist() of its dense array.
+    The text goes out in pieces: an array one outer row at a time, each row
+    the zero template of the row shape with the row's other entries spliced
+    in.  One template per row shape and indentation is held for the length
+    of the call, so neither the document's text nor an array's is held
+    whole.
     """
     _write_text(_json_chunks(doc, "", {}), out)
 
@@ -133,22 +133,16 @@ class _ArrayEntries:
     values: np.ndarray
 
 
-def _spliced(values: np.ndarray) -> np.ndarray:
-    """The positions in the flat float array values of the entries that are
-    not +0.0, the only float whose bits are all zero: one np.flatnonzero,
-    with no temporary array."""
-    return np.flatnonzero(values.view(f"u{values.itemsize}"))
-
-
 def _matrix_entries(dim: int, col, row, value) -> _ArrayEntries:
     """The [re, im] pairs of the complex dim x dim matrix with the given
     entries, at distinct positions, and zeros elsewhere: the entries form of
-    np.stack((M.real, M.imag), -1)."""
+    np.stack((M.real, M.imag), -1).  The entries kept are those that are
+    not +0.0, the only float whose bits are all zero."""
     pos = 2 * (row * dim + col)
     order = np.argsort(pos)
     flat = np.stack((pos, pos + 1), -1)[order].ravel()
     values = np.stack((value.real, value.imag), -1)[order].ravel()
-    keep = _spliced(values)
+    keep = np.flatnonzero(values.view("u8"))
     return _ArrayEntries((dim, dim, 2), flat[keep], values[keep])
 
 
@@ -157,7 +151,7 @@ def _holds_array(obj) -> bool:
         return any(map(_holds_array, obj.values()))
     if isinstance(obj, (list, tuple)):
         return any(map(_holds_array, obj))
-    return isinstance(obj, (np.ndarray, _ArrayEntries))
+    return isinstance(obj, _ArrayEntries)
 
 
 def _json_chunks(obj, pad: str, templates: dict):
@@ -167,7 +161,7 @@ def _json_chunks(obj, pad: str, templates: dict):
     escapes every newline inside a string, so each newline it writes starts
     a line of its layout.
     """
-    if isinstance(obj, (np.ndarray, _ArrayEntries)):
+    if isinstance(obj, _ArrayEntries):
         yield from _array_json(obj, pad, templates)
     elif not _holds_array(obj):
         yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
@@ -212,22 +206,14 @@ def _zero_template(shape: tuple, pad: str):
 
 
 def _array_json(arr, pad: str, templates: dict):
-    """The text of json.dumps(arr.tolist(), indent=2), nested at indentation
-    pad, for an ndarray or the dense array of an _ArrayEntries.
+    """The text of json.dumps(dense.tolist(), indent=2), nested at
+    indentation pad, for the dense array of the _ArrayEntries arr.
 
-    A float ndarray is first put in entries form.  Each outer row is then
-    the zero template of the row shape at the row's indentation (kept in
-    templates) with the row's entries spliced in: their repr, or NaN,
-    Infinity or -Infinity.  Every entry's offset in its row is computed in
-    one pass, and searchsorted cuts the entries by row.
+    Each outer row is the zero template of the row shape at the row's
+    indentation (kept in templates) with the row's entries spliced in: their
+    repr, or NaN, Infinity or -Infinity.  Every entry's offset in its row is
+    computed in one pass, and searchsorted cuts the entries by row.
     """
-    if isinstance(arr, np.ndarray):
-        if arr.dtype.kind != "f" or arr.ndim == 0:
-            yield json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + pad)
-            return
-        values = arr.ravel()
-        flat = _spliced(values)
-        arr = _ArrayEntries(arr.shape, flat, values[flat])
     if not math.prod(arr.shape):
         yield json.dumps(np.zeros(arr.shape).tolist(), indent=2).replace("\n", "\n" + pad)
         return
@@ -590,11 +576,13 @@ def cmd_build(args) -> int:
         raise ParseError(f"--params:{err.lineno}:{err.colno}: {err.msg}", args.params) from err
     if not isinstance(params, dict):
         raise ParseError("--params must be a JSON object", args.params)
-    if args.cocycle and args.out_graph and args.out_graph == args.out_cocycle:
+    for flag, value in (("--out-cocycle", args.out_cocycle), ("--table-cap", args.table_cap)):
+        if value is not None and not args.cocycle:
+            raise ParseError(f"{flag} needs --cocycle", value)
+    if args.out_graph and args.out_graph == args.out_cocycle:
         # both are opened before the work, so one would overwrite the other
         raise ParseError(f"--out-graph and --out-cocycle are the same file {args.out_graph!r}", args.out_graph)
-    cocycle_output = _output(args.out_cocycle) if args.cocycle else contextlib.nullcontext()
-    with _output(args.out_graph) as out_graph, cocycle_output as out_cocycle:
+    with _output(args.out_graph) as out_graph, _output(args.out_cocycle) as out_cocycle:
         graphs = [load_graph(p) for p in args.graphs]
         if args.op == "cartesian":
             if len(graphs) != 2:

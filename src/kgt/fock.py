@@ -12,7 +12,9 @@ compression, and defects are reported rather than dropped.
 
 A point creation sends each basis vector to at most one basis vector, so
 every check here compares entries of index maps and phases, the point
-tables; only creation_x and creation_y build a dense operator.
+tables; only creation_x and creation_y build a dense operator.  The
+cylinder image of a compact, on both sides of Prop 5.1 and of the
+covariance identity, is one entry transport, _cylinder_rank_ones.
 
 Adjoints are plain conjugate transposes: each block's pairing is the counting
 l2 product of coefficient vectors, which is the module inner product summed
@@ -57,7 +59,6 @@ from .ymod import (
     alpha_decompose,
     phi_y,
     y_inner,
-    y_iota,
     y_tmul,
 )
 
@@ -455,20 +456,23 @@ def _rank_ones(space: FockSpace, c: Cocycle, m, i, j) -> _PointTable:
     return out._replace(phase=np.where(out.target >= 0, out.phase, 0))
 
 
-def _cylinder_rank_ones(space: FockSpace, c: Cocycle, m, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """psi_Y(alpha_k(x_theta(delta_a[p], delta_b[p]))), the cylinder side of
-    Prop 5.1, on interior(m), for every pair p: (pairs, dim) target rows and
-    phases, -1 and 0 where a column maps to zero or lies outside
-    interior(m), without a dense operator.
+def _cylinder_rank_ones(space: FockSpace, c: Cocycle, m, a, b) -> _PointTable:
+    """psi_Y(alpha_k(x_theta(delta_a[p], delta_b[p]))), the image of the
+    rank-one theta(delta_a[p], delta_b[p]) on the depth-m cylinders of Y_m,
+    on interior(m), for every pair p, without a dense operator: a point
+    table in _rank_ones's layout, zero column included, -1 and 0 where a
+    column maps to zero or lies outside interior(m).  It is the cylinder
+    side of Prop 5.1, and, weighted by the entries of phi_Y(a, m), of the
+    covariance identity.
 
-    This is y_iota's entry transport, read from factor_indices and the
-    (m, q - m) twists, never from a point table.  On the block q >= m, at
-    depth D, the column la with la(0, m) = b[p] maps to the row
-    la' = a[p] la(m, D), when that path exists, with the phase
+    This is ymod's entry transport from L(Y_m) to L(Y_q), read from
+    factor_indices and the (m, q - m) twists, never from a point table.  On
+    the block q >= m, at depth D, the column la with la(0, m) = b[p] maps to
+    the row la' = a[p] la(m, D), when that path exists, with the phase
     c(la'(0, m), la'(m, q)) conj(c(la(0, m), la(m, q)))."""
     g = space.graph
     a, b = np.asarray(a)[:, None], np.asarray(b)[:, None]
-    target = np.full((len(a), space.dim), -1, dtype=np.intp)
+    target = np.full((len(a), space.dim + 1), -1, dtype=np.intp)
     phase = np.zeros(target.shape, dtype=np.complex128)
     top = dg.sub(space.N, m)
     for q in space.blocks:
@@ -484,27 +488,7 @@ def _cylinder_rank_ones(space: FockSpace, c: Cocycle, m, a, b) -> tuple[np.ndarr
         sl = space.block_slice(q)
         target[:, sl] = np.where(hit, sl.start + row, -1)
         phase[:, sl] = np.where(hit, times(tw[row], np.conj(tw)), 0)
-    return target, phase
-
-
-def _cylinder_compacts(space: FockSpace, c: Cocycle, S) -> tuple:
-    """The entries (owner 0, column, row, value) of the image of an
-    adjointable operator S on Y_n, on interior(n): the nonzeros of y_iota(S)
-    lifted to the depth of each block q >= n that interior(n) holds, where
-    it acts.  The cylinder side of the covariance identity, read from ymod
-    alone, never from a point table."""
-    n = S.module_degree
-    top = dg.sub(space.N, n)
-    empty = np.zeros(0, dtype=np.intp)
-    entries = [(empty, empty, np.zeros(0, dtype=np.complex128))]
-    for q in space.blocks:
-        if dg.leq(n, q) and dg.leq(q, top):
-            block = y_iota(c, S, q).lift(space.block_depth(q)).matrix
-            r, k = np.nonzero(block)
-            at = space.block_slice(q).start
-            entries.append((at + k, at + r, block[r, k]))
-    col, row, value = (np.concatenate(x) for x in zip(*entries))
-    return np.zeros(len(col), dtype=np.intp), col, row, value
+    return _PointTable(target, phase)
 
 
 # -- relation suites ---------------------------------------------------------
@@ -684,15 +668,19 @@ def cp_identity_check(space: FockSpace, c: Cocycle, a: VertexFn, n, tol: float =
     Both defects subtract the same creation by a from an image of a's left
     action on the degree-n module, and only absolute differences count, so
     the two images are compared directly, as entries with one owner: the
-    rank-ones of degree n weighted by phi_x(a, n), against
-    _cylinder_compacts of phi_y(a, n)."""
+    rank-ones of degree n weighted by phi_x(a, n), against the cylinder
+    rank-ones of degree n weighted by phi_y(a, n), whose depth is n.  Both
+    act only on the blocks q >= n, so they are compared on the columns of
+    interior(n) in those blocks; where there are none, nothing is built."""
     n = dg.as_degree(n, space.graph.k)
-    inside = space.interior_mask(n)
-    S = phi_x(a, n).matrix
-    i, j = np.nonzero(S)
-    lhs = _entries(_rank_ones(space, c, n, i, j), S[i, j], np.zeros(len(i), dtype=np.intp), inside)
-    rhs = _cylinder_compacts(space, c, phi_y(CylElem.from_vertex_fn(a), n))
     rep = ModuleReport(cases_checked=1)
+    cols = _acted_on(space, n)
+    if not cols.any():
+        return rep
+    S, T = phi_x(a, n).matrix, phi_y(CylElem.from_vertex_fn(a), n).matrix
+    (i, j), (k, l) = np.nonzero(S), np.nonzero(T)
+    lhs = _entries(_rank_ones(space, c, n, i, j), S[i, j], np.zeros(len(i), dtype=np.intp), cols)
+    rhs = _entries(_cylinder_rank_ones(space, c, n, k, l), T[k, l], np.zeros(len(k), dtype=np.intp), cols)
     if not _sums_close(space, 1, lhs, rhs, tol)[0]:
         return rep.fail(("cp-identity", n, None))
     return rep
@@ -831,7 +819,7 @@ def psi_check(space: FockSpace, c: Cocycle, tol: float = 1e-9, pair_cap: int = 3
         a, b = np.array(pairs).T
         owner, one = np.arange(len(pairs)), np.ones(len(pairs), dtype=np.complex128)
         got = _entries(_rank_ones(space, c, m, a, b), one, owner, cols)
-        want = _entries(_PointTable(*_cylinder_rank_ones(space, c, m, a, b)), one, owner, cols)
+        want = _entries(_cylinder_rank_ones(space, c, m, a, b), one, owner, cols)
         bad = _tally(rep, _sums_close(space, len(pairs), got, want, tol))
         if bad is not None:
             a, b = pairs[bad]

@@ -23,38 +23,29 @@ def witness(check_id, cap):
     return result.witness
 
 
+def bend_cylinder_rank_ones(monkeypatch, degrees):
+    """The cylinder rank-ones, the cylinder side of Prop 5.1 and of the
+    covariance identity, with their entries on the block of the operator's
+    own degree m scaled by 1 + 1e-6, for m in `degrees`."""
+    real = fock._cylinder_rank_ones
+
+    def bent(space, c, m, a, b):
+        t = real(space, c, m, a, b)
+        if degrees(m):
+            t.phase[:, space.block_slice(m)] *= 1 + 1e-6
+        return t
+
+    monkeypatch.setattr(fock, "_cylinder_rank_ones", bent)
+
+
 @pytest.fixture
 def bent_cylinder_compacts(monkeypatch):
-    """The cylinder side of cp_identity_check, with its entries inside the
-    block of the operator's own degree scaled by 1 + 1e-6."""
-    real = fock._cylinder_compacts
-
-    def bent(space, c, S):
-        owner, col, row, value = real(space, c, S)
-        sl = space.block_slice(S.module_degree)
-        inside = (sl.start <= row) & (row < sl.stop)
-        return owner, col, row, np.where(inside, value * (1 + 1e-6), value)
-
-    monkeypatch.setattr(fock, "_cylinder_compacts", bent)
+    bend_cylinder_rank_ones(monkeypatch, lambda m: True)
 
 
 def test_cp_covariance_sees_the_cylinder_compacts(bent_cylinder_compacts):
     # at cap 2 the truncation N = (2,) holds the block (1,) in interior((1,))
     assert witness("eq-for-cp-covariance-of-zeta", 2) == ("cp-identity", (1,), None)
-
-
-def bend_cylinder_rank_ones(monkeypatch, degrees):
-    """psi_check's cylinder side of Prop 5.1, with its entries on the block
-    of the operator's own degree m scaled by 1 + 1e-6, for m in `degrees`."""
-    real = fock._cylinder_rank_ones
-
-    def bent(space, c, m, a, b):
-        rows, phases = real(space, c, m, a, b)
-        if degrees(m):
-            phases[:, space.block_slice(m)] *= 1 + 1e-6
-        return rows, phases
-
-    monkeypatch.setattr(fock, "_cylinder_rank_ones", bent)
 
 
 def test_prop_5_1_sees_the_cylinder_compacts(monkeypatch):
@@ -79,9 +70,9 @@ def test_prop_5_1_sees_a_missing_cylinder_entry(monkeypatch):
     real = fock._cylinder_rank_ones
 
     def dropped(space, c, m, a, b):
-        rows, phases = real(space, c, m, a, b)
-        rows[:, space.block_slice(m)], phases[:, space.block_slice(m)] = -1, 0
-        return rows, phases
+        t = real(space, c, m, a, b)
+        t.target[:, space.block_slice(m)], t.phase[:, space.block_slice(m)] = -1, 0
+        return t
 
     monkeypatch.setattr(fock, "_cylinder_rank_ones", dropped)
     u = F2.vertex_path(F2.vertices[0])

@@ -660,6 +660,22 @@ def test_build_refuses_one_file_for_both_outputs(files, capsys):
     assert capsys.readouterr().err.startswith("ParseError: --out-graph and --out-cocycle")
 
 
+@pytest.mark.parametrize("flag, value", [("--out-cocycle", "never.json"), ("--table-cap", "9,9,9")])
+def test_build_refuses_a_cocycle_flag_without_a_cocycle(files, capsys, flag, value):
+    """--out-cocycle and --table-cap shape the emitted cocycle, so without
+    --cocycle they are usage errors, refused before any output is opened."""
+    tmp, write = files
+    f2 = write("f2.json", _f2_doc())
+    if flag == "--out-cocycle":
+        value = str(tmp / value)
+    graph_out = tmp / "graph.json"
+    params = json.dumps({"group": 2, "labels": {"a": "1", "b": "0"}})
+    argv = ["build", f2, "--op", "skew", "--params", params, "--out-graph", str(graph_out), flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {flag} needs --cocycle")
+    assert sorted(p.name for p in tmp.iterdir()) == ["f2.json"]
+
+
 def test_fock_depth_below_the_truncation_is_usage_error(files, capsys):
     _, write = files
     g = write("f2.json", _f2_doc())

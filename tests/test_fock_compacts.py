@@ -6,9 +6,10 @@ point tables, and `oracle.zeta_dense`, the dense route of
 oracle's `fock_compacts_x`.  Each is recorded here and compared with the
 sum of dense creation pairs C(g) C(h)* over the frame the paper writes: the
 square-root singletons of phi_x and phi_y, and the tail sections of an
-alpha decomposition.  The cylinder sides, `fock._cylinder_compacts` of
-`cp_identity_check` and `fock._cylinder_rank_ones` of `psi_check`, are
-compared with the dense `fock_compacts_y` they replaced.
+alpha decomposition.  The cylinder side of both `cp_identity_check` and
+`psi_check` is `fock._cylinder_rank_ones`, and it is compared with the
+dense `fock_compacts_y` it replaced: per rank-one of `psi_check`, and
+weighted by phi_y(a, n) as `cp_identity_check` lists it.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ import pytest
 
 import oracle
 from kgt import degrees as dg
-from kgt import fock
+from kgt import fock, ymod
 from kgt.cocycle import FLOAT, Coboundary, c_theta, trivial_cocycle
 from kgt.constructions import crossed_product, identity_action
 from kgt.fock import (
@@ -72,32 +73,44 @@ def assert_close(got, want, where):
 def test_covariance_images_agree_with_the_creation_pairs(monkeypatch):
     """The X side of cp_identity_check, scattered densely, is the sum of the
     creation pairs over phi_x's frame on interior(n), where it lists its
-    entries; the images of zeta_dense are the sums over their frames."""
+    entries, and that sum vanishes there when the check builds neither side;
+    the images of zeta_dense are the sums over their frames.  The suite's
+    covariance degrees build a side only from degree cap 2 on, so the X side
+    is read at cap 2 and the images at cap 1."""
     sums = recorder(monkeypatch, fock, "_sums_close")
     images = recorder(monkeypatch, oracle, "fock_compacts_x")
-    cfg = SuiteConfig(degree_entry_cap=1)
     rng = np.random.default_rng(5)
-    zeta_seen = 0
+    cfg = SuiteConfig(degree_entry_cap=2)
+    cp_seen = 0
     for inst in default_instances(cfg):
         g, c = inst.graph, inst.cocycle
         N, D = _fock_caps(g, cfg, inst)
         sy = FockSpace(g, N, depth=D)
-        degrees = [dg.unit(g.k, 1), N] if any(N) else [N]
-
         a = _rand_vertexfn(g, rng)
-        for n in degrees:
+        for n in [dg.unit(g.k, 1), N] if any(N) else [N]:
             sums.clear()
             assert cp_identity_check(sy, c, a, n).ok, (inst.label, n)
-            (((_, _, lhs, _, _), _),) = sums
             inside = sy.interior_mask(n)
+            want = creation_pairs(sy, c, frame_pairs(phi_x_decompose(a, n))).matrix[:, inside]
+            if not sums:
+                assert not want.any(), (inst.label, n)
+                continue
+            (((_, _, lhs, _, _), _),) = sums
             assert inside[lhs[1]].all(), (inst.label, n)
-            want = creation_pairs(sy, c, frame_pairs(phi_x_decompose(a, n))).matrix
-            assert arrays_close(scatter(sy, lhs)[:, inside], want[:, inside], TOL), (inst.label, "cp-identity", n)
+            assert arrays_close(scatter(sy, lhs)[:, inside], want, TOL), (inst.label, "cp-identity", n)
+            cp_seen += 1
+    assert cp_seen
 
+    cfg = SuiteConfig(degree_entry_cap=1)
+    zeta_seen = 0
+    for inst in default_instances(cfg):
+        g, c = inst.graph, inst.cocycle
+        N, D = _fock_caps(g, cfg, inst)
         if not g.is_source_free()[0] or not dg.leq(dg.sub(D, N), N):
             continue
+        sy = FockSpace(g, N, depth=D)
         zeta_seen += 1
-        for n in degrees:
+        for n in [dg.unit(g.k, 1), N] if any(N) else [N]:
             assert zeta_surjectivity_check(sy, c, n).ok, (inst.label, n)
             images.clear()
             assert zeta_dense(sy, c, n).ok, (inst.label, n)
@@ -153,6 +166,8 @@ def test_cylinder_rank_ones_are_the_dense_cylinder_compacts():
                 size = len(g.paths(m))
                 a, b = (ix.ravel() for ix in np.indices((size, size)))
                 rows, phases = fock._cylinder_rank_ones(space, c, m, a, b)
+                assert (rows[:, -1] == -1).all() and (phases[:, -1] == 0).all()
+                rows, phases = rows[:, :-1], phases[:, :-1]
                 assert (rows[:, ~inside] == -1).all()
                 for p in range(len(a)):
                     S = x_theta(XElem.delta(g, g.paths(m)[a[p]]), XElem.delta(g, g.paths(m)[b[p]]))
@@ -165,46 +180,57 @@ def test_cylinder_rank_ones_are_the_dense_cylinder_compacts():
                     assert arrays_close(got[:, inside], want, 1e-15), where
 
 
-def test_cylinder_compacts_are_the_dense_cylinder_compacts():
-    """On every degree n <= N, at D = N and at D > N, the entries that
-    cp_identity_check lists for a cylinder image are fock_compacts_y's on
-    interior(n), and none lies outside it: for phi_y of a vertex function,
-    whose image the check compares, and for alpha_k of a rank-one, which
-    moves entries between paths."""
+def test_covariance_cylinder_side_is_the_dense_cylinder_compacts(monkeypatch):
+    """On every degree n <= N, at D = N and at D > N, the cylinder entries
+    that cp_identity_check compares, the cylinder rank-ones weighted by
+    phi_y(a, n), are fock_compacts_y(phi_y(a, n)) bit for bit on
+    interior(n), and none lies outside the blocks q >= n that interior(n)
+    holds.  Where there are none, the check builds neither side."""
+    sums = recorder(monkeypatch, fock, "_sums_close")
     rng = np.random.default_rng(11)
     for g, c in _cylinder_subjects():
         N = (2,) * g.k
-        a = CylElem.from_vertex_fn(VertexFn(g, rng.normal(size=len(g.vertices)) + 1j * rng.normal(size=len(g.vertices))))
+        a = VertexFn(g, rng.normal(size=len(g.vertices)) + 1j * rng.normal(size=len(g.vertices)))
         for D in (N, (3,) * g.k):
             space = FockSpace(g, N, D)
             for n in space.blocks:
+                where = (c.name, D, n)
+                sums.clear()
+                assert cp_identity_check(space, c, a, n).ok, where
+                cols = fock._acted_on(space, n)
+                if not cols.any():
+                    assert not sums, where
+                    continue
+                (((_, _, _, entries, _), _),) = sums
+                assert (entries[0] == 0).all() and cols[entries[1]].all(), where
                 inside = space.interior_mask(n)
-                paths = g.paths(n)
-                rank_one = alpha_k(x_theta(XElem.delta(g, paths[0]), XElem.delta(g, paths[-1])))
-                for S in (phi_y(a, n), rank_one):
-                    entries = fock._cylinder_compacts(space, c, S)
-                    where = (c.name, D, n)
-                    assert (entries[0] == 0).all() and inside[entries[1]].all(), where
-                    assert np.array_equal(scatter(space, entries)[:, inside], fock_compacts_y(space, c, S).matrix[:, inside]), where
+                want = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n)).matrix[:, inside]
+                assert np.array_equal(scatter(space, entries)[:, inside], want), where
 
 
 def test_psi_check_builds_no_dense_cylinder_compacts(monkeypatch):
     def refuse(*args):
-        raise AssertionError("psi_check built a dense cylinder compact")
+        raise AssertionError("a Fock check built a dense cylinder compact")
 
-    monkeypatch.setattr(fock, "_cylinder_compacts", refuse)
-    monkeypatch.setattr(fock, "y_iota", refuse)
+    monkeypatch.setattr(oracle, "fock_compacts_y", refuse)
+    monkeypatch.setattr(ymod, "y_iota", refuse)
     F2 = fixture_f2()
-    assert psi_check(FockSpace(F2, (2,), (3,)), trivial_cocycle(F2)).cases_checked == 43
+    space = FockSpace(F2, (2,), (3,))
+    assert psi_check(space, trivial_cocycle(F2)).cases_checked == 43
+    assert cp_identity_check(space, trivial_cocycle(F2), VertexFn(F2, [1.0, 2.0]), (1,)).ok
     F1 = fixture_f1()
-    assert psi_check(FockSpace(F1, (2, 2), (3, 3)), c_theta(F1, Phase.from_turns(Fraction(1, 7)))).ok
+    space = FockSpace(F1, (2, 2), (3, 3))
+    c = c_theta(F1, Phase.from_turns(Fraction(1, 7)))
+    assert psi_check(space, c).ok
+    assert cp_identity_check(space, c, VertexFn(F1, [1.0 + 1j]), (1, 0)).ok
 
 
 def test_cp_identity_is_exact_at_tolerance_zero():
-    """The rank-one entries of the X side and y_iota round every complex
-    product as xmod.times does, so on F1/delta(rand-b) at cap 2 the two
-    covariance defects agree bit for bit; with numpy's complex loop in
-    y_iota they differed by 3.1e-17 at degree (1, 0)."""
+    """The rank-one entries of the X side and the cylinder rank-ones round
+    every complex product as xmod.times does, so on F1/delta(rand-b) at cap
+    2 the two covariance defects agree bit for bit; with numpy's complex
+    loop in ymod.y_iota, the cylinder side's earlier route, they differed by
+    3.1e-17 at degree (1, 0)."""
     cfg = SuiteConfig(seed=0, degree_entry_cap=2, tolerance=0)
     insts = [inst for inst in default_instances(cfg) if inst.label == "F1/delta(rand-b)"]
     (result,) = run_suite("eq-for-cp-covariance-of-zeta", cfg, instances=insts).results

@@ -1,9 +1,10 @@
 """The CLI's JSON writer against json.dumps(indent=2).
 
-`kgt fock --emit matrices` puts numpy arrays into its document, and the
-writer prints each one as json.dumps would print its .tolist().  Every test
-here compares the written bytes with json.dumps of the same document built
-from nested lists, which is how the document was built before.
+`kgt fock --emit matrices` puts each matrix into its document as an entries
+form, and the writer prints it as json.dumps would print the .tolist() of
+its dense array.  Every test here compares the written bytes with json.dumps
+of the same document built from nested lists, which is how the document was
+built before.
 """
 
 import json
@@ -20,6 +21,8 @@ from hypothesis.extra import numpy as hnp
 from kgt.cli import (
     _ArrayEntries,
     _creations,
+    _generators,
+    _matrix_entries,
     _path_str,
     _write_json,
     emit_cocycle_doc,
@@ -29,7 +32,7 @@ from kgt.cli import (
     main,
 )
 from kgt.cocycle import FLOAT, bicharacter_cocycle, c_theta
-from kgt.fock import FockOp, FockSpace
+from kgt.fock import FockOp, FockSpace, creation_entries
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import Phase
 
@@ -135,10 +138,10 @@ def test_matrices_hold_no_dense_operator(tmp_path, monkeypatch):
     out = tmp_path / "m.json"
     argv = ["fock", str(g_doc), str(c_doc), "--N", "3,3", "--emit", "matrices", "--out", str(out)]
 
-    def dense(*args):
+    def refuse(*args):
         raise AssertionError("--emit matrices built a dense operator")
 
-    monkeypatch.setattr(FockOp, "__init__", dense)
+    monkeypatch.setattr(FockOp, "__init__", refuse)
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -153,9 +156,22 @@ def test_matrices_hold_no_dense_operator(tmp_path, monkeypatch):
 # -- the writer on its own ---------------------------------------------------
 
 
+def dense(form):
+    """The dense array of an entries form."""
+    arr = np.zeros(form.shape)
+    arr.flat[form.flat] = form.values
+    return arr
+
+
+def entries_form(arr):
+    """The entries form of a float array: its entries that are not +0.0."""
+    flat = np.flatnonzero(arr.ravel().view("u8"))
+    return _ArrayEntries(arr.shape, flat, arr.ravel()[flat])
+
+
 def tolists(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, _ArrayEntries):
+        return dense(obj).tolist()
     if isinstance(obj, dict):
         return {k: tolists(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -170,31 +186,14 @@ def written(doc, tmp_path):
     return out.read_text()
 
 
-def test_special_floats_and_empty_arrays(tmp_path):
-    special = np.array([[math.nan, math.inf], [-math.inf, -0.0], [0.0, 1e-310]])
-    doc = {
-        "special": special,
-        "float32": special.astype(np.float32),
-        "empty": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((1, 0, 2))],
-        "scalar": np.float64(-0.0),
-        "zero_d": np.array(math.nan),
-        "ints": np.arange(6).reshape(2, 3),
-        "nested": {"a": [{"b": special[:, ::-1]}], "c": {}, "d": []},
-    }
-    text = written(doc, tmp_path)
-    assert text == json.dumps(tolists(doc), indent=2) + "\n"
-    for word in ("NaN", "Infinity", "-Infinity", "-0.0", "[]"):
-        assert word in text
-
-
 def test_templates_are_kept_per_shape_and_indentation(tmp_path):
-    """Arrays of one shape at two indentations, and of one size in two
-    shapes, with a signed zero or a non-finite value at each end."""
+    """Entries forms of one shape at two indentations, and of one size in
+    two shapes, with a signed zero or a non-finite value at each end."""
 
     def marked(shape, first, last):
         arr = np.arange(math.prod(shape)).reshape(shape) % 3 * 0.5
         arr.flat[0], arr.flat[-1] = first, last
-        return arr
+        return entries_form(arr)
 
     doc = {
         "wide": marked((2, 3), -0.0, math.nan),
@@ -210,9 +209,13 @@ def test_writer_holds_less_than_two_matrices(tmp_path):
     row's template (a 225th of a matrix's text) and the entries, so its peak
     stays under a twentieth of the text of one of the five matrices."""
     space = FockSpace(SV, (3, 3))
-    doc = {"operators": [{"matrix": np.stack((op.matrix.real, op.matrix.imag), -1)} for _, op in _creations(space, SV_C)]}
+    doc = {
+        "operators": [
+            {"matrix": _matrix_entries(space.dim, *creation_entries(space, SV_C, x))} for _, x in _generators(space)
+        ]
+    }
     # each matrix sits at indentation 6, as in the --emit matrices document
-    one = len(json.dumps(doc["operators"][0]["matrix"].tolist(), indent=2).replace("\n", "\n" + " " * 6))
+    one = len(json.dumps(tolists(doc["operators"][0]["matrix"]), indent=2).replace("\n", "\n" + " " * 6))
     tracemalloc.start()
     try:
         with open(tmp_path / "m.json", "w") as fh:
@@ -226,33 +229,9 @@ def test_writer_holds_less_than_two_matrices(tmp_path):
 
 def test_plain_documents_are_json_dumps(tmp_path):
     doc = {"k": 2, "é": ["x", None, True, 1.5], 3: {}, "t": (1, [2, ()]), "s": "a\nb\"c"}
+    doc["nested"] = {"scalar": np.float64(-0.0), "c": {}, "d": []}
     assert written(doc, tmp_path) == json.dumps(doc, indent=2) + "\n"
     assert written([], tmp_path) == "[]\n"
-
-
-@st.composite
-def documents(draw):
-    """A small float array of random shape and dtype, nested in dicts and lists."""
-    width = draw(st.sampled_from([64, 32]))
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3))
-    arr = draw(hnp.arrays(f"float{width}", shape, elements=st.floats(width=width)))
-    depth = draw(st.integers(0, 3))
-    doc = arr
-    for _ in range(depth):
-        doc = draw(st.sampled_from([lambda x: {"m": x, "n": 1}, lambda x: [0.5, x]]))(doc)
-    return doc
-
-
-@settings(max_examples=150, deadline=None)
-@given(doc=documents())
-def test_random_arrays_match_json_dumps(doc):
-    # pytest's tmp_path is one directory for every example, so use a fresh one
-    with tempfile.TemporaryDirectory() as d:
-        path = f"{d}/w.json"
-        with open(path, "w") as fh:
-            _write_json(doc, fh)
-        with open(path) as fh:
-            assert fh.read() == json.dumps(tolists(doc), indent=2) + "\n"
 
 
 @st.composite
@@ -271,9 +250,7 @@ def entries_forms(draw):
 @settings(max_examples=150, deadline=None)
 @given(form=entries_forms(), nested=st.booleans())
 def test_entries_forms_match_their_dense_arrays(form, nested):
-    dense = np.zeros(form.shape)
-    dense.flat[form.flat] = form.values
-    doc, want = ({"m": [form]}, {"m": [dense.tolist()]}) if nested else (form, dense.tolist())
+    doc, want = ({"m": [form]}, {"m": [dense(form).tolist()]}) if nested else (form, dense(form).tolist())
     with tempfile.TemporaryDirectory() as d:
         path = f"{d}/w.json"
         with open(path, "w") as fh:
