@@ -13,7 +13,7 @@ import numpy as np
 from kgt import Phase
 from kgt.cocycle import c_theta
 from kgt.kgraph import fixture_f1
-from kgt.xmod import VertexFn, XElem, phi_x, x_act, x_inner, x_tmul
+from kgt.xmod import XElem, phi_x, x_act, x_inner, x_tmul
 from kgt.ymod import CylElem, alpha, alpha_decompose, cylinder_density_check, y_inner, y_tmul
 
 g = fixture_f1()
@@ -27,9 +27,11 @@ print("  e*f coeffs:", x_tmul(c, de, df).coeffs)
 print("  f*e coeffs:", x_tmul(c, df, de).coeffs)
 print("  the ratio is the twist", complex(c(g.edge_path('f'), g.edge_path('e'))))
 
+# the coefficient algebra C_0(Lambda^0) is the fiber X_0: vertex functions are
+# degree-0 elements, their coefficients in vertex order
 ip = x_inner(de, de)
-print("\n<delta_e, delta_e> as a vertex function:", ip.values)
-a = VertexFn.indicator(g, "*")
+print("\n<delta_e, delta_e> in X_0:", ip.coeffs)
+a = XElem.delta(g, g.vertex_path("*"))
 print("left action of the vertex indicator:", x_act(a, de, side="left").coeffs)
 print("phi(a) at degree (1,1):", phi_x(a, (1, 1)).matrix.real)
 

@@ -66,7 +66,7 @@ from .fock import (
 from .kgraph import KGraph, Path, make_skeleton, validate_skeleton
 from .phases import Phase, format_angle, parse_angle, product
 from .verify import Instance, SuiteConfig, run_suite
-from .xmod import VertexFn, XElem
+from .xmod import XElem
 
 REPORT_SCHEMA = "kgt-report/1"
 FOCK_SCHEMA = "kgt-fock/1"
@@ -579,9 +579,12 @@ def cmd_build(args) -> int:
     for flag, value in (("--out-cocycle", args.out_cocycle), ("--table-cap", args.table_cap)):
         if value is not None and not args.cocycle:
             raise ParseError(f"{flag} needs --cocycle", value)
-    if args.out_graph and args.out_graph == args.out_cocycle:
-        # both are opened before the work, so one would overwrite the other
-        raise ParseError(f"--out-graph and --out-cocycle are the same file {args.out_graph!r}", args.out_graph)
+    if args.out_graph and args.out_cocycle:
+        # both are opened before the work, so one would overwrite the other; a
+        # device such as /dev/null takes both
+        path = os.path.realpath(args.out_graph)
+        if path == os.path.realpath(args.out_cocycle) and (os.path.isfile(path) or not os.path.exists(path)):
+            raise ParseError(f"--out-graph and --out-cocycle are the same file {args.out_graph!r}", args.out_graph)
     with _output(args.out_graph) as out_graph, _output(args.out_cocycle) as out_cocycle:
         graphs = [load_graph(p) for p in args.graphs]
         if args.op == "cartesian":
@@ -609,8 +612,7 @@ def cmd_build(args) -> int:
             built = crossed_product(graphs[0], beta, cap)
         else:  # argparse choices guard this
             raise ParseError(f"unknown op {args.op!r}", args.op)
-        _write_json(emit_graph_doc(built), out_graph)
-        if args.cocycle:
+        if args.cocycle:  # read before any output is written, so a refusal leaves both empty
             cap = _parse_degree(args.table_cap, built.k) if args.table_cap else _default_table_cap(built)
             lift_on = built
             if isinstance(built, CrossedProductGraph):
@@ -624,6 +626,8 @@ def cmd_build(args) -> int:
                 if need != built.cap:
                     lift_on = crossed_product(built.base, built.action, need)
             c = load_cocycle(_read_json(args.cocycle), lift_on)
+        _write_json(emit_graph_doc(built), out_graph)
+        if args.cocycle:
             _write_json(emit_cocycle_doc(c, cap), out_cocycle)
     return 0
 
@@ -734,7 +738,7 @@ def cmd_fock(args) -> int:
             rep = psi_check(space, c, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} cylinder representation ({rep.cases_checked} cases)")
             for v in g.vertices:
-                rep = cp_identity_check(space, c, VertexFn.indicator(g, v), space.N, tol=args.tolerance)
+                rep = cp_identity_check(space, c, XElem.delta(g, g.vertex_path(v)), space.N, tol=args.tolerance)
                 lines.append(f"{'ok' if rep.ok else 'FAIL'} covariance defect match at vertex {v}")
         _write_text(["\n".join(lines)], out)
     return 1 if any(line.startswith("FAIL") for line in lines) else 0

@@ -40,7 +40,6 @@ from .errors import (
 from .kgraph import KGraph
 from .xmod import (
     ModuleReport,
-    VertexFn,
     XElem,
     XOp,
     arrays_close,
@@ -527,17 +526,17 @@ def _mul(c: Cocycle, x, y):
     return y_tmul(c, x, y)
 
 
-def _right(c: Cocycle, x, a: VertexFn):
+def _right(c: Cocycle, x, a: XElem):
+    """x times a in X_0: the right action, or the product with alpha(0, 0, a)."""
     if isinstance(x, XElem):
         return x_act(a, x, "right")
-    return y_tmul(c, x, CylElem.from_vertex_fn(a))
+    z = dg.zero(a.graph.k)
+    return y_tmul(c, x, alpha(z, z, a))
 
 
 def _inner0(x, y):
     """The inner product as a degree-0 module element of the same kind."""
-    if isinstance(x, XElem):
-        return XElem(x.graph, dg.zero(x.graph.k), x_inner(x, y).values)
-    return y_inner(x, y)
+    return x_inner(x, y) if isinstance(x, XElem) else y_inner(x, y)
 
 
 def _first_pairs(a, b, cap: int):
@@ -607,7 +606,7 @@ def rep_axioms_check(
         i, v = np.array(pairs).T
         left.append(rows[n][i])
         vs.append(v)
-        parts.append((_right(c, _points_at(space, n, system, i), VertexFn(g, np.eye(len(g.vertices))[v])), None))
+        parts.append((_right(c, _points_at(space, n, system, i), XElem(g, z, np.eye(len(g.vertices))[v])), None))
         where += [(n, a, g.vertices[b]) for a, b in pairs]
     bad = _tally(rep, _products_close(space, stack, t, vertices, left, vs, parts, tol))
     if bad is not None:
@@ -661,23 +660,26 @@ def nica_check(space: FockSpace, c: Cocycle, S: XOp, T: XOp, tol: float = 1e-9) 
     return rep
 
 
-def cp_identity_check(space: FockSpace, c: Cocycle, a: VertexFn, n, tol: float = 1e-9) -> ModuleReport:
+def cp_identity_check(space: FockSpace, c: Cocycle, a: XElem, n, tol: float = 1e-9) -> ModuleReport:
     """The covariance defect of the finite-path compacts equals the defect of
-    the cylinder compacts, on interior(n).
+    the cylinder compacts, on interior(n), for a in X_0 = A, whose copy in
+    Y_0 is alpha(0, 0, a); any other degree is refused with DegreeMismatch.
 
     Both defects subtract the same creation by a from an image of a's left
     action on the degree-n module, and only absolute differences count, so
     the two images are compared directly, as entries with one owner: the
     rank-ones of degree n weighted by phi_x(a, n), against the cylinder
-    rank-ones of degree n weighted by phi_y(a, n), whose depth is n.  Both
-    act only on the blocks q >= n, so they are compared on the columns of
-    interior(n) in those blocks; where there are none, nothing is built."""
-    n = dg.as_degree(n, space.graph.k)
+    rank-ones of degree n weighted by phi_y(alpha(0, 0, a), n), whose depth
+    is n.  Both act only on the blocks q >= n, so they are compared on the
+    columns of interior(n) in those blocks; where there are none, nothing
+    is built."""
+    z, n = dg.zero(space.graph.k), dg.as_degree(n, space.graph.k)
+    ya = alpha(z, z, a)  # refuses any degree but 0, even where nothing is compared
     rep = ModuleReport(cases_checked=1)
     cols = _acted_on(space, n)
     if not cols.any():
         return rep
-    S, T = phi_x(a, n).matrix, phi_y(CylElem.from_vertex_fn(a), n).matrix
+    S, T = phi_x(a, n).matrix, phi_y(ya, n).matrix
     (i, j), (k, l) = np.nonzero(S), np.nonzero(T)
     lhs = _entries(_rank_ones(space, c, n, i, j), S[i, j], np.zeros(len(i), dtype=np.intp), cols)
     rhs = _entries(_cylinder_rank_ones(space, c, n, k, l), T[k, l], np.zeros(len(k), dtype=np.intp), cols)

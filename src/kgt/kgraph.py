@@ -99,10 +99,10 @@ class KGraph:
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._edge = {e.ident: e for e in skeleton.edges}
         self._color = {e.ident: e.color for e in skeleton.edges}
-        self._by_color = {
-            i: tuple(sorted((e for e in skeleton.edges if e.color == i), key=lambda e: e.ident))
-            for i in range(1, self.k + 1)
-        }
+        by_color: dict[int, list[Edge]] = {}
+        for e in sorted(skeleton.edges, key=lambda e: e.ident):
+            by_color.setdefault(e.color, []).append(e)
+        self._by_color = dict.fromkeys(range(1, self.k + 1), ()) | {i: tuple(es) for i, es in by_color.items()}
         self._sq_inv = {v: kk for kk, v in skeleton.squares.items()}
         self._paths: dict[dg.Degree, tuple[Path, ...]] = {}
         self._index: dict[dg.Degree, dict[Path, int]] = {}
@@ -343,6 +343,7 @@ def validate_skeleton(skel: KGraphSkeleton, _cls=None, **extra) -> KGraph:
         raise MalformedSkeleton(f"duplicate vertex ids {dup}", dup)
     vset = set(skel.vertices)
     seen = set()
+    by_color: dict[int, list[Edge]] = {}  # only the colors that hold edges
     for e in skel.edges:
         if e.ident in seen:
             raise MalformedSkeleton(f"duplicate edge id {e.ident!r}", e.ident)
@@ -351,6 +352,7 @@ def validate_skeleton(skel: KGraphSkeleton, _cls=None, **extra) -> KGraph:
             raise MalformedSkeleton(f"edge {e.ident!r} has color {e.color} outside 1..{k}", e)
         if e.range not in vset or e.source not in vset:
             raise MalformedSkeleton(f"edge {e.ident!r} has a dangling endpoint", e)
+        by_color.setdefault(e.color, []).append(e)
     edge = {e.ident: e for e in skel.edges}
 
     # square tables, one color pair at a time
@@ -379,22 +381,12 @@ def validate_skeleton(skel: KGraphSkeleton, _cls=None, **extra) -> KGraph:
             )
         entries_by_pair.setdefault((e.color, f.color), {})[key] = val
 
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            asc = {
-                (e.ident, f.ident)
-                for e in skel.edges
-                if e.color == i
-                for f in skel.edges
-                if f.color == j and e.source == f.range
-            }
-            desc = {
-                (f.ident, e.ident)
-                for f in skel.edges
-                if f.color == j
-                for e in skel.edges
-                if e.color == i and f.source == e.range
-            }
+    # a pair with an empty color has no composable pair and no table entry
+    colors = sorted(by_color)
+    for x, i in enumerate(colors):
+        for j in colors[x + 1:]:
+            asc = {(e.ident, f.ident) for e in by_color[i] for f in by_color[j] if e.source == f.range}
+            desc = {(f.ident, e.ident) for f in by_color[j] for e in by_color[i] if f.source == e.range}
             table = entries_by_pair.get((i, j), {})
             missing = asc - set(table)
             if missing:
@@ -417,21 +409,18 @@ def validate_skeleton(skel: KGraphSkeleton, _cls=None, **extra) -> KGraph:
                 )
 
     if k >= 3:
-        _check_hexagon(skel, edge)
+        _check_hexagon(skel.squares, by_color)
     cls = _cls or KGraph
     return cls(skel, _token=_VALIDATED, **extra)
 
 
-def _check_hexagon(skel: KGraphSkeleton, edge: dict[str, Edge]) -> None:
-    """Compare the two swap routes on every composable tri-colored triple."""
-    sq = skel.squares
+def _check_hexagon(sq: dict, by_color: dict[int, list[Edge]]) -> None:
+    """Compare the two swap routes on every composable tri-colored triple,
+    given the edges of each color that holds any."""
 
     def swap(a: str, b: str) -> tuple[str, str]:
         return sq[(a, b)]
 
-    by_color: dict[int, list[Edge]] = {}
-    for e in skel.edges:
-        by_color.setdefault(e.color, []).append(e)
     colors = sorted(by_color)
     for ai in range(len(colors)):
         for bi in range(ai + 1, len(colors)):

@@ -57,7 +57,6 @@ from .fock import (
 from .kgraph import KGraph, Path, fixture_f1, fixture_f2, make_skeleton, omega, validate_skeleton
 from .phases import Phase
 from .xmod import (
-    VertexFn,
     XElem,
     XOp,
     arrays_close,
@@ -474,11 +473,6 @@ def _some_degrees(g: KGraph, cfg: SuiteConfig, rng, count=3):
 def _rand_xelem(g: KGraph, n, rng) -> XElem:
     size = len(g.paths(n))
     return XElem(g, n, rng.normal(size=size) + 1j * rng.normal(size=size))
-
-
-def _rand_vertexfn(g: KGraph, rng) -> VertexFn:
-    size = len(g.vertices)
-    return VertexFn(g, rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
 def _rand_section_elem(g: KGraph, n, rng) -> XElem:
@@ -1006,17 +1000,17 @@ def _chk_inner(inst, cfg, rng):
         brute = {v: 0.0 + 0.0j for v in g.vertices}
         for la, a, b in zip(g.paths(n), f.coeffs, h.coeffs):
             brute[la.source] += np.conj(a) * b
-        bad = np.flatnonzero(~compare(got.values, [brute[v] for v in g.vertices], cfg.tolerance).ok)
+        bad = np.flatnonzero(~compare(got.coeffs, [brute[v] for v in g.vertices], cfg.tolerance).ok)
         if bad.size:
             return ("direct-sum", g.vertices[bad[0]], n)
-        self_inner = x_inner(f, f).values  # real and at least -tolerance
+        self_inner = x_inner(f, f).coeffs  # real and at least -tolerance
         if not arrays_close([self_inner.imag, np.minimum(self_inner.real, 0)], 0, cfg.tolerance):
             return ("positivity", n)
         if not x_inner(h, f).close(got.conj(), cfg.tolerance):
             return ("conjugate-symmetry", n)
-        a = _rand_vertexfn(g, rng)
+        a = _rand_xelem(g, dg.zero(g.k), rng)
         lhs = x_inner(f, x_act(a, h, side="right"))
-        rhs = VertexFn(g, got.values * a.values)
+        rhs = XElem(g, a.degree, got.coeffs * a.coeffs)
         if not lhs.close(rhs, cfg.tolerance):
             return ("right-linearity", n)
     return None
@@ -1066,13 +1060,14 @@ def _chk_edge_fibers(inst, cfg, rng):
         paths = g.paths(n)
         if {p.edges[0] for p in paths} != {e.ident for e in g.edges(i)}:
             return ("edge-fiber-mismatch", i)
-        a = _rand_vertexfn(g, rng)
-        bad = np.flatnonzero(~compare(np.diag(phi_x(a, n).matrix), [a(p.range) for p in paths], cfg.tolerance).ok)
+        a = _rand_xelem(g, dg.zero(g.k), rng)
+        at_range = [a(g.vertex_path(p.range)) for p in paths]
+        bad = np.flatnonzero(~compare(np.diag(phi_x(a, n).matrix), at_range, cfg.tolerance).ok)
         if bad.size:
             return ("range-action", paths[bad[0]])
         if paths:
             e0 = XElem.delta(g, paths[0])
-            want = VertexFn.indicator(g, paths[0].source)
+            want = XElem.delta(g, g.vertex_path(paths[0].source))
             if not x_inner(e0, e0).close(want, cfg.tolerance):
                 return ("edge-inner", paths[0])
     return None
@@ -1269,11 +1264,12 @@ def _chk_inclusion_rep(inst, cfg, rng):
 )
 def _chk_alpha_left(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
+    z = dg.zero(g.k)
     for m in _some_degrees(g, cfg, rng, count=3):
         f = _rand_xelem(g, m, rng)
-        a = _rand_vertexfn(g, rng)
+        a = _rand_xelem(g, z, rng)
         lhs = alpha(m, m, x_act(a, f, side="left"))
-        rhs = y_tmul(c, CylElem.from_vertex_fn(a), alpha(m, m, f))
+        rhs = y_tmul(c, alpha(z, z, a), alpha(m, m, f))
         if not lhs.close(rhs, cfg.tolerance):
             return ("left-action", m)
     return None
@@ -1286,11 +1282,12 @@ def _chk_alpha_left(inst, cfg, rng):
 )
 def _chk_alpha_right(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
+    z = dg.zero(g.k)
     for m in _some_degrees(g, cfg, rng, count=3):
         f = _rand_xelem(g, m, rng)
-        a = _rand_vertexfn(g, rng)
+        a = _rand_xelem(g, z, rng)
         lhs = alpha(m, m, x_act(a, f, side="right"))
-        rhs = y_tmul(c, alpha(m, m, f), CylElem.from_vertex_fn(a))
+        rhs = y_tmul(c, alpha(m, m, f), alpha(z, z, a))
         if not lhs.close(rhs, cfg.tolerance):
             return ("right-action", m)
     return None
@@ -1303,11 +1300,12 @@ def _chk_alpha_right(inst, cfg, rng):
 )
 def _chk_alpha_inner(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
+    z = dg.zero(g.k)
     for m in _some_degrees(g, cfg, rng, count=3):
         f = _rand_xelem(g, m, rng)
         h = _rand_xelem(g, m, rng)
         lhs = y_inner(alpha(m, m, f), alpha(m, m, h))
-        rhs = CylElem.from_vertex_fn(x_inner(f, h))
+        rhs = alpha(z, z, x_inner(f, h))
         if not lhs.close(rhs, cfg.tolerance):
             return ("inner-product", m)
     return None
@@ -1531,7 +1529,7 @@ def _chk_cp_defect(inst, cfg, rng):
     g, c = inst.graph, inst.cocycle
     N, D = _fock_caps(g, cfg, inst)
     sy = FockSpace(g, N, depth=D)
-    a = _rand_vertexfn(g, rng)
+    a = _rand_xelem(g, dg.zero(g.k), rng)
     for n in ([dg.unit(g.k, 1), N] if any(N) else [N]):
         rep = cp_identity_check(sy, c, a, n, tol=cfg.tolerance)
         if not rep.ok:
@@ -1546,7 +1544,7 @@ def _chk_cp_defect(inst, cfg, rng):
 )
 def _chk_left_action_x(inst, cfg, rng):
     g = inst.graph
-    a = _rand_vertexfn(g, rng)
+    a = _rand_xelem(g, dg.zero(g.k), rng)
     for n in _some_degrees(g, cfg, rng, count=2):
         parts = phi_x_decompose(a, n)
         total = XOp.zeros(g, n)

@@ -1,8 +1,10 @@
 """The finite-path module system X: one Hilbert-module fiber X_n per degree.
 
-X_n is the space of complex functions on Lambda^n.  The inner product sums
-conj(f) g over each source fiber, the vertex algebra acts through r on the
-left and s on the right, and the cocycle twists the multiplication
+X_n is the space of complex functions on Lambda^n.  The fiber X_0 is the
+coefficient algebra A = C_0(Lambda^0) itself, its coefficients in vertex
+order: the inner product sums conj(f) g over each source fiber into X_0, A
+acts through r on the left and s on the right, and the cocycle twists the
+multiplication
 
     (f g)(la) = c(la(0,m), la(m,m+n)) f(la(0,m)) g(la(m,m+n)).
 
@@ -68,55 +70,6 @@ def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.subtract(np.multiply(a.real, b.real, out=re), np.multiply(a.imag, b.imag, out=tmp), out=re)
     np.add(np.multiply(a.real, b.imag, out=im), np.multiply(a.imag, b.real, out=tmp), out=im)
     return out
-
-
-class VertexFn:
-    """A complex function on the vertex set, the degree-zero coefficient algebra."""
-
-    def __init__(self, graph: KGraph, values):
-        self.graph = graph
-        self.values = _as_coeffs(values, len(graph.vertices))
-
-    @classmethod
-    def indicator(cls, graph: KGraph, v: str) -> "VertexFn":
-        out = np.zeros(len(graph.vertices), dtype=np.complex128)
-        out[graph.vertex_index[v]] = 1.0
-        return cls(graph, out)
-
-    @classmethod
-    def ones(cls, graph: KGraph) -> "VertexFn":
-        return cls(graph, np.ones(len(graph.vertices)))
-
-    @classmethod
-    def zeros(cls, graph: KGraph) -> "VertexFn":
-        return cls(graph, np.zeros(len(graph.vertices)))
-
-    def __call__(self, v: str) -> complex:
-        return complex(self.values[self.graph.vertex_index[v]])
-
-    def __add__(self, other: "VertexFn") -> "VertexFn":
-        return VertexFn(self.graph, self.values + other.values)
-
-    def __sub__(self, other: "VertexFn") -> "VertexFn":
-        return VertexFn(self.graph, self.values - other.values)
-
-    def __mul__(self, scalar) -> "VertexFn":
-        return VertexFn(self.graph, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "VertexFn":
-        return VertexFn(self.graph, np.conj(self.values))
-
-    def close(self, other: "VertexFn", tol: float = 1e-9) -> bool:
-        return arrays_close(self.values, other.values, tol)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return arrays_close(self.values, 0, tol)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{v}: {x:.3g}" for v, x in zip(self.graph.vertices, self.values))
-        return f"VertexFn({pairs})"
 
 
 class XElem:
@@ -255,8 +208,16 @@ class XOp:
 # -- module operations -------------------------------------------------------
 
 
-def x_inner(f: XElem, g: XElem) -> VertexFn:
-    """<f, g>(v) = sum over s(la) = v of conj(f(la)) g(la)."""
+def vertex_values(a: XElem) -> np.ndarray:
+    """The coefficients of a in X_0 = A, indexed like graph.vertices; an
+    element of any other degree is refused with DegreeMismatch."""
+    if any(a.degree):
+        raise DegreeMismatch(f"the coefficient algebra is X_0, got an element of degree {a.degree}", a.degree)
+    return a.coeffs
+
+
+def x_inner(f: XElem, g: XElem) -> XElem:
+    """<f, g> in X_0: at v, the sum over s(la) = v of conj(f(la)) g(la)."""
     f._match(g)
     graph = f.graph
     prod = np.conj(f.coeffs) * g.coeffs
@@ -264,11 +225,13 @@ def x_inner(f: XElem, g: XElem) -> VertexFn:
     for v, ix in graph.by_source(f.degree).items():
         if ix:
             out[..., graph.vertex_index[v]] = np.sum(prod[..., list(ix)], axis=-1)
-    return VertexFn(graph, out)
+    return XElem(graph, dg.zero(graph.k), out)
 
 
-def x_act(a: VertexFn, f: XElem, side: str = "left") -> XElem:
-    """Left action through the range map, right action through the source map."""
+def x_act(a: XElem, f: XElem, side: str = "left") -> XElem:
+    """The action of a in X_0 on f: through the range map on the left, through
+    the source map on the right."""
+    values = vertex_values(a)
     graph = f.graph
     paths = graph.paths(f.degree)
     vidx = graph.vertex_index
@@ -278,7 +241,7 @@ def x_act(a: VertexFn, f: XElem, side: str = "left") -> XElem:
         at = [vidx[p.source] for p in paths]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return XElem(graph, f.degree, a.values[..., at] * f.coeffs)
+    return XElem(graph, f.degree, values[..., at] * f.coeffs)
 
 
 def x_tmul(c: Cocycle, f: XElem, g: XElem) -> XElem:
@@ -301,11 +264,12 @@ def x_theta(f: XElem, g: XElem) -> XOp:
     return XOp(graph, f.degree, mat, require_block=False)
 
 
-def phi_x(a: VertexFn, n) -> XOp:
-    """Left multiplication by a on X_n: the diagonal a(r(la))."""
+def phi_x(a: XElem, n) -> XOp:
+    """Left multiplication by a in X_0 on X_n: the diagonal a(r(la))."""
+    values = vertex_values(a)
     graph = a.graph
     vidx = graph.vertex_index
-    diag = np.array([a.values[vidx[p.range]] for p in graph.paths(n)])
+    diag = np.array([values[vidx[p.range]] for p in graph.paths(n)])
     return XOp(graph, n, np.diag(diag), require_block=False)
 
 
@@ -329,18 +293,19 @@ def x_iota(c: Cocycle, S: XOp, n) -> XOp:
     return XOp(g, n, out, require_block=False)
 
 
-def phi_x_decompose(a: VertexFn, n) -> list[XElem]:
-    """Elements g_i with phi_x(a, n) = sum_i Theta_{g_i, conj(g_i)}.
+def phi_x_decompose(a: XElem, n) -> list[XElem]:
+    """Elements g_i with phi_x(a, n) = sum_i Theta_{g_i, conj(g_i)}, for a in X_0.
 
     Uses the finest partition: one singleton per path whose range carries
     mass.  Each singleton support is an s-section, and the complex square
     root makes the rank-one sum reproduce the diagonal exactly.
     """
+    values = vertex_values(a)
     graph = a.graph
     out = []
     vidx = graph.vertex_index
     for la in graph.paths(n):
-        w = a.values[vidx[la.range]]
+        w = values[vidx[la.range]]
         if w != 0:
             out.append(np.sqrt(complex(w)) * XElem.delta(graph, la))
     return out

@@ -27,7 +27,7 @@ from .errors import (
     NotSectionDecomposable,
 )
 from .kgraph import KGraph, Path
-from .xmod import ModuleReport, VertexFn, XElem, XOp, arrays_close, compare, times
+from .xmod import ModuleReport, XElem, XOp, arrays_close, compare, times
 
 
 class CylElem:
@@ -69,11 +69,6 @@ class CylElem:
         """The constant function 1 in Y_0."""
         z = dg.zero(graph.k)
         return cls(graph, z, z, np.ones(len(graph.vertices)))
-
-    @classmethod
-    def from_vertex_fn(cls, a: VertexFn) -> "CylElem":
-        z = dg.zero(a.graph.k)
-        return cls(a.graph, z, z, a.values)
 
     def lift(self, depth) -> "CylElem":
         return y_lift(self, depth)

@@ -47,7 +47,7 @@ from kgt.fock import (
 from kgt.kgraph import fixture_f1, fixture_f2, make_skeleton, validate_skeleton
 from kgt.phases import Phase
 from kgt.verify import Instance, SuiteConfig, default_instances, random_cocycle, random_kgraph, run_suite
-from kgt.xmod import VertexFn, XElem, x_act, x_inner, x_tmul
+from kgt.xmod import XElem, x_act, x_inner, x_tmul
 from kgt.ymod import CylElem, y_inner, y_tmul
 
 
@@ -370,7 +370,7 @@ def test_creation_model_and_covariance():
             rep = psi_check(sp, c)
             assert rep.ok, (c.name, rep.first_failure)
             for v in g.vertices:
-                a = VertexFn.indicator(g, v)
+                a = XElem.delta(g, g.vertex_path(v))
                 for n in dg.degrees_upto(N):
                     rep = cp_identity_check(sp, c, a, n)
                     assert rep.ok, (c.name, v, n, rep.first_failure)

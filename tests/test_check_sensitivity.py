@@ -164,7 +164,7 @@ def test_katsura_inner_product_sees_a_nan_at_its_first_vertex(monkeypatch):
 
     def nan_first(f, g):
         out = real(f, g)
-        out.values[..., 0] = np.nan
+        out.coeffs[..., 0] = np.nan
         return out
 
     monkeypatch.setattr(verify, "x_inner", nan_first)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -175,7 +176,8 @@ def test_build_with_malformed_builtin_params_exits_2(files, capsys):
     params = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}, "cap": [2]}
     argv = ["build", f2, "--op", "crossed", "--params", json.dumps(params), "--cocycle", comega]
     assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 2
-    assert "ParseError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: ") and "params.generators" in err
 
 
 def test_coboundary_builtin_loads_and_is_exact():
@@ -219,6 +221,18 @@ def test_json_integer_angles_are_exact_radians(files):
 
 
 # -- validate ----------------------------------------------------------------
+
+
+def test_validate_scales_with_the_colors_that_hold_edges(files, capsys):
+    """F2's edges in a rank-20,000 document: the colors 2..k hold no edges,
+    so no square table is checked for them, and validation is quick."""
+    _, write = files
+    doc = dict(_f2_doc(), k=20_000)
+    path = write("f2-wide.json", doc)
+    start = time.perf_counter()
+    assert main(["validate", path]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == "ok: rank 20000, 2 vertices, 2 edges, 0 squares\n"
 
 
 def test_validate_accepts_fixture(files):
@@ -658,6 +672,31 @@ def test_build_refuses_one_file_for_both_outputs(files, capsys):
     out = str(tmp / "both.json")
     assert main(["build", g, g, "--op", "cartesian", "--cocycle", c, "--out-graph", out, "--out-cocycle", out]) == 2
     assert capsys.readouterr().err.startswith("ParseError: --out-graph and --out-cocycle")
+
+
+def test_build_writes_both_outputs_to_one_device(files):
+    """Only a file that both outputs would overwrite is refused; /dev/null
+    takes both."""
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    params = json.dumps({"group": 2, "labels": {"a": "1", "b": "0"}})
+    argv = ["build", g, "--op", "skew", "--params", params, "--cocycle", c]
+    assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 0
+
+
+def test_build_parses_the_table_cap_before_writing(files, capsys):
+    """A --table-cap that does not fit the built graph's rank is a usage
+    error that leaves both outputs empty."""
+    tmp, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    graph_out, cocycle_out = tmp / "g.json", tmp / "c-out.json"
+    params = json.dumps({"group": 2, "labels": {"a": "1", "b": "0"}})
+    argv = ["build", g, "--op", "skew", "--params", params, "--cocycle", c, "--table-cap", "9,9,9"]
+    assert main(argv + ["--out-graph", str(graph_out), "--out-cocycle", str(cocycle_out)]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: degree '9,9,9' does not fit rank 1")
+    assert graph_out.read_text() == "" and cocycle_out.read_text() == ""
 
 
 @pytest.mark.parametrize("flag, value", [("--out-cocycle", "never.json"), ("--table-cap", "9,9,9")])

@@ -28,7 +28,7 @@ from kgt.fock import (
 from kgt.kgraph import omega, single_vertex
 from kgt.phases import ONE, Phase
 from kgt.verify import Instance, SuiteConfig, _fock_caps, default_instances, run_suite
-from kgt.xmod import VertexFn, XElem, XOp, arrays_close, compare, x_theta
+from kgt.xmod import XElem, XOp, arrays_close, compare, x_theta
 from kgt.ymod import CylElem, YOp, alpha, alpha_k
 from oracle import fock_compacts_y, gauge_unitary, point_creations
 
@@ -251,7 +251,7 @@ def test_vertex_point_creations_are_the_vertex_cylinder_creations():
         ops = point_creations(space, c, dg.zero(g.k))
         assert len(ops) == len(g.vertices)
         for v, op in zip(g.vertices, ops):
-            want = creation_y(space, c, CylElem.from_vertex_fn(VertexFn.indicator(g, v)))
+            want = creation_y(space, c, CylElem.delta(g, g.vertex_path(v)))
             assert np.array_equal(op.matrix, want.matrix), (inst.label, v)
     assert deeper
 
@@ -305,12 +305,12 @@ def test_nica_check_creates_each_degree_once(monkeypatch):
 def test_cp_identity_on_fixtures():
     F = FockSpace(F2, (2,), (4,))
     c = trivial_cocycle(F2)
-    assert cp_identity_check(F, c, VertexFn(F2, [1.0, 1.0]), (1,)).ok
-    assert cp_identity_check(F, c, VertexFn(F2, [0.0, 0.0]), (1,)).ok
+    assert cp_identity_check(F, c, XElem(F2, (0,), [1.0, 1.0]), (1,)).ok
+    assert cp_identity_check(F, c, XElem.zeros(F2, (0,)), (1,)).ok
     Fy = FockSpace(F1, (2, 2), (4, 4))
     ct = c_theta(F1, Phase.exact_radians(1))
     for n in [(1, 0), (1, 1), (2, 2)]:
-        assert cp_identity_check(Fy, ct, VertexFn(F1, [1.0]), n).ok
+        assert cp_identity_check(Fy, ct, XElem(F1, (0, 0), [1.0]), n).ok
 
 
 def test_ck_relations_untwisted_cycle():

@@ -31,9 +31,9 @@ from kgt.fock import (
 )
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import Phase, parse_angle
-from kgt.verify import SuiteConfig, _fock_caps, _rand_vertexfn, default_instances, run_suite
-from kgt.xmod import VertexFn, XElem, arrays_close, phi_x_decompose, x_theta
-from kgt.ymod import CylElem, alpha, alpha_decompose, alpha_k, phi_y, phi_y_decompose
+from kgt.verify import SuiteConfig, _fock_caps, _rand_xelem, default_instances, run_suite
+from kgt.xmod import XElem, arrays_close, phi_x_decompose, x_theta
+from kgt.ymod import alpha, alpha_decompose, alpha_k, phi_y, phi_y_decompose
 from oracle import creation_pairs, fock_compacts_y, zeta_dense
 
 TOL = 1e-12
@@ -86,7 +86,7 @@ def test_covariance_images_agree_with_the_creation_pairs(monkeypatch):
         g, c = inst.graph, inst.cocycle
         N, D = _fock_caps(g, cfg, inst)
         sy = FockSpace(g, N, depth=D)
-        a = _rand_vertexfn(g, rng)
+        a = _rand_xelem(g, dg.zero(g.k), rng)
         for n in [dg.unit(g.k, 1), N] if any(N) else [N]:
             sums.clear()
             assert cp_identity_check(sy, c, a, n).ok, (inst.label, n)
@@ -190,7 +190,8 @@ def test_covariance_cylinder_side_is_the_dense_cylinder_compacts(monkeypatch):
     rng = np.random.default_rng(11)
     for g, c in _cylinder_subjects():
         N = (2,) * g.k
-        a = VertexFn(g, rng.normal(size=len(g.vertices)) + 1j * rng.normal(size=len(g.vertices)))
+        z = dg.zero(g.k)
+        a = XElem(g, z, rng.normal(size=len(g.vertices)) + 1j * rng.normal(size=len(g.vertices)))
         for D in (N, (3,) * g.k):
             space = FockSpace(g, N, D)
             for n in space.blocks:
@@ -204,7 +205,7 @@ def test_covariance_cylinder_side_is_the_dense_cylinder_compacts(monkeypatch):
                 (((_, _, _, entries, _), _),) = sums
                 assert (entries[0] == 0).all() and cols[entries[1]].all(), where
                 inside = space.interior_mask(n)
-                want = fock_compacts_y(space, c, phi_y(CylElem.from_vertex_fn(a), n)).matrix[:, inside]
+                want = fock_compacts_y(space, c, phi_y(alpha(z, z, a), n)).matrix[:, inside]
                 assert np.array_equal(scatter(space, entries)[:, inside], want), where
 
 
@@ -217,12 +218,12 @@ def test_psi_check_builds_no_dense_cylinder_compacts(monkeypatch):
     F2 = fixture_f2()
     space = FockSpace(F2, (2,), (3,))
     assert psi_check(space, trivial_cocycle(F2)).cases_checked == 43
-    assert cp_identity_check(space, trivial_cocycle(F2), VertexFn(F2, [1.0, 2.0]), (1,)).ok
+    assert cp_identity_check(space, trivial_cocycle(F2), XElem(F2, (0,), [1.0, 2.0]), (1,)).ok
     F1 = fixture_f1()
     space = FockSpace(F1, (2, 2), (3, 3))
     c = c_theta(F1, Phase.from_turns(Fraction(1, 7)))
     assert psi_check(space, c).ok
-    assert cp_identity_check(space, c, VertexFn(F1, [1.0 + 1j]), (1, 0)).ok
+    assert cp_identity_check(space, c, XElem(F1, (0, 0), [1.0 + 1j]), (1, 0)).ok
 
 
 def test_cp_identity_is_exact_at_tolerance_zero():

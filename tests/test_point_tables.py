@@ -31,7 +31,7 @@ from kgt.fock import (
 from kgt.kgraph import single_vertex
 from kgt.phases import Phase
 from kgt.verify import SuiteConfig, _fock_caps, _rand_section_elem, _rand_xop, default_instances
-from kgt.xmod import ModuleReport, VertexFn, XElem, arrays_close, x_theta
+from kgt.xmod import ModuleReport, XElem, arrays_close, x_theta
 from kgt.ymod import CylElem, alpha_k
 from oracle import creation, fock_compacts_y, nica_dense, point_creations, zeta_dense, zeros
 
@@ -75,7 +75,7 @@ def rep_axioms_dense(space, c, tol=1e-9, pair_cap=64, system="X"):
             if not creation(space, c, combo).close(want, tol):
                 return ModuleReport(rep.cases_checked, ("linearity", n, None))
 
-    indicators = [VertexFn.indicator(g, v) for v in g.vertices]
+    indicators = [XElem.delta(g, g.vertex_path(v)) for v in g.vertices]
     right = list(zip(indicators, point_creations(space, c, dg.zero(g.k))))
     for n in space.blocks:
         for i, x in enumerate(elems[n][:pair_cap]):

@@ -9,11 +9,11 @@ import pytest
 from kgt import degrees as dg
 from kgt.cocycle import c_theta, trivial_cocycle
 from kgt.errors import DegreeMismatch, DegreeNotDominated
+from kgt.fock import FockSpace, cp_identity_check
 from kgt.kgraph import fixture_f1, fixture_f2
 from kgt.phases import Phase
 from kgt.verify import SuiteConfig, default_instances
 from kgt.xmod import (
-    VertexFn,
     XElem,
     XOp,
     phi_x,
@@ -48,8 +48,9 @@ def rng_elem(g, degree, seed):
 
 def test_inner_of_point_masses():
     got = x_inner(DA, DA)
-    assert got.close(VertexFn.indicator(F2, "v"), tol=0.0)
-    assert x_inner(DA, DB).is_zero()
+    assert got.degree == (0,)
+    assert got.close(XElem.delta(F2, F2.vertex_path("v")), tol=0.0)
+    assert x_inner(DA, DB).close(XElem.zeros(F2, (0,)), tol=0.0)
 
 
 def test_inner_requires_matching_degree():
@@ -67,7 +68,7 @@ def test_inner_conjugate_linear_in_first_slot():
 
 def test_inner_positive():
     f = rng_elem(F2, (3,), 3)
-    vals = x_inner(f, f).values
+    vals = x_inner(f, f).coeffs
     assert np.all(vals.real >= 0) and np.allclose(vals.imag, 0)
 
 
@@ -75,17 +76,17 @@ def test_hermitian_symmetry_and_right_linearity():
     f = rng_elem(F2, (2,), 4)
     g = rng_elem(F2, (2,), 5)
     assert x_inner(f, g).conj().close(x_inner(g, f))
-    a = VertexFn(F2, [0.5, -2.0])
+    a = XElem(F2, (0,), [0.5, -2.0])
     lhs = x_inner(f, x_act(a, g, side="right"))
-    rhs = VertexFn(F2, x_inner(f, g).values * a.values)
+    rhs = XElem(F2, (0,), x_inner(f, g).coeffs * a.coeffs)
     assert lhs.close(rhs)
 
 
 def test_left_action_reads_range():
-    u = VertexFn.indicator(F2, "u")
+    u = XElem.delta(F2, F2.vertex_path("u"))
     assert x_act(u, DA, side="left").close(DA, tol=0.0)
     assert x_act(u, DA, side="right").close(XElem.zeros(F2, (1,)), tol=0.0)
-    ones = VertexFn.ones(F2)
+    ones = XElem(F2, (0,), np.ones(2))
     f = rng_elem(F2, (2,), 6)
     assert x_act(ones, f, side="left").close(f, tol=0.0)
 
@@ -110,10 +111,9 @@ def test_tmul_picks_up_the_twist():
 
 def test_tmul_degree_zero_is_left_action():
     c = trivial_cocycle(F2)
-    a = VertexFn(F2, [0.3, 1.7])
-    a_as_elem = XElem(F2, (0,), a.values)  # degree-zero paths are the vertices
+    a = XElem(F2, (0,), [0.3, 1.7])
     f = rng_elem(F2, (2,), 7)
-    assert x_tmul(c, a_as_elem, f).close(x_act(a, f, side="left"))
+    assert x_tmul(c, a, f).close(x_act(a, f, side="left"))
 
 
 def test_twisted_associativity_on_basis():
@@ -169,8 +169,8 @@ def test_iota_degree_domination_checked():
 
 def test_iota_from_degree_zero_is_phi():
     c = c_theta(F1, QUARTER)
-    a = VertexFn(F1, [0.7])
-    S = XOp(F1, (0, 0), np.diag(a.values))
+    a = XElem(F1, (0, 0), [0.7])
+    S = XOp(F1, (0, 0), np.diag(a.coeffs))
     assert x_iota(c, S, (2, 1)).close(phi_x(a, (2, 1)), tol=0.0)
 
 
@@ -200,8 +200,8 @@ def test_iota_functorial():
 
 
 def test_phi_examples():
-    assert phi_x(VertexFn.ones(F2), (1,)).close(XOp.identity(F2, (1,)), tol=0.0)
-    got = phi_x(VertexFn.indicator(F2, "u"), (1,))
+    assert phi_x(XElem(F2, (0,), np.ones(2)), (1,)).close(XOp.identity(F2, (1,)), tol=0.0)
+    got = phi_x(XElem.delta(F2, F2.vertex_path("u")), (1,))
     ia = F2.path_index((1,))[F2.edge_path("a")]
     expect = np.zeros((2, 2))
     expect[ia, ia] = 1
@@ -210,30 +210,45 @@ def test_phi_examples():
 
 def test_phi_injective_on_source_free_graph():
     for v in F2.vertices:
-        assert not np.allclose(phi_x(VertexFn.indicator(F2, v), (2,)).matrix, 0)
+        assert not np.allclose(phi_x(XElem.delta(F2, F2.vertex_path(v)), (2,)).matrix, 0)
 
 
 def test_phi_decompose_identity_on_f2():
-    gs = phi_x_decompose(VertexFn.ones(F2), (1,))
+    gs = phi_x_decompose(XElem(F2, (0,), np.ones(2)), (1,))
     assert len(gs) == 2
     total = x_theta(gs[0], gs[0].conj()) + x_theta(gs[1], gs[1].conj())
     assert total.close(XOp.identity(F2, (1,)), tol=0.0)
 
 
 def test_phi_decompose_zero_and_singleton():
-    assert phi_x_decompose(VertexFn.zeros(F1), (1, 1)) == []
-    gs = phi_x_decompose(VertexFn(F1, [0.25]), (1, 1))
+    assert phi_x_decompose(XElem.zeros(F1, (0, 0)), (1, 1)) == []
+    gs = phi_x_decompose(XElem(F1, (0, 0), [0.25]), (1, 1))
     assert len(gs) == 1
     assert np.allclose(gs[0].coeffs, [0.5])
 
 
 def test_phi_decompose_reproduces_phi_generally():
-    a = VertexFn(F2, [0.3, 2.0])
+    a = XElem(F2, (0,), [0.3, 2.0])
     gs = phi_x_decompose(a, (2,))
     total = XOp.zeros(F2, (2,))
     for gi in gs:
         total = total + x_theta(gi, gi.conj())
     assert total.close(phi_x(a, (2,)), tol=1e-12)
+
+
+@pytest.mark.parametrize("N", [(1,), (2,)])
+def test_the_coefficient_algebra_is_x0_only(N):
+    # A is X_0, read in vertex order; an element of degree e_1 is refused,
+    # also where the covariance check compares nothing (N = (1,))
+    space = FockSpace(F2, N)
+    with pytest.raises(DegreeMismatch):
+        x_act(DA, DB)
+    with pytest.raises(DegreeMismatch):
+        phi_x(DA, (1,))
+    with pytest.raises(DegreeMismatch):
+        phi_x_decompose(DA, (1,))
+    with pytest.raises(DegreeMismatch):
+        cp_identity_check(space, trivial_cocycle(F2), DA, (1,))
 
 
 def test_compact_align_examples():
@@ -276,7 +291,7 @@ def test_tensor_iso_check_catches_nonunitary_twist():
 def test_norms():
     f = XElem(F2, (1,), [3.0, 4.0])  # different source vertices
     assert f.norm() == pytest.approx(4.0)
-    op = phi_x(VertexFn(F2, [2.0, -5.0]), (1,))
+    op = phi_x(XElem(F2, (0,), [2.0, -5.0]), (1,))
     assert op.norm() == pytest.approx(5.0)
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from kgt.phases import Phase
 from kgt.xmod import (
-    VertexFn,
     XElem,
     XOp,
     x_act,
@@ -171,20 +170,20 @@ def test_alpha_requires_matching_degrees():
 def test_left_action_intertwines():
     rng = np.random.default_rng(10)
     c = c_theta(F1, EIGHTH)
-    a = VertexFn(F1, [2.0 + 1.0j])
+    a = XElem(F1, (0, 0), [2.0 + 1.0j])
     f = rng_x(F1, (1, 1), rng)
     lhs = alpha((1, 1), (1, 1), x_act(a, f, "left"))
-    rhs = y_tmul(c, CylElem.from_vertex_fn(a), alpha((1, 1), (1, 1), f))
+    rhs = y_tmul(c, alpha((0, 0), (0, 0), a), alpha((1, 1), (1, 1), f))
     assert lhs.close(rhs)
 
 
 def test_right_action_intertwines():
     rng = np.random.default_rng(11)
     c = c_theta(F1, EIGHTH)
-    a = VertexFn(F1, [0.5 - 2.0j])
+    a = XElem(F1, (0, 0), [0.5 - 2.0j])
     f = rng_x(F1, (1, 1), rng)
     lhs = alpha((1, 1), (1, 1), x_act(a, f, "right"))
-    rhs = y_tmul(c, alpha((1, 1), (1, 1), f), CylElem.from_vertex_fn(a))
+    rhs = y_tmul(c, alpha((1, 1), (1, 1), f), alpha((0, 0), (0, 0), a))
     assert lhs.close(rhs)
 
 
@@ -193,7 +192,7 @@ def test_inner_products_agree():
     f = rng_x(SV, (1, 1), rng)
     g = rng_x(SV, (1, 1), rng)
     lhs = y_inner(alpha((1, 1), (1, 1), f), alpha((1, 1), (1, 1), g))
-    assert lhs.close(CylElem.from_vertex_fn(x_inner(f, g)))
+    assert lhs.close(alpha((0, 0), (0, 0), x_inner(f, g)))
 
 
 def test_products_agree():
