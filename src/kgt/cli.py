@@ -28,8 +28,6 @@ import numpy as np
 
 from . import degrees as dg
 from .cocycle import (
-    EXACT,
-    FLOAT,
     Coboundary,
     Cocycle,
     c_f,
@@ -348,8 +346,7 @@ def _coboundary_from_params(g: KGraph, params: dict) -> Cocycle:
                     out = out * form[i][j] ** (la.degree[i] * la.degree[j])
         return out
 
-    exact = all(p.is_exact for p in label.values()) and all(p.is_exact for row in form for p in row)
-    return Coboundary(g, b, name="coboundary").delta(EXACT if exact else FLOAT)
+    return Coboundary(g, b, name="coboundary").delta()
 
 
 def _edge_ids(path, where: str, seen: dict) -> tuple[str, ...]:
@@ -402,8 +399,7 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
                 if isinstance(ang, str):
                     angles[ang] = p
             entries[key] = p
-        exact = all(p.is_exact for p in entries.values())
-        c = from_table(g, entries, cap, mode=EXACT if exact else FLOAT, check=True)
+        c = from_table(g, entries, cap, check=True)
         # the check read one entry per non-vertex pair within the cap; no twist reads the rest
         pairs = sum(len(g.paths(t)) * (math.prod(x + 1 for x in t) - 2) for t in dg.degrees_upto(cap) if any(t))
         if len(entries) > pairs:
@@ -579,6 +575,8 @@ def cmd_build(args) -> int:
     for flag, value in (("--out-cocycle", args.out_cocycle), ("--table-cap", args.table_cap)):
         if value is not None and not args.cocycle:
             raise ParseError(f"{flag} needs --cocycle", value)
+    if args.cocycle and not args.out_graph and not args.out_cocycle:
+        raise ParseError("--cocycle writes two documents: give --out-graph or --out-cocycle", args.cocycle)
     if args.out_graph and args.out_cocycle:
         # both are opened before the work, so one would overwrite the other; a
         # device such as /dev/null takes both

@@ -30,10 +30,11 @@ with pre and suf from KGraph.factor_indices, once per chunk: the splits
 (m, n, p) of consecutive batches, each batch the splits of one total
 degree with the same first leg m, concatenated until they hold _CHUNK
 triples, each twist scaled once to the chunk's shared denominators.  Integer
-equality decides when every table is exact and the encoding fits int64;
-otherwise, and for the entries it rejects in float mode with a positive
-tolerance, the Phase products are compared with Phase.close, as a check
-of one triple at a time would compare them.
+equality decides alone when every table is exact and the encoding fits
+int64; otherwise the Phase products are compared one triple at a time.
+Exactness is read from each value: two exact sides must be equal, and the
+tolerance absorbs the roundoff of float values only.  Likewise only an
+inexact value is tested for unit modulus; an exact one lies on the circle.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ from .errors import (
 )
 from .kgraph import KGraph, Path
 from .phases import ONE, Phase, parse_angle, product
-
-EXACT = "exact-angle"
-FLOAT = "float"
 
 # Bound on every scaled numerator in an int64 identity, so that a sum of four
 # of them cannot overflow; past it the identities run on Python ints.
@@ -92,8 +90,9 @@ class Twist:
     c(mu, nu) for the factorization paths(m+n)[i] = mu . nu.
 
     `phases` holds the Phase values.  `ints` encodes them as integers when
-    every value is exact and the encoding fits int64; `values` and `modulus`
-    are their complex values and moduli.  Entries are coded once, by object
+    every value is exact and the encoding fits int64; `values` are their
+    complex values and `modulus` their moduli, 1.0 for an exact value, which
+    lies on the circle.  Entries are coded once, by object
     identity (so float values keep their exact bits), as indices `_codes`
     into the distinct objects `_distinct`; each field is computed on the
     distinct objects and gathered through the codes.  Given `codes`, the
@@ -137,8 +136,9 @@ class Twist:
 
     @cached_property
     def modulus(self) -> np.ndarray:
-        """abs(complex(c)) per entry."""
-        return _read_only(np.array([abs(complex(p)) for p in self._distinct], dtype=np.float64)[self._codes])
+        """abs(complex(c)) per inexact entry, 1.0 per exact one."""
+        moduli = [1.0 if p.is_exact else abs(complex(p)) for p in self._distinct]
+        return _read_only(np.array(moduli, dtype=np.float64)[self._codes])
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -172,10 +172,9 @@ class Cocycle:
     with the same values: the degree-only families, coboundaries, pointwise
     products and table cocycles pass one."""
 
-    def __init__(self, graph: KGraph, evaluator, mode: str = EXACT, name: str = "cocycle", *, _tabulate=None):
+    def __init__(self, graph: KGraph, evaluator, name: str = "cocycle", *, _tabulate=None):
         self.graph = graph
         self.evaluator = evaluator
-        self.mode = mode
         self.name = name
         self._tabulate = _tabulate
         self._twist_memo: dict[tuple[dg.Degree, dg.Degree], Twist] = {}
@@ -203,17 +202,17 @@ class Cocycle:
         return hit
 
     def __repr__(self) -> str:
-        return f"Cocycle({self.name}, {self.mode})"
+        return f"Cocycle({self.name})"
 
 
 def trivial_cocycle(g: KGraph) -> Cocycle:
-    return Cocycle(g, lambda la, mu: ONE, EXACT, "trivial", _tabulate=_one_value)
+    return Cocycle(g, lambda la, mu: ONE, "trivial", _tabulate=_one_value)
 
 
 # -- degree bicharacters -----------------------------------------------------
 
 
-def bicharacter_cocycle(g: KGraph, theta, mode=None, name="bicharacter") -> Cocycle:
+def bicharacter_cocycle(g: KGraph, theta, name="bicharacter") -> Cocycle:
     """c(la, mu) = prod_ij theta[i][j]^(d(la)_i d(mu)_j), theta entries being
     phases (numbers are radian angles).  Bilinearity of the exponent makes
     (C1) hold for any matrix, and degree-0 legs kill the product, giving (C2).
@@ -221,7 +220,6 @@ def bicharacter_cocycle(g: KGraph, theta, mode=None, name="bicharacter") -> Cocy
     mat = [[as_phase(x) for x in row] for row in theta]
     if len(mat) != g.k or any(len(row) != g.k for row in mat):
         raise GraphMismatch(f"need a {g.k}x{g.k} matrix, got {len(mat)} rows", theta)
-    exact = all(p.is_exact for row in mat for p in row)
 
     def ev(la: Path, mu: Path) -> Phase:
         return product(
@@ -231,7 +229,7 @@ def bicharacter_cocycle(g: KGraph, theta, mode=None, name="bicharacter") -> Cocy
             if la.degree[i] and mu.degree[j]
         )
 
-    return Cocycle(g, ev, mode or (EXACT if exact else FLOAT), name, _tabulate=_one_value)
+    return Cocycle(g, ev, name, _tabulate=_one_value)
 
 
 def c_theta(g: KGraph, theta) -> Cocycle:
@@ -281,14 +279,13 @@ def c_f(gamma: CrossedProductGraph, f_table: dict) -> Cocycle:
                 raise NotBetaInvariant(
                     f"f moves under generator {j} at edge {e.ident!r}", (j, e.ident)
                 )
-    exact = all(p.is_exact for p in table.values())
 
     def ev(la: Path, mu: Path) -> Phase:
         _, m = gamma.project(la)
         nu, _ = gamma.project(mu)
         return _functor_value(table, nu) ** dg.total(m)
 
-    return Cocycle(gamma, ev, EXACT if exact else FLOAT, "c_f")
+    return Cocycle(gamma, ev, "c_f")
 
 
 def c_omega(gamma: CrossedProductGraph, generators) -> Cocycle:
@@ -297,7 +294,6 @@ def c_omega(gamma: CrossedProductGraph, generators) -> Cocycle:
     gens = [as_phase(x) for x in generators]
     if len(gens) != gamma.l:
         raise GraphMismatch(f"need {gamma.l} generators, got {len(gens)}", generators)
-    exact = all(p.is_exact for p in gens)
 
     def ev(la: Path, mu: Path) -> Phase:
         _, m = gamma.project(la)
@@ -305,7 +301,7 @@ def c_omega(gamma: CrossedProductGraph, generators) -> Cocycle:
         omega_m = product(p**mi for p, mi in zip(gens, m))
         return omega_m ** dg.total(nu.degree)
 
-    return Cocycle(gamma, ev, EXACT if exact else FLOAT, "c_omega", _tabulate=_one_value)
+    return Cocycle(gamma, ev, "c_omega", _tabulate=_one_value)
 
 
 def c_sigma(gamma: CrossedProductGraph, theta) -> Cocycle:
@@ -341,7 +337,7 @@ def skew_lift(c: Cocycle, skew: SkewProductGraph) -> Cocycle:
         q, _ = skew.project(mu)
         return c(p, q)
 
-    return Cocycle(skew, ev, c.mode, f"skew_lift({c.name})")
+    return Cocycle(skew, ev, f"skew_lift({c.name})")
 
 
 def product_cocycle(c1: Cocycle, c2: Cocycle, prod: CartesianProductGraph) -> Cocycle:
@@ -356,8 +352,7 @@ def product_cocycle(c1: Cocycle, c2: Cocycle, prod: CartesianProductGraph) -> Co
         m1, m2 = prod.project(mu)
         return c1(l1, m1) * c2(l2, m2)
 
-    mode = EXACT if c1.mode == EXACT and c2.mode == EXACT else FLOAT
-    return Cocycle(prod, ev, mode, f"product({c1.name},{c2.name})")
+    return Cocycle(prod, ev, f"product({c1.name},{c2.name})")
 
 
 def pointwise_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
@@ -369,15 +364,14 @@ def pointwise_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
     def tabulate_twist(_, m, n) -> Twist:
         return _combined(Phase.__mul__, [(c1.twist(m, n), None), (c2.twist(m, n), None)])
 
-    mode = EXACT if c1.mode == EXACT and c2.mode == EXACT else FLOAT
     name = f"product({c1.name},{c2.name})"
-    return Cocycle(c1.graph, lambda la, mu: c1(la, mu) * c2(la, mu), mode, name, _tabulate=tabulate_twist)
+    return Cocycle(c1.graph, lambda la, mu: c1(la, mu) * c2(la, mu), name, _tabulate=tabulate_twist)
 
 
 # -- table-backed cocycles ---------------------------------------------------
 
 
-def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle:
+def from_table(g: KGraph, entries: dict, cap, check=True) -> Cocycle:
     """entries: (la.edges, mu.edges) -> phase, on composable non-vertex pairs.
 
     Pairs with a vertex leg are served by (C2).  Lookups beyond the stored cap
@@ -414,7 +408,7 @@ def from_table(g: KGraph, entries: dict, cap, mode=EXACT, check=True) -> Cocycle
                 f"no table entry for {(la, mu)}", (la, mu)
             ) from None
 
-    c = Cocycle(g, ev, mode, "table", _tabulate=tabulate_twist)
+    c = Cocycle(g, ev, "table", _tabulate=tabulate_twist)
     if check:
         rep = check_cocycle(c, cap)
         if not rep.ok:
@@ -461,7 +455,7 @@ class Coboundary:
             return ONE
         return self._fn(la)
 
-    def delta(self, mode=EXACT) -> Cocycle:
+    def delta(self) -> Cocycle:
         g = self.graph
 
         @cache
@@ -478,7 +472,7 @@ class Coboundary:
             legs = [(b_table(m), pre), (b_table(n), suf), (b_table(dg.add(m, n)), None)]
             return _combined(lambda x, y, z: x * y * z.conj(), legs)
 
-        return Cocycle(g, ev, mode, f"delta({self.name})", _tabulate=tabulate_twist)
+        return Cocycle(g, ev, f"delta({self.name})", _tabulate=tabulate_twist)
 
 
 # -- exhaustive checking -----------------------------------------------------
@@ -494,7 +488,13 @@ class CocycleReport:
         return self.first_failure is None
 
 
-_close = np.frompyfunc(Phase.close, 3, 1)
+def _close(x: Phase, y: Phase, tol: float) -> bool:
+    """x == y when both are exact, else x.close(y, tol): the tolerance
+    absorbs float roundoff, and only that."""
+    return x.close(y, 0.0 if x.is_exact and y.is_exact else tol)
+
+
+_close_each = np.frompyfunc(_close, 3, 1)
 
 
 def _gather(column, read) -> np.ndarray:
@@ -525,30 +525,22 @@ def _int_agree(columns) -> np.ndarray | None:
     return ((t1 + t2 - t3 - t4) % den_t == 0) & (r1 + r2 == r3 + r4)
 
 
-def _agree(columns, eps: float) -> np.ndarray:
-    """Elementwise Phase.close(first * second, third * fourth, eps) of the
-    four (C1) terms over a batch.
-
-    Exactly equal products are close at any eps, so integer equality
-    settles every entry it accepts; only the entries it rejects at eps > 0,
-    and every entry when a twist has no integer encoding, are judged on the
-    Phase products.
-    """
+def _agree(columns, tol: float) -> np.ndarray:
+    """Elementwise _close(first * second, third * fourth, tol) of the four
+    (C1) terms over a batch.  When every twist has an integer encoding,
+    both sides are exact and integer equality decides alone."""
     ok = _int_agree(columns)
-    if ok is not None and (eps == 0 or ok.all()):
+    if ok is not None:
         return ok
-    rows = slice(None) if ok is None else np.flatnonzero(~ok)
-    a, b, c, d = (_gather(column, lambda t: t.phases)[rows] for column in columns)
-    close = np.asarray(_close(a * b, c * d, eps), dtype=bool)
-    if ok is None:
-        return close
-    ok[rows] = close
-    return ok
+    a, b, c, d = (_gather(column, lambda t: t.phases) for column in columns)
+    return np.asarray(_close_each(a * b, c * d, tol), dtype=bool)
 
 
 def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     """Exhaustively verify (C1) on composable triples with total degree <= cap
-    ((C2) holds by construction).  Exact mode uses zero tolerance.
+    ((C2) holds by construction).  Two exact sides must be equal; tol
+    applies where a side is inexact, and bounds |abs(c(l1, l2)) - 1| for an
+    inexact value c(l1, l2).
 
     Triples are visited, and counted up to the first failure, in the order
     total degree, then dg.splits(total, 3), then g.paths(total); each
@@ -567,7 +559,6 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
     """
     g = c.graph
     cap = dg.as_degree(cap, g.k)
-    eps = 0.0 if c.mode == EXACT else tol
     rep = CocycleReport()
     chunk: list[tuple] = []  # per split (m, n, p): total, m, n and the four (twist, index) terms of (C1)
     held = 0  # the triples in chunk
@@ -585,37 +576,38 @@ def check_cocycle(c: Cocycle, cap, tol: float = 1e-9) -> CocycleReport:
                     terms = ((c.twist(m, n), pre), (c.twist(mn, p), None), (whole, None), (c.twist(n, p), suf))
                     gathered.append((total, m, n, terms))
             except Exception:
-                if _failed(c, chunk, eps, tol, rep):
+                if _failed(c, chunk, tol, rep):
                     return rep
                 raise
             triples = size * len(gathered)
             if triples >= _CHUNK:  # a chunk of its own
-                if _failed(c, chunk, eps, tol, rep):
+                if _failed(c, chunk, tol, rep):
                     return rep
                 held = 0
             chunk += gathered
             held += triples
             if held >= _CHUNK:
-                if _failed(c, chunk, eps, tol, rep):
+                if _failed(c, chunk, tol, rep):
                     return rep
                 held = 0
-    _failed(c, chunk, eps, tol, rep)
+    _failed(c, chunk, tol, rep)
     return rep
 
 
-def _failed(c: Cocycle, chunk: list, eps: float, tol: float, rep: CocycleReport) -> bool:
-    """Check (C1), and in float mode the modulus, on the splits gathered in
-    chunk, and empty it.  Adds the triples checked to rep, up to and
-    including the first failure, which it records; True on a failure."""
+def _failed(c: Cocycle, chunk: list, tol: float, rep: CocycleReport) -> bool:
+    """Check (C1), and the modulus of inexact first-leg values, on the
+    splits gathered in chunk, and empty it.  Adds the triples checked to
+    rep, up to and including the first failure, which it records; True on
+    a failure."""
     g = c.graph
     splits = chunk.copy()
     chunk.clear()
     if not splits:
         return False
     columns = list(zip(*(terms for *_, terms in splits)))
-    c1_ok = _agree(columns, eps)
+    c1_ok = _agree(columns, tol)
     bad = ~c1_ok
-    if c.mode == FLOAT:
+    if any(t.ints is None for t, _ in columns[0]):  # an exact entry's modulus reads 1.0
         bad = bad | (np.abs(_gather(columns[0], lambda t: t.modulus) - 1.0) > tol)
     hits = np.flatnonzero(bad)
     if not hits.size:
@@ -661,7 +653,6 @@ def are_cohomologous(c1: Cocycle, c2: Cocycle, cap):
         raise GraphMismatch("cocycles live on different graphs", (c1.graph, c2.graph))
     g = c1.graph
     cap = dg.as_degree(cap, g.k)
-    eps = 0.0 if (c1.mode == EXACT and c2.mode == EXACT) else 1e-9
 
     def q(la, mu):
         m, n = la.degree, mu.degree
@@ -693,7 +684,7 @@ def are_cohomologous(c1: Cocycle, c2: Cocycle, cap):
                 for y, ratio in adj[x]:
                     want = b_edge[x] * ratio.conj()  # b(y) from b(x) = ratio*b(y)
                     if y in b_edge:
-                        if not b_edge[y].close(want, eps):
+                        if not _close(b_edge[y], want, 1e-9):
                             return CohomologyCounterexample(
                                 "square relations over-determine an edge value",
                                 (y, b_edge[y], want),
@@ -724,7 +715,7 @@ def are_cohomologous(c1: Cocycle, c2: Cocycle, cap):
             for la in g.paths(total):
                 mu, nu = g.split(la, m)
                 db = b(mu) * b(nu) * b(la).conj()
-                if not db.close(q(mu, nu), eps):
+                if not _close(db, q(mu, nu), 1e-9):
                     return CohomologyCounterexample(
                         "propagated b fails on a pair", (mu, nu, db, q(mu, nu))
                     )

@@ -29,7 +29,7 @@ import numpy as np
 
 from kgt import degrees as dg
 from kgt import fock
-from kgt.cocycle import EXACT, FLOAT, CocycleReport
+from kgt.cocycle import CocycleReport
 from kgt.errors import DegreeExceedsTruncation, DegreeMismatch
 from kgt.fock import FockOp, creation_x, creation_y
 from kgt.kgraph import Path
@@ -156,12 +156,13 @@ def creation_pairs(space, c, pairs):
 
 def twist_fields(phases):
     """(values, modulus, ints) of the twist entries `phases`, entry by entry:
-    complex(p), abs(complex(p)), and the integer encoding (turns, turn_den,
-    rads, rad_den) over the lcm of every entry's denominators, or None when
-    an entry is inexact or the encoding passes the int64-safe bound 2**60."""
+    complex(p), abs(complex(p)) (1.0 for an exact p), and the integer
+    encoding (turns, turn_den, rads, rad_den) over the lcm of every entry's
+    denominators, or None when an entry is inexact or the encoding passes
+    the int64-safe bound 2**60."""
     ps = list(phases)
     values = np.array([complex(p) for p in ps], dtype=np.complex128)
-    modulus = np.array([abs(complex(p)) for p in ps], dtype=np.float64)
+    modulus = np.array([1.0 if p.is_exact else abs(complex(p)) for p in ps], dtype=np.float64)
     if not all(p.is_exact for p in ps):
         return values, modulus, None
     turn_den = math.lcm(*(p.turns.denominator for p in ps))
@@ -174,12 +175,12 @@ def twist_fields(phases):
 
 
 def check_by_triples(c, cap, tol=1e-9):
-    """The definition of check_cocycle: (C1), and in float mode the modulus
-    of c(l1, l2), one triple at a time, in the order total degree, then
-    dg.splits(total, 3), then g.paths(total)."""
+    """The definition of check_cocycle: (C1), two exact sides compared at 0
+    and any other pair at tol, and the modulus of an inexact c(l1, l2), one
+    triple at a time, in the order total degree, then dg.splits(total, 3),
+    then g.paths(total)."""
     g = c.graph
     cap = dg.as_degree(cap, g.k)
-    eps = 0.0 if c.mode == EXACT else tol
     rep = CocycleReport()
     for total in dg.degrees_upto(cap):
         for m, n, p in dg.splits(total, 3):
@@ -189,10 +190,10 @@ def check_by_triples(c, cap, tol=1e-9):
                 lhs = c(l1, l2) * c(g.compose(l1, l2), l3)
                 rhs = c(l1, g.compose(l2, l3)) * c(l2, l3)
                 rep.triples_checked += 1
-                if not lhs.close(rhs, eps):
+                if not lhs.close(rhs, 0.0 if lhs.is_exact and rhs.is_exact else tol):
                     rep.first_failure = ("C1", (l1, l2, l3), (lhs, rhs))
                     return rep
-                if c.mode == FLOAT:
+                if not c(l1, l2).is_exact:
                     val = abs(complex(c(l1, l2)))
                     if abs(val - 1.0) > tol:
                         rep.first_failure = ("modulus", (l1, l2), val)

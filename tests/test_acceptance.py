@@ -17,7 +17,6 @@ import numpy as np
 
 import kgt.degrees as dg
 from kgt.cocycle import (
-    EXACT,
     bicharacter_cocycle,
     c_f,
     c_omega,
@@ -26,6 +25,7 @@ from kgt.cocycle import (
     check_cocycle,
     product_cocycle,
     skew_lift,
+    tabulate,
     trivial_cocycle,
 )
 from kgt.constructions import (
@@ -101,8 +101,9 @@ def test_cocycle_constructors_verify_exactly():
             product_cocycle(theta1, bich2, cart12),
         ]
         for c in built:
-            assert c.mode == EXACT, c.name
-            rep = check_cocycle(c, (3,) * c.graph.k, tol=0.0)
+            cap = (3,) * c.graph.k
+            assert all(p.is_exact for p in tabulate(c, cap).values()), c.name
+            rep = check_cocycle(c, cap, tol=0.0)
             assert rep.ok, (c.name, rep)
 
 
@@ -249,9 +250,9 @@ def test_product_axioms_on_full_bases():
                 max_shifts=1 if k == 3 else 2,
             )
             c = random_cocycle(8900 + 31 * i, g)
-            tol = 1e-12 if c.mode == EXACT else 1e-9
-            rng = np.random.default_rng([2, i])
             cap = (2,) * k
+            tol = 1e-12 if all(p.is_exact for p in tabulate(c, cap).values()) else 1e-9
+            rng = np.random.default_rng([2, i])
             _x_basis_axioms(g, c, cap, tol, rng)
             _y_basis_axioms(g, c, cap, tol, rng)
 

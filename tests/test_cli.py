@@ -10,7 +10,7 @@ import pytest
 
 from kgt import cli, fock
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main, parse_graph_doc
-from kgt.cocycle import EXACT, FLOAT, c_theta, from_table, trivial_cocycle
+from kgt.cocycle import c_theta, from_table, tabulate, trivial_cocycle
 from kgt.constructions import cartesian, crossed_product, identity_action
 from kgt.errors import ParseError
 from kgt.kgraph import fixture_f1, fixture_f2, omega, validate_skeleton
@@ -41,6 +41,11 @@ def _ctheta_doc(turns="1/4", cap=(2, 2)):
     return emit_cocycle_doc(c, cap)
 
 
+def _exact(c, cap):
+    """Whether every value of c on the pairs within cap is exact."""
+    return all(p.is_exact for p in tabulate(c, cap).values())
+
+
 # -- documents ---------------------------------------------------------------
 
 
@@ -52,7 +57,7 @@ def test_graph_document_round_trip_is_bit_exact():
 def test_cocycle_table_round_trip_is_bit_exact():
     doc = _ctheta_doc()
     c = load_cocycle(doc, fixture_f1())
-    assert c.mode == "exact-angle"
+    assert _exact(c, (2, 2))
     assert emit_cocycle_doc(c, (2, 2)) == doc
 
 
@@ -98,6 +103,19 @@ def test_table_entry_that_is_not_composable_exits_2(files, capsys):
     doc["entries"].append([["a"], ["a"], "1/3 turn"])
     assert main(["fock", write("f2.json", _f2_doc()), write("c.json", doc), "--N", "1"]) == 2
     assert "ParseError: entries[2]: no twist reads the pair [['a'], ['a']]" in capsys.readouterr().err
+
+
+def test_float_entry_leaves_the_exact_entries_exact(files, capsys):
+    """The c_theta(F1, 1/3 turn) table at cap (6, 6) with c(e, e) = 1 written
+    as 0.0 float radians: every other entry stays exact, so at zero
+    tolerance no rounding of the exact entries fails (C1) or the modulus."""
+    _, write = files
+    doc = _ctheta_doc("1/3", (6, 6))
+    (entry,) = [ent for ent in doc["entries"] if ent[:2] == [["e"], ["e"]]]
+    entry[2] = 0.0
+    argv = ["check", write("f1.json", _f1_doc()), write("c.json", doc), "--tolerance", "0"]
+    assert main(argv + ["--suite", "def-cocycle-c1c2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ok   def-cocycle-c1c2")
 
 
 @pytest.mark.parametrize("argv", [["fock", "--N", "1"], ["check", "--suite", "def-3.1"]], ids=["fock", "check"])
@@ -187,7 +205,7 @@ def test_coboundary_builtin_loads_and_is_exact():
         "params": {"edge_phases": {"a": "1/3 turn"}, "degree_form": [["1/8 turn"]]},
     }
     c = load_cocycle(doc, fixture_f2())
-    assert c.mode == "exact-angle"
+    assert _exact(c, (3,))
 
 
 def test_coboundary_builtin_with_float_angles_loads_as_float(files):
@@ -196,12 +214,12 @@ def test_coboundary_builtin_with_float_angles_loads_as_float(files):
     doc = {"kind": "builtin", "name": "coboundary", "params": {"edge_phases": {"e": 0.3, "f": 1.1}}}
     c = write("cob.json", doc)
     assert main(["check", g, c, "--suite", "def-3.1"]) == 0
-    assert load_cocycle(doc, fixture_f1()).mode == FLOAT
+    assert not _exact(load_cocycle(doc, fixture_f1()), (2, 2))
     angles = [["1/8 turn", 0.7], ["0 turn", "1/4 turn"]]
     form = {"kind": "builtin", "name": "coboundary", "params": {"degree_form": angles}}
-    assert load_cocycle(form, fixture_f1()).mode == FLOAT
+    assert not _exact(load_cocycle(form, fixture_f1()), (2, 2))
     doc["params"]["edge_phases"] = {"e": "1/3 turn", "f": "1/5 turn"}
-    assert load_cocycle(doc, fixture_f1()).mode == EXACT
+    assert _exact(load_cocycle(doc, fixture_f1()), (2, 2))
 
 
 def test_json_integer_angles_are_exact_radians(files):
@@ -210,7 +228,7 @@ def test_json_integer_angles_are_exact_radians(files):
     _, write = files
     params = {"edge_phases": {"e": "1/3 turn", "f": 1}, "degree_form": [[0, 0], [0, 0]]}
     doc = {"kind": "builtin", "name": "coboundary", "params": params}
-    assert load_cocycle(doc, fixture_f1()).mode == EXACT
+    assert _exact(load_cocycle(doc, fixture_f1()), (2, 2))
     assert main(["check", write("f1.json", _f1_doc()), write("cob.json", doc), "--suite", "def-3.1"]) == 0
     assert parse_angle(1) == Phase.exact_radians(1)
     assert parse_angle(-3).is_exact
@@ -663,6 +681,18 @@ def test_an_unwritable_output_path_is_usage_error(files, capsys, monkeypatch, co
     monkeypatch.setattr(cli, "load_graph", unread)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"ParseError: {out}: ")
+
+
+def test_build_refuses_two_documents_on_stdout(files, capsys):
+    """With --cocycle, build writes a graph and a cocycle document; one
+    stream cannot hold both as JSON, so one of them needs a file."""
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    params = json.dumps({"group": 2, "labels": {"a": "1", "b": "0"}})
+    assert main(["build", g, "--op", "skew", "--params", params, "--cocycle", c]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ParseError: --cocycle writes two documents")
 
 
 def test_build_refuses_one_file_for_both_outputs(files, capsys):

@@ -82,7 +82,7 @@ def test_corrupted_exponent_fails_with_triple():
     def ev(la, mu):
         return ONE_RAD ** (la.degree[1] * mu.degree[0] ** 2)
 
-    rep = check_cocycle(Cocycle(F1, ev, "exact-angle", "corrupt"), (2, 2))
+    rep = check_cocycle(Cocycle(F1, ev, "corrupt"), (2, 2))
     assert not rep.ok
     kind, witness, values = rep.first_failure
     assert kind == "C1"

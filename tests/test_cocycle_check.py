@@ -22,8 +22,6 @@ from kgt import cocycle
 from kgt import degrees as dg
 from kgt.cli import _creations, emit_cocycle_doc, emit_graph_doc, main
 from kgt.cocycle import (
-    EXACT,
-    FLOAT,
     Coboundary,
     Cocycle,
     bicharacter_cocycle,
@@ -85,19 +83,20 @@ def suite_cap(g):
 # -- table fixtures ----------------------------------------------------------
 
 
-def table_cocycle(g, cap, entries, mode):
-    return from_table(g, entries, cap, mode=mode, check=False)
+def table_cocycle(g, cap, entries):
+    return from_table(g, entries, cap, check=False)
 
 
 def as_float_entries(entries):
     return {key: Phase.from_complex(complex(p)) for key, p in entries.items()}
 
 
-def corrupt(entries, rng, mode):
-    """Move one entry, at a random position, by a phase well away from 1."""
+def corrupt(entries, rng):
+    """Move one entry, at a random position, by a phase well away from 1:
+    an exact one by whole twelfths of a turn, a float one by float radians."""
     keys = sorted(entries)
     key = keys[int(rng.integers(0, len(keys)))]
-    if mode == EXACT:
+    if entries[key].is_exact:
         shift = Phase.from_turns(Fraction(int(rng.integers(1, 12)), 12))
     else:
         shift = Phase.from_radians(float(rng.uniform(0.1, 2 * math.pi - 0.1)))
@@ -139,31 +138,31 @@ def test_tabulate_and_emitted_documents_are_unchanged():
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_corrupted_tables_report_the_same_first_failure(seed, mode):
+@pytest.mark.parametrize("floats", [False, True], ids=["exact-angle", "float"])
+def test_corrupted_tables_report_the_same_first_failure(seed, floats):
     rng = np.random.default_rng(seed)
     for c, cap in _subjects():
         entries = tabulate_by_split(c, cap)
-        if mode == FLOAT:
+        if floats:
             entries = as_float_entries(entries)
-        bad = table_cocycle(c.graph, cap, corrupt(entries, rng, mode), mode)
+        bad = table_cocycle(c.graph, cap, corrupt(entries, rng))
         for tol in (1e-9, 0.0):
             rep = assert_same(bad, cap, tol)
             assert not rep.ok
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("floats", [False, True], ids=["exact-angle", "float"])
 @pytest.mark.parametrize("g, count", [(F1, 19), (SV, 61)], ids=["F1", "SV"])
-def test_every_moved_entry_reports_the_same_first_failure(g, count, mode):
+def test_every_moved_entry_reports_the_same_first_failure(g, count, floats):
     """Each entry of the table moved in turn, so the first failure falls at
     every offset of the batches of splits, past a batch's first split too."""
     entries = tabulate_by_split(c_theta(g, Phase.from_turns(Fraction(1, 8))), (2, 2))
     assert len(entries) == count
     shift = Phase.from_turns(Fraction(1, 3))
-    if mode == FLOAT:
+    if floats:
         entries, shift = as_float_entries(entries), Phase.from_radians(1.0)
     for key in sorted(entries):
-        bad = table_cocycle(g, (2, 2), {**entries, key: entries[key] * shift}, mode)
+        bad = table_cocycle(g, (2, 2), {**entries, key: entries[key] * shift})
         for tol in (1e-9, 0.0):
             assert not assert_same(bad, (2, 2), tol).ok
 
@@ -172,25 +171,39 @@ def test_float_table_entry_off_the_unit_circle():
     entries = as_float_entries(tabulate_by_split(c_theta(F1, Phase.from_turns(Fraction(1, 8))), (2, 2)))
     key = (("e",), ("f",))
     entries[key] = Phase(None, None, complex(entries[key]) * 1.5)
-    rep = assert_same(table_cocycle(F1, (2, 2), entries, FLOAT), (2, 2))
+    rep = assert_same(table_cocycle(F1, (2, 2), entries), (2, 2))
     assert rep.first_failure[0] == "modulus"
     assert rep.first_failure[2] == pytest.approx(1.5)
 
 
 def test_float_table_at_zero_tolerance():
-    """Zero tolerance in float mode compares floats exactly, as Phase.close does."""
+    """Zero tolerance compares float values exactly, as Phase.close does."""
     entries = as_float_entries(tabulate_by_split(c_theta(F1, Phase.from_turns(Fraction(1, 8))), (2, 2)))
-    assert_same(table_cocycle(F1, (2, 2), entries, FLOAT), (2, 2), tol=0.0)
+    assert_same(table_cocycle(F1, (2, 2), entries), (2, 2), tol=0.0)
 
 
 def test_float_mode_tolerates_a_small_exact_deviation():
-    """In float mode a positive tolerance applies to exact values too."""
+    """The tolerance absorbs float roundoff only: an exact entry moved by
+    10**-12 turn fails at every tolerance."""
     entries = tabulate_by_split(c_theta(F1, Phase.from_turns(Fraction(1, 8))), (2, 2))
     key = (("e",), ("f",))
     entries[key] = entries[key] * Phase.from_turns(Fraction(1, 10**12))
-    c = table_cocycle(F1, (2, 2), entries, FLOAT)
-    assert assert_same(c, (2, 2), tol=1e-9).ok
-    assert not assert_same(c, (2, 2), tol=0.0).ok
+    c = table_cocycle(F1, (2, 2), entries)
+    for tol in (1e-9, 0.0):
+        assert assert_same(c, (2, 2), tol).first_failure[0] == "C1"
+
+
+def test_a_moved_exact_entry_beside_a_float_entry():
+    """A float entry does not make the table's exact entries inexact: with
+    c(e, e) = 1 held as float radians the table passes at zero tolerance,
+    and an exact entry moved by 10**-12 turn beside it fails (C1) at 1e-9."""
+    entries = tabulate_by_split(c_theta(F1, Phase.from_turns(Fraction(1, 3))), (2, 2))
+    entries[(("e",), ("e",))] = Phase.from_radians(0.0)
+    assert assert_same(table_cocycle(F1, (2, 2), entries), (2, 2), tol=0.0).ok
+    key = (("e",), ("f",))
+    entries[key] = entries[key] * Phase.from_turns(Fraction(1, 10**12))
+    rep = assert_same(table_cocycle(F1, (2, 2), entries), (2, 2), tol=1e-9)
+    assert rep.first_failure[0] == "C1"
 
 
 def _big_prime_bicharacter():
@@ -206,7 +219,7 @@ def test_large_turn_denominators_fall_back_to_phases():
     assert rep.ok
     entries = tabulate_by_split(c, (2, 2))
     entries[(("e",), ("e", "f"))] = entries[(("e",), ("e", "f"))] * Phase.from_turns(Fraction(1, BIG_PRIMES[0]))
-    rep = assert_same(table_cocycle(F1, (2, 2), entries, EXACT), (2, 2))
+    rep = assert_same(table_cocycle(F1, (2, 2), entries), (2, 2))
     assert rep.first_failure[0] == "C1"
 
 
@@ -220,29 +233,31 @@ def test_large_radian_numerators_fall_back_to_phases():
 @pytest.mark.parametrize("tol", [1e-9, 0.0])
 def test_float_mode_with_large_exact_radians(tol):
     """Angles near 1e8 rad are a few ulps of float apart from their rounded
-    products, more than 1e-9; exactly equal products still pass."""
+    products, more than 1e-9; exact values are compared exactly, so equal
+    products pass and an entry moved by 10**-12 rad fails, at every
+    tolerance."""
     mat = [[Phase.exact_radians(Fraction(10**8 + 3, 7)), Phase.exact_radians(Fraction(123456789))],
            [Phase.exact_radians(Fraction(-(10**8), 3)), Phase.exact_radians(Fraction(98765432, 5))]]
-    c = bicharacter_cocycle(F1, mat, mode=FLOAT)
+    c = bicharacter_cocycle(F1, mat)
     assert c.twist((1, 1), (1, 1)).ints is not None
     assert assert_same(c, (2, 2), tol).ok
     entries = tabulate_by_split(c, (2, 2))
     key = (("e",), ("f",))
     entries[key] = entries[key] * Phase.exact_radians(Fraction(1, 10**12))
-    bad = assert_same(table_cocycle(F1, (2, 2), entries, FLOAT), (2, 2), tol)
-    assert bad.ok == (tol > 0)
+    bad = assert_same(table_cocycle(F1, (2, 2), entries), (2, 2), tol)
+    assert bad.first_failure[0] == "C1"
 
 
 def test_exact_mode_coboundary_with_float_values():
-    """Inexact values in exact mode are compared as Phase objects at zero
-    tolerance; rounding in the float products decides, the same way."""
+    """A coboundary of float values is compared as Phase objects at tol;
+    at zero tolerance rounding in the float products decides, the same way."""
     for g, cap in [(F1, (2, 2)), (F2, (3,)), (SV, (1, 2))]:
 
         def b(la, g=g):
             i = g.path_index(la.degree)[la]
             return Phase.from_radians(0.3 + 0.7 * i + 1.1 * sum(la.degree))
 
-        c = Coboundary(g, b).delta(mode=EXACT)
+        c = Coboundary(g, b).delta()
         assert_same(c, cap, tol=1e-9)
         assert_same(c, cap, tol=0.0)
 
@@ -250,7 +265,7 @@ def test_exact_mode_coboundary_with_float_values():
 def test_missing_table_entry_raises_the_same_error():
     entries = tabulate_by_split(c_theta(F1, Phase.from_turns(Fraction(1, 8))), (2, 2))
     del entries[(("e",), ("f",))]
-    c = table_cocycle(F1, (2, 2), entries, EXACT)
+    c = table_cocycle(F1, (2, 2), entries)
     with pytest.raises(CapTooSmallForRequestedDegree):
         check_by_triples(c, (2, 2))
     with pytest.raises(CapTooSmallForRequestedDegree):
@@ -280,8 +295,8 @@ def _chunk_sizes(monkeypatch):
     sizes = []
     agree = cocycle._agree
 
-    def spy(columns, eps):
-        ok = agree(columns, eps)
+    def spy(columns, tol):
+        ok = agree(columns, tol)
         sizes.append(ok.size)
         return ok
 
@@ -289,15 +304,16 @@ def _chunk_sizes(monkeypatch):
     return sizes
 
 
-def _c_theta_table(cap, mode=EXACT, moved=None):
-    """The c_theta(1/8) table of single_vertex(2, (2, 2)) at cap, with the
-    entry `moved` multiplied by 1/3 turn, or by 1 radian in float mode."""
+def _c_theta_table(cap, floats=False, moved=None):
+    """The c_theta(1/8) table of single_vertex(2, (2, 2)) at cap, its entries
+    exact or floats, with the entry `moved` multiplied by 1/3 turn, or by 1
+    float radian when the entries are floats."""
     g = single_vertex(2, (2, 2))
     entries = tabulate(c_theta(g, Phase.from_turns(Fraction(1, 8))), cap)
-    if mode == FLOAT:
+    if floats:
         entries = as_float_entries(entries)
     if moved is not None:
-        entries[moved] = entries[moved] * (Phase.from_turns(Fraction(1, 3)) if mode == EXACT else Phase.from_radians(1.0))
+        entries[moved] = entries[moved] * (Phase.from_radians(1.0) if floats else Phase.from_turns(Fraction(1, 3)))
     return g, entries
 
 
@@ -308,27 +324,27 @@ def test_a_failure_before_a_missing_entry_is_reported_first():
     does, not the missing entry."""
     g, entries = _c_theta_table((3, 3), moved=(("c1x0",), ("c1x1",)))
     del entries[next(key for key in sorted(entries) if len(key[0]) + len(key[1]) == 6)]
-    rep = assert_same(table_cocycle(g, (3, 3), entries, EXACT), (3, 3))
+    rep = assert_same(table_cocycle(g, (3, 3), entries), (3, 3))
     assert rep.first_failure[0] == "C1" and rep.triples_checked == 380
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_a_failure_in_the_second_chunk(mode, monkeypatch):
+@pytest.mark.parametrize("floats", [False, True], ids=["exact-angle", "float"])
+def test_a_failure_in_the_second_chunk(floats, monkeypatch):
     """A corrupted (4, 4) table, 123,201 triples, whose first failure falls
     in the second chunk: the report of a check with one batch per chunk.
     The witness and count are those of check_by_triples, which takes
     seconds here."""
-    g, entries = _c_theta_table((4, 4), mode, moved=(("c1x0",), ("c1x0", "c1x0", "c2x0", "c2x0", "c2x0", "c2x0")))
+    g, entries = _c_theta_table((4, 4), floats, moved=(("c1x0",), ("c1x0", "c1x0", "c2x0", "c2x0", "c2x0", "c2x0")))
     with monkeypatch.context() as patch:
         patch.setattr(cocycle, "_CHUNK", 1)
-        per_batch = check_cocycle(table_cocycle(g, (4, 4), entries, mode), (4, 4))
+        per_batch = check_cocycle(table_cocycle(g, (4, 4), entries), (4, 4))
     sizes = _chunk_sizes(monkeypatch)
-    rep = check_cocycle(table_cocycle(g, (4, 4), entries, mode), (4, 4))
+    rep = check_cocycle(table_cocycle(g, (4, 4), entries), (4, 4))
     assert _fields(rep) == _fields(per_batch)
     assert len(sizes) == 2 and cocycle._CHUNK <= sizes[0] < rep.triples_checked <= sum(sizes)
     assert rep.triples_checked == 35010
     assert repr(rep.first_failure[1]) == "(<c1x0>, <c2x0>, <c1x0.c1x0.c2x0.c2x0.c2x0>)"
-    if mode == EXACT:
+    if not floats:
         assert repr(rep.first_failure[2]) == "(Phase(1/4 turn), Phase(7/12 turn))"
 
 
@@ -341,12 +357,12 @@ def test_degrees_without_paths(bound, monkeypatch):
     sizes = _chunk_sizes(monkeypatch)
     g = omega(2, (2, 1))
     entries = tabulate_by_split(random_cocycle(4, g), (2, 2))
-    rep = assert_same(table_cocycle(g, (2, 2), entries, EXACT), (2, 2))
+    rep = assert_same(table_cocycle(g, (2, 2), entries), (2, 2))
     assert rep.ok and sizes[-1] == (0 if bound == 1 else rep.triples_checked)
     shift = Phase.from_turns(Fraction(1, 3))
     failures = 0
     for key in sorted(entries):
-        bad = table_cocycle(g, (2, 2), {**entries, key: entries[key] * shift}, EXACT)
+        bad = table_cocycle(g, (2, 2), {**entries, key: entries[key] * shift})
         failures += not assert_same(bad, (2, 2)).ok
     assert failures > 0
 
@@ -379,7 +395,7 @@ def test_a_chunk_past_the_int64_bound_falls_back_to_phases(monkeypatch):
     entries[key] = entries[key] * Phase.from_turns(Fraction(1, BIG_PRIMES[1]))
     for bound in (1, 2**15):
         monkeypatch.setattr(cocycle, "_CHUNK", bound)
-        rep = assert_same(table_cocycle(F1, (2, 2), entries, EXACT), (2, 2))
+        rep = assert_same(table_cocycle(F1, (2, 2), entries), (2, 2))
         assert rep.first_failure[0] == "C1"
 
 
@@ -388,7 +404,7 @@ def test_check_cocycle_memory_stays_bounded():
     of the (4, 4) check, its twists included, is about 4 MiB; one window
     over all 123,201 triples took 11 MiB."""
     g, entries = _c_theta_table((4, 4))
-    c = table_cocycle(g, (4, 4), entries, EXACT)
+    c = table_cocycle(g, (4, 4), entries)
     tracemalloc.start()
     try:
         rep = check_cocycle(c, (4, 4))
@@ -403,18 +419,18 @@ def test_check_cocycle_memory_stays_bounded():
 @given(
     subject=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
-    mode=st.sampled_from([EXACT, FLOAT]),
+    floats=st.booleans(),
     tol=st.sampled_from([1e-9, 0.0]),
     corrupted=st.booleans(),
 )
-def test_hypothesis_agreement(subject, seed, mode, tol, corrupted):
+def test_hypothesis_agreement(subject, seed, floats, tol, corrupted):
     c, cap = _subjects()[subject]
     entries = tabulate_by_split(c, cap)
-    if mode == FLOAT:
+    if floats:
         entries = as_float_entries(entries)
     if corrupted:
-        entries = corrupt(entries, np.random.default_rng(seed), mode)
-    assert_same(table_cocycle(c.graph, cap, entries, mode), cap, tol)
+        entries = corrupt(entries, np.random.default_rng(seed))
+    assert_same(table_cocycle(c.graph, cap, entries), cap, tol)
 
 
 # -- the twist and factorization tables --------------------------------------

@@ -168,7 +168,7 @@ def test_rep_axioms_catch_a_dropped_phase():
             return ONE
         return base(la, mu)
 
-    bad = Cocycle(F1, corrupt, mode=base.mode, name="dropped-phase")
+    bad = Cocycle(F1, corrupt, name="dropped-phase")
     rep = rep_axioms_check(FockSpace(F1, (2, 2)), bad)
     assert not rep.ok
     assert rep.first_failure[0] == "multiplicativity"
@@ -182,7 +182,7 @@ def test_psi_check_catches_a_dropped_phase():
             return ONE
         return base(la, mu)
 
-    bad = Cocycle(F1, corrupt, mode=base.mode, name="dropped-phase")
+    bad = Cocycle(F1, corrupt, name="dropped-phase")
     rep = psi_check(FockSpace(F1, (2, 2), (3, 3)), bad)
     assert not rep.ok
     f = next(p for p in F1.paths((0, 1)) if p.edges == ("f",))

@@ -20,7 +20,7 @@ import pytest
 import oracle
 from kgt import degrees as dg
 from kgt import fock, ymod
-from kgt.cocycle import FLOAT, Coboundary, c_theta, trivial_cocycle
+from kgt.cocycle import Coboundary, c_theta, trivial_cocycle
 from kgt.constructions import crossed_product, identity_action
 from kgt.fock import (
     FockSpace,
@@ -134,7 +134,7 @@ def _float_coboundary(g):
     """The float coboundary of a path function that is not a product of
     edge phases, so that c(a, mu) conj(c(b, mu)) varies with the paths: the
     degree-only and edge-product cocycles make it 1 whenever d(a) = d(b)."""
-    return Coboundary(g, lambda la: parse_angle(0.3 + 0.7 * g.path_index(la.degree)[la] ** 2)).delta(FLOAT)
+    return Coboundary(g, lambda la: parse_angle(0.3 + 0.7 * g.path_index(la.degree)[la] ** 2)).delta()
 
 
 def _cylinder_subjects():

@@ -31,7 +31,7 @@ from kgt.cli import (
     load_graph,
     main,
 )
-from kgt.cocycle import FLOAT, bicharacter_cocycle, c_theta
+from kgt.cocycle import bicharacter_cocycle, c_theta, tabulate
 from kgt.fock import FockOp, FockSpace, creation_entries
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 from kgt.phases import Phase
@@ -107,9 +107,10 @@ def test_multi_vertex_matrices(tmp_path):
 
 
 def test_float_table_matrices(tmp_path):
-    # float radian entries load as a FLOAT table with long float reprs
+    # float radian entries load as inexact values with long float reprs
     c = c_theta(F1, Phase.from_radians(0.7))
-    assert load_cocycle(emit_cocycle_doc(c, (3, 3)), F1).mode == FLOAT
+    loaded = tabulate(load_cocycle(emit_cocycle_doc(c, (3, 3)), F1), (3, 3)).values()
+    assert not all(p.is_exact for p in loaded)
     text = assert_matrices_bytes(tmp_path, F1, c, (3, 3), (2, 2))
     assert any(len(s) > 15 for s in text.split())
 

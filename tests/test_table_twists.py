@@ -22,8 +22,6 @@ from hypothesis import strategies as st
 from kgt import degrees as dg
 from kgt.cli import emit_cocycle_doc, emit_graph_doc, load_cocycle, main
 from kgt.cocycle import (
-    EXACT,
-    FLOAT,
     Coboundary,
     Cocycle,
     Twist,
@@ -52,7 +50,7 @@ BIG_PRIMES = (1099511627791, 1099511627803, 1099511627831, 1099511627873)
 
 
 def per_pair(c):
-    return Cocycle(c.graph, c.evaluator, c.mode)
+    return Cocycle(c.graph, c.evaluator)
 
 
 def _bits(arr):
@@ -88,8 +86,8 @@ def assert_same_twists(c, cap):
             assert_same_twist(c.twist(m, n), oracle.twist(m, n))
 
 
-def as_table(c, cap, mode=None):
-    return from_table(c.graph, tabulate(c, cap), cap, mode=mode or c.mode, check=False)
+def as_table(c, cap):
+    return from_table(c.graph, tabulate(c, cap), cap, check=False)
 
 
 def shared_floats(entries):
@@ -118,9 +116,9 @@ def test_coded_twists_equal_the_per_pair_twists(subject):
     table = as_table(c, cap)
     assert_same_twists(table, cap)
     entries = tabulate(c, cap)
-    assert_same_twists(from_table(c.graph, shared_floats(entries), cap, mode=FLOAT, check=False), cap)
+    assert_same_twists(from_table(c.graph, shared_floats(entries), cap, check=False), cap)
     floats = {key: Phase.from_complex(complex(p)) for key, p in entries.items()}
-    assert_same_twists(from_table(c.graph, floats, cap, mode=FLOAT, check=False), cap)
+    assert_same_twists(from_table(c.graph, floats, cap, check=False), cap)
 
 
 def test_battery_table_twists_equal_the_per_pair_twists():
@@ -174,7 +172,7 @@ def test_signed_zero_imaginary_parts_keep_their_bits():
     """1+0j and 1-0j are equal and hash alike; the codes keep them apart."""
     pos, neg = Phase(None, None, complex(1.0, 0.0)), Phase(None, None, complex(1.0, -0.0))
     entries = {key: (pos, neg)[i % 2] for i, key in enumerate(sorted(tabulate(c_theta(SV, ONE), (2, 2))))}
-    c = from_table(SV, entries, (2, 2), mode=FLOAT, check=False)
+    c = from_table(SV, entries, (2, 2), check=False)
     assert_same_twists(c, (2, 2))
     signs = {math.copysign(1.0, z.imag) for z in c.twist((1, 0), (0, 1)).values}
     assert signs == {1.0, -1.0}
@@ -227,7 +225,7 @@ def _hooked_subjects():
         (c_omega(gamma, [Phase.from_turns(Fraction(1, 5))]), (2, 2)),
         (load_cocycle(cob, F1), (3, 3)),
         (_edge_coboundary(SV, exact).delta(), (2, 2)),
-        (_edge_coboundary(SV, floats).delta(FLOAT), (2, 2)),
+        (_edge_coboundary(SV, floats).delta(), (2, 2)),
         (pointwise_product(_edge_coboundary(SV, exact).delta(), float_theta), (2, 2)),
         (pointwise_product(float_theta, random_cocycle(11, SV)), (2, 2)),
     ]
@@ -270,7 +268,7 @@ def test_coboundary_tables_code_exact_values_by_value():
     product; float values stay coded by identity, and exact values that
     differ only in their radians keep apart."""
     exact = Coboundary(SV, lambda la: Phase.from_turns(Fraction(dg.total(la.degree), 7))).delta()
-    floats = Coboundary(SV, lambda la: Phase.from_radians(0.1 * dg.total(la.degree))).delta(FLOAT)
+    floats = Coboundary(SV, lambda la: Phase.from_radians(0.1 * dg.total(la.degree))).delta()
     rads = Coboundary(SV, lambda la: Phase.exact_radians(SV.path_index(la.degree)[la])).delta()
     t, f = (c.twist((1, 1), (1, 0)) for c in (exact, floats))
     assert len(t) == len(SV.paths((2, 1))) > 1 and len(t._distinct) == 1
@@ -334,7 +332,7 @@ def test_numeric_and_string_angles_load_as_distinct_phases():
     angles = [1, 1.0, "1", 0.0, -0.0]
     doc = json.loads(json.dumps(_doc(angles)))
     c = load_cocycle(doc, SV)
-    assert c.mode == FLOAT
+    assert {p.is_exact for p in tabulate(c, (1, 1)).values()} == {True, False}
     got = [c(SV.path_from_edges(le), SV.path_from_edges(me)) for le, me, _ in doc["entries"][: len(angles)]]
     for p, ang in zip(got, angles):
         want = parse_angle(ang)

@@ -7,7 +7,7 @@ import pytest
 
 from kgt import degrees as dg
 from kgt import verify
-from kgt.cocycle import EXACT, Coboundary, Cocycle, are_cohomologous, check_cocycle, trivial_cocycle
+from kgt.cocycle import Coboundary, Cocycle, are_cohomologous, check_cocycle, trivial_cocycle
 from kgt.errors import GenerationExhausted, UnknownCheck
 from kgt.kgraph import fixture_f1, fixture_f2, omega
 from kgt.phases import Phase
@@ -200,7 +200,6 @@ def test_failures_carry_replayable_seeds():
         lambda la, mu: Phase.from_turns(
             Fraction(dg.total(la.degree) ** 2 * dg.total(mu.degree), 8)
         ),
-        EXACT,
         "not-a-cocycle",
     )
     inst = Instance("f2/broken", g, bad)

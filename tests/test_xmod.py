@@ -277,7 +277,6 @@ def test_tensor_iso_check_passes():
 def test_tensor_iso_check_catches_nonunitary_twist():
     class Corrupt:
         graph = F1
-        mode = "float"
 
         def twist(self, m, n):
             # not unit modulus
