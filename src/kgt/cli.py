@@ -3,8 +3,10 @@
 Four subcommands: `validate` checks a graph document, `check` runs identity
 suites against a graph/cocycle pair, `build` assembles product graphs (and
 lifted cocycles), and `fock` dumps truncated creation matrices or relation
-reports.  Documents are JSON; angles travel as exact "p/q turn" strings when
-possible and float radians otherwise.
+reports.  Documents are JSON; an angle is read by phases.parse_angle and
+written by its inverse phases.format_angle: an exact value as a "p/q turn",
+"r rad" or "t turn + r rad" string, an inexact one as float radians.  A JSON
+integer is exact radians, and a string holding one is whole turns.
 
 Exit codes: 0 all good, 1 a check failed, 2 parse or usage trouble
 (malformed input included, from every subcommand, and a `fock` truncation
@@ -28,12 +30,12 @@ import numpy as np
 
 from . import degrees as dg
 from .cocycle import (
-    Coboundary,
     Cocycle,
     c_f,
     c_omega,
     c_sigma,
     check_cocycle,
+    edge_coboundary,
     from_table,
     product_cocycle,
     skew_lift,
@@ -62,7 +64,7 @@ from .fock import (
     rep_axioms_check,
 )
 from .kgraph import KGraph, Path, make_skeleton, validate_skeleton
-from .phases import Phase, format_angle, parse_angle, product
+from .phases import Phase, format_angle, parse_angle
 from .verify import Instance, SuiteConfig, run_suite
 from .xmod import XElem
 
@@ -337,16 +339,7 @@ def _coboundary_from_params(g: KGraph, params: dict) -> Cocycle:
     form = _angle_rows(params.get("degree_form", []), "params.degree_form")
     if form and (len(form) != g.k or any(len(row) != g.k for row in form)):
         raise ParseError(f"coboundary params: degree_form must be {g.k}x{g.k}", form)
-
-    def b(la: Path) -> Phase:
-        out = product(label[e] for e in la.edges)
-        for i in range(g.k):
-            for j in range(g.k):
-                if form:
-                    out = out * form[i][j] ** (la.degree[i] * la.degree[j])
-        return out
-
-    return Coboundary(g, b, name="coboundary").delta()
+    return edge_coboundary(g, label, form, "coboundary").delta()
 
 
 def _edge_ids(path, where: str, seen: dict) -> tuple[str, ...]:

@@ -68,18 +68,6 @@ _INT64_SAFE = 2**60
 _CHUNK = 2**15
 
 
-def as_phase(x) -> Phase:
-    """Coerce a user-supplied value to a Phase, exactly when possible."""
-    if isinstance(x, Phase):
-        return x
-    if isinstance(x, str):
-        return parse_angle(x)
-    if isinstance(x, complex):
-        return Phase.from_complex(x)
-    # numbers are radian angles; going through Fraction keeps arithmetic exact
-    return Phase.exact_radians(Fraction(x))
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -214,10 +202,10 @@ def trivial_cocycle(g: KGraph) -> Cocycle:
 
 def bicharacter_cocycle(g: KGraph, theta, name="bicharacter") -> Cocycle:
     """c(la, mu) = prod_ij theta[i][j]^(d(la)_i d(mu)_j), theta entries being
-    phases (numbers are radian angles).  Bilinearity of the exponent makes
+    angles as parse_angle reads them.  Bilinearity of the exponent makes
     (C1) hold for any matrix, and degree-0 legs kill the product, giving (C2).
     """
-    mat = [[as_phase(x) for x in row] for row in theta]
+    mat = [[parse_angle(x) for x in row] for row in theta]
     if len(mat) != g.k or any(len(row) != g.k for row in mat):
         raise GraphMismatch(f"need a {g.k}x{g.k} matrix, got {len(mat)} rows", theta)
 
@@ -237,7 +225,7 @@ def c_theta(g: KGraph, theta) -> Cocycle:
     if g.k < 2:
         raise GraphMismatch("this twist needs at least two colors", g.k)
     mat = [[Phase.one() for _ in range(g.k)] for _ in range(g.k)]
-    mat[1][0] = as_phase(theta)
+    mat[1][0] = parse_angle(theta)
     return bicharacter_cocycle(g, mat, name="c_theta")
 
 
@@ -252,12 +240,12 @@ def _require_crossed(g) -> CrossedProductGraph:
 
 def functor_from_edge_table(g: KGraph, table: dict) -> dict:
     """Validate that edge values extend to a functor (squares agree) and
-    return the table with values coerced to Phase."""
+    return the table with values read by parse_angle."""
     out = {}
     for e in g.all_edges:
         if e.ident not in table:
             raise NotAFunctor(f"no value for edge {e.ident!r}", e.ident)
-        out[e.ident] = as_phase(table[e.ident])
+        out[e.ident] = parse_angle(table[e.ident])
     for (e, f), (f2, e2) in g.skeleton.squares.items():
         if out[e] * out[f] != out[f2] * out[e2]:
             raise NotAFunctor(f"values disagree on the square {(e, f)} = {(f2, e2)}", (e, f))
@@ -291,7 +279,7 @@ def c_f(gamma: CrossedProductGraph, f_table: dict) -> Cocycle:
 def c_omega(gamma: CrossedProductGraph, generators) -> Cocycle:
     """c((mu,m),(nu,n)) = omega(m)^|d(nu)| for omega given by l phases."""
     gamma = _require_crossed(gamma)
-    gens = [as_phase(x) for x in generators]
+    gens = [parse_angle(x) for x in generators]
     if len(gens) != gamma.l:
         raise GraphMismatch(f"need {gamma.l} generators, got {len(gens)}", generators)
 
@@ -312,7 +300,7 @@ def c_sigma(gamma: CrossedProductGraph, theta) -> Cocycle:
     """
     gamma = _require_crossed(gamma)
     l, k = gamma.l, gamma.base.k
-    rows = [[as_phase(x) for x in row] for row in theta]
+    rows = [[parse_angle(x) for x in row] for row in theta]
     if len(rows) != l or any(len(r) != l for r in rows):
         raise GraphMismatch(f"need an {l}x{l} matrix", theta)
     full = [[Phase.one() for _ in range(gamma.k)] for _ in range(gamma.k)]
@@ -384,7 +372,7 @@ def from_table(g: KGraph, entries: dict, cap, check=True) -> Cocycle:
     twist would.
     """
     cap = dg.as_degree(cap, g.k)
-    table = {(tuple(le), tuple(me)): as_phase(val) for (le, me), val in entries.items()}
+    table = {(tuple(le), tuple(me)): parse_angle(val) for (le, me), val in entries.items()}
 
     def tabulate_twist(_, m, n) -> Twist:
         pm, pn = g.paths(m), g.paths(n)
@@ -473,6 +461,20 @@ class Coboundary:
             return _combined(lambda x, y, z: x * y * z.conj(), legs)
 
         return Cocycle(g, ev, f"delta({self.name})", _tabulate=tabulate_twist)
+
+
+def edge_coboundary(g: KGraph, label: dict, form, name: str) -> Coboundary:
+    """The path function b(la) = prod_e label[e] * prod_ij form[i][j]^(d_i d_j)
+    over the edges e and the degree d of la; an empty form adds nothing."""
+
+    def b(la: Path) -> Phase:
+        out = product(label[e] for e in la.edges)
+        for i, row in enumerate(form):
+            for j, p in enumerate(row):
+                out = out * p ** (la.degree[i] * la.degree[j])
+        return out
+
+    return Coboundary(g, b, name)
 
 
 # -- exhaustive checking -----------------------------------------------------

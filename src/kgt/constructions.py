@@ -6,7 +6,9 @@ project paths back to the factors.  Every output goes through
 validate_skeleton, so the validator doubles as the correctness oracle for the
 square tables written down here.  Composite vertex and edge ids join the
 original ids with '|'; construction edges get a short prefix so ids stay
-unique.
+unique.  A Cartesian product records the factor vertices and factor edge of
+each id as it writes it, so projecting never splits an id, which in a nested
+product holds the separator more than once.
 """
 
 from __future__ import annotations
@@ -22,21 +24,6 @@ from .errors import (
 from .kgraph import KGraph, Path, make_skeleton, validate_skeleton
 
 SEP = "|"
-
-
-def _split_id(s: str, left_ok, right_ok) -> tuple[str, str]:
-    """Split a joined id at the separator position both halves accept.
-
-    Needed because nested constructions produce ids that themselves contain
-    the separator."""
-    pos = -1
-    while True:
-        pos = s.find(SEP, pos + 1)
-        if pos < 0:
-            raise KeyError(f"cannot split composite id {s!r}")
-        lv, rv = s[:pos], s[pos + 1 :]
-        if left_ok(lv) and right_ok(rv):
-            return lv, rv
 
 
 # -- finite groups -----------------------------------------------------------
@@ -155,31 +142,23 @@ def validate_action(g: KGraph, beta: ZlAction) -> tuple[bool, tuple | None]:
 
 
 class CartesianProductGraph(KGraph):
-    def __init__(self, skeleton, _token=None, left=None, right=None):
+    def __init__(self, skeleton, _token=None, left=None, right=None, vertex_pair=None, factor_edge=None):
         super().__init__(skeleton, _token)
         self.left = left
         self.right = right
+        self.vertex_pair = vertex_pair  # product vertex -> (left vertex, right vertex)
+        self.factor_edge = factor_edge  # product edge -> (0 left or 1 right, factor edge)
 
     def project(self, la: Path) -> tuple[Path, Path]:
         """Split a path into its two factor paths."""
         k1 = self.left.k
-        lv, rv = _split_id(
-            la.range, self.left.vertex_index.__contains__, self.right.vertex_index.__contains__
-        )
-        left_ids = {e.ident for e in self.left.all_edges}
-        right_ids = {e.ident for e in self.right.all_edges}
-        left_edges = [
-            _split_id(e[2:], left_ids.__contains__, self.right.vertex_index.__contains__)[0]
-            for e in la.edges
-            if e.startswith("L:")
-        ]
-        right_edges = [
-            _split_id(e[2:], self.left.vertex_index.__contains__, right_ids.__contains__)[1]
-            for e in la.edges
-            if e.startswith("R:")
-        ]
-        p1 = self.left.path_from_edges(left_edges) if left_edges else self.left.vertex_path(lv)
-        p2 = self.right.path_from_edges(right_edges) if right_edges else self.right.vertex_path(rv)
+        lv, rv = self.vertex_pair[la.range]
+        edges = ([], [])
+        for e in la.edges:
+            side, f = self.factor_edge[e]
+            edges[side].append(f)
+        p1 = self.left.path_from_edges(edges[0]) if edges[0] else self.left.vertex_path(lv)
+        p2 = self.right.path_from_edges(edges[1]) if edges[1] else self.right.vertex_path(rv)
         assert p1.degree == la.degree[:k1] and p2.degree == la.degree[k1:]
         return p1, p2
 
@@ -187,13 +166,20 @@ class CartesianProductGraph(KGraph):
 def cartesian(g1: KGraph, g2: KGraph) -> CartesianProductGraph:
     """Product graph of rank k1 + k2 on the product vertex set."""
     k1, k2 = g1.k, g2.k
-    verts = [f"{v1}{SEP}{v2}" for v1 in g1.vertices for v2 in g2.vertices]
+    pairs = [(v1, v2) for v1 in g1.vertices for v2 in g2.vertices]
+    verts = [f"{v1}{SEP}{v2}" for v1, v2 in pairs]  # validate_skeleton refuses a repeated id
+    vertex_pair = dict(zip(verts, pairs))
+    factor_edge = {}
 
     def lid(e, v2):
-        return f"L:{e}{SEP}{v2}"
+        ident = f"L:{e}{SEP}{v2}"
+        factor_edge[ident] = (0, e)
+        return ident
 
     def rid(v1, f):
-        return f"R:{v1}{SEP}{f}"
+        ident = f"R:{v1}{SEP}{f}"
+        factor_edge[ident] = (1, f)
+        return ident
 
     edges = []
     for e in g1.all_edges:
@@ -220,7 +206,9 @@ def cartesian(g1: KGraph, g2: KGraph) -> CartesianProductGraph:
             )
 
     skel = make_skeleton(k1 + k2, verts, edges, squares)
-    return validate_skeleton(skel, _cls=CartesianProductGraph, left=g1, right=g2)
+    return validate_skeleton(
+        skel, _cls=CartesianProductGraph, left=g1, right=g2, vertex_pair=vertex_pair, factor_edge=factor_edge
+    )
 
 
 # -- skew product ------------------------------------------------------------

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 
 _TWO_PI = 2.0 * math.pi
+
+# the exact wire forms with a radian part: "r rad" and "t turn + r rad"
+_RAD_FORM = re.compile(r"(?:(\S+)\s*turn\s*\+\s*)?(\S+)\s*rad")
 
 
 class Phase:
@@ -124,13 +129,7 @@ class Phase:
         return abs(self.value() - other.value()) <= tol
 
     def __repr__(self) -> str:
-        if self.is_exact:
-            if self._rads == 0:
-                return f"Phase({self._turns} turn)"
-            if self._turns == 0:
-                return f"Phase({self._rads} rad)"
-            return f"Phase({self._turns} turn + {self._rads} rad)"
-        return f"Phase({self._z!r})"
+        return f"Phase({format_angle(self) if self.is_exact else repr(self._z)})"
 
 
 ONE = Phase.one()
@@ -143,19 +142,23 @@ def product(phases) -> Phase:
     return out
 
 
-def parse_angle(text) -> Phase:
-    """Parse the wire format: 'p/q' (or 'p/q turn') exactly, else float radians.
+def parse_angle(x) -> Phase:
+    """Read an outside angle, one rule per kind of value: a Phase is itself;
+    a str is the wire format; a bool is refused; any other rational number
+    (int, Fraction, numpy integers) is exact radians; any other real number
+    is float radians; a complex number is its direction, Phase.from_complex.
 
-    A string holding an integer is whole turns; an integer number is exact
-    radians, as cocycle.as_phase reads it; any other number is float radians.
-    Non-finite radians (NaN, infinities) name no phase and are refused."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Phase.exact_radians(text)
-    if isinstance(text, float):
-        rads = text
-    else:
-        s = str(text).strip()
+    The wire format: 'p/q turn', 'p/q' and an integer such as '1' are exact
+    turns; 'r rad' and 't turn + r rad' (t, r rational) are exact; anything
+    else is float radians.  Non-finite radians, zero and any other kind of
+    value name no phase and raise ParseError."""
+    if isinstance(x, Phase):
+        return x
+    if isinstance(x, str):
+        s = x.strip()
         try:
+            if m := _RAD_FORM.fullmatch(s):
+                return Phase(Fraction(m[1] or 0) % 1, Fraction(m[2]), None)
             if s.endswith("turn"):
                 return Phase.from_turns(Fraction(s[: -len("turn")].strip()))
             if "/" in s:
@@ -165,16 +168,31 @@ def parse_angle(text) -> Phase:
             except ValueError:
                 rads = float(s)
         except (ValueError, ZeroDivisionError) as err:
-            raise ParseError(f"cannot read angle {text!r}", text) from err
+            raise ParseError(f"cannot read angle {x!r}", x) from err
+    elif isinstance(x, bool) or not isinstance(x, numbers.Complex):
+        raise ParseError(f"cannot read angle {x!r}", x)
+    elif isinstance(x, numbers.Rational):
+        return Phase.exact_radians(Fraction(x.numerator, x.denominator))
+    elif isinstance(x, numbers.Real):
+        rads = float(x)
+    else:
+        z = complex(x)
+        if not cmath.isfinite(z) or z == 0:
+            raise ParseError(f"angle {x!r} is not a finite nonzero complex number", x)
+        return Phase.from_complex(z)
     if not math.isfinite(rads):
-        raise ParseError(f"angle {text!r} is not a finite number of radians", text)
+        raise ParseError(f"angle {x!r} is not a finite number of radians", x)
     return Phase.from_radians(rads)
 
 
 def format_angle(p: Phase) -> str | float:
-    """Emit 'p/q turn' for pure-turn exact phases, else float radians."""
-    if p.is_exact and p.rads == 0:
+    """The wire form of p, which parse_angle reads back as p when p is exact:
+    'p/q turn' for a pure turn, 'r rad' or 't turn + r rad' for any other
+    exact value, and float radians for an inexact one."""
+    if not p.is_exact:
+        return float(cmath.phase(p.value()))
+    if p.rads == 0:
         return f"{p.turns} turn"
-    if p.is_exact:
-        return float(_TWO_PI * p.turns) + float(p.rads)
-    return float(cmath.phase(p.value()))
+    if p.turns == 0:
+        return f"{p.rads} rad"
+    return f"{p.turns} turn + {p.rads} rad"

@@ -29,6 +29,7 @@ from .cocycle import (
     c_sigma,
     c_theta,
     check_cocycle,
+    edge_coboundary,
     pointwise_product,
     product_cocycle,
     skew_lift,
@@ -305,18 +306,8 @@ def _random_coboundary(rng, g: KGraph) -> Coboundary:
     quad = [[int(rng.integers(0, 4)) for _ in range(g.k)] for _ in range(g.k)]
     if not any(x for row in quad for x in row):
         quad[0][0] = 1
-
-    def b(la: Path) -> Phase:
-        out = Phase.one()
-        for e in la.edges:
-            out = out * label[e]
-        turns = Fraction(0)
-        for i in range(g.k):
-            for j in range(g.k):
-                turns += Fraction(quad[i][j] * la.degree[i] * la.degree[j], 8)
-        return out * Phase.from_turns(turns)
-
-    return Coboundary(g, b, name="rand-b")
+    form = [[Phase.from_turns(Fraction(x, 8)) for x in row] for row in quad]
+    return edge_coboundary(g, label, form, "rand-b")
 
 
 def _random_bicharacter(rng, g: KGraph) -> Cocycle:

@@ -118,6 +118,20 @@ def test_float_entry_leaves_the_exact_entries_exact(files, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("ok   def-cocycle-c1c2")
 
 
+def test_exact_radian_table_survives_its_document(files, capsys):
+    """The c_theta(F1, 1) table at cap (2, 2) holds exact radians, written
+    as 'r rad' strings; reloaded, every entry is the exact value again, so
+    (C1) holds at tolerance 0."""
+    _, write = files
+    c = c_theta(fixture_f1(), 1)
+    doc = emit_cocycle_doc(c, (2, 2))
+    assert {ent[2] for ent in doc["entries"]} == {"0 turn", "1 rad", "2 rad", "4 rad"}
+    assert tabulate(load_cocycle(doc, fixture_f1()), (2, 2)) == tabulate(c, (2, 2))
+    argv = ["check", write("f1.json", _f1_doc()), write("c1rad.json", doc), "--tolerance", "0"]
+    assert main(argv + ["--suite", "def-cocycle-c1c2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ok   def-cocycle-c1c2")
+
+
 @pytest.mark.parametrize("argv", [["fock", "--N", "1"], ["check", "--suite", "def-3.1"]], ids=["fock", "check"])
 def test_table_failing_c1_exits_3_with_the_first_failing_triple(files, capsys, argv):
     """A table document that fails (C1) is refused on loading; the
@@ -223,8 +237,9 @@ def test_coboundary_builtin_with_float_angles_loads_as_float(files):
 
 
 def test_json_integer_angles_are_exact_radians(files):
-    """A JSON integer is exact radians, as cocycle.as_phase reads a number; a
-    string holding an integer is whole turns; other numbers are float radians."""
+    """A JSON integer is exact radians, as parse_angle reads every rational
+    number; a string holding an integer is whole turns; other numbers are
+    float radians; a bool is refused."""
     _, write = files
     params = {"edge_phases": {"e": "1/3 turn", "f": 1}, "degree_form": [[0, 0], [0, 0]]}
     doc = {"kind": "builtin", "name": "coboundary", "params": params}

@@ -3,6 +3,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kgt.cocycle import (
@@ -25,13 +26,14 @@ from kgt.cocycle import (
 from kgt.constructions import ZlAction, cartesian, crossed_product, cyclic_group, skew_product
 from kgt.errors import (
     GraphMismatch,
+    ParseError,
     NotACocycle,
     NotAFunctor,
     NotBetaInvariant,
     NotComposable,
 )
 from kgt.kgraph import fixture_f1, fixture_f2, make_skeleton, validate_skeleton
-from kgt.phases import ONE, Phase
+from kgt.phases import ONE, Phase, parse_angle
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -229,6 +231,42 @@ def test_product_cocycle_mismatch():
     prod = cartesian(F1, F2)
     with pytest.raises(GraphMismatch):
         product_cocycle(trivial_cocycle(F2), trivial_cocycle(F2), prod)
+
+
+@pytest.mark.parametrize(
+    "angle",
+    [Fraction(1, 3), np.int64(1), 0.1, 2j, "1/3 turn", "1/3 turn + 2 rad", QUARTER],
+    ids=["fraction", "numpy-int", "float", "complex", "turn", "turn-and-rad", "phase"],
+)
+def test_constructors_read_an_angle_as_parse_angle_does(angle):
+    """bicharacter_cocycle, c_theta, c_f (through functor_from_edge_table),
+    c_omega, c_sigma and from_table each take an outside angle to
+    parse_angle(angle): a Fraction or numpy integer is exact radians, a float
+    is float radians, and a string is the wire format."""
+    want = parse_angle(angle)
+
+    def same(got):
+        return got.is_exact == want.is_exact and got.close(want, 1e-12)
+
+    e, f = F1.paths((1, 0))[0], F1.paths((0, 1))[0]
+    assert same(c_theta(F1, angle)(f, e))
+    assert same(bicharacter_cocycle(F1, [[ONE, ONE], [angle, ONE]])(f, e))
+    lat = GAMMA.paths((0, 1))[0]
+    lat2 = next(p for p in GAMMA.paths((0, 1)) if p.range == lat.source)
+    base = next(p for p in GAMMA.paths((1, 0)) if p.range == lat.source)
+    assert same(c_f(GAMMA, {"a": angle, "b": angle})(lat, base))
+    assert same(c_omega(GAMMA, [angle])(lat, base))
+    assert same(c_sigma(GAMMA, [[angle]])(lat, lat2))
+    entries = dict.fromkeys(tabulate(trivial_cocycle(F1), (1, 1)), ONE)
+    entries[(f.edges, e.edges)] = angle
+    assert same(from_table(F1, entries, (1, 1), check=False)(f, e))
+
+
+def test_constructors_refuse_a_bool_angle():
+    with pytest.raises(ParseError):
+        c_theta(F1, True)
+    with pytest.raises(ParseError):
+        bicharacter_cocycle(F2, [[False]])
 
 
 # -- tables ------------------------------------------------------------------

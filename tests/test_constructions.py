@@ -90,6 +90,28 @@ def test_cartesian_project_round_trip():
         assert la.source == f"{p1.source}|{p2.source}"
 
 
+def test_nested_cartesian_projects_through_each_level():
+    """The ids of cartesian(cartesian(F2, F2), F2) hold the separator more
+    than once; projecting twice gives three F2 paths that join to the
+    endpoints, and every triple of factor paths comes from one path."""
+    inner = cartesian(F2, F2)
+    g = cartesian(inner, F2)
+    for n in [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 0, 1)]:
+        seen = set()
+        for la in g.paths(n):
+            left, p3 = g.project(la)
+            p1, p2 = inner.project(left)
+            assert (p1.degree, p2.degree, p3.degree) == ((n[0],), (n[1],), (n[2],))
+            assert la.range == f"{p1.range}|{p2.range}|{p3.range}"
+            assert la.source == f"{p1.source}|{p2.source}|{p3.source}"
+            seen.add(tuple((p.range, p.edges) for p in (p1, p2, p3)))
+        assert len(seen) == len(g.paths(n)) == len(F2.paths(n[:1])) * len(F2.paths(n[1:2])) * len(F2.paths(n[2:]))
+    la = g.paths((1, 0, 1))[0]
+    mu = next(m for m in g.paths((0, 1, 1)) if m.range == la.source)
+    (l12, l3), (m12, m3) = g.project(la), g.project(mu)
+    assert g.project(g.compose(la, mu)) == (inner.compose(l12, m12), F2.compose(l3, m3))
+
+
 def test_cartesian_preserves_source_freeness():
     assert cartesian(F2, F1).is_source_free() == (True, None)
 
