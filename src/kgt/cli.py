@@ -52,7 +52,7 @@ from .constructions import (
     cyclic_group,
     skew_product,
 )
-from .errors import FockSpaceTooLarge, KgtError, MalformedSkeleton, ParseError, UnknownCheck
+from .errors import FockSpaceTooLarge, KgtError, MalformedSkeleton, NotACocycle, ParseError, UnknownCheck
 from .fock import (
     FockSpace,
     ck_relations_check,
@@ -360,7 +360,8 @@ def _edge_ids(path, where: str, seen: dict) -> tuple[str, ...]:
 
 def load_cocycle(doc, g: KGraph) -> Cocycle:
     """Build a cocycle document against g; the pair/triple laws are checked
-    on loading (table documents within their stored cap)."""
+    on loading (table documents within their stored cap, NotACocycle when
+    they fail)."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("cocycle document: missing field 'kind'", doc)
     kind = doc["kind"]
@@ -392,7 +393,10 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
                 if isinstance(ang, str):
                     angles[ang] = p
             entries[key] = p
-        c = from_table(g, entries, cap, check=True)
+        c = from_table(g, entries, cap)
+        rep = check_cocycle(c, cap)
+        if not rep.ok:
+            raise NotACocycle(f"table fails {rep.first_failure[0]} at {rep.first_failure[1]}", rep.first_failure)
         # the check read one entry per non-vertex pair within the cap; no twist reads the rest
         pairs = sum(len(g.paths(t)) * (math.prod(x + 1 for x in t) - 2) for t in dg.degrees_upto(cap) if any(t))
         if len(entries) > pairs:
@@ -424,10 +428,13 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
             )
         if name == "c_f":
             f = _typed(_field(params, "f", "params"), dict, "params.f")
-            c = c_f(g, {e: parse_angle(v) for e, v in f.items()})
+            known = {e.ident for e in g.base.all_edges}
+            ident = next((e for e in f if e not in known), None)
+            if ident is not None:
+                raise ParseError(f"c_f params: unknown edge {ident!r}", ident)
+            c = c_f(g, f)
         elif name == "c_omega":
-            gens = _typed(_field(params, "generators", "params"), list, "params.generators")
-            c = c_omega(g, [parse_angle(x) for x in gens])
+            c = c_omega(g, _typed(_field(params, "generators", "params"), list, "params.generators"))
         else:
             c = c_sigma(g, _angle_rows(_field(params, "theta", "params"), "params.theta"))
     elif name == "skew_lift":
@@ -677,7 +684,8 @@ def cmd_fock(args) -> int:
     then under X one `ok generator relations at degree n` line per degree of
     relation_degrees(N), or one `FAIL generator relations:` line with the
     first failure, and the commutation table; under Y the cylinder
-    representation and one covariance line per vertex.  A matrix is written
+    representation and one covariance line per vertex at each degree n
+    with 2n <= N.  A matrix is written
     from its creation's entries, and no dense operator is built for it."""
     _check_tolerance(args.tolerance)
     if (args.system == "Y") != (args.D is not None):
@@ -728,9 +736,11 @@ def cmd_fock(args) -> int:
         else:
             rep = psi_check(space, c, tol=args.tolerance)
             lines.append(f"{'ok' if rep.ok else 'FAIL'} cylinder representation ({rep.cases_checked} cases)")
-            for v in g.vertices:
-                rep = cp_identity_check(space, c, XElem.delta(g, g.vertex_path(v)), space.N, tol=args.tolerance)
-                lines.append(f"{'ok' if rep.ok else 'FAIL'} covariance defect match at vertex {v}")
+            # the compacts of degree n act on interior(n) only in the blocks q >= n, so 2n <= N
+            for n in (n for n in dg.degrees_upto(space.N) if dg.leq(dg.add(n, n), space.N)):
+                for v in g.vertices:
+                    rep = cp_identity_check(space, c, XElem.delta(g, g.vertex_path(v)), n, tol=args.tolerance)
+                    lines.append(f"{'ok' if rep.ok else 'FAIL'} covariance defect match at degree {n}, vertex {v}")
         _write_text(["\n".join(lines)], out)
     return 1 if any(line.startswith("FAIL") for line in lines) else 0
 

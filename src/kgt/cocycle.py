@@ -52,7 +52,6 @@ from .constructions import CartesianProductGraph, CrossedProductGraph, SkewProdu
 from .errors import (
     CapTooSmallForRequestedDegree,
     GraphMismatch,
-    NotACocycle,
     NotAFunctor,
     NotBetaInvariant,
     NotComposable,
@@ -359,11 +358,13 @@ def pointwise_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
 # -- table-backed cocycles ---------------------------------------------------
 
 
-def from_table(g: KGraph, entries: dict, cap, check=True) -> Cocycle:
+def from_table(g: KGraph, entries: dict, cap) -> Cocycle:
     """entries: (la.edges, mu.edges) -> phase, on composable non-vertex pairs.
 
     Pairs with a vertex leg are served by (C2).  Lookups beyond the stored cap
-    raise CapTooSmallForRequestedDegree.
+    raise CapTooSmallForRequestedDegree.  The table is not checked: run
+    check_cocycle(c, cap) to test (C1) within the cap, as the CLI does on
+    every table document.
 
     A twist table looks up the value object of each of its pairs, so it
     shares the entries' objects and computes its fields once per distinct
@@ -396,15 +397,7 @@ def from_table(g: KGraph, entries: dict, cap, check=True) -> Cocycle:
                 f"no table entry for {(la, mu)}", (la, mu)
             ) from None
 
-    c = Cocycle(g, ev, "table", _tabulate=tabulate_twist)
-    if check:
-        rep = check_cocycle(c, cap)
-        if not rep.ok:
-            raise NotACocycle(
-                f"table fails {rep.first_failure[0]} at {rep.first_failure[1]}",
-                rep.first_failure,
-            )
-    return c
+    return Cocycle(g, ev, "table", _tabulate=tabulate_twist)
 
 
 def tabulate(c: Cocycle, cap) -> dict:

@@ -1177,9 +1177,10 @@ def _chk_alignment(inst, cfg, rng):
         yrhs = y_tmul(c, Sy(f), h)
         if not ylhs.close(yrhs, tol):
             return ("cylinder-extension", (m, j))
-        T = _rand_xop(g, n, rng)
-        aligned = x_compact_align(c, S, T)
-        XOp(g, j, aligned.matrix)  # raises if the product leaks across source blocks
+        # an entry across source blocks is a sum of products with an exact-zero factor
+        sources = np.array([p.source for p in g.paths(j)])
+        if np.any(x_compact_align(c, S, _rand_xop(g, n, rng)).matrix[sources[:, None] != sources]):
+            return ("aligned-block", (m, j))
     return None
 
 

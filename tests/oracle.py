@@ -21,6 +21,10 @@ definition of `check_cocycle`, which checks it in chunks of degree splits.
 column-entry form: every image a dense operator, every product one `@`;
 `nica_dense` sums its images of compacts from `point_creations`, and
 `creation` is the dense creation by an element of either module.
+`source_off_block` and `tail_off_block` mark the entries that an operator on
+X_n and on Y_n at a working depth holds at 0: across the source blocks, and
+across the tails la(n, depth) found by `split_by_squares`.  The module layer
+builds every operator in that shape and does not test it.
 """
 
 import math
@@ -62,6 +66,24 @@ def split_by_squares(g, la, m):
     rest = Path(dg.sub(la.degree, dg.unit(g.k, i)), tuple(seq[1:]), head.source, la.source)
     mu_tail, nu = split_by_squares(g, rest, dg.sub(m, dg.unit(g.k, i)))
     return Path(m, (seq[0],) + mu_tail.edges, la.range, mu_tail.source), nu
+
+
+def _differ(keys):
+    """The mask of the pairs (i, j) with keys[i] != keys[j]."""
+    return np.array([[a != b for b in keys] for a in keys], dtype=bool).reshape(len(keys), len(keys))
+
+
+def source_off_block(g, n):
+    """The entries of a matrix over Lambda^n between paths of different
+    sources: an adjointable operator on X_n is 0 there."""
+    return _differ([la.source for la in g.paths(n)])
+
+
+def tail_off_block(g, n, depth):
+    """The entries of a matrix over Lambda^depth between paths of different
+    tails la(n, depth): an adjointable operator on Y_n at that working depth
+    is 0 there."""
+    return _differ([split_by_squares(g, la, n)[1] for la in g.paths(depth)])
 
 
 def factor_walk(g, m, n):

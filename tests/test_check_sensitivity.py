@@ -2,14 +2,16 @@
 witness the check then reports; a check whose row passes can fail."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from kgt import fock, verify, ymod
+from kgt import cli, fock, verify, xmod, ymod
 from kgt.cocycle import trivial_cocycle
 from kgt.kgraph import fixture_f2
 from kgt.verify import Instance, SuiteConfig, run_suite
+from oracle import source_off_block
 
 F2 = fixture_f2()
 
@@ -46,6 +48,18 @@ def bent_cylinder_compacts(monkeypatch):
 def test_cp_covariance_sees_the_cylinder_compacts(bent_cylinder_compacts):
     # at cap 2 the truncation N = (2,) holds the block (1,) in interior((1,))
     assert witness("eq-for-cp-covariance-of-zeta", 2) == ("cp-identity", (1,), None)
+
+
+def test_fock_y_covariance_lines_see_the_cylinder_compacts(bent_cylinder_compacts, tmp_path, capsys):
+    """At N = (1,) the compacts of degree 0 act on block 0, so the degree-0
+    covariance lines compare the bent cylinder side and fail."""
+    docs = []
+    for name, doc in (("f2.json", cli.emit_graph_doc(F2)), ("c.json", {"kind": "builtin", "name": "trivial"})):
+        (tmp_path / name).write_text(json.dumps(doc))
+        docs.append(str(tmp_path / name))
+    assert cli.main(["fock", *docs, "--system", "Y", "--N", "1", "--D", "2"]) == 1
+    lines = [x for x in capsys.readouterr().out.splitlines() if "covariance" in x]
+    assert lines == [f"FAIL covariance defect match at degree (0,), vertex {v}" for v in F2.vertices]
 
 
 def test_prop_5_1_sees_the_cylinder_compacts(monkeypatch):
@@ -171,3 +185,19 @@ def test_katsura_inner_product_sees_a_nan_at_its_first_vertex(monkeypatch):
     # the NaN once passed the direct-sum and positivity tests, and was first
     # seen by conjugate symmetry
     assert witness("eq-katsura-inner-product", 1)[:2] == ("direct-sum", F2.vertices[0])
+
+
+def test_prop_4_3_sees_an_aligned_product_across_source_blocks(monkeypatch):
+    """iota with one entry across source blocks moved off 0 by 1e-13, below
+    the 1e-12 the XOp constructor once allowed: the aligned product of two
+    such extensions leaks, and prop-4.3 tests for exact zeros."""
+    real = xmod.x_iota
+
+    def leaked(c, S, n):
+        out = real(c, S, n)
+        i, j = np.argwhere(source_off_block(S.graph, out.degree))[0]
+        out.matrix[i, j] += 1e-13
+        return out
+
+    monkeypatch.setattr(xmod, "x_iota", leaked)  # x_compact_align reads it; verify's own x_iota is unbent
+    assert witness("prop-4.3", 1) == ("aligned-block", ((0,), (0,)))

@@ -141,7 +141,7 @@ def test_table_failing_c1_exits_3_with_the_first_failing_triple(files, capsys, a
     doc = emit_cocycle_doc(trivial_cocycle(g), (2, 2))
     doc["entries"][5][2] = "1/3 turn"
     entries = {(tuple(le), tuple(me)): parse_angle(angle) for le, me, angle in doc["entries"]}
-    want = check_by_triples(from_table(g, entries, (2, 2), check=False), (2, 2)).first_failure
+    want = check_by_triples(from_table(g, entries, (2, 2)), (2, 2)).first_failure
     assert repr(want) == "('C1', (<e>, <e>, <f>), (Phase(1/3 turn), Phase(0 turn)))"
     command, *options = argv
     assert main([command, write("f1.json", _f1_doc()), write("c.json", doc), *options]) == 3
@@ -180,6 +180,8 @@ def test_structured_builtins_need_a_structured_graph():
         pytest.param("c_omega", {"generators": 5}, r"params\.generators: expected a list", id="c_omega-generators-int"),
         pytest.param("c_omega", 5, "params: expected an object", id="c_omega-params-int"),
         pytest.param("c_f", {"f": ["a"]}, r"params\.f: expected an object", id="c_f-f-list"),
+        pytest.param("c_f", {"f": {"a": "x", "b": 0}}, "cannot read angle 'x'", id="c_f-angle"),
+        pytest.param("c_omega", {"generators": [True]}, "cannot read angle True", id="c_omega-angle"),
         pytest.param("c_sigma", {"theta": [1]}, r"params\.theta\[0\]: expected a list", id="c_sigma-row-int"),
         pytest.param("trivial", 7, "params: expected an object", id="trivial-params-int"),
         pytest.param("trivial", {"theta": [[0]]}, r"params: unknown field\(s\) \['theta'\]", id="trivial-field"),
@@ -210,6 +212,25 @@ def test_build_with_malformed_builtin_params_exits_2(files, capsys):
     assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ParseError: ") and "params.generators" in err
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        pytest.param("c_f", {"f": {"a": "1/2 turn", "b": "1/2 turn", "nope": "1/3 turn"}}, id="c_f"),
+        pytest.param("coboundary", {"edge_phases": {"nope": "1/3 turn"}}, id="coboundary"),
+    ],
+)
+def test_builtin_params_with_an_unknown_edge_exit_2(files, capsys, name, params):
+    """c_f refuses an edge id that its base graph does not have, as
+    coboundary refuses one that its graph does not have."""
+    _, write = files
+    f2 = write("f2.json", _f2_doc())
+    doc = write("c.json", {"kind": "builtin", "name": name, "params": params})
+    build = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}, "cap": [2]}
+    argv = ["build", f2, "--op", "crossed", "--params", json.dumps(build), "--cocycle", doc]
+    assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {name} params: unknown edge 'nope'")
 
 
 def test_coboundary_builtin_loads_and_is_exact():
@@ -632,6 +653,19 @@ def test_fock_y_relations_pass(files):
     g = write("f1.json", _f1_doc())
     c = write("c.json", _ctheta_doc())
     assert main(["fock", g, c, "--system", "Y", "--N", "1,1", "--D", "2,2"]) == 0
+
+
+def test_fock_y_covariance_lines_cover_every_degree_the_compacts_act_on(files, capsys):
+    """One covariance line per vertex and degree n with 2n <= N: the
+    compacts of degree n act on interior(n) only in the blocks q >= n."""
+    _, write = files
+    g = write("f2.json", _f2_doc())
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    for N, D, degrees in (("0", "1", ["(0,)"]), ("1", "2", ["(0,)"]), ("2", "3", ["(0,)", "(1,)"])):
+        assert main(["fock", g, c, "--system", "Y", "--N", N, "--D", D]) == 0
+        lines = [x for x in capsys.readouterr().out.splitlines() if "covariance" in x]
+        vs = fixture_f2().vertices
+        assert lines == [f"ok covariance defect match at degree {n}, vertex {v}" for n in degrees for v in vs]
 
 
 def test_relations_are_checked_once_per_degree(files, capsys):

@@ -23,6 +23,7 @@ from kgt.cocycle import (
     tabulate,
     trivial_cocycle,
 )
+from kgt.cli import emit_cocycle_doc, load_cocycle
 from kgt.constructions import ZlAction, cartesian, crossed_product, cyclic_group, skew_product
 from kgt.errors import (
     GraphMismatch,
@@ -259,7 +260,7 @@ def test_constructors_read_an_angle_as_parse_angle_does(angle):
     assert same(c_sigma(GAMMA, [[angle]])(lat, lat2))
     entries = dict.fromkeys(tabulate(trivial_cocycle(F1), (1, 1)), ONE)
     entries[(f.edges, e.edges)] = angle
-    assert same(from_table(F1, entries, (1, 1), check=False)(f, e))
+    assert same(from_table(F1, entries, (1, 1))(f, e))
 
 
 def test_constructors_refuse_a_bool_angle():
@@ -282,13 +283,16 @@ def test_table_round_trip():
 
 
 def test_corrupted_table_rejected():
+    """from_table only builds; loading the table's document checks (C1)."""
     c = trivial_cocycle(F1)
     entries = tabulate(c, (2, 2))
     ef = F1.paths((1, 1))[0]
     e = F1.paths((1, 0))[0]
     entries[(e.edges, ef.edges)] = QUARTER
-    with pytest.raises(NotACocycle):
-        from_table(F1, entries, (2, 2))
+    table = from_table(F1, entries, (2, 2))
+    assert not check_cocycle(table, (2, 2)).ok
+    with pytest.raises(NotACocycle, match="^table fails C1 at "):
+        load_cocycle(emit_cocycle_doc(table, (2, 2)), F1)
 
 
 # -- coboundaries and comparison ---------------------------------------------

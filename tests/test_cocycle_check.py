@@ -84,7 +84,7 @@ def suite_cap(g):
 
 
 def table_cocycle(g, cap, entries):
-    return from_table(g, entries, cap, check=False)
+    return from_table(g, entries, cap)
 
 
 def as_float_entries(entries):

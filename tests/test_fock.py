@@ -471,8 +471,8 @@ def test_module_close_agrees_with_allclose(seed, tol, count, noise):
     want = allclose(a, b, tol)
     assert arrays_close(a, b, tol) == want
     assert_verdict(a, b, tol)
-    assert XOp(SV, n, a, require_block=False).close(XOp(SV, n, b, require_block=False), tol) == want
-    Ya, Yb = YOp(SV, n, n, a, require_block=False), YOp(SV, n, n, b, require_block=False)
+    assert XOp(SV, n, a).close(XOp(SV, n, b), tol) == want
+    Ya, Yb = YOp(SV, n, n, a), YOp(SV, n, n, b)
     assert Ya.close(Yb, tol) == want
 
 

@@ -87,7 +87,7 @@ def assert_same_twists(c, cap):
 
 
 def as_table(c, cap):
-    return from_table(c.graph, tabulate(c, cap), cap, check=False)
+    return from_table(c.graph, tabulate(c, cap), cap)
 
 
 def shared_floats(entries):
@@ -116,9 +116,9 @@ def test_coded_twists_equal_the_per_pair_twists(subject):
     table = as_table(c, cap)
     assert_same_twists(table, cap)
     entries = tabulate(c, cap)
-    assert_same_twists(from_table(c.graph, shared_floats(entries), cap, check=False), cap)
+    assert_same_twists(from_table(c.graph, shared_floats(entries), cap), cap)
     floats = {key: Phase.from_complex(complex(p)) for key, p in entries.items()}
-    assert_same_twists(from_table(c.graph, floats, cap, check=False), cap)
+    assert_same_twists(from_table(c.graph, floats, cap), cap)
 
 
 def test_battery_table_twists_equal_the_per_pair_twists():
@@ -172,7 +172,7 @@ def test_signed_zero_imaginary_parts_keep_their_bits():
     """1+0j and 1-0j are equal and hash alike; the codes keep them apart."""
     pos, neg = Phase(None, None, complex(1.0, 0.0)), Phase(None, None, complex(1.0, -0.0))
     entries = {key: (pos, neg)[i % 2] for i, key in enumerate(sorted(tabulate(c_theta(SV, ONE), (2, 2))))}
-    c = from_table(SV, entries, (2, 2), check=False)
+    c = from_table(SV, entries, (2, 2))
     assert_same_twists(c, (2, 2))
     signs = {math.copysign(1.0, z.imag) for z in c.twist((1, 0), (0, 1)).values}
     assert signs == {1.0, -1.0}
@@ -291,7 +291,7 @@ def _raised(fn):
 def test_short_cap_table_refuses_as_the_per_pair_twist(m, n, stored):
     """Past the cap a pair is refused, also when the table holds its entry."""
     entries = tabulate(c_theta(F1, Phase.from_turns(Fraction(1, 8))), stored)
-    c = from_table(F1, entries, (1, 1), check=False)
+    c = from_table(F1, entries, (1, 1))
     assert _raised(lambda: c.twist(m, n)) == _raised(lambda: per_pair(c).twist(m, n))
     assert _raised(lambda: check_cocycle(c, (2, 2))) == _raised(lambda: check_cocycle(per_pair(c), (2, 2)))
 
@@ -300,7 +300,7 @@ def test_missing_entry_refuses_as_the_per_pair_twist():
     entries = tabulate(c_theta(SV, Phase.from_turns(Fraction(1, 8))), (2, 2))
     missing = sorted(key for key in entries if len(key[0]) == 1 and len(key[1]) == 1)[2]
     del entries[missing]
-    c = from_table(SV, entries, (2, 2), check=False)
+    c = from_table(SV, entries, (2, 2))
     m, n = (dg.unit(2, SV.edge(leg[0]).color) for leg in missing)
     got = _raised(lambda: c.twist(m, n))
     assert got == _raised(lambda: per_pair(c).twist(m, n))

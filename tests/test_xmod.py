@@ -26,6 +26,7 @@ from kgt.xmod import (
     x_tmul,
     x_theta,
 )
+from oracle import source_off_block
 
 F1 = fixture_f1()
 F2 = fixture_f2()
@@ -150,9 +151,11 @@ def test_theta_adjoint_law():
     assert lhs.close(rhs)
 
 
-def test_xop_requires_source_blocks():
-    with pytest.raises(ValueError):
-        XOp(F2, (1,), np.ones((2, 2)))
+def test_source_mask_flags_a_matrix_across_source_blocks():
+    # the sources of a and b differ, so only the diagonal is in a block
+    mask = source_off_block(F2, (1,))
+    assert np.ones((2, 2))[mask].any()
+    assert not np.eye(2)[mask].any()
 
 
 def test_iota_of_identity_is_identity():
