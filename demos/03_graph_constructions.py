@@ -33,8 +33,8 @@ print("  lifted cocycle passes:", check_cocycle(lifted, (3,), tol=0.0).ok)
 
 # crossed product: adjoin one lattice color along the swap automorphism
 swap = ZlAction(f2, ({"u": "v", "v": "u"},), ({"a": "b", "b": "a"},))
-gamma = crossed_product(f2, swap, cap=(3,))
-print("\ncrossed: rank", gamma.k, "with lattice window", gamma.cap)
+gamma = crossed_product(f2, swap)
+print("\ncrossed: rank", gamma.k, "=", gamma.base.k, "+", gamma.action.l, "lattice color")
 mu = gamma.paths((1, 2))[0]
 print("  a mixed path:", mu, "-> base part", gamma.project(mu)[0], ", lattice part", gamma.project(mu)[1])
 

@@ -241,7 +241,7 @@ def _array_json(arr, pad: str, templates: dict):
     yield "\n" + pad + "]"
 
 
-_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
 
 
 def _typed(value, kind: type, where: str):
@@ -449,7 +449,8 @@ def load_cocycle(doc, g: KGraph) -> Cocycle:
             load_cocycle(_field(params, "right", "params"), g.right),
             g,
         )
-    rep = check_cocycle(c, g.clip((2,) * g.k))
+    # a degree positive on a color without edges has no paths, so the check skips those colors
+    rep = check_cocycle(c, tuple(2 if g.edges(i) else 0 for i in range(1, g.k + 1)))
     if not rep.ok:
         raise ParseError(f"cocycle fails the pair/triple laws: {rep.first_failure!r}", rep.first_failure)
     return c
@@ -557,7 +558,10 @@ def _action_from_params(g: KGraph, doc) -> ZlAction:
 
     def perms(key):
         entries = _typed(_field(doc, key, "action"), list, f"action.{key}")
-        return [dict(_typed(d, dict, f"action.{key}[{i}]")) for i, d in enumerate(entries)]
+        for i, d in enumerate(entries):
+            for ident in (*_typed(d, dict, f"action.{key}[{i}]"), *d.values()):
+                _typed(ident, str, f"action.{key}[{i}]")
+        return entries
 
     vperms, eperms = perms("vertices"), perms("edges")
     if len(vperms) != len(eperms):
@@ -601,29 +605,13 @@ def cmd_build(args) -> int:
         elif args.op == "crossed":
             if len(graphs) != 1:
                 raise ParseError("crossed needs one graph file", args.graphs)
-            _as_object(params, {"action", "cap"}, "params")
-            beta = _action_from_params(graphs[0], _field(params, "action", "params"))
-            cap = _typed(_field(params, "cap", "params"), list, "params.cap")
-            cap = tuple(_typed(x, int, "params.cap") for x in cap)
-            if min(cap, default=0) < 0:
-                raise ParseError(f"params.cap: degrees are non-negative, got {list(cap)}", cap)
-            built = crossed_product(graphs[0], beta, cap)
+            _as_object(params, {"action"}, "params")
+            built = crossed_product(graphs[0], _action_from_params(graphs[0], _field(params, "action", "params")))
         else:  # argparse choices guard this
             raise ParseError(f"unknown op {args.op!r}", args.op)
         if args.cocycle:  # read before any output is written, so a refusal leaves both empty
             cap = _parse_degree(args.table_cap, built.k) if args.table_cap else _default_table_cap(built)
-            lift_on = built
-            if isinstance(built, CrossedProductGraph):
-                # the emitted graph document drops the lattice window, so `check`
-                # re-reads it as a graph whose lattice edges compose freely; the
-                # table must then cover the full cap, which can exceed the window
-                # requested at build time.  The skeleton does not depend on the
-                # window, so re-lift the cocycle on a wide enough copy.
-                kb = built.base.k
-                need = tuple(max(a, b) for a, b in zip(cap[kb:], built.cap))
-                if need != built.cap:
-                    lift_on = crossed_product(built.base, built.action, need)
-            c = load_cocycle(_read_json(args.cocycle), lift_on)
+            c = load_cocycle(_read_json(args.cocycle), built)
         _write_json(emit_graph_doc(built), out_graph)
         if args.cocycle:
             _write_json(emit_cocycle_doc(c, cap), out_cocycle)

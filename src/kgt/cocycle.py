@@ -260,7 +260,7 @@ def c_f(gamma: CrossedProductGraph, f_table: dict) -> Cocycle:
     gamma = _require_crossed(gamma)
     base = gamma.base
     table = functor_from_edge_table(base, f_table)
-    for j in range(1, gamma.l + 1):
+    for j in range(1, gamma.action.l + 1):
         for e in base.all_edges:
             if table[gamma.action.edge(j, e.ident)] != table[e.ident]:
                 raise NotBetaInvariant(
@@ -279,8 +279,8 @@ def c_omega(gamma: CrossedProductGraph, generators) -> Cocycle:
     """c((mu,m),(nu,n)) = omega(m)^|d(nu)| for omega given by l phases."""
     gamma = _require_crossed(gamma)
     gens = [parse_angle(x) for x in generators]
-    if len(gens) != gamma.l:
-        raise GraphMismatch(f"need {gamma.l} generators, got {len(gens)}", generators)
+    if len(gens) != gamma.action.l:
+        raise GraphMismatch(f"need {gamma.action.l} generators, got {len(gens)}", generators)
 
     def ev(la: Path, mu: Path) -> Phase:
         _, m = gamma.project(la)
@@ -298,7 +298,7 @@ def c_sigma(gamma: CrossedProductGraph, theta) -> Cocycle:
     block, so the cocycle identity is inherited from bilinearity.
     """
     gamma = _require_crossed(gamma)
-    l, k = gamma.l, gamma.base.k
+    l, k = gamma.action.l, gamma.base.k
     rows = [[parse_angle(x) for x in row] for row in theta]
     if len(rows) != l or any(len(r) != l for r in rows):
         raise GraphMismatch(f"need an {l}x{l} matrix", theta)

@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degrees as dg
-from .errors import (
-    CapTooSmallForRequestedDegree,
-    MalformedSkeleton,
-    NotAFunctor,
-)
+from .errors import MalformedSkeleton, NotAFunctor
 from .kgraph import KGraph, Path, make_skeleton, validate_skeleton
 
 SEP = "|"
@@ -271,42 +267,14 @@ def skew_product(g: KGraph, group: FiniteGroup, f: dict) -> SkewProductGraph:
 
 
 class CrossedProductGraph(KGraph):
-    """Rank k+l graph whose color-(k+j) edges realize the j-th generator.
+    """The (k+l)-graph Λ ×_β Z^l (Farthing, Pask and Sims): the color-(k+j)
+    edges realize the j-th generator of the action, and every degree has
+    finitely many paths, as in any finite k-graph."""
 
-    The morphism set of the untruncated crossed product is infinite in the
-    lattice directions; this object is its full path category on a finite
-    skeleton, with degree queries beyond the stored cap rejected lazily.
-    """
-
-    def __init__(self, skeleton, _token=None, base=None, action=None, cap=None):
+    def __init__(self, skeleton, _token=None, base=None, action=None):
         super().__init__(skeleton, _token)
         self.base = base
         self.action = action
-        self.cap = cap
-
-    @property
-    def l(self) -> int:
-        return len(self.cap)
-
-    def _check_cap(self, lattice_part) -> None:
-        if not dg.leq(lattice_part, self.cap):
-            raise CapTooSmallForRequestedDegree(
-                f"lattice degree {lattice_part} exceeds cap {self.cap}", lattice_part
-            )
-
-    def clip(self, d) -> dg.Degree:
-        kb = self.base.k
-        return tuple(d[:kb]) + tuple(min(x, c) for x, c in zip(d[kb:], self.cap))
-
-    def paths(self, n):
-        n = dg.as_degree(n, self.k)
-        self._check_cap(n[self.base.k :])
-        return super().paths(n)
-
-    def compose(self, la, mu):
-        total = dg.add(la.degree, mu.degree)
-        self._check_cap(total[self.base.k :])
-        return super().compose(la, mu)
 
     def project(self, la: Path) -> tuple[Path, dg.Degree]:
         """Return (base path, lattice coordinate vector)."""
@@ -320,7 +288,7 @@ class CrossedProductGraph(KGraph):
         return p, la.degree[kb:]
 
 
-def crossed_product(g: KGraph, beta: ZlAction, cap) -> CrossedProductGraph:
+def crossed_product(g: KGraph, beta: ZlAction) -> CrossedProductGraph:
     """Adjoin one new color per generator of beta; the new color-(k+j) edge at
     v runs from beta_j^{-1}(v) to v, and pushing a base edge through it applies
     beta_j."""
@@ -328,7 +296,6 @@ def crossed_product(g: KGraph, beta: ZlAction, cap) -> CrossedProductGraph:
     if not ok:
         raise MalformedSkeleton(f"not a lattice action: {witness}", witness)
     k, l = g.k, beta.l
-    cap = dg.as_degree(cap, l)
 
     def zid(j, v):
         return f"z{j}{SEP}{v}"
@@ -360,4 +327,4 @@ def crossed_product(g: KGraph, beta: ZlAction, cap) -> CrossedProductGraph:
                 )
 
     skel = make_skeleton(k + l, g.vertices, edges, squares)
-    return validate_skeleton(skel, _cls=CrossedProductGraph, base=g, action=beta, cap=cap)
+    return validate_skeleton(skel, _cls=CrossedProductGraph, base=g, action=beta)

@@ -70,7 +70,7 @@ class GraphMismatch(KgtError):
 
 
 class CapTooSmallForRequestedDegree(KgtError):
-    """A degree beyond the configured lattice cap was requested."""
+    """A table cocycle was asked for a pair past its stored cap, or one it lacks."""
 
 
 class NotSectionDecomposable(KgtError):

@@ -188,11 +188,6 @@ class KGraph:
             hit = cache[n] = {v: tuple(ix) for v, ix in table.items()}
         return hit
 
-    def clip(self, d) -> dg.Degree:
-        """The largest degree <= d whose paths this graph stores: d itself
-        here; adjoined-lattice graphs store a finite lattice window."""
-        return tuple(d)
-
     # -- composition and factorization ------------------------------------
 
     def compose(self, la: Path, mu: Path) -> Path:
@@ -253,7 +248,7 @@ class KGraph:
         hit = self._factor.get(key)
         if hit is not None:
             return hit
-        paths = self.paths(dg.add(m, n))  # a crossed product refuses a degree past its lattice cap here
+        paths = self.paths(dg.add(m, n))
         if any(m) and dg.total(n) > 1:
             e = dg.unit(self.k, max(i for i, x in enumerate(n, 1) if x))
             n1 = dg.sub(n, e)

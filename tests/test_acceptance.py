@@ -78,8 +78,8 @@ def _turn(p, q):
 def test_cocycle_constructors_verify_exactly():
     with _criterion(1, "cocycle constructors verify exactly", 5.0):
         f1, f2 = fixture_f1(), fixture_f2()
-        crossed2 = crossed_product(f2, _swap_action(f2), (3,))
-        crossed1 = crossed_product(f1, identity_action(f1), (3,))
+        crossed2 = crossed_product(f2, _swap_action(f2))
+        crossed1 = crossed_product(f1, identity_action(f1))
         skew2 = skew_product(f2, cyclic_group(2), {"a": "1", "b": "0"})
         skew1 = skew_product(f1, cyclic_group(2), {"e": "1", "f": "0"})
         cart22 = cartesian(f2, f2)
@@ -345,11 +345,11 @@ def test_rotation_commutation_smoke():
 # -- 6: creation-model axioms and the covariance identity --------------------
 
 
-def _model_fixtures(depth_scale):
+def _model_fixtures():
     f1, f2 = fixture_f1(), fixture_f2()
     cart = cartesian(f2, f2)
     skew = skew_product(f2, cyclic_group(2), {"a": "1", "b": "0"})
-    crossed = crossed_product(f2, _swap_action(f2), (depth_scale,))
+    crossed = crossed_product(f2, _swap_action(f2))
     bich2 = bicharacter_cocycle(f2, [[_turn(1, 3)]])
     return [
         (f1, c_theta(f1, _turn(1, 8))),
@@ -364,7 +364,7 @@ def test_creation_model_and_covariance():
     with _criterion(6, "creation-model axioms and covariance identity", 120.0):
         # the truncated-lattice fixture is excluded: these identities assume a
         # graph without sources
-        for g, c in _model_fixtures(depth_scale=4):
+        for g, c in _model_fixtures():
             N = (2,) * g.k
             D = (4,) * g.k
             sp = FockSpace(g, N, depth=D)

@@ -198,7 +198,7 @@ def test_structured_builtins_need_a_structured_graph():
 def test_malformed_builtin_params_are_parse_errors(name, params, where):
     """Each builtin takes its own params fields, each of its own type."""
     f2 = fixture_f2()
-    g = crossed_product(f2, identity_action(f2), (2,))
+    g = crossed_product(f2, identity_action(f2))
     with pytest.raises(ParseError, match=where):
         load_cocycle({"kind": "builtin", "name": name, "params": params}, g)
 
@@ -207,7 +207,7 @@ def test_build_with_malformed_builtin_params_exits_2(files, capsys):
     _, write = files
     f2 = write("f2.json", _f2_doc())
     comega = write("comega.json", {"kind": "builtin", "name": "c_omega", "params": {"generators": 5}})
-    params = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}, "cap": [2]}
+    params = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}}
     argv = ["build", f2, "--op", "crossed", "--params", json.dumps(params), "--cocycle", comega]
     assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 2
     err = capsys.readouterr().err
@@ -227,7 +227,7 @@ def test_builtin_params_with_an_unknown_edge_exit_2(files, capsys, name, params)
     _, write = files
     f2 = write("f2.json", _f2_doc())
     doc = write("c.json", {"kind": "builtin", "name": name, "params": params})
-    build = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}, "cap": [2]}
+    build = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}}
     argv = ["build", f2, "--op", "crossed", "--params", json.dumps(build), "--cocycle", doc]
     assert main(argv + ["--out-graph", "/dev/null", "--out-cocycle", "/dev/null"]) == 2
     assert capsys.readouterr().err.startswith(f"ParseError: {name} params: unknown edge 'nope'")
@@ -370,16 +370,21 @@ def _validate_with(edit):
         pytest.param(_build_with("skew", '{"group": 2, "labels": 5}'), id="skew-labels-not-object"),
         pytest.param(_build_with("skew", '{"group": "x", "labels": {}}'), id="skew-group-not-int"),
         pytest.param(
-            _build_with("crossed", json.dumps({"action": {"vertices": [5], "edges": [5]}, "cap": [2]})),
+            _build_with("crossed", json.dumps({"action": {"vertices": [5], "edges": [5]}})),
             id="crossed-action-entry-not-object",
         ),
+        pytest.param(
+            _build_with("crossed", json.dumps({"action": {"vertices": [{"u": 5, "v": "u"}], "edges": _SWAP["edges"]}})),
+            id="crossed-vertex-perm-not-string",
+        ),
+        pytest.param(
+            _build_with("crossed", json.dumps({"action": {"vertices": _SWAP["vertices"], "edges": [{"a": 7, "b": "a"}]}})),
+            id="crossed-edge-perm-not-string",
+        ),
+        # the crossed product takes no "cap" field: whatever its value, it is an unknown field
         pytest.param(_build_with("crossed", json.dumps({"action": _SWAP, "cap": "x"})), id="crossed-cap-not-list"),
-        pytest.param(
-            _build_with("crossed", json.dumps({"action": _SWAP, "cap": [2.9]})), id="crossed-cap-float"
-        ),
-        pytest.param(
-            _build_with("crossed", json.dumps({"action": _SWAP, "cap": [-1]})), id="crossed-cap-negative"
-        ),
+        pytest.param(_build_with("crossed", json.dumps({"action": _SWAP, "cap": [2.9]})), id="crossed-cap-float"),
+        pytest.param(_build_with("crossed", json.dumps({"action": _SWAP, "cap": [-1]})), id="crossed-cap-negative"),
         pytest.param(_build_with("skew", '{"group": true, "labels": {}}'), id="skew-group-bool"),
         pytest.param(_validate_with(lambda d: d.update(k="x")), id="k-not-int"),
         pytest.param(_validate_with(lambda d: d.update(k=1.5)), id="k-float"),
@@ -409,6 +414,20 @@ def test_check_full_suite_on_quarter_turn(files):
     assert rep["schema"] == "kgt-report/1"
     assert all(case["status"] != "fail" for case in rep["cases"])
     assert len(rep["cases"]) >= 40
+
+
+def test_builtin_on_a_graph_with_edgeless_colors_loads_and_checks(files):
+    """A builtin is checked at load only in the colors that hold edges: a
+    degree positive on an edgeless color has no paths. F2's two edges in a
+    rank-8 document would otherwise put 3^8 degrees and their splits in the
+    load check."""
+    _, write = files
+    doc = _f2_doc()
+    doc["k"] = 8
+    g = write("f2k8.json", doc)
+    c = write("c.json", {"kind": "builtin", "name": "trivial"})
+    assert main(["check", g, c, "--suite", "def-3.1"]) == 0
+    assert main(["fock", g, c, "--N", "1"]) == 0
 
 
 def test_checks_with_nothing_to_check_are_skipped(files):
@@ -540,10 +559,7 @@ def test_build_crossed_with_lifted_cocycle_passes_check(files):
         "comega.json",
         {"kind": "builtin", "name": "c_omega", "params": {"generators": ["1/4 turn"]}},
     )
-    params = {
-        "action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]},
-        "cap": [2],
-    }
+    params = {"action": {"vertices": [{"u": "v", "v": "u"}], "edges": [{"a": "b", "b": "a"}]}}
     code = main(
         [
             "build", f2, "--op", "crossed", "--params", json.dumps(params),
@@ -555,9 +571,6 @@ def test_build_crossed_with_lifted_cocycle_passes_check(files):
     lifted = json.loads(cout.read_text())
     assert lifted["kind"] == "table"
     assert any(a != "0 turn" for _, _, a in lifted["entries"])
-    # the reloaded graph has no lattice window, so the suite probes lattice
-    # degrees past the build-time cap of 2; the table has to reach them
-    assert lifted["cap"][1] > params["cap"][0]
     assert main(["check", str(gout), str(cout), "--suite", "all"]) == 0
 
 

@@ -46,7 +46,7 @@ def swap_action(g):
     return ZlAction(g, ({"u": "v", "v": "u"},), ({"a": "b", "b": "a"},))
 
 
-GAMMA = crossed_product(F2, swap_action(F2), (2,))
+GAMMA = crossed_product(F2, swap_action(F2))
 
 
 def find_path(g, degree, base_edges):
@@ -140,7 +140,7 @@ def test_c_f_requires_functor():
     )
     g = validate_skeleton(skel)
     beta = ZlAction(g, ({"*": "*"},), ({"e0": "e0", "e1": "e1", "f": "f"},))
-    gamma = crossed_product(g, beta, (1,))
+    gamma = crossed_product(g, beta)
     with pytest.raises(NotAFunctor):
         c_f(gamma, {"e0": ONE, "e1": QUARTER, "f": ONE})
 
@@ -171,7 +171,7 @@ def test_c_sigma_example_value():
         ({"u": "v", "v": "u"}, {"u": "u", "v": "v"}),
         ({"a": "b", "b": "a"}, {"a": "a", "b": "b"}),
     )
-    gamma2 = crossed_product(F2, beta, (1, 1))
+    gamma2 = crossed_product(F2, beta)
     c = c_sigma(gamma2, [[ONE, ONE_RAD], [ONE, ONE]])
     la = next(p for p in gamma2.paths((0, 0, 1)))  # lattice part (0,1)
     mu = next(p for p in gamma2.paths((0, 1, 0)) if p.range == la.source)

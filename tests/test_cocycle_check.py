@@ -30,7 +30,6 @@ from kgt.cocycle import (
     from_table,
     tabulate,
 )
-from kgt.constructions import crossed_product, identity_action
 from kgt.errors import CapTooSmallForRequestedDegree, DegreeOutOfRange, NotComposable
 from kgt.fock import FockSpace
 from kgt.kgraph import KGraph, fixture_f1, fixture_f2, omega, single_vertex
@@ -476,8 +475,7 @@ def test_factor_indices_are_cached_read_only_arrays():
 
 def test_factor_indices_compose_no_paths(monkeypatch):
     """factor_indices brings edge tuples into normal form and builds no Path
-    per pair; a crossed product still refuses a lattice degree past its
-    window, through paths."""
+    per pair."""
 
     def refuse(*args):
         raise AssertionError("factor_indices composed a Path")
@@ -491,22 +489,6 @@ def test_factor_indices_compose_no_paths(monkeypatch):
             assert [split_by_squares(g, la, m) for la in g.paths(total)] == [
                 (pm[i], pn[j]) for i, j in zip(pre, suf)
             ]
-    gamma = crossed_product(F2, identity_action(F2), (1,))
-    assert len(gamma.factor_indices((1, 1), (0, 0))[0]) == len(gamma.paths((1, 1)))
-    with pytest.raises(CapTooSmallForRequestedDegree, match=r"lattice degree \(2,\) exceeds cap \(1,\)"):
-        gamma.factor_indices((0, 1), (1, 1))
-    # every pair past the cap is refused, before and after the tables within it are built
-    for fresh in (crossed_product(F2, identity_action(F2), (1,)), gamma):
-        for total in dg.degrees_upto((3, 3)):
-            for m, n in dg.splits(total, 2):
-                if total[1] <= 1:
-                    _, suf = fresh.factor_indices(m, n)
-                    assert len(suf) == len(fresh.paths(total))
-                    continue
-                with pytest.raises(CapTooSmallForRequestedDegree) as err:
-                    fresh.factor_indices(m, n)
-                assert str(err.value) == f"lattice degree {total[1:]} exceeds cap (1,)"
-                assert err.value.witness == total[1:]
 
 
 # -- degree coercion ---------------------------------------------------------

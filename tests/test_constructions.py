@@ -16,7 +16,7 @@ from kgt.constructions import (
     trivial_group,
     validate_action,
 )
-from kgt.errors import CapTooSmallForRequestedDegree, MalformedSkeleton, NotAFunctor
+from kgt.errors import MalformedSkeleton, NotAFunctor
 from kgt.kgraph import fixture_f1, fixture_f2, single_vertex
 
 F1 = fixture_f1()
@@ -168,11 +168,11 @@ def test_skew_preserves_source_freeness():
 def test_crossed_rejects_invalid_action():
     beta = ZlAction(F2, ({"u": "v", "v": "u"},), ({"a": "a", "b": "b"},))
     with pytest.raises(MalformedSkeleton):
-        crossed_product(F2, beta, (2,))
+        crossed_product(F2, beta)
 
 
 def test_crossed_f2_swap_compose_applies_action():
-    g = crossed_product(F2, swap_action(F2), (2,))
+    g = crossed_product(F2, swap_action(F2))
     assert isinstance(g, CrossedProductGraph)
     assert g.k == 2
     # the degree-(1,1) path projecting to (a, 1)
@@ -184,24 +184,30 @@ def test_crossed_f2_swap_compose_applies_action():
 
 
 def test_crossed_path_counts_match_base():
-    g = crossed_product(F2, swap_action(F2), (2,))
+    g = crossed_product(F2, swap_action(F2))
     for p in range(3):
         for m in range(3):
             assert len(g.paths((p, m))) == len(F2.paths((p,)))
 
 
-def test_crossed_cap_enforced_lazily():
-    g = crossed_product(F2, swap_action(F2), (2,))
-    with pytest.raises(CapTooSmallForRequestedDegree):
-        g.paths((0, 3))
-    a1 = next(p for p in g.paths((0, 2)))
+def test_crossed_paths_and_compose_at_high_lattice_degrees():
+    # the crossed product is a plain (k+l)-graph: lattice degrees 3 and 4 hold
+    # one lift of each base path, and compose like any other degree
+    g = crossed_product(F2, swap_action(F2))
+    for p in range(3):
+        for m in (3, 4):
+            assert len(g.paths((p, m))) == len(F2.paths((p,)))
+    a1 = g.paths((0, 2))[0]
     b1 = next(p for p in g.paths((0, 1)) if p.range == a1.source)
-    with pytest.raises(CapTooSmallForRequestedDegree):
-        g.compose(a1, b1)
+    composite = g.compose(a1, b1)
+    assert composite.degree == (0, 3)
+    assert g.split(composite, (0, 2)) == (a1, b1)
+    long = g.paths((1, 4))[0]
+    assert g.compose(*g.split(long, (1, 1))) == long
 
 
 def test_crossed_trivial_action_matches_cartesian_counts():
-    g = crossed_product(F2, identity_action(F2), (2,))
+    g = crossed_product(F2, identity_action(F2))
     h = cartesian(F2, single_vertex(1, (1,)))
     for p in range(3):
         for m in range(3):
@@ -209,18 +215,18 @@ def test_crossed_trivial_action_matches_cartesian_counts():
 
 
 def test_crossed_of_rank_two_base_passes_hexagon():
-    g = crossed_product(F1, identity_action(F1), (2,))
+    g = crossed_product(F1, identity_action(F1))
     assert g.k == 3
     assert len(g.paths((1, 1, 1))) == 1
 
 
 def test_crossed_degree_functor():
-    g = crossed_product(F2, swap_action(F2), (2,))
+    g = crossed_product(F2, swap_action(F2))
     for la in g.paths((1, 2)):
         base, m = g.project(la)
         assert la.degree == base.degree + m
 
 
 def test_crossed_preserves_source_freeness():
-    g = crossed_product(F2, swap_action(F2), (2,))
+    g = crossed_product(F2, swap_action(F2))
     assert g.is_source_free() == (True, None)

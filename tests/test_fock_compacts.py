@@ -142,7 +142,7 @@ def _cylinder_subjects():
     product of F2, each with the trivial cocycle, c_theta (at rank 2) and a
     float coboundary."""
     f2 = fixture_f2()
-    for g in (fixture_f1(), f2, single_vertex(2, (2, 2)), crossed_product(f2, identity_action(f2, 1), (3,))):
+    for g in (fixture_f1(), f2, single_vertex(2, (2, 2)), crossed_product(f2, identity_action(f2, 1))):
         yield g, trivial_cocycle(g)
         if g.k == 2:
             yield g, c_theta(g, Phase.from_turns(Fraction(1, 7)))

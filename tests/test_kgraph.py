@@ -232,7 +232,7 @@ def test_factor_indices_consistent_with_split():
     are composed from one-edge tables; omega(2, (1, 1)) has sources and
     uneven in-degrees."""
     for label, g in [*_oracle_graphs(), ("omega(2,(1,1))", omega(2, (1, 1)))]:
-        for d in dg.degrees_upto(g.clip((3,) * g.k if g.k <= 2 else (2, 2, 1))):
+        for d in dg.degrees_upto((3,) * g.k if g.k <= 2 else (2, 2, 1)):
             for m in dg.degrees_upto(d):
                 n = dg.sub(d, m)
                 pre, suf = g.factor_indices(m, n)

@@ -217,7 +217,7 @@ def _hooked_subjects():
     floats = _edge_labels(SV, lambda i: Phase.from_radians(0.3 + 0.7 * i))
     cob = {"kind": "builtin", "name": "coboundary", "params": {"edge_phases": {"e": 0.3, "f": 1.1}}}
     float_theta = c_theta(SV, parse_angle(0.7))
-    gamma = crossed_product(F2, identity_action(F2, 1), (2,))
+    gamma = crossed_product(F2, identity_action(F2, 1))
     return [
         (c_theta(F1, parse_angle(0.7)), (3, 3)),
         (float_theta, (2, 2)),
